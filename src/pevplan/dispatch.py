@@ -4,7 +4,10 @@ Three participation modes: ``none`` (all converters idle on the reactive
 axis), ``dgq`` (PV inverters support voltage), ``dgq+v2gq`` (PV inverters
 plus PEV-lot converters).  Dispatch is a coordinate-descent sweep: each
 participating device in turn gets a bounded one-dimensional search over its
-capability interval, scored by a fresh power-flow solve.  Moves are accepted
+capability interval, scored by a fresh power-flow solve.  Every solve runs
+the Z-bus fixed point first and falls back to Newton (:func:`solve`) only if
+the fixed point raises, so the result is Newton-converged either way and the
+fallbacks are exactly the calls to ``solve``.  Moves are accepted
 only when they improve the hour's partial objective, so the dispatched state
 is never worse than the undispatched one.  The ``dgq+v2gq`` mode runs the
 PV-only stage first and adds the lots afterwards, which makes the three
@@ -20,13 +23,15 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .devices import Device, PevLot, PvUnit, q_capability
-from .network import Network
+from .network import Network, build_ybus
 from .powerflow import (
     DEFAULT_TOL,
     InjectionSet,
     NonConvergence,
+    PowerFlowError,
     PowerFlowSolution,
     solve,
+    solve_fixed_point,
 )
 
 MODES = ("none", "dgq", "dgq+v2gq")
@@ -138,6 +143,8 @@ def dispatch_q(
     trial failures inside the search are absorbed (the trial is discarded).
     """
     q: dict[str, float] = {dev.label: 0.0 for dev in devices}
+    if ybus is None:
+        ybus = build_ybus(net)
 
     # Injections differ between trials only in device Q, so the P vector and
     # the scaled normal-load Q vector are fixed for the whole hour.
@@ -156,7 +163,10 @@ def dispatch_q(
         for dev, pos in dev_pos:
             q_inj[pos] -= settings.get(dev.label, 0.0)
         inj = InjectionSet(p_inj, q_inj)
-        return solve(net, inj, tol=scenario.pf_tol, v0=warm, ybus=ybus)
+        try:
+            return solve_fixed_point(net, inj, tol=scenario.pf_tol, v0=warm, ybus=ybus)
+        except PowerFlowError:
+            return solve(net, inj, tol=scenario.pf_tol, v0=warm, ybus=ybus)
 
     base = pf(q, v0)
     base_score = partial_objective(net, base, scenario)

@@ -91,8 +91,9 @@ class Network:
     base_mva: float = 10.0
     base_kv: float = 12.66
     radial: bool = True
-    # id -> position lookup, filled in __post_init__
+    # id -> position lookup and the slack's position, filled in __post_init__
     _index: dict[int, int] = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
+    _slack: int = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "buses", tuple(self.buses))
@@ -106,11 +107,13 @@ class Network:
             index[bus.id] = pos
         object.__setattr__(self, "_index", index)
 
-        slacks = [b.id for b in self.buses if b.kind == "slack"]
+        slacks = [pos for pos, b in enumerate(self.buses) if b.kind == "slack"]
         if len(slacks) != 1:
+            ids = [self.buses[pos].id for pos in slacks]
             raise ValidationError(
-                f"exactly one slack bus required, found {len(slacks)}: {slacks}"
+                f"exactly one slack bus required, found {len(slacks)}: {ids}"
             )
+        object.__setattr__(self, "_slack", slacks[0])
         for br in self.branches:
             for end in (br.from_bus, br.to_bus):
                 if end not in index:
@@ -151,11 +154,11 @@ class Network:
 
     @property
     def slack_id(self) -> int:
-        return next(b.id for b in self.buses if b.kind == "slack")
+        return self.buses[self._slack].id
 
     @property
     def slack_index(self) -> int:
-        return self._index[self.slack_id]
+        return self._slack
 
     def index_of(self, bus_id: int) -> int:
         """Position of a bus id in the internal ordering."""
@@ -218,6 +221,9 @@ class AdmittanceMatrix:
             raise ValueError("admittance matrix must be square")
         values.setflags(write=False)
         self._values = values
+        # arrays the power-flow solvers derive from this matrix, built by
+        # them on first use and reused by every later solve
+        self.solver_cache = None
 
     @property
     def values(self) -> np.ndarray:

@@ -1,16 +1,26 @@
 """Numeric AC power flow on the full network.
 
-Newton-Raphson in polar coordinates with the full complex Jacobian.  The
-slack bus holds a fixed phasor; every other bus is constant-PQ (converter
+Two solvers share one result container.  :func:`solve` is Newton-Raphson in
+polar coordinates with the full complex Jacobian: the general solver, and
+the arbiter the others are checked against.  :func:`solve_fixed_point` is
+the Z-bus fixed point ``V[pq] = w·V_slack + Z·conj(S[pq] / V[pq])`` with
+``Z = inv(Y[pq, pq])`` (Teng's direct radial load flow in matrix form; with
+no shunts its drop matrix equals this ``Z``, so meshed feeders work too).
+It needs no Jacobian, which makes it the cheaper choice for the many
+near-identical solves of reactive dispatch.
+
+The slack bus holds a fixed phasor; every other bus is constant-PQ (converter
 devices included — their charging/generation enters through the injection
-vector).  A previously solved voltage profile can seed the iteration, which
-cuts repeated solves during dispatch search to one or two iterations.
+vector).  A previously solved voltage profile can seed either iteration,
+which cuts repeated solves during dispatch search to a few iterations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
 from .network import AdmittanceMatrix, Network, build_ybus
@@ -18,6 +28,10 @@ from .network import AdmittanceMatrix, Network, build_ybus
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 50
 _DIVERGENCE_MISMATCH = 1e6
+# The fixed point converges linearly, so it runs this far below the tolerance
+# before it returns; its answers then sit as close to Newton's as Newton's
+# own stopping error.
+_FIXED_POINT_MARGIN = 1e-2
 
 
 class PowerFlowError(RuntimeError):
@@ -113,32 +127,47 @@ def _cond_estimate(jac: np.ndarray) -> float:
         return float("inf")
 
 
-def _build_branch_arrays(net: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-branch (from-index, to-index, series admittance, resistance)."""
-    f_idx = np.array([net.index_of(br.from_bus) for br in net.branches], dtype=int)
-    t_idx = np.array([net.index_of(br.to_bus) for br in net.branches], dtype=int)
-    y_series = np.array([1.0 / br.impedance for br in net.branches], dtype=complex)
-    r = np.array([br.resistance for br in net.branches], dtype=float)
-    return f_idx, t_idx, y_series, r
+class _SolverArrays:
+    """Arrays that every solve on one admittance matrix reuses.
+
+    ``branches`` holds the per-branch (from-index, to-index, series
+    admittance, resistance) arrays behind every solution's branch
+    quantities.  The fixed-point factor is computed the first time the fixed
+    point runs on the matrix, so Newton-only use never pays for it.
+    """
+
+    def __init__(self, net: Network, y: np.ndarray) -> None:
+        self.branches = (
+            np.array([net.index_of(br.from_bus) for br in net.branches], dtype=int),
+            np.array([net.index_of(br.to_bus) for br in net.branches], dtype=int),
+            np.array([1.0 / br.impedance for br in net.branches], dtype=complex),
+            np.array([br.resistance for br in net.branches], dtype=float),
+        )
+        self._y = y
+        self._slack = net.slack_index
+
+    @cached_property
+    def fixed_point(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(pq, Y[pq, :], Z, w)`` with ``Z = inv(Y[pq, pq])``, ``w = −Z·Y[pq, slack]``."""
+        pq = np.delete(np.arange(len(self._y)), self._slack)
+        y_pq = self._y[pq]
+        z = np.linalg.inv(y_pq[:, pq])
+        w = -z @ y_pq[:, self._slack]
+        return pq, y_pq, z, w
 
 
-def _branch_arrays(net: Network, ybus_obj: AdmittanceMatrix | None = None):
-    """Branch index arrays, cached on a reused admittance matrix if given."""
-    if ybus_obj is not None:
-        cached = getattr(ybus_obj, "_pf_branch_arrays", None)
-        if cached is not None:
-            return cached
-    arrays = _build_branch_arrays(net)
-    if ybus_obj is not None:
-        ybus_obj._pf_branch_arrays = arrays
-    return arrays
+def _solver_arrays(net: Network, ybus_obj: AdmittanceMatrix) -> _SolverArrays:
+    """The cached arrays of ``ybus_obj``, which must have been built from ``net``."""
+    if ybus_obj.solver_cache is None:
+        ybus_obj.solver_cache = _SolverArrays(net, ybus_obj.values)
+    return ybus_obj.solver_cache
 
 
 def _branch_quantities(
-    net: Network, v: np.ndarray, ybus_obj: AdmittanceMatrix | None = None
+    net: Network, v: np.ndarray, ybus_obj: AdmittanceMatrix
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Branch currents, sending-end flows, and total series I²R loss."""
-    f_idx, t_idx, y_series, r = _branch_arrays(net, ybus_obj)
+    f_idx, t_idx, y_series, r = _solver_arrays(net, ybus_obj).branches
     currents = (v[f_idx] - v[t_idx]) * y_series
     flows = v[f_idx] * np.conj(currents)
     loss = float(np.sum(np.abs(currents) ** 2 * r))
@@ -146,8 +175,8 @@ def _branch_quantities(
 
 
 def _finish(net: Network, v: np.ndarray, iterations: int, mismatch: float,
-            converged: bool, diverged: bool = False,
-            ybus_obj: AdmittanceMatrix | None = None) -> PowerFlowSolution:
+            converged: bool, ybus_obj: AdmittanceMatrix,
+            diverged: bool = False) -> PowerFlowSolution:
     currents, flows, loss = _branch_quantities(net, v, ybus_obj)
     return PowerFlowSolution(
         v_mag=np.abs(v),
@@ -160,6 +189,23 @@ def _finish(net: Network, v: np.ndarray, iterations: int, mismatch: float,
         converged=converged,
         diverged=diverged,
     )
+
+
+def _start(net: Network, inj: InjectionSet, slack_voltage: complex,
+           v0: np.ndarray | None) -> np.ndarray:
+    """Check a solve's inputs; the starting voltage vector (flat or ``v0``)."""
+    n = net.n_bus
+    if len(inj.p) != n:
+        raise ValueError("injection length does not match bus count")
+    inj.check_finite(net.slack_index)
+    if v0 is not None:
+        v = np.asarray(v0, dtype=complex).copy()
+        if v.shape != (n,):
+            raise ValueError("v0 must have one entry per bus")
+    else:
+        v = np.full(n, 1.0 + 0.0j)
+    v[net.slack_index] = slack_voltage
+    return v
 
 
 def solve(
@@ -178,22 +224,11 @@ def solve(
     across many solves on the same network.
     """
     n = net.n_bus
-    if len(inj.p) != n:
-        raise ValueError("injection length does not match bus count")
     s = net.slack_index
-    inj.check_finite(s)
-
+    v = _start(net, inj, slack_voltage, v0)
     y_obj = ybus or build_ybus(net)
     y = y_obj.values
     s_spec = inj.p + 1j * inj.q
-
-    if v0 is not None:
-        v = np.asarray(v0, dtype=complex).copy()
-        if v.shape != (n,):
-            raise ValueError("v0 must have one entry per bus")
-    else:
-        v = np.full(n, 1.0 + 0.0j)
-    v[s] = slack_voltage
 
     pq = np.array([i for i in range(n) if i != s], dtype=int)
     npq = len(pq)
@@ -259,6 +294,64 @@ def solve(
                   ybus_obj=y_obj)
     raise NonConvergence(
         f"no convergence after {max_iter} iterations (mismatch {mis:.3e})", sol
+    )
+
+
+def solve_fixed_point(
+    net: Network,
+    inj: InjectionSet,
+    tol: float = DEFAULT_TOL,
+    v0: np.ndarray | None = None,
+    ybus: AdmittanceMatrix | None = None,
+) -> PowerFlowSolution:
+    """Z-bus fixed-point power flow with the contract of :func:`solve`.
+
+    The slack holds 1.0 pu.  Converged means Newton's own test: max |ΔP|,
+    |ΔQ| over the non-slack buses ≤ ``tol``.  The iteration normally runs on
+    to ``tol / 100`` before it returns; if rounding stops the mismatch short
+    of that, or the iterations run out, it returns once Newton's test holds
+    and otherwise raises :class:`NonConvergence` with the partial solution.
+    ``Z`` is factored once per admittance matrix, so pass a reused ``ybus``
+    when solving the same network many times.
+    """
+    v = _start(net, inj, 1.0 + 0.0j, v0)
+    y_obj = ybus or build_ybus(net)
+    pq, y_pq, z, w = _solver_arrays(net, y_obj).fixed_point
+    s_pq = (inj.p + 1j * inj.q)[pq]
+    target = tol * _FIXED_POINT_MARGIN
+
+    def max_mismatch() -> float:
+        if not len(pq):
+            return 0.0
+        ds = v[pq] * np.conj(y_pq @ v) - s_pq
+        # the float view interleaves ΔP and ΔQ
+        return float(np.max(np.abs(ds.view(float))))
+
+    # a zero or overflowing voltage shows up as a non-finite mismatch
+    with np.errstate(all="ignore"):
+        mis = max_mismatch()
+        prev = math.inf
+        for it in range(DEFAULT_MAX_ITER + 1):
+            last = it == DEFAULT_MAX_ITER
+            # tol / 100 can lie below the rounding floor of Y·V, so Newton's
+            # test is enough once the mismatch stops falling
+            if mis <= target or (mis <= tol and (mis >= prev or last)):
+                return _finish(net, v, it, mis, converged=True, ybus_obj=y_obj)
+            diverged = not math.isfinite(mis) or mis > _DIVERGENCE_MISMATCH
+            if diverged or last:
+                break
+            prev = mis
+            v[pq] = w + z @ np.conj(s_pq / v[pq])
+            mis = max_mismatch()
+        sol = _finish(net, v, it, mis, converged=False, diverged=diverged,
+                      ybus_obj=y_obj)
+    if diverged:
+        raise NonConvergence(
+            f"fixed point diverged at iteration {it} (mismatch {mis:.3e})", sol
+        )
+    raise NonConvergence(
+        f"fixed point above mismatch {tol:.1e} after {it} iterations "
+        f"(mismatch {mis:.3e})", sol
     )
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from pevplan import dispatch
 from pevplan.devices import HOURS, PevLot, PvUnit, q_capability
 from pevplan.dispatch import (
     MODES,
@@ -170,6 +171,45 @@ def test_dispatch_propagates_base_divergence(feeder4):
     devs = [PvUnit(2, 0.05, flat_profile(0.0))]
     with pytest.raises(NonConvergence):
         dispatch_q(feeder4, devs, 0, Scenario(mode="dgq"), load_scale=1e7)
+
+
+def test_fixed_point_failure_falls_back_to_newton(bus33, devices33, monkeypatch):
+    net = bus33.network
+    sc = Scenario(mode="dgq")
+    calls = []
+    newton = dispatch.solve
+
+    def broken(*args, **kwargs):
+        calls.append("fixed point")
+        raise NonConvergence("forced", None)
+
+    def counted(*args, **kwargs):
+        calls.append("newton")
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(dispatch, "solve_fixed_point", broken)
+    monkeypatch.setattr(dispatch, "solve", counted)
+    res = dispatch_q(net, devices33, PEAK_HOUR, sc)
+    # each solve reached Newton through the module's ``solve``, once
+    assert len(calls) > 2
+    assert calls == ["fixed point", "newton"] * (len(calls) // 2)
+    ref = solve(net, hour_injections(net, devices33, PEAK_HOUR), tol=sc.pf_tol)
+    np.testing.assert_array_equal(res.base_solution.v_mag, ref.v_mag)
+    assert res.base_solution.iterations == ref.iterations
+    assert res.score < res.base_score - 1e-4
+
+
+def test_tight_tolerance_needs_no_newton_fallback(bus33, devices33, monkeypatch):
+    # at pf_tol = 1e-12 the fixed point's tol / 100 target lies below the
+    # rounding floor of bus33; Newton's test still holds, so no solve falls back
+    def refused(*args, **kwargs):
+        raise AssertionError("Newton fallback")
+
+    monkeypatch.setattr(dispatch, "solve", refused)
+    res = dispatch_q(bus33.network, devices33, PEAK_HOUR,
+                     Scenario(mode="dgq+v2gq", pf_tol=1e-12))
+    for sol in (res.base_solution, res.solution):
+        assert sol.converged and sol.max_mismatch <= 1e-12
 
 
 def test_load_scale_shifts_base_solution(bus33, devices33):

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pevplan import load_builtin
 from pevplan.network import Branch, Bus, Network, build_ybus
 from pevplan.powerflow import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     InjectionSet,
     NonConvergence,
     PowerFlowError,
@@ -19,7 +23,9 @@ from pevplan.powerflow import (
     compute_losses,
     compute_reactive_losses,
     solve,
+    solve_fixed_point,
 )
+from pevplan.sweep import solve_sweep
 
 from conftest import small_feeder
 
@@ -144,6 +150,10 @@ def test_degenerate_start_raises_singular(feeder4):
     v0 = np.array([1.0, 1.0, 0.0, 1.0], dtype=complex)
     with pytest.raises((SingularJacobian, NonConvergence)):
         solve(feeder4, loads_of(feeder4), v0=v0)
+    # the fixed point divides by that zero and flags the run as diverged
+    with pytest.raises(NonConvergence) as err:
+        solve_fixed_point(feeder4, loads_of(feeder4), v0=v0)
+    assert err.value.solution.diverged
 
 
 def test_injection_validation(feeder4):
@@ -173,6 +183,127 @@ def test_loss_helpers_refuse_unconverged(feeder4):
         compute_reactive_losses(feeder4, stale)
     with pytest.raises(PowerFlowError, match="non-converged"):
         check_limits(feeder4, stale)
+
+
+# -- Z-bus fixed point ------------------------------------------------------
+
+
+@pytest.mark.parametrize("scale", [0.3, 0.55, 0.8, 1.0])
+def test_fixed_point_matches_newton_on_bus33(bus33, scale):
+    net = bus33.network
+    ybus = build_ybus(net)
+    p, q = net.load_vectors()
+    inj = InjectionSet.from_loads(p * scale, q * scale)
+    ref = solve(net, inj, tol=1e-12, ybus=ybus)
+    cold = solve_fixed_point(net, inj, ybus=ybus)
+    # warm start from a nearby load, as the dispatch search does
+    near = solve(net, InjectionSet.from_loads(p * scale * 0.97, q * scale * 0.97))
+    warm = solve_fixed_point(net, inj, v0=near.v_complex, ybus=ybus)
+    for sol in (cold, warm):
+        # converged under Newton's own test, with the fixed point's margin
+        assert sol.converged and sol.max_mismatch <= DEFAULT_TOL / 100
+        np.testing.assert_allclose(sol.v_complex, ref.v_complex, rtol=0, atol=1e-9)
+        assert sol.total_losses == pytest.approx(ref.total_losses, abs=1e-9)
+        np.testing.assert_allclose(sol.branch_current, ref.branch_current,
+                                   rtol=0, atol=1e-8)
+    assert warm.iterations <= cold.iterations
+
+
+def test_fixed_point_below_rounding_floor_meets_newtons_test(bus33):
+    # tol / 100 = 1e-14 lies below the rounding floor of Y·V on bus33: the
+    # iteration stops once the mismatch stops falling, converged under
+    # Newton's test, instead of running out its iterations and raising
+    net = bus33.network
+    sol = solve_fixed_point(net, loads_of(net), tol=1e-12)
+    assert sol.converged and 1e-14 < sol.max_mismatch <= 1e-12
+    assert sol.iterations < DEFAULT_MAX_ITER
+    ref = solve(net, loads_of(net), tol=1e-12)
+    np.testing.assert_allclose(sol.v_complex, ref.v_complex, rtol=0, atol=1e-11)
+
+
+def test_fixed_point_matches_newton_on_meshed_network():
+    # a ring with a chord: no radial tree, so the sweep cannot solve it
+    buses = (
+        Bus(1, kind="slack"),
+        Bus(2, normal_load_p=0.30, normal_load_q=0.10),
+        Bus(3, normal_load_p=0.20, normal_load_q=0.15),
+        Bus(4, normal_load_p=0.25, normal_load_q=0.05),
+        Bus(5, normal_load_p=0.10, normal_load_q=0.08),
+    )
+    branches = (
+        Branch(1, 2, 0.02, 0.06), Branch(2, 3, 0.03, 0.07), Branch(3, 4, 0.01, 0.05),
+        Branch(4, 1, 0.02, 0.04), Branch(2, 4, 0.04, 0.08), Branch(4, 5, 0.05, 0.09),
+    )
+    net = Network(buses, branches, radial=False)
+    inj = loads_of(net)
+    ref = solve(net, inj, tol=1e-12)
+    sol = solve_fixed_point(net, inj)
+    assert sol.converged
+    np.testing.assert_allclose(sol.v_complex, ref.v_complex, rtol=0, atol=1e-9)
+    assert sol.total_losses == pytest.approx(ref.total_losses, abs=1e-9)
+    with pytest.raises(ValueError, match="radial"):
+        solve_sweep(net, inj)
+
+
+def test_fixed_point_rejects_what_newton_rejects(feeder4):
+    wrong_length = InjectionSet(np.zeros(3), np.zeros(3))
+    non_finite = InjectionSet(np.array([0.0, np.nan, 0.0, 0.0]), np.zeros(4))
+    for solver in (solve, solve_fixed_point):
+        with pytest.raises(ValueError, match="does not match bus count"):
+            solver(feeder4, wrong_length)
+        with pytest.raises(ValueError, match="non-finite injection"):
+            solver(feeder4, non_finite)
+        with pytest.raises(ValueError, match="one entry per bus"):
+            solver(feeder4, loads_of(feeder4), v0=np.ones(3, dtype=complex))
+
+
+def test_fixed_point_divergence_carries_partial_solution(feeder4):
+    p, q = feeder4.load_vectors()
+    for scale in (1e4, 1e7):
+        with pytest.raises(NonConvergence) as err:
+            solve_fixed_point(feeder4, InjectionSet.from_loads(p * scale, q * scale))
+        partial = err.value.solution
+        assert isinstance(partial, PowerFlowSolution)
+        assert not partial.converged
+        assert partial.max_mismatch > DEFAULT_TOL
+    assert err.value.solution.diverged
+
+
+@st.composite
+def radial_feeders(draw):
+    """A random tree of 3–60 buses with moderate loads, buses in shuffled order.
+
+    Bus k hangs off one of buses 1..k-1; the branch row may read either way
+    round, and the slack need not come first in the bus list.
+    """
+    n = draw(st.integers(3, 60))
+    buses = [Bus(1, kind="slack")]
+    branches = []
+    for k in range(2, n + 1):
+        p = draw(st.floats(0.0, 0.01))
+        q = draw(st.floats(-0.004, 0.006))
+        buses.append(Bus(k, normal_load_p=p, normal_load_q=q))
+        parent = draw(st.integers(1, k - 1))
+        ends = (parent, k) if draw(st.booleans()) else (k, parent)
+        branches.append(Branch(*ends, draw(st.floats(1e-4, 5e-3)),
+                               draw(st.floats(1e-4, 5e-3))))
+    order = draw(st.permutations(range(n)))
+    return Network(tuple(buses[i] for i in order), tuple(branches))
+
+
+@settings(max_examples=40, deadline=None)
+@given(radial_feeders())
+def test_fixed_point_newton_and_sweep_agree_on_radial_feeders(net):
+    # three disjoint implementations: Jacobian, Z-bus factor, and tree sweep
+    # (the sweep builds no admittance matrix)
+    inj = loads_of(net)
+    newton = solve(net, inj, tol=1e-10)
+    fixed = solve_fixed_point(net, inj, tol=1e-10)
+    assert fixed.converged and fixed.max_mismatch <= 1e-10
+    sweep = solve_sweep(net, inj, tol=1e-12)
+    np.testing.assert_allclose(fixed.v_complex, newton.v_complex, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(sweep.v_complex, newton.v_complex, rtol=0, atol=1e-8)
+    assert fixed.total_losses == pytest.approx(sweep.total_losses, abs=1e-8)
 
 
 # -- limit checking ----------------------------------------------------------
