@@ -4,12 +4,14 @@ Three participation modes: ``none`` (all converters idle on the reactive
 axis), ``dgq`` (PV inverters support voltage), ``dgq+v2gq`` (PV inverters
 plus PEV-lot converters).  Dispatch is a coordinate-descent sweep: each
 participating device in turn gets a bounded one-dimensional search over its
-capability interval, scored by a fresh power-flow solve.  Every solve runs
-the Z-bus fixed point first and falls back to Newton (:func:`solve`) only if
-the fixed point raises, so the result is Newton-converged either way and the
-fallbacks are exactly the calls to ``solve``.  Moves are accepted
-only when they improve the hour's partial objective, so the dispatched state
-is never worse than the undispatched one.  The ``dgq+v2gq`` mode runs the
+capability interval, scored by a fresh power-flow solve.  A search's trial
+points are scored on the bare Z-bus fixed-point kernel, seeded with a
+first-order step and read for |V| and the loss only; the base, accept and
+recheck solves return full solutions from the fixed point.  Either falls back
+to Newton (:func:`solve`) only if the fixed point raises, so every score is
+Newton-converged and the fallbacks are exactly the calls to ``solve``.  Moves
+are accepted only when they improve the hour's partial objective, so the
+dispatched state is never worse than the undispatched one.  The ``dgq+v2gq`` mode runs the
 PV-only stage first and adds the lots afterwards, which makes the three
 modes monotone by construction.
 """
@@ -17,7 +19,7 @@ modes monotone by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -30,6 +32,9 @@ from .powerflow import (
     NonConvergence,
     PowerFlowError,
     PowerFlowSolution,
+    _currents_and_loss,
+    _fixed_point,
+    _solver_arrays,
     solve,
     solve_fixed_point,
 )
@@ -108,10 +113,14 @@ def hour_injections(
     return InjectionSet(p, q)
 
 
+def _score(scenario: Scenario, v_mag: np.ndarray, loss: float) -> float:
+    a, b, _ = scenario.weights
+    return a * float(np.abs(scenario.v_ref - v_mag).sum()) + b * loss
+
+
 def partial_objective(net: Network, sol: PowerFlowSolution, scenario: Scenario) -> float:
     """The hour's dispatch score: a·Σ|v_ref − V| + b·P_Loss."""
-    a, b, _ = scenario.weights
-    return a * float(np.sum(np.abs(scenario.v_ref - sol.v_mag))) + b * sol.total_losses
+    return _score(scenario, sol.v_mag, sol.total_losses)
 
 
 @dataclass(frozen=True)
@@ -126,6 +135,90 @@ class DispatchResult:
     base_score: float
     infeasible_devices: tuple[str, ...] = ()
     reverted: bool = False
+
+
+class _Hour:
+    """One hour's injections and solvers for :func:`dispatch_q`.
+
+    Solves within an hour differ only in device Q, so P and the scaled
+    normal-load Q are assembled once.  :meth:`solution` returns a full
+    solution from the fixed point, or from Newton if the fixed point raises.
+    :meth:`trial` scores Brent points on the bare fixed-point kernel.
+    """
+
+    def __init__(self, net: Network, devices: Sequence[Device], hour: int,
+                 scenario: Scenario, load_scale: float, ybus) -> None:
+        self.net = net
+        self.scenario = scenario
+        self.ybus = ybus
+        self.fixed = hour_injections(net, devices, hour, load_scale=load_scale)
+        self.dev_pos = [(dev, net.index_of(dev.bus)) for dev in devices]
+        arrays = _solver_arrays(net, ybus)
+        self.factor = arrays.fixed_point
+        self.branches = arrays.branches
+        self.pq_row = {int(pos): row for row, pos in enumerate(self.factor[0])}
+
+    def q_injections(self, settings: Mapping[str, float]) -> np.ndarray:
+        q_inj = self.fixed.q.copy()
+        for dev, pos in self.dev_pos:
+            q_inj[pos] -= settings[dev.label]
+        return q_inj
+
+    def solution(self, settings: Mapping[str, float],
+                 warm: np.ndarray | None) -> PowerFlowSolution:
+        inj = InjectionSet(self.fixed.p, self.q_injections(settings))
+        tol = self.scenario.pf_tol
+        try:
+            return solve_fixed_point(self.net, inj, tol=tol, v0=warm, ybus=self.ybus)
+        except PowerFlowError:
+            return solve(self.net, inj, tol=tol, v0=warm, ybus=self.ybus)
+
+    def trial(self, settings: Mapping[str, float], dev: Device,
+              current: PowerFlowSolution
+              ) -> tuple[Callable[[float], float], Callable[[float], np.ndarray]]:
+        """Score and start vector of ``dev`` at setpoint ``qv``.
+
+        The other devices stay at ``settings``.  The start is the first-order
+        step off ``current``: ``V + Z[:, k]·(j·Δq / conj(V[k]))``.  A trial
+        runs the kernel from it, building no injection set and no solution;
+        if the kernel fails, the point goes to Newton (:func:`solve`), and a
+        Newton failure scores ``_TRIAL_PENALTY``.  A full solve of the same
+        setpoint from the same start reproduces the trial's score, to the
+        last bit when no other device shares the bus.
+        """
+        pos = self.net.index_of(dev.bus)
+        k = self.pq_row[pos]
+        pq, _, z, _ = self.factor
+        p = self.fixed.p
+        rest = dict(settings)
+        rest[dev.label] = 0.0
+        q_rest = self.q_injections(rest)
+        s_pq = (p + 1j * q_rest)[pq]
+        v_cur = current.v_complex
+        q_now = settings[dev.label]
+        dv_dq = np.zeros_like(v_cur)
+        dv_dq[pq] = z[:, k] * (1j / np.conj(v_cur[pos]))
+        tol = self.scenario.pf_tol
+
+        def start(qv: float) -> np.ndarray:
+            return v_cur + dv_dq * (qv - q_now)
+
+        def score(qv: float) -> float:
+            s_pq[k] = complex(p[pos], q_rest[pos] - qv)
+            try:
+                v, _, _ = _fixed_point(self.factor, s_pq, start(qv), tol)
+            except PowerFlowError:
+                q_inj = q_rest.copy()
+                q_inj[pos] -= qv
+                try:
+                    sol = solve(self.net, InjectionSet(p, q_inj), tol=tol,
+                                v0=start(qv), ybus=self.ybus)
+                except NonConvergence:
+                    return _TRIAL_PENALTY
+                return partial_objective(self.net, sol, self.scenario)
+            return _score(self.scenario, np.abs(v), _currents_and_loss(v, self.branches)[1])
+
+        return score, start
 
 
 def dispatch_q(
@@ -145,30 +238,9 @@ def dispatch_q(
     q: dict[str, float] = {dev.label: 0.0 for dev in devices}
     if ybus is None:
         ybus = build_ybus(net)
+    hr = _Hour(net, devices, hour, scenario, load_scale, ybus)
 
-    # Injections differ between trials only in device Q, so the P vector and
-    # the scaled normal-load Q vector are fixed for the whole hour.
-    p_load, q_load = net.load_vectors()
-    p_inj = -p_load * load_scale
-    q_base = -q_load * load_scale
-    dev_pos = [(dev, net.index_of(dev.bus)) for dev in devices]
-    for dev, pos in dev_pos:
-        if isinstance(dev, PevLot):
-            p_inj[pos] -= dev.p_at(hour)
-        else:
-            p_inj[pos] += dev.p_at(hour)
-
-    def pf(settings: Mapping[str, float], warm: np.ndarray | None) -> PowerFlowSolution:
-        q_inj = q_base.copy()
-        for dev, pos in dev_pos:
-            q_inj[pos] -= settings.get(dev.label, 0.0)
-        inj = InjectionSet(p_inj, q_inj)
-        try:
-            return solve_fixed_point(net, inj, tol=scenario.pf_tol, v0=warm, ybus=ybus)
-        except PowerFlowError:
-            return solve(net, inj, tol=scenario.pf_tol, v0=warm, ybus=ybus)
-
-    base = pf(q, v0)
+    base = hr.solution(q, v0)
     base_score = partial_objective(net, base, scenario)
 
     participants = scenario.participating(devices)
@@ -211,21 +283,13 @@ def dispatch_q(
                 if cap.width <= 1e-12:
                     q[dev.label] = cap.clamp(0.0) if cap.contains(0.0) else cap.q_min
                     continue
+                if net.index_of(dev.bus) not in hr.pq_row:
+                    continue  # Q at the slack bus enters no solve
 
-                warm = current_sol.v_complex
-
-                def trial(qv: float, _dev=dev, _warm=warm) -> float:
-                    trial_q = dict(q)
-                    trial_q[_dev.label] = float(qv)
-                    try:
-                        sol = pf(trial_q, _warm)
-                    except NonConvergence:
-                        return _TRIAL_PENALTY
-                    return partial_objective(net, sol, scenario)
-
+                score_at, start = hr.trial(q, dev, current_sol)
                 xatol = max(_SEARCH_MIN_XATOL, _SEARCH_REL_XATOL * cap.width)
                 res = minimize_scalar(
-                    trial,
+                    score_at,
                     bounds=(cap.q_min, cap.q_max),
                     method="bounded",
                     options={"xatol": xatol, "maxiter": _SEARCH_MAXITER},
@@ -234,7 +298,9 @@ def dispatch_q(
                 trial_q = dict(q)
                 trial_q[dev.label] = q_candidate
                 try:
-                    sol = pf(trial_q, warm)
+                    # from the trial's start, so the accepted score is the
+                    # score the search chose
+                    sol = hr.solution(trial_q, start(q_candidate))
                 except NonConvergence:
                     continue
                 score = partial_objective(net, sol, scenario)
@@ -249,7 +315,7 @@ def dispatch_q(
 
     current_sol, current_score, reverted = _recheck_capability(
         net, devices, participants, hour, scenario, q, current_sol, current_score,
-        base, base_score, pf, infeasible,
+        base, base_score, hr.solution, infeasible,
     )
     return DispatchResult(
         hour, q, current_sol, base, current_score, base_score,

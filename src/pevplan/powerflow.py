@@ -163,14 +163,22 @@ def _solver_arrays(net: Network, ybus_obj: AdmittanceMatrix) -> _SolverArrays:
     return ybus_obj.solver_cache
 
 
+def _currents_and_loss(
+    v: np.ndarray, branches: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, float]:
+    """Branch currents (from → to) and total series I²R loss at voltages ``v``."""
+    f_idx, t_idx, y_series, r = branches
+    currents = (v[f_idx] - v[t_idx]) * y_series
+    return currents, float((np.abs(currents) ** 2 * r).sum())
+
+
 def _branch_quantities(
     net: Network, v: np.ndarray, ybus_obj: AdmittanceMatrix
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Branch currents, sending-end flows, and total series I²R loss."""
-    f_idx, t_idx, y_series, r = _solver_arrays(net, ybus_obj).branches
-    currents = (v[f_idx] - v[t_idx]) * y_series
-    flows = v[f_idx] * np.conj(currents)
-    loss = float(np.sum(np.abs(currents) ** 2 * r))
+    branches = _solver_arrays(net, ybus_obj).branches
+    currents, loss = _currents_and_loss(v, branches)
+    flows = v[branches[0]] * np.conj(currents)
     return currents, flows, loss
 
 
@@ -297,6 +305,81 @@ def solve(
     )
 
 
+class _FixedPointFailure(PowerFlowError):
+    """The fixed-point kernel stopped without convergence, at state ``v``."""
+
+    def __init__(self, message: str, v: np.ndarray, iterations: int,
+                 mismatch: float, diverged: bool) -> None:
+        super().__init__(message)
+        self.v = v
+        self.iterations = iterations
+        self.mismatch = mismatch
+        self.diverged = diverged
+
+
+def _fixed_point(
+    factor: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    s_pq: np.ndarray,
+    v: np.ndarray,
+    tol: float,
+) -> tuple[np.ndarray, int, float]:
+    """The Z-bus fixed point from ``v``: ``(v, iterations, max mismatch)``.
+
+    ``factor`` is ``(pq, Y[pq, :], Z, w)`` of :class:`_SolverArrays`,
+    ``s_pq`` the non-slack injections and ``v`` a full start vector holding
+    1.0 pu at the slack; ``v`` is updated in place.  After a step
+    ``V' = w + Z·conj(S/V)`` the identity ``Y[pq, :]·V' = conj(S/V)`` holds,
+    so the mismatch at ``V'`` is ``S·(V' − V)/V`` and the loop needs no
+    ``Y·V`` product.  The true ``Y·V`` mismatch is computed at the start,
+    which is returned unchanged if it already meets ``tol / 100``, and once
+    more before convergence is reported: that is Newton's test, ≤ ``tol``.
+    The iteration normally runs on to ``tol / 100``; it stops short of that
+    when the step residual no longer falls or the iterations run out.
+    Raises :class:`_FixedPointFailure` otherwise.
+    """
+    pq, y_pq, z, w = factor
+    target = tol * _FIXED_POINT_MARGIN
+    vp = v[pq]
+
+    def true_mismatch() -> float:
+        v[pq] = vp
+        ds = vp * np.conj(y_pq @ v) - s_pq
+        # the float view interleaves ΔP and ΔQ
+        return float(np.abs(ds.view(float)).max(initial=0.0))
+
+    # a zero or overflowing voltage shows up as a non-finite residual
+    with np.errstate(all="ignore"):
+        # a start that already meets the target is returned as it is, so a
+        # trial that lands on the current setpoint scores the current state
+        prev = true_mismatch()
+        if prev <= target:
+            return v, 0, prev
+        for it in range(1, DEFAULT_MAX_ITER + 1):
+            ratio = s_pq / vp
+            v_next = w + z @ np.conj(ratio)
+            res = float(np.abs(((v_next - vp) * ratio).view(float)).max(initial=0.0))
+            vp = v_next
+            if res <= target or (res <= tol and (res >= prev or it == DEFAULT_MAX_ITER)):
+                mis = true_mismatch()
+                if mis <= tol:
+                    return v, it, mis
+                raise _FixedPointFailure(
+                    f"fixed point stopped at step residual {res:.3e} with "
+                    f"mismatch {mis:.3e} above {tol:.1e}", v, it, mis, False,
+                )
+            if not math.isfinite(res) or res > _DIVERGENCE_MISMATCH:
+                raise _FixedPointFailure(
+                    f"fixed point diverged at iteration {it} (residual {res:.3e})",
+                    v, it, true_mismatch(), True,
+                )
+            prev = res
+        mis = true_mismatch()
+    raise _FixedPointFailure(
+        f"fixed point above mismatch {tol:.1e} after {it} iterations "
+        f"(mismatch {mis:.3e})", v, it, mis, False,
+    )
+
+
 def solve_fixed_point(
     net: Network,
     inj: InjectionSet,
@@ -308,51 +391,22 @@ def solve_fixed_point(
 
     The slack holds 1.0 pu.  Converged means Newton's own test: max |ΔP|,
     |ΔQ| over the non-slack buses ≤ ``tol``.  The iteration normally runs on
-    to ``tol / 100`` before it returns; if rounding stops the mismatch short
-    of that, or the iterations run out, it returns once Newton's test holds
-    and otherwise raises :class:`NonConvergence` with the partial solution.
+    to ``tol / 100`` before it returns; if rounding stops it short of that,
+    or the iterations run out, it returns once Newton's test holds and
+    otherwise raises :class:`NonConvergence` with the partial solution.
     ``Z`` is factored once per admittance matrix, so pass a reused ``ybus``
     when solving the same network many times.
     """
     v = _start(net, inj, 1.0 + 0.0j, v0)
     y_obj = ybus or build_ybus(net)
-    pq, y_pq, z, w = _solver_arrays(net, y_obj).fixed_point
-    s_pq = (inj.p + 1j * inj.q)[pq]
-    target = tol * _FIXED_POINT_MARGIN
-
-    def max_mismatch() -> float:
-        if not len(pq):
-            return 0.0
-        ds = v[pq] * np.conj(y_pq @ v) - s_pq
-        # the float view interleaves ΔP and ΔQ
-        return float(np.max(np.abs(ds.view(float))))
-
-    # a zero or overflowing voltage shows up as a non-finite mismatch
-    with np.errstate(all="ignore"):
-        mis = max_mismatch()
-        prev = math.inf
-        for it in range(DEFAULT_MAX_ITER + 1):
-            last = it == DEFAULT_MAX_ITER
-            # tol / 100 can lie below the rounding floor of Y·V, so Newton's
-            # test is enough once the mismatch stops falling
-            if mis <= target or (mis <= tol and (mis >= prev or last)):
-                return _finish(net, v, it, mis, converged=True, ybus_obj=y_obj)
-            diverged = not math.isfinite(mis) or mis > _DIVERGENCE_MISMATCH
-            if diverged or last:
-                break
-            prev = mis
-            v[pq] = w + z @ np.conj(s_pq / v[pq])
-            mis = max_mismatch()
-        sol = _finish(net, v, it, mis, converged=False, diverged=diverged,
-                      ybus_obj=y_obj)
-    if diverged:
-        raise NonConvergence(
-            f"fixed point diverged at iteration {it} (mismatch {mis:.3e})", sol
-        )
-    raise NonConvergence(
-        f"fixed point above mismatch {tol:.1e} after {it} iterations "
-        f"(mismatch {mis:.3e})", sol
-    )
+    factor = _solver_arrays(net, y_obj).fixed_point
+    try:
+        v, it, mis = _fixed_point(factor, (inj.p + 1j * inj.q)[factor[0]], v, tol)
+    except _FixedPointFailure as fail:
+        sol = _finish(net, fail.v, fail.iterations, fail.mismatch, converged=False,
+                      diverged=fail.diverged, ybus_obj=y_obj)
+        raise NonConvergence(str(fail), sol) from None
+    return _finish(net, v, it, mis, converged=True, ybus_obj=y_obj)
 
 
 def compute_losses(net: Network, sol: PowerFlowSolution) -> float:

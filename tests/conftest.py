@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
 from pevplan import bind_devices, load_builtin
 from pevplan.network import Branch, Bus, Network
@@ -51,3 +52,25 @@ def small_feeder(n: int = 4, r: float = 0.01, x: float = 0.02) -> Network:
 @pytest.fixture
 def feeder4():
     return small_feeder(4)
+
+
+@st.composite
+def radial_feeders(draw):
+    """A random tree of 3–60 buses with moderate loads, buses in shuffled order.
+
+    Bus k hangs off one of buses 1..k-1; the branch row may read either way
+    round, and the slack need not come first in the bus list.
+    """
+    n = draw(st.integers(3, 60))
+    buses = [Bus(1, kind="slack")]
+    branches = []
+    for k in range(2, n + 1):
+        p = draw(st.floats(0.0, 0.01))
+        q = draw(st.floats(-0.004, 0.006))
+        buses.append(Bus(k, normal_load_p=p, normal_load_q=q))
+        parent = draw(st.integers(1, k - 1))
+        ends = (parent, k) if draw(st.booleans()) else (k, parent)
+        branches.append(Branch(*ends, draw(st.floats(1e-4, 5e-3)),
+                               draw(st.floats(1e-4, 5e-3))))
+    order = draw(st.permutations(range(n)))
+    return Network(tuple(buses[i] for i in order), tuple(branches))

@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pevplan import dispatch
 from pevplan.devices import HOURS, PevLot, PvUnit, q_capability
 from pevplan.dispatch import (
+    CAPABILITY_RECHECK_TOL,
     MODES,
     Scenario,
     canonical_mode,
@@ -13,9 +16,16 @@ from pevplan.dispatch import (
     hour_injections,
     partial_objective,
 )
-from pevplan.powerflow import InjectionSet, NonConvergence, solve
+from pevplan.network import build_ybus
+from pevplan.powerflow import (
+    InjectionSet,
+    NonConvergence,
+    PowerFlowError,
+    _solver_arrays,
+    solve,
+)
 
-from conftest import small_feeder
+from conftest import radial_feeders, small_feeder
 
 PEAK_HOUR = 19
 
@@ -197,6 +207,156 @@ def test_fixed_point_failure_falls_back_to_newton(bus33, devices33, monkeypatch)
     np.testing.assert_array_equal(res.base_solution.v_mag, ref.v_mag)
     assert res.base_solution.iterations == ref.iterations
     assert res.score < res.base_score - 1e-4
+
+
+def test_trial_kernel_failure_falls_back_to_newton(bus33, devices33, monkeypatch):
+    net = bus33.network
+    sc = Scenario(mode="dgq+v2gq")
+    calls = []
+    nfev = []
+    newton = dispatch.solve
+    brent = dispatch.minimize_scalar
+
+    def broken(*args, **kwargs):
+        calls.append("kernel")
+        raise PowerFlowError("forced")
+
+    def counted(*args, **kwargs):
+        calls.append("newton")
+        return newton(*args, **kwargs)
+
+    def searched(*args, **kwargs):
+        res = brent(*args, **kwargs)
+        nfev.append(res.nfev)
+        return res
+
+    # only the trials run the bare kernel; full solves keep the fixed point
+    monkeypatch.setattr(dispatch, "_fixed_point", broken)
+    monkeypatch.setattr(dispatch, "solve", counted)
+    monkeypatch.setattr(dispatch, "minimize_scalar", searched)
+    res = dispatch_q(net, devices33, PEAK_HOUR, sc)
+    # each trial point failed once and reached Newton once, through ``solve``
+    assert len(calls) == 2 * sum(nfev) > 0
+    assert calls == ["kernel", "newton"] * sum(nfev)
+
+    monkeypatch.setattr(dispatch, "solve_fixed_point", broken)
+    ref = dispatch_q(net, devices33, PEAK_HOUR, sc)  # Newton only
+    assert res.q_settings.keys() == ref.q_settings.keys()
+    for label, q in ref.q_settings.items():
+        assert res.q_settings[label] == pytest.approx(q, abs=1e-7)
+    assert res.score == pytest.approx(ref.score, abs=1e-9)
+    assert res.base_score == pytest.approx(ref.base_score, abs=1e-9)
+
+
+def test_wrong_factor_falls_back_to_newton(bus33, devices33, monkeypatch):
+    # a Z off by 0.1% makes every kernel run settle on a wrong point; the
+    # true-mismatch check refuses each one, so dispatch answers as Newton
+    net = bus33.network
+    sc = Scenario(mode="dgq")
+    honest = dispatch_q(net, devices33, PEAK_HOUR, sc)
+    ybus = build_ybus(net)
+    arrays = _solver_arrays(net, ybus)
+    pq, y_pq, z, w = arrays.fixed_point
+    arrays.fixed_point = (pq, y_pq, z * 1.001, w)
+    fallbacks = []
+    newton = dispatch.solve
+
+    def counted(*args, **kwargs):
+        fallbacks.append(1)
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(dispatch, "solve", counted)
+    res = dispatch_q(net, devices33, PEAK_HOUR, sc, ybus=ybus)
+    assert len(fallbacks) > 2
+    assert res.solution.converged and res.solution.max_mismatch <= sc.pf_tol
+    assert res.score == pytest.approx(honest.score, abs=1e-8)
+    for label, q in honest.q_settings.items():
+        assert res.q_settings[label] == pytest.approx(q, abs=1e-6)
+
+
+def test_accepted_score_is_the_searched_score(bus33, devices33, monkeypatch):
+    # the accept solve starts where the chosen trial started, so the hour's
+    # score is exactly the minimum the search saw, not a re-solve's neighbour
+    found = []
+    brent = dispatch.minimize_scalar
+
+    def searched(*args, **kwargs):
+        res = brent(*args, **kwargs)
+        found.append(res.fun)
+        return res
+
+    monkeypatch.setattr(dispatch, "minimize_scalar", searched)
+    pv = next(d for d in devices33 if isinstance(d, PvUnit))
+    res = dispatch_q(bus33.network, [pv], PEAK_HOUR, Scenario(mode="dgq"))
+    assert len(found) == 1 and not res.reverted
+    assert res.score < res.base_score
+    assert res.score == found[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_trial_score_matches_newton_objective(bus33, devices33, data):
+    # a trial scores one device's setpoint on the bare kernel; it must agree
+    # with partial_objective of Newton's full solution of the same injections
+    # (solved to 1e-12: at pf_tol Newton's own stopping error reaches 4e-8)
+    net = bus33.network
+    sc = Scenario(mode="dgq+v2gq")
+    ybus = build_ybus(net)
+    base = solve(net, hour_injections(net, devices33, PEAK_HOUR), ybus=ybus)
+
+    def setpoint(dev):
+        cap = q_capability(dev, dev.p_at(PEAK_HOUR),
+                           float(base.v_mag[net.index_of(dev.bus)]))
+        return data.draw(st.floats(cap.q_min, cap.q_max), label=dev.label)
+
+    settings_now = {dev.label: setpoint(dev) for dev in devices33}
+    now = solve(net, hour_injections(net, devices33, PEAK_HOUR, settings_now),
+                ybus=ybus)
+    hr = dispatch._Hour(net, devices33, PEAK_HOUR, sc, 1.0, ybus)
+    for dev in sc.participating(devices33):
+        qv = setpoint(dev)
+        moved = dict(settings_now)
+        moved[dev.label] = qv
+        ref = solve(net, hour_injections(net, devices33, PEAK_HOUR, moved),
+                    tol=1e-12, ybus=ybus)
+        score_at, start = hr.trial(settings_now, dev, now)
+        score = score_at(qv)
+        assert score == pytest.approx(partial_objective(net, ref, sc), abs=1e-8)
+        # the accept solve starts where the trial started and scores the same
+        full = hr.solution(moved, start(qv))
+        assert partial_objective(net, full, sc) == score
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_dispatch_properties_on_generated_feeders(data):
+    # converter parameters where the voltage-dependent dc-link circle, not
+    # only the rating, can bound Q; the PV may sit on the slack bus, where
+    # its Q enters no solve
+    net = data.draw(radial_feeders(), label="feeder")
+    lot_buses = st.sampled_from([b.id for b in net.buses if b.kind != "slack"])
+    levels = st.floats(0.0, 1.0)
+    x_coupling = st.floats(0.05, 0.5)
+    vc_max = st.floats(1.05, 1.15)
+    pv = PvUnit(data.draw(st.sampled_from(net.bus_ids()), label="pv bus"), 0.02,
+                flat_profile(0.02 * data.draw(levels, label="pv output")),
+                x_coupling=data.draw(x_coupling), vc_max=data.draw(vc_max))
+    lot = PevLot(data.draw(lot_buses, label="lot bus"), 0.03,
+                 flat_profile(0.03 * data.draw(levels, label="lot charge")),
+                 x_coupling=data.draw(x_coupling), vc_max=data.draw(vc_max))
+    devices = [pv, lot]
+    for mode in MODES:
+        sc = Scenario(mode=mode)
+        res = dispatch_q(net, devices, 0, sc)
+        assert res.score <= res.base_score
+        for dev in sc.participating(devices):
+            q = res.q_settings[dev.label]
+            if dev.label in res.infeasible_devices:
+                assert q == 0.0
+                continue
+            v_bus = float(res.solution.v_mag[net.index_of(dev.bus)])
+            cap = q_capability(dev, dev.p_at(0), v_bus)
+            assert cap.contains(q, tol=CAPABILITY_RECHECK_TOL)
 
 
 def test_tight_tolerance_needs_no_newton_fallback(bus33, devices33, monkeypatch):

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pevplan import load_builtin
 from pevplan.network import Branch, Bus, Network, build_ybus
@@ -17,6 +16,7 @@ from pevplan.powerflow import (
     PowerFlowError,
     PowerFlowSolution,
     SingularJacobian,
+    _solver_arrays,
     branch_table,
     bus_table,
     check_limits,
@@ -27,7 +27,7 @@ from pevplan.powerflow import (
 )
 from pevplan.sweep import solve_sweep
 
-from conftest import small_feeder
+from conftest import radial_feeders, small_feeder
 
 
 def loads_of(net) -> InjectionSet:
@@ -209,6 +209,18 @@ def test_fixed_point_matches_newton_on_bus33(bus33, scale):
     assert warm.iterations <= cold.iterations
 
 
+def test_fixed_point_returns_a_converged_start_unchanged(bus33):
+    # a start that already meets tol / 100 costs no step: a dispatch trial
+    # that lands on the current setpoint then scores the current state
+    net = bus33.network
+    first = solve_fixed_point(net, loads_of(net))
+    again = solve_fixed_point(net, loads_of(net), v0=first.v_complex)
+    assert again.iterations == 0 and again.converged
+    # equal up to the polar round trip of v_complex
+    np.testing.assert_allclose(again.v_complex, first.v_complex, rtol=0, atol=1e-15)
+    assert again.max_mismatch <= DEFAULT_TOL / 100
+
+
 def test_fixed_point_below_rounding_floor_meets_newtons_test(bus33):
     # tol / 100 = 1e-14 lies below the rounding floor of Y·V on bus33: the
     # iteration stops once the mismatch stops falling, converged under
@@ -269,26 +281,20 @@ def test_fixed_point_divergence_carries_partial_solution(feeder4):
     assert err.value.solution.diverged
 
 
-@st.composite
-def radial_feeders(draw):
-    """A random tree of 3–60 buses with moderate loads, buses in shuffled order.
-
-    Bus k hangs off one of buses 1..k-1; the branch row may read either way
-    round, and the slack need not come first in the bus list.
-    """
-    n = draw(st.integers(3, 60))
-    buses = [Bus(1, kind="slack")]
-    branches = []
-    for k in range(2, n + 1):
-        p = draw(st.floats(0.0, 0.01))
-        q = draw(st.floats(-0.004, 0.006))
-        buses.append(Bus(k, normal_load_p=p, normal_load_q=q))
-        parent = draw(st.integers(1, k - 1))
-        ends = (parent, k) if draw(st.booleans()) else (k, parent)
-        branches.append(Branch(*ends, draw(st.floats(1e-4, 5e-3)),
-                               draw(st.floats(1e-4, 5e-3))))
-    order = draw(st.permutations(range(n)))
-    return Network(tuple(buses[i] for i in order), tuple(branches))
+def test_fixed_point_refuses_a_wrong_factor(bus33):
+    # with Z off by 0.1% the iteration settles on the wrong point, where its
+    # step residual vanishes; the true Y·V mismatch must refuse it
+    net = bus33.network
+    ybus = build_ybus(net)
+    arrays = _solver_arrays(net, ybus)
+    pq, y_pq, z, w = arrays.fixed_point
+    arrays.fixed_point = (pq, y_pq, z * 1.001, w)
+    with pytest.raises(NonConvergence) as err:
+        solve_fixed_point(net, loads_of(net), ybus=ybus)
+    partial = err.value.solution
+    assert not partial.converged and not partial.diverged
+    assert partial.max_mismatch > DEFAULT_TOL
+    assert partial.iterations < DEFAULT_MAX_ITER
 
 
 @settings(max_examples=40, deadline=None)
