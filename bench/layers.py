@@ -1,0 +1,224 @@
+"""Layer benchmark: one day evaluation and one population ranking, timed and counted.
+
+    python bench/layers.py --out BENCH.json [--baseline-src OTHER/src]
+
+Measures the pevplan source in ``src/`` beside this directory and, with
+``--baseline-src``, another checkout's source the same way, each in its own
+process with BLAS pinned to one thread.  The inputs are fixed: the bundled
+bus33 case with the ``load-weekday`` profile, fixed two-lot placements, and
+seeded random populations.  The JSON gives, per source tree:
+
+- ``day_ms``: wall ms per day evaluation in modes ``none`` and ``dgq+v2gq``
+  (median of repeats, each on a fresh evaluator, so nothing is cached);
+- ``rank_ms``: wall ms to rank a 40- and an 80-member population for
+  tournament selection (front ranks and crowding distances);
+- ``work``: solver calls and fixed-point iterations per day, counted by
+  wrapping the kernels, so a faster figure can be told apart from less work;
+- ``stats``: the evaluator's own work counters, where the tree has them.
+
+A figure the measured tree cannot produce is null.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+from time import perf_counter
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+ROOT = Path(__file__).resolve().parent.parent
+LOAD_PROFILE = "load-weekday"
+PLACEMENTS = {
+    "none": [(2, 19), (7, 29), (3, 17), (12, 25), (5, 33), (10, 30), (4, 8), (15, 22)],
+    "dgq+v2gq": [(7, 29), (3, 17), (12, 25)],
+}
+REPEATS = {"none": 15, "dgq+v2gq": 3}
+POPULATIONS = (40, 80)
+RANK_REPEATS = 200
+FEASIBLE_SHARE = 0.3
+
+
+def _populations(pevplan, size: int, count: int = 20):
+    """Seeded populations of breakdowns, about 30% feasible, with ties."""
+    import numpy as np
+
+    rng = np.random.default_rng(size)
+    pops = []
+    for _ in range(count):
+        pop = []
+        for _ in range(size):
+            v_dev, loss = rng.uniform(1.0, 20.0), rng.uniform(0.05, 0.2)
+            ok = bool(rng.random() < FEASIBLE_SHARE)
+            penalty = 0.0 if ok else float(rng.integers(1, 200)) / 100.0
+            pop.append(pevplan.ObjectiveBreakdown(
+                v_dev, loss, 6.0, 0.6 * v_dev + 0.1 * loss + 1.8,
+                feasible=ok, violation_penalty=penalty))
+        pops.append(pop)
+    return pops
+
+
+def _ranker(nsga):
+    """Selection ranking in the tree's own API: front ranks and crowding."""
+    import numpy as np
+
+    if hasattr(nsga, "constrained_fronts"):
+        return nsga._rank
+
+    def rank(pop):  # before the feasible-first sort
+        ranks = nsga.front_ranks(pop, nsga.constrained_dominates)
+        crowd = np.zeros(len(pop))
+        for front in nsga.nondominated_sort(pop, nsga.constrained_dominates):
+            crowd[front] = nsga.crowding_distance([pop[i].vector for i in front])
+        return ranks, crowd
+    return rank
+
+
+def _count_work(pevplan, bundle, mode, placements):
+    """Kernel calls, their iterations and Newton solves, per day."""
+    from pevplan import dispatch, objective, powerflow
+
+    counts = {"fixed_point_calls": 0, "fixed_point_iterations": 0,
+              "block_calls": 0, "block_columns": 0, "block_iterations": 0,
+              "newton_solves": 0}
+    undo = []
+
+    def patch(owner, name, fn):
+        undo.append((owner, name, getattr(owner, name)))
+        setattr(owner, name, fn)
+
+    kernel = powerflow._fixed_point
+
+    def counted_kernel(*args, **kwargs):
+        v, it, mis = kernel(*args, **kwargs)
+        counts["fixed_point_calls"] += 1
+        counts["fixed_point_iterations"] += it
+        return v, it, mis
+
+    newton = dispatch.solve
+
+    def counted_newton(*args, **kwargs):
+        counts["newton_solves"] += 1
+        return newton(*args, **kwargs)
+
+    patch(powerflow, "_fixed_point", counted_kernel)
+    patch(dispatch, "_fixed_point", counted_kernel)
+    patch(dispatch, "solve", counted_newton)
+    if hasattr(objective, "_fixed_point_block"):
+        block = objective._fixed_point_block
+
+        def counted_block(*args, **kwargs):
+            out = block(*args, **kwargs)
+            counts["block_calls"] += 1
+            counts["block_columns"] += len(out[1])
+            counts["block_iterations"] += int(out[1].sum())
+            return out
+
+        patch(objective, "_fixed_point_block", counted_block)
+    try:
+        ev = _evaluator(pevplan, bundle, mode)
+        for pair in placements:
+            ev.evaluate(pair)
+    finally:
+        for owner, name, fn in reversed(undo):
+            setattr(owner, name, fn)
+    return {k: v / len(placements) for k, v in counts.items()}
+
+
+def _evaluator(pevplan, bundle, mode):
+    net, devices, profiles = bundle
+    scenario = pevplan.Scenario(mode=mode, load_profile_id=LOAD_PROFILE)
+    return pevplan.DayEvaluator(net, devices, profiles, scenario)
+
+
+def measure(src: Path) -> dict:
+    sys.path.insert(0, str(src))
+    import pevplan
+    from pevplan import nsga
+
+    case, profiles = pevplan.load_builtin("bus33.grid", "profiles33.csv")
+    bundle = (case.network, pevplan.bind_devices(case, profiles), profiles)
+    out: dict = {"day_ms": {}, "work": {}, "stats": {}, "rank_ms": {}}
+    for mode, placements in PLACEMENTS.items():
+        ev = _evaluator(pevplan, bundle, mode)
+        ev.evaluate(placements[0])  # warm-up: lazy arrays, imports
+        samples = []
+        for _ in range(REPEATS[mode]):
+            ev = _evaluator(pevplan, bundle, mode)
+            t0 = perf_counter()
+            for pair in placements:
+                ev.evaluate(pair)
+            samples.append((perf_counter() - t0) / len(placements) * 1e3)
+        out["day_ms"][mode] = statistics.median(samples)
+        stats = getattr(ev, "stats", None)
+        if stats is None:
+            out["stats"][mode] = None
+        else:
+            days = stats.days
+            out["stats"][mode] = {
+                "days": days,
+                "block_iterations_per_column": stats.block_iterations
+                / max(stats.block_columns, 1),
+                "newton_columns": stats.newton_columns,
+                "divergent_hours": stats.divergent_hours,
+                "hours_dispatched_per_day": stats.hours_dispatched / days,
+                "cold_retries": stats.cold_retries,
+            }
+        out["work"][mode] = _count_work(pevplan, bundle, mode, placements)
+    rank = _ranker(nsga)
+    for size in POPULATIONS:
+        pops = _populations(pevplan, size)
+        for pop in pops:
+            rank(pop)
+        t0 = perf_counter()
+        for k in range(RANK_REPEATS):
+            rank(pops[k % len(pops)])
+        out["rank_ms"][str(size)] = (perf_counter() - t0) / RANK_REPEATS * 1e3
+    return out
+
+
+def _measure_in_child(src: Path) -> dict:
+    done = subprocess.run(
+        [sys.executable, __file__, "--measure", str(src)],
+        check=True, capture_output=True, text=True,
+    )
+    return json.loads(done.stdout)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, help="JSON file to write")
+    parser.add_argument("--baseline-src", type=Path,
+                        help="another checkout's src/ to measure the same way")
+    parser.add_argument("--measure", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.measure:
+        json.dump(measure(args.measure), sys.stdout)
+        return 0
+    if args.out is None:
+        parser.error("--out is required")
+    result = {
+        "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
+                 "python": platform.python_version()},
+        "inputs": {"case": "bus33.grid", "load_profile": LOAD_PROFILE,
+                   "placements": {m: [",".join(map(str, p)) for p in ps]
+                                  for m, ps in PLACEMENTS.items()},
+                   "day_repeats": REPEATS, "populations": list(POPULATIONS),
+                   "feasible_share": FEASIBLE_SHARE, "rank_repeats": RANK_REPEATS},
+        "current": _measure_in_child(ROOT / "src"),
+    }
+    if args.baseline_src:
+        result["baseline"] = _measure_in_child(args.baseline_src.resolve())
+    args.out.write_text(json.dumps(result, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

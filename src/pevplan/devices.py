@@ -190,16 +190,19 @@ def q_capability(dev: Device, p_now: float, v_bus: float) -> QCapability:
     return QCapability(q_min, q_max, rating_bound=rating, dc_link_bound=dc_upper)
 
 
-def capability_violation(dev: Device, p_now: float, q: float, v_bus: float) -> float:
-    """Largest constraint overshoot of (p_now, q) at voltage ``v_bus``; 0 if inside."""
+def capability_violation(dev: Device, p_now, q, v_bus):
+    """Largest constraint overshoot of (p_now, q) at voltage ``v_bus``; 0 if inside.
+
+    Works elementwise on equal-shaped arrays too, e.g. one entry per hour.
+    """
     over_rating = p_now**2 + q**2 - dev.s_rated**2
     worst = over_rating
     if dev.apply_dc_link:
         center = v_bus**2 / dev.x_coupling
         lhs = (q + center) ** 2 + p_now**2
         rhs = (dev.vc_max * v_bus / dev.x_coupling) ** 2
-        worst = max(worst, lhs - rhs)
-    return max(worst, 0.0)
+        worst = np.maximum(worst, lhs - rhs)
+    return np.maximum(worst, 0.0)
 
 
 def compose_load(

@@ -4,16 +4,20 @@ Standard NSGA-II machinery — fast nondominated sorting, crowding distance,
 binary tournaments, and mu+lambda truncation — specialized to genomes that
 are fixed-size sets of lot buses.  Ranking uses constraint-domination: a
 feasible solution beats any infeasible one, and infeasible solutions compare
-by total violation.  Alongside the Pareto archive the search reports the
-single genome with the best weighted scalar, tracked as a running minimum
-over every evaluation so it can never regress between generations.
+by total violation.  That makes the infeasible members a total order, so the
+sort peels Pareto fronts from the feasible members only and appends the
+infeasible ones in groups of equal violation.  Alongside the Pareto archive
+the search reports the single genome with the best weighted scalar, tracked
+as a running minimum over every evaluation so it can never regress between
+generations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import groupby
+from typing import Sequence
 
 import numpy as np
 
@@ -49,47 +53,61 @@ def constrained_dominates(a: ObjectiveBreakdown, b: ObjectiveBreakdown) -> bool:
     return dominates(a.vector, b.vector)
 
 
-def nondominated_sort(
-    items: Sequence, dominates_fn: Callable | None = None
-) -> list[list[int]]:
-    """Deb's fast nondominated sort; returns fronts as lists of indices.
+def nondominated_sort(vectors: Sequence[Sequence[float]]) -> list[list[int]]:
+    """Pareto fronts of objective vectors (minimization) as lists of indices.
 
-    ``items`` are objective vectors by default; pass ``dominates_fn`` to sort
-    arbitrary records (e.g. breakdowns under constraint-domination).
+    The dominance matrix is built in one array operation and the fronts are
+    peeled from it, each in index order, as Deb's fast nondominated sort
+    returns them.
     """
-    dom = dominates_fn or dominates
-    n = len(items)
-    dominated_by: list[list[int]] = [[] for _ in range(n)]
-    count = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dom(items[i], items[j]):
-                dominated_by[i].append(j)
-                count[j] += 1
-            elif dom(items[j], items[i]):
-                dominated_by[j].append(i)
-                count[i] += 1
-
+    arr = np.asarray(vectors, dtype=float)
+    n = len(arr)
+    if n == 0:
+        return []
+    pairs_le = (arr[:, None, :] <= arr[None, :, :]).all(axis=2)
+    pairs_lt = (arr[:, None, :] < arr[None, :, :]).any(axis=2)
+    dominated = pairs_le & pairs_lt  # [i, j]: i dominates j
+    count = dominated.sum(axis=0)
+    left = np.ones(n, dtype=bool)
     fronts: list[list[int]] = []
-    current = [i for i in range(n) if count[i] == 0]
-    while current:
-        fronts.append(current)
-        nxt: list[int] = []
-        for i in current:
-            for j in dominated_by[i]:
-                count[j] -= 1
-                if count[j] == 0:
-                    nxt.append(j)
-        current = sorted(nxt)
+    while left.any():
+        front = np.flatnonzero(left & (count == 0))
+        fronts.append(front.tolist())
+        left[front] = False
+        count -= dominated[front].sum(axis=0)
     return fronts
 
 
-def front_ranks(items: Sequence, dominates_fn: Callable | None = None) -> np.ndarray:
-    """Rank per item (0 = nondominated), from :func:`nondominated_sort`."""
-    ranks = np.empty(len(items), dtype=int)
-    for rank, front in enumerate(nondominated_sort(items, dominates_fn)):
+def constrained_fronts(breakdowns: Sequence[ObjectiveBreakdown]) -> list[list[int]]:
+    """The fronts of Deb's sort under :func:`constrained_dominates`.
+
+    Every feasible member dominates every infeasible one, so the Pareto
+    fronts of the feasible members come first.  Infeasible members compare
+    by penalty alone, a total order: they follow in groups of equal penalty,
+    lowest first.  Each front lists its indices in ascending order.
+    """
+    feasible = [i for i, b in enumerate(breakdowns) if b.feasible]
+    fronts = [
+        [feasible[k] for k in front]
+        for front in nondominated_sort([breakdowns[i].vector for i in feasible])
+    ]
+    infeasible = sorted(
+        (b.violation_penalty, i) for i, b in enumerate(breakdowns) if not b.feasible
+    )
+    for _, group in groupby(infeasible, key=lambda pair: pair[0]):
+        fronts.append([i for _, i in group])
+    return fronts
+
+
+def _rank(breakdowns: Sequence[ObjectiveBreakdown]) -> tuple[np.ndarray, np.ndarray]:
+    """Front rank (0 = best) and crowding distance within its front, per member."""
+    ranks = np.empty(len(breakdowns), dtype=int)
+    crowd = np.full(len(breakdowns), math.inf)
+    for rank, front in enumerate(constrained_fronts(breakdowns)):
         ranks[front] = rank
-    return ranks
+        if len(front) > 2:  # a smaller front has only boundary members
+            crowd[front] = crowding_distance([breakdowns[i].vector for i in front])
+    return ranks, crowd
 
 
 def crowding_distance(vectors: Sequence[Sequence[float]]) -> np.ndarray:
@@ -274,11 +292,11 @@ def optimize_placement(
         buses[slot] = replacement
         return PlacementGenome(tuple(buses))
 
-    seen: dict[tuple[int, ...], DayResult] = {}
+    seen: dict[tuple[int, ...], ObjectiveBreakdown] = {}
 
     def evaluate(g: PlacementGenome) -> DayResult:
         day = evaluator.evaluate(g.lot_buses)
-        seen[day.lot_buses] = day
+        seen[day.lot_buses] = day.breakdown
         return day
 
     population = [sample() for _ in range(params.population)]
@@ -304,11 +322,7 @@ def optimize_placement(
     history = [best_scalar]
 
     for _ in range(params.generations):
-        breakdowns = [r.breakdown for r in results]
-        ranks = front_ranks(breakdowns, constrained_dominates)
-        crowd = np.zeros(len(population))
-        for front in nondominated_sort(breakdowns, constrained_dominates):
-            crowd[front] = crowding_distance([breakdowns[i].vector for i in front])
+        ranks, crowd = _rank([r.breakdown for r in results])
 
         def tournament() -> PlacementGenome:
             i, j = (int(x) for x in rng.integers(0, len(population), size=2))
@@ -329,7 +343,7 @@ def optimize_placement(
         merged = population + offspring
         merged_results = results + child_results
         merged_breakdowns = [r.breakdown for r in merged_results]
-        fronts = nondominated_sort(merged_breakdowns, constrained_dominates)
+        fronts = constrained_fronts(merged_breakdowns)
         next_pop: list[int] = []
         for front in fronts:
             if len(next_pop) + len(front) <= params.population:
@@ -357,17 +371,16 @@ def optimize_placement(
     )
 
 
-def _build_archive(seen: dict[tuple[int, ...], DayResult]) -> ParetoArchive:
+def _build_archive(seen: dict[tuple[int, ...], ObjectiveBreakdown]) -> ParetoArchive:
     """Nondominated set over every placement this search scored."""
     items = sorted(seen.items())
-    breakdowns = [day.breakdown for _, day in items]
-    front0 = nondominated_sort(breakdowns, constrained_dominates)[0]
+    breakdowns = [bd for _, bd in items]
+    front0 = constrained_fronts(breakdowns)[0]
     vectors = [breakdowns[i].vector for i in front0]
     crowd = crowding_distance(vectors)
     entries = []
     for pos, i in enumerate(front0):
-        key, day = items[i]
-        bd = day.breakdown
+        key, bd = items[i]
         entries.append(
             ArchiveEntry(
                 genome=PlacementGenome(key),

@@ -12,15 +12,27 @@ handling never distorts the reported objective values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
+from functools import cached_property
+from time import perf_counter
 from typing import Sequence
 
 import numpy as np
 
 from .devices import Device, HourlyProfile, PevLot, capability_violation
-from .dispatch import DispatchResult, Scenario, dispatch_q
+from .dispatch import DispatchResult, Scenario, _newton, dispatch_q, partial_objective
 from .network import Network, build_ybus
-from .powerflow import NonConvergence, check_limits
+from .powerflow import (
+    InjectionSet,
+    PowerFlowError,
+    PowerFlowSolution,
+    _finish,
+    _fixed_point_block,
+    _limit_excess,
+    _solver_arrays,
+    check_limits,  # noqa: F401  (the benchmark's tracer wraps this name)
+)
 
 HOURS = 24
 _DIVERGENT_HOUR_PENALTY = 1e3
@@ -49,13 +61,48 @@ def combine(v_dev: float, loss: float, cost: float,
     return a * v_dev + b * loss + c * cost
 
 
+def _p_profile(dev: Device) -> np.ndarray:
+    """The device's active power per hour (charging for a lot), pu."""
+    return np.asarray(dev.charge_profile if isinstance(dev, PevLot) else dev.p_profile)
+
+
+@dataclass(frozen=True)
+class DayStats:
+    """Work counters of one :class:`DayEvaluator` since it was built.
+
+    ``days`` counts day computations (cache misses and trail recomputes);
+    ``block_columns`` the hours solved in the 24-column base block, and
+    ``block_iterations`` their summed fixed-point iterations;
+    ``newton_columns`` the block columns that did not converge and went to
+    Newton alone; ``hours_dispatched`` the hours run through
+    :func:`dispatch_q`, of which ``cold_retries`` were repeated from a flat
+    start after a failure; ``divergent_hours`` the hours dropped because
+    Newton or both dispatch attempts failed too.  ``day_s`` is the wall time
+    spent computing days.
+    """
+
+    days: int = 0
+    block_columns: int = 0
+    block_iterations: int = 0
+    newton_columns: int = 0
+    divergent_hours: int = 0
+    hours_dispatched: int = 0
+    cold_retries: int = 0
+    day_s: float = 0.0
+
+
 @dataclass(frozen=True)
 class DayResult:
-    """Breakdown plus the per-hour dispatch trail behind it."""
+    """A placement's breakdown; the per-hour dispatch trail behind it is
+    recomputed by the evaluator the first time it is read."""
 
     lot_buses: tuple[int, ...]
     breakdown: ObjectiveBreakdown
-    hours: tuple[DispatchResult, ...]
+    _evaluator: "DayEvaluator" = field(repr=False, compare=False)
+
+    @cached_property
+    def hours(self) -> tuple[DispatchResult, ...]:
+        return self._evaluator._trail(self.lot_buses)
 
     @property
     def min_voltage(self) -> float:
@@ -85,7 +132,16 @@ class DayEvaluator:
 
     The network, PV fleet, lot templates, profiles, and scenario are fixed at
     construction; :meth:`evaluate` varies only the lot buses, so repeated
-    genomes during a search cost one dictionary lookup.
+    genomes during a search cost one dictionary lookup.  Only breakdowns are
+    cached; a result's per-hour trail is recomputed when read.
+
+    A day starts from its 24 undispatched base flows, solved together as
+    the columns of one fixed-point block from a flat start, so a day depends
+    on its placement only.  A column that fails goes alone to Newton; if
+    that fails too, the hour is divergent: the day is infeasible, carries
+    ``_DIVERGENT_HOUR_PENALTY``, and the hour adds no objective terms.
+    Hours with participating devices are dispatched from their base column.
+    The day is then scored from the stacked final voltages.
     """
 
     def __init__(
@@ -107,7 +163,8 @@ class DayEvaluator:
             self._load_shape = profiles[scenario.load_profile_id].values
         else:
             self._load_shape = (1.0,) * HOURS
-        self._cache: dict[tuple[int, ...], DayResult] = {}
+        self._cache: dict[tuple[int, ...], ObjectiveBreakdown] = {}
+        self._stats: Counter = Counter()
 
     @property
     def lot_count(self) -> int:
@@ -117,76 +174,149 @@ class DayEvaluator:
     def cache_size(self) -> int:
         return len(self._cache)
 
+    @property
+    def stats(self) -> DayStats:
+        """A snapshot of the work counters."""
+        return DayStats(**self._stats)
+
+    def _placed(self, key: tuple[int, ...]) -> list[Device]:
+        return place_lots(self.devices, key, self.net) if key else list(self.devices)
+
     def evaluate(self, lot_buses: Sequence[int] | None = None) -> DayResult:
         if lot_buses is None:
-            key = tuple(sorted(d.bus for d in self.devices if isinstance(d, PevLot)))
-        else:
-            key = tuple(sorted(int(b) for b in lot_buses))
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        devices = place_lots(self.devices, key, self.net) if key else list(self.devices)
-        result = self._evaluate_day(key, devices)
-        self._cache[key] = result
-        return result
+            lot_buses = [d.bus for d in self.devices if isinstance(d, PevLot)]
+        key = tuple(sorted(int(b) for b in lot_buses))
+        breakdown = self._cache.get(key)
+        if breakdown is None:
+            breakdown, _ = self._evaluate_day(self._placed(key))
+            self._cache[key] = breakdown
+        return DayResult(key, breakdown, self)
 
-    def _evaluate_day(self, key: tuple[int, ...], devices: list[Device]) -> DayResult:
-        net = self.net
-        scenario = self.scenario
-        v_dev = 0.0
-        loss = 0.0
-        violation = 0.0
-        feasible = True
-        hours: list[DispatchResult] = []
-        warm = None
+    def _trail(self, key: tuple[int, ...]) -> tuple[DispatchResult, ...]:
+        """The dispatch results of every non-divergent hour of ``key``'s day."""
+        _, hours = self._evaluate_day(self._placed(key), trail=True)
+        return hours
 
-        for hour in range(HOURS):
-            scale = self._load_shape[hour]
+    @cached_property
+    def _day_arrays(self) -> tuple:
+        """The solver arrays and the scaled normal-load injections, one
+        column per hour (built on the first day, not at construction)."""
+        arrays = _solver_arrays(self.net, self._ybus)
+        p_load, q_load = self.net.load_vectors()
+        scale = np.asarray(self._load_shape, dtype=float)
+        return arrays, -p_load[:, None] * scale, -q_load[:, None] * scale
+
+    def _evaluate_day(
+        self, devices: list[Device], trail: bool = False
+    ) -> tuple[ObjectiveBreakdown, tuple[DispatchResult, ...] | None]:
+        """The day's breakdown and, with ``trail``, its per-hour results."""
+        t0 = perf_counter()
+        net, scenario, ybus, stats = self.net, self.scenario, self._ybus, self._stats
+        tol = scenario.pf_tol
+        arrays, p_base, q_base = self._day_arrays
+        p = p_base.copy()
+        for dev in devices:
+            if isinstance(dev, PevLot):
+                p[net.index_of(dev.bus)] -= _p_profile(dev)
+            else:
+                p[net.index_of(dev.bus)] += _p_profile(dev)
+        factor = arrays.fixed_point
+        v, iterations, mismatch, converged = _fixed_point_block(
+            factor, (p + 1j * q_base)[factor[0]], tol
+        )
+        stats["days"] += 1
+        stats["block_columns"] += HOURS
+        stats["block_iterations"] += int(iterations.sum())
+
+        live = np.ones(HOURS, dtype=bool)
+        newton: dict[int, PowerFlowSolution] = {}
+        for hour in np.flatnonzero(~converged):
+            stats["newton_columns"] += 1
             try:
-                result = dispatch_q(
-                    net, devices, hour, scenario,
-                    load_scale=scale, ybus=self._ybus, v0=warm,
-                )
-            except NonConvergence:
-                try:
-                    result = dispatch_q(
-                        net, devices, hour, scenario,
-                        load_scale=scale, ybus=self._ybus, v0=None,
-                    )
-                except NonConvergence:
-                    feasible = False
-                    violation += _DIVERGENT_HOUR_PENALTY
-                    warm = None
+                sol = _newton(net, InjectionSet(p[:, hour], q_base[:, hour]), tol,
+                              None, ybus)
+            except PowerFlowError:
+                stats["divergent_hours"] += 1
+                live[hour] = False
+                continue
+            newton[int(hour)] = sol
+            v[:, hour] = sol.v_complex
+
+        q = np.zeros((len(devices), HOURS))
+        dispatched: dict[int, DispatchResult] = {}
+        if scenario.participating(devices):
+            for hour in np.flatnonzero(live):
+                result = self._dispatch(devices, int(hour), v[:, hour])
+                if result is None:
+                    live[hour] = False
                     continue
+                dispatched[int(hour)] = result
+                v[:, hour] = result.solution.v_complex
+                q[:, hour] = [result.q_settings[d.label] for d in devices]
 
-            sol = result.solution
-            v_dev += float(np.sum(np.abs(scenario.v_ref - sol.v_mag)))
-            loss += sol.total_losses
-            hours.append(result)
-            warm = result.base_solution.v_complex
+        breakdown = self._score(devices, v[:, live], q[:, live], live, arrays)
+        stats["day_s"] += perf_counter() - t0
+        if not trail:
+            return breakdown, None
+        hours = []
+        for hour in map(int, np.flatnonzero(live)):
+            if hour in dispatched:
+                hours.append(dispatched[hour])
+                continue
+            sol = newton.get(hour) or _finish(net, v[:, hour], int(iterations[hour]),
+                                              float(mismatch[hour]), True, ybus)
+            score = partial_objective(net, sol, scenario)
+            hours.append(DispatchResult(hour, {d.label: 0.0 for d in devices},
+                                        sol, sol, score, score))
+        return breakdown, tuple(hours)
 
-            report = check_limits(net, sol)
-            for vv in report.voltage_violations:
+    def _dispatch(self, devices: list[Device], hour: int,
+                  v0: np.ndarray) -> DispatchResult | None:
+        """``hour`` dispatched from ``v0``, retried from a flat start if that
+        fails; None if both fail."""
+        stats = self._stats
+        stats["hours_dispatched"] += 1
+        for start in (v0, None):
+            try:
+                return dispatch_q(self.net, devices, hour, self.scenario,
+                                  load_scale=self._load_shape[hour], ybus=self._ybus,
+                                  v0=start)
+            except PowerFlowError:
+                if start is None:
+                    stats["divergent_hours"] += 1
+                else:
+                    stats["cold_retries"] += 1
+        return None
+
+    def _score(self, devices: list[Device], v: np.ndarray, q: np.ndarray,
+               live: np.ndarray, arrays) -> ObjectiveBreakdown:
+        """The breakdown of a day from its final voltages, one column per
+        live hour, and the devices' Q setpoints in those hours."""
+        scenario = self.scenario
+        f_idx, t_idx, y_series, r = arrays.branches
+        v_mag = np.abs(v).T
+        i_mag = np.abs((v[f_idx] - v[t_idx]) * y_series[:, None]).T
+        band, amp = _limit_excess(v_mag, i_mag, arrays.limits)
+        violation = float(band.sum() + amp.sum())
+        feasible = bool(live.all()) and violation == 0.0
+        violation += _DIVERGENT_HOUR_PENALTY * int(HOURS - live.sum())
+        hours = np.flatnonzero(live)
+        for dev, q_dev in zip(devices, q):
+            excess = capability_violation(
+                dev, _p_profile(dev)[hours], q_dev, v_mag[:, self.net.index_of(dev.bus)]
+            )
+            over = excess[excess > 1e-9]
+            if over.size:
                 feasible = False
-                violation += abs(vv.v - vv.bound)
-            for tv in report.thermal_violations:
-                feasible = False
-                violation += tv.i - tv.i_cap
-            for dev in devices:
-                q = result.q_settings.get(dev.label, 0.0)
-                v_bus = float(sol.v_mag[net.index_of(dev.bus)])
-                excess = capability_violation(dev, dev.p_at(hour), q, v_bus)
-                if excess > 1e-9:
-                    feasible = False
-                    violation += excess
-
+                violation += float(over.sum())
+        v_dev = float(np.abs(scenario.v_ref - v_mag).sum())
+        loss = float((i_mag**2 @ r).sum())
         cost = sum(d.n_pev * d.cost_per_pev for d in devices if isinstance(d, PevLot))
-        scalar = combine(v_dev, loss, cost, scenario.weights)
-        breakdown = ObjectiveBreakdown(
-            v_dev=v_dev, loss=loss, cost=cost, scalar=scalar,
+        return ObjectiveBreakdown(
+            v_dev=v_dev, loss=loss, cost=cost,
+            scalar=combine(v_dev, loss, cost, scenario.weights),
             feasible=feasible, violation_penalty=violation,
         )
-        return DayResult(lot_buses=key, breakdown=breakdown, hours=tuple(hours))
 
 
 def evaluate_objective(

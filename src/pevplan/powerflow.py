@@ -132,8 +132,8 @@ class _SolverArrays:
 
     ``branches`` holds the per-branch (from-index, to-index, series
     admittance, resistance) arrays behind every solution's branch
-    quantities.  The fixed-point factor is computed the first time the fixed
-    point runs on the matrix, so Newton-only use never pays for it.
+    quantities.  The fixed-point factor, its row lookup and the limit arrays
+    are computed on first use, so Newton-only use never pays for them.
     """
 
     def __init__(self, net: Network, y: np.ndarray) -> None:
@@ -143,17 +143,28 @@ class _SolverArrays:
             np.array([1.0 / br.impedance for br in net.branches], dtype=complex),
             np.array([br.resistance for br in net.branches], dtype=float),
         )
+        self._net = net
         self._y = y
-        self._slack = net.slack_index
 
     @cached_property
     def fixed_point(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(pq, Y[pq, :], Z, w)`` with ``Z = inv(Y[pq, pq])``, ``w = −Z·Y[pq, slack]``."""
-        pq = np.delete(np.arange(len(self._y)), self._slack)
+        slack = self._net.slack_index
+        pq = np.delete(np.arange(len(self._y)), slack)
         y_pq = self._y[pq]
         z = np.linalg.inv(y_pq[:, pq])
-        w = -z @ y_pq[:, self._slack]
+        w = -z @ y_pq[:, slack]
         return pq, y_pq, z, w
+
+    @cached_property
+    def pq_row(self) -> dict[int, int]:
+        """Bus position -> row of the non-slack vectors of :attr:`fixed_point`."""
+        return {int(pos): row for row, pos in enumerate(self.fixed_point[0])}
+
+    @cached_property
+    def limits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The network's :func:`_limit_arrays`."""
+        return _limit_arrays(self._net)
 
 
 def _solver_arrays(net: Network, ybus_obj: AdmittanceMatrix) -> _SolverArrays:
@@ -380,6 +391,67 @@ def _fixed_point(
     )
 
 
+def _fixed_point_block(
+    factor: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    s_pq: np.ndarray,
+    tol: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_fixed_point` from a flat start on every column of ``s_pq`` at once.
+
+    ``s_pq`` holds one column of non-slack injections per case.  Each column
+    follows the 1-D rule: it aims for ``tol / 100``, stops on a stalled step
+    residual under ``tol`` or after ``DEFAULT_MAX_ITER`` iterations, and
+    leaves the block when it stops, so the rest iterate on without it.  A
+    column converges only if its true ``Y·V`` mismatch then meets ``tol``.
+    Returns ``(v, iterations, mismatch, converged)``: ``v`` holds one full
+    voltage column per case (1.0 pu at the slack), the others one entry per
+    column.  A column that did not converge is left where it stopped.
+    """
+    pq, y_pq, z, w = factor
+    target = tol * _FIXED_POINT_MARGIN
+    m = s_pq.shape[1]
+    v = np.full((y_pq.shape[1], m), 1.0 + 0.0j)
+    vp = v[pq]
+    iterations = np.zeros(m, dtype=int)
+    mismatch = np.full(m, math.inf)
+    converged = np.zeros(m, dtype=bool)
+
+    def settle(cols: np.ndarray, it: int, accept: bool = True) -> None:
+        if not cols.size:
+            return
+        v[np.ix_(pq, cols)] = vp[:, cols]
+        ds = vp[:, cols] * np.conj(y_pq @ v[:, cols]) - s_pq[:, cols]
+        mis = np.maximum(np.abs(ds.real), np.abs(ds.imag)).max(axis=0, initial=0.0)
+        iterations[cols] = it
+        mismatch[cols] = mis
+        converged[cols] = accept & (mis <= tol)
+
+    # a zero or overflowing voltage shows up as a non-finite residual
+    with np.errstate(all="ignore"):
+        settle(np.arange(m), 0)
+        prev = mismatch.copy()
+        active = np.flatnonzero(~(prev <= target))
+        converged[active] = False
+        for it in range(1, DEFAULT_MAX_ITER + 1):
+            if not active.size:
+                break
+            ratio = s_pq[:, active] / vp[:, active]
+            v_next = w[:, None] + z @ np.conj(ratio)
+            step = (v_next - vp[:, active]) * ratio
+            res = np.maximum(np.abs(step.real), np.abs(step.imag)).max(axis=0, initial=0.0)
+            vp[:, active] = v_next
+            stop = (res <= target) | (
+                (res <= tol) & ((res >= prev[active]) | (it == DEFAULT_MAX_ITER))
+            )
+            failed = ~stop & ~(res <= _DIVERGENCE_MISMATCH)
+            settle(active[stop], it)
+            settle(active[failed], it, accept=False)
+            prev[active] = res
+            active = active[~(stop | failed)]
+        settle(active, DEFAULT_MAX_ITER, accept=False)
+    return v, iterations, mismatch, converged
+
+
 def solve_fixed_point(
     net: Network,
     inj: InjectionSet,
@@ -461,29 +533,50 @@ class LimitReport:
         return not self.voltage_violations and not self.thermal_violations
 
 
+def _limit_arrays(net: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-bus lower and upper voltage bounds and per-branch ampacities, pu."""
+    lo, hi = net.voltage_bounds()
+    return lo, hi, np.array([br.current_cap for br in net.branches], dtype=float)
+
+
+def _limit_excess(
+    v_mag: np.ndarray, i_mag: np.ndarray,
+    limits: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Band and ampacity overshoot of |V| and |I|, 0 inside the limits.
+
+    The last axis runs over buses and branches respectively, so a row per
+    hour scores a whole day at once.
+    """
+    lo, hi, cap = limits
+    band = np.maximum(lo - v_mag, 0.0) + np.maximum(v_mag - hi, 0.0)
+    return band, np.maximum(i_mag - cap, 0.0)
+
+
 def check_limits(net: Network, sol: PowerFlowSolution) -> LimitReport:
     """Compare a converged solution against bus voltage bands and ampacities."""
     if not sol.converged:
         raise PowerFlowError("refusing to check limits of a non-converged solution")
-    v_viol = []
-    v_margin = math.inf
-    for pos, bus in enumerate(net.buses):
-        v = float(sol.v_mag[pos])
-        v_margin = min(v_margin, v - bus.v_min, bus.v_max - v)
-        if v < bus.v_min:
-            v_viol.append(VoltageViolation(bus.id, v, bus.v_min))
-        elif v > bus.v_max:
-            v_viol.append(VoltageViolation(bus.id, v, bus.v_max))
-
-    t_viol = []
-    t_margin = math.inf
-    for k, br in enumerate(net.branches):
-        i = float(abs(sol.branch_current[k]))
-        if math.isfinite(br.current_cap):
-            t_margin = min(t_margin, br.current_cap - i)
-        if i > br.current_cap:
-            t_viol.append(ThermalViolation(br.from_bus, br.to_bus, i, br.current_cap))
-    return LimitReport(tuple(v_viol), tuple(t_viol), v_margin, t_margin)
+    lo, hi, cap = limits = _limit_arrays(net)
+    v = sol.v_mag
+    i = np.abs(sol.branch_current)
+    band, amp = _limit_excess(v, i, limits)
+    v_viol = tuple(
+        VoltageViolation(net.buses[pos].id, float(v[pos]),
+                         float(lo[pos] if v[pos] < lo[pos] else hi[pos]))
+        for pos in np.flatnonzero(band)
+    )
+    t_viol = tuple(
+        ThermalViolation(net.branches[k].from_bus, net.branches[k].to_bus,
+                         float(i[k]), float(cap[k]))
+        for k in np.flatnonzero(amp)
+    )
+    finite = np.isfinite(cap)
+    return LimitReport(
+        v_viol, t_viol,
+        float(np.minimum(v - lo, hi - v).min(initial=math.inf)),
+        float((cap - i)[finite].min(initial=math.inf)),
+    )
 
 
 def bus_table(net: Network, sol: PowerFlowSolution) -> str:

@@ -11,8 +11,10 @@ computed once in a module fixture and shared by the tests that need it.
 """
 from __future__ import annotations
 
+import json
 import math
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -39,6 +41,8 @@ from pevplan.twobus import (
 CANDIDATE_8 = (3, 6, 9, 13, 17, 22, 27, 31)
 RANDOM_BASELINE_SEEDS = (123, 456)
 RANDOM_BASELINE_DRAWS = 200
+# Every two-lot placement's day, enumerated once (read only here).
+GOLDEN_TABLE = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 
 def _finish(name: str, detail: str, failures: list[str]) -> None:
@@ -435,5 +439,27 @@ def test_c8_full_scale_run(bundle, full_search):
         f"sites {buses[0]} and {buses[1]}, scalar "
         f"{res.best_breakdown.scalar:.5f}, {res.evaluations} evaluations, "
         f"{full_search.t_ga:.0f} s",
+        failures,
+    )
+
+
+def test_c8_full_run_finds_the_enumerated_optimum(full_search, siv_scenario):
+    # the enumeration of all 496 two-lot days ranks feasible first, then by
+    # scalar, the order the search's best follows
+    optimum = json.loads(GOLDEN_TABLE.read_text())["optima"][siv_scenario.mode]
+    res = full_search.result
+    best = res.best_breakdown
+    failures = []
+    if res.best_genome.lot_buses != tuple(optimum["lot_buses"]):
+        failures.append(f"sites {res.best_genome.lot_buses} != enumerated "
+                        f"{tuple(optimum['lot_buses'])}")
+    if best.feasible != optimum["feasible"]:
+        failures.append(f"feasible {best.feasible} != enumerated {optimum['feasible']}")
+    if not abs(best.scalar - optimum["scalar"]) <= 1e-6:
+        failures.append(f"scalar {best.scalar:.6f} != enumerated {optimum['scalar']:.6f}")
+    _finish(
+        "criterion 8: enumerated optimum",
+        f"sites {res.best_genome.lot_buses} at {best.scalar:.6f}; enumerated "
+        f"{tuple(optimum['lot_buses'])} at {optimum['scalar']:.6f}",
         failures,
     )

@@ -17,6 +17,7 @@ from pevplan.dispatch import (
     partial_objective,
 )
 from pevplan.network import build_ybus
+from pevplan.objective import place_lots
 from pevplan.powerflow import (
     InjectionSet,
     NonConvergence,
@@ -377,3 +378,30 @@ def test_load_scale_shifts_base_solution(bus33, devices33):
     light = dispatch_q(net, devices33, PEAK_HOUR, Scenario(mode="none"), load_scale=0.4)
     heavy = dispatch_q(net, devices33, PEAK_HOUR, Scenario(mode="none"), load_scale=1.0)
     assert light.base_solution.v_min > heavy.base_solution.v_min
+
+
+def test_score_noise_changes_no_accepted_setpoint(bus33, devices33, profiles33,
+                                                  monkeypatch):
+    # every score, Brent trial or full solve, perturbed by a relative ±1e-15:
+    # a move must gain more than the solves' own error, so no accept flips;
+    # only Brent's own rounding may move a setpoint, far below 1e-12
+    net = bus33.network
+    shape = profiles33["load-weekday"].values
+    devices = place_lots(devices33, (3, 17), net)
+    sc = Scenario(mode="dgq+v2gq")
+
+    def setpoints():
+        return [dispatch_q(net, devices, hour, sc, load_scale=shape[hour]).q_settings
+                for hour in range(HOURS)]
+
+    clean = setpoints()
+    rng = np.random.default_rng(1)
+
+    def noisy(score):
+        return lambda *args: score(*args) * (1.0 + 1e-15 * rng.choice((-1.0, 1.0)))
+
+    monkeypatch.setattr(dispatch, "_score", noisy(dispatch._score))
+    monkeypatch.setattr(dispatch, "partial_objective", noisy(dispatch.partial_objective))
+    for hour, (q_clean, q_noisy) in enumerate(zip(clean, setpoints())):
+        for label, q in q_clean.items():
+            assert q_noisy[label] == pytest.approx(q, abs=1e-12), (hour, label)

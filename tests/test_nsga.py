@@ -12,26 +12,27 @@ from pevplan.nsga import (
     InfeasibleConfigError,
     PlacementGenome,
     constrained_dominates,
+    constrained_fronts,
     crowding_distance,
     dominates,
-    front_ranks,
     nondominated_sort,
     optimize_placement,
 )
+from pevplan.nsga import _rank
 from pevplan.objective import DayEvaluator, ObjectiveBreakdown
 
 from conftest import small_feeder
 
 
-def brute_force_fronts(vectors):
+def brute_force_fronts(items, dom=dominates):
     """Reference sort: peel nondominated layers by exhaustive comparison."""
-    remaining = list(range(len(vectors)))
+    remaining = list(range(len(items)))
     fronts = []
     while remaining:
         front = sorted(
             i
             for i in remaining
-            if not any(dominates(vectors[j], vectors[i]) for j in remaining if j != i)
+            if not any(dom(items[j], items[i]) for j in remaining if j != i)
         )
         fronts.append(front)
         remaining = [i for i in remaining if i not in front]
@@ -76,7 +77,6 @@ def test_constrained_dominance_ordering():
 def test_sort_hand_case():
     pts = [(1.0, 2.0, 0.0), (2.0, 1.0, 0.0), (3.0, 3.0, 0.0)]
     assert nondominated_sort(pts) == [[0, 1], [2]]
-    assert list(front_ranks(pts)) == [0, 0, 1]
 
 
 def test_sort_duplicates_share_a_front():
@@ -96,9 +96,32 @@ def test_sort_matches_brute_force_on_random_populations():
 
 def test_sort_with_constraint_domination():
     items = [feasible(1.0, 1.0), infeasible(3.0), infeasible(1.0), feasible(2.0, 0.5)]
-    fronts = nondominated_sort(items, constrained_dominates)
+    fronts = constrained_fronts(items)
     assert fronts[0] == [0, 3]          # all feasible first
     assert fronts[1:] == [[2], [1]]     # then by violation
+
+
+def test_feasible_first_sort_matches_constrained_peeling():
+    # integer grids tie vectors and penalties; every mix of feasibility
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        n = int(rng.integers(1, 41))
+        share = rng.uniform(0.0, 1.0)
+        items = []
+        for _ in range(n):
+            v_dev, loss, cost = (float(x) for x in rng.integers(0, 4, size=3))
+            ok = bool(rng.random() < share)
+            items.append(ObjectiveBreakdown(
+                v_dev, loss, cost, v_dev + loss + cost, feasible=ok,
+                violation_penalty=0.0 if ok else float(rng.integers(1, 4)),
+            ))
+        fronts = brute_force_fronts(items, constrained_dominates)
+        assert constrained_fronts(items) == fronts
+        ranks, crowd = _rank(items)
+        for rank, front in enumerate(fronts):
+            assert list(ranks[front]) == [rank] * len(front)
+            expect = crowding_distance([items[i].vector for i in front])
+            np.testing.assert_array_equal(crowd[front], expect)
 
 
 def test_crowding_boundaries_are_infinite():

@@ -3,8 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pevplan.devices import PevLot
-from pevplan.dispatch import Scenario
+from pevplan import objective
+from pevplan.devices import HOURS, HourlyProfile, PevLot, capability_violation
+from pevplan.dispatch import Scenario, hour_injections
+from pevplan.powerflow import check_limits, solve
 from pevplan.objective import (
     DayEvaluator,
     ObjectiveBreakdown,
@@ -90,13 +92,16 @@ def test_cost_term_is_placement_independent(day_eval, devices33):
     assert moved.breakdown.v_dev != pytest.approx(base.breakdown.v_dev, abs=1e-9)
 
 
-def test_evaluator_memoizes(day_eval):
-    before = day_eval.cache_size
-    a = day_eval.evaluate((5, 22))
-    b = day_eval.evaluate((22, 5))  # order is canonicalized
-    assert a is b
-    assert day_eval.cache_size == max(before, 2)
-    assert a.lot_buses == (5, 22)
+def test_evaluator_memoizes(bus33, devices33, profiles33):
+    sc = Scenario(mode="dgq", load_profile_id="load-weekday")
+    ev = DayEvaluator(bus33.network, devices33, profiles33, sc)
+    a = ev.evaluate((5, 22))
+    b = ev.evaluate((22, 5))  # order is canonicalized
+    # the cache holds the breakdown: a hit returns that very object
+    assert a.breakdown is b.breakdown
+    assert a.lot_buses == b.lot_buses == (5, 22)
+    assert ev.stats.days == 1
+    assert ev.cache_size == 1
 
 
 def test_missing_load_profile_is_an_error(bus33, devices33, profiles33):
@@ -134,3 +139,93 @@ def test_infeasibility_reported_without_distorting_objective(
     assert b.scalar == pytest.approx(
         combine(b.v_dev, b.loss, b.cost, sc.weights), abs=1e-12
     )
+
+
+def test_divergent_hour_is_penalised_and_the_rest_still_count(bus33, devices33,
+                                                               profiles33):
+    # twenty times the load at one hour: the block column and Newton both fail
+    net = bus33.network
+    bad = 5
+    shape = list(profiles33["load-weekday"].values)
+    shape[bad] = 20.0
+    sc = Scenario(mode="none", load_profile_id="spiky")
+    ev = DayEvaluator(net, devices33, {"spiky": HourlyProfile("spiky", shape)}, sc)
+    day = ev.evaluate()
+    stats = ev.stats
+    assert (stats.newton_columns, stats.divergent_hours) == (1, 1)
+    assert [h.hour for h in day.hours] == [h for h in range(HOURS) if h != bad]
+
+    # the other 23 hours, each solved by Newton and checked on its own
+    v_dev = loss = penalty = 0.0
+    for hour in range(HOURS):
+        if hour == bad:
+            continue
+        sol = solve(net, hour_injections(net, devices33, hour, load_scale=shape[hour]),
+                    tol=1e-12)
+        v_dev += float(np.abs(1.0 - sol.v_mag).sum())
+        loss += sol.total_losses
+        report = check_limits(net, sol)
+        penalty += sum(abs(vv.v - vv.bound) for vv in report.voltage_violations)
+        penalty += sum(tv.i - tv.i_cap for tv in report.thermal_violations)
+        for dev in devices33:
+            excess = capability_violation(dev, dev.p_at(hour), 0.0,
+                                          float(sol.v_mag[net.index_of(dev.bus)]))
+            penalty += excess if excess > 1e-9 else 0.0
+    # the day's solves stop at a mismatch of 1e-10, which moves a day's sums
+    # by about 1e-8; one hour more or less moves them by 1e-1
+    bd = day.breakdown
+    assert not bd.feasible
+    assert bd.v_dev == pytest.approx(v_dev, abs=1e-7)
+    assert bd.loss == pytest.approx(loss, abs=1e-7)
+    assert bd.violation_penalty == pytest.approx(1e3 + penalty, abs=1e-7)
+
+
+def test_failed_block_column_goes_alone_to_newton(bus33, devices33, profiles33,
+                                                   monkeypatch):
+    net = bus33.network
+    forced = 19
+    sc = Scenario(mode="dgq", load_profile_id="load-weekday")
+    honest = DayEvaluator(net, devices33, profiles33, sc).evaluate().breakdown
+    block = objective._fixed_point_block
+    newton = objective._newton
+    calls = []
+
+    def one_column_fails(factor, s_pq, tol):
+        v, iterations, mismatch, converged = block(factor, s_pq, tol)
+        converged[forced] = False
+        return v, iterations, mismatch, converged
+
+    def counted(net_, inj, tol, v0, ybus):
+        calls.append((inj, v0))
+        return newton(net_, inj, tol, v0, ybus)
+
+    monkeypatch.setattr(objective, "_fixed_point_block", one_column_fails)
+    monkeypatch.setattr(objective, "_newton", counted)
+    ev = DayEvaluator(net, devices33, profiles33, sc)
+    bd = ev.evaluate().breakdown
+    # one Newton solve, from a flat start, of that hour's injections alone
+    assert len(calls) == 1
+    inj, v0 = calls[0]
+    assert v0 is None
+    scale = profiles33["load-weekday"].values[forced]
+    expect = hour_injections(net, devices33, forced, load_scale=scale)
+    np.testing.assert_array_equal(inj.p, expect.p)
+    np.testing.assert_array_equal(inj.q, expect.q)
+    stats = ev.stats
+    assert (stats.newton_columns, stats.divergent_hours) == (1, 0)
+    assert stats.block_columns == HOURS
+    assert bd.feasible == honest.feasible
+    for field in ("v_dev", "loss", "scalar", "violation_penalty"):
+        assert getattr(bd, field) == pytest.approx(getattr(honest, field), abs=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["none", "dgq+v2gq"])
+def test_evaluation_order_does_not_matter(bus33, devices33, profiles33, mode):
+    sc = Scenario(mode=mode, load_profile_id="load-weekday")
+
+    def in_order(*keys):
+        ev = DayEvaluator(bus33.network, devices33, profiles33, sc)
+        return {key: ev.evaluate(key).breakdown for key in keys}
+
+    # bit-identical: ObjectiveBreakdown compares its floats exactly
+    assert in_order((7, 29), (3, 17)) == in_order((3, 17), (7, 29))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pevplan import load_builtin
 from pevplan.network import Branch, Bus, Network, build_ybus
@@ -16,6 +17,9 @@ from pevplan.powerflow import (
     PowerFlowError,
     PowerFlowSolution,
     SingularJacobian,
+    _fixed_point,
+    _fixed_point_block,
+    _FixedPointFailure,
     _solver_arrays,
     branch_table,
     bus_table,
@@ -310,6 +314,31 @@ def test_fixed_point_newton_and_sweep_agree_on_radial_feeders(net):
     np.testing.assert_allclose(fixed.v_complex, newton.v_complex, rtol=0, atol=1e-8)
     np.testing.assert_allclose(sweep.v_complex, newton.v_complex, rtol=0, atol=1e-8)
     assert fixed.total_losses == pytest.approx(sweep.total_losses, abs=1e-8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(net=radial_feeders(),
+       scales=st.lists(st.sampled_from([0.0, 0.3, 1.0, 2.5, 40.0, 400.0])
+                       | st.floats(0.0, 3.0), min_size=1, max_size=8))
+def test_block_columns_match_single_fixed_point_solves(net, scales):
+    # each column of the block runs the 1-D kernel's rule from a flat start;
+    # heavy scales make some columns fail, and the verdict must agree too
+    factor = _solver_arrays(net, build_ybus(net)).fixed_point
+    pq = factor[0]
+    inj = loads_of(net)
+    s_pq = np.stack([(inj.p + 1j * inj.q)[pq] * k for k in scales], axis=1)
+    v, iterations, mismatch, converged = _fixed_point_block(factor, s_pq, DEFAULT_TOL)
+    assert v.shape == (net.n_bus, len(scales))
+    for col in range(len(scales)):
+        flat = np.full(net.n_bus, 1.0 + 0.0j)
+        try:
+            single, it, mis = _fixed_point(factor, s_pq[:, col].copy(), flat, DEFAULT_TOL)
+        except _FixedPointFailure:
+            assert not converged[col]
+            continue
+        assert converged[col]
+        assert mismatch[col] <= DEFAULT_TOL
+        np.testing.assert_allclose(v[:, col], single, rtol=0, atol=1e-12)
 
 
 # -- limit checking ----------------------------------------------------------
