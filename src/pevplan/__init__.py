@@ -23,14 +23,11 @@ from .devices import (
     PevLot,
     PvUnit,
     QCapability,
-    compose_load,
     q_capability,
     synth_profile,
-    synth_profiles,
 )
 from .dispatch import DispatchResult, Scenario, dispatch_q, partial_objective
 from .network import (
-    AdmittanceMatrix,
     Branch,
     Bus,
     Network,
@@ -47,12 +44,7 @@ from .nsga import (
     nondominated_sort,
     optimize_placement,
 )
-from .objective import (
-    DayEvaluator,
-    DayResult,
-    ObjectiveBreakdown,
-    evaluate_objective,
-)
+from .objective import DayEvaluator, DayResult, ObjectiveBreakdown
 from .powerflow import (
     InjectionSet,
     LimitReport,
@@ -61,7 +53,6 @@ from .powerflow import (
     PowerFlowSolution,
     SingularJacobian,
     check_limits,
-    compute_losses,
     solve,
 )
 from .sweep import solve_sweep
@@ -74,7 +65,6 @@ from .twobus import (
 )
 
 __all__ = [
-    "AdmittanceMatrix",
     "Branch",
     "Bus",
     "Case",
@@ -109,11 +99,8 @@ __all__ = [
     "builtin_path",
     "check_limits",
     "classify_direction",
-    "compose_load",
-    "compute_losses",
     "crowding_distance",
     "dispatch_q",
-    "evaluate_objective",
     "load_builtin",
     "load_case",
     "load_profiles",
@@ -125,7 +112,6 @@ __all__ = [
     "solve",
     "solve_sweep",
     "synth_profile",
-    "synth_profiles",
     "transfer_power_general",
     "transfer_power_reactive_line",
 ]

@@ -26,7 +26,7 @@ from .caseio import (
     load_case,
     load_profiles,
 )
-from .devices import PevLot
+from .devices import p_injection
 from .dispatch import MODES, Scenario, canonical_mode
 from .network import ValidationError, build_ybus
 from .nsga import GaParams, InfeasibleConfigError, optimize_placement
@@ -221,6 +221,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     devices = bind_devices(case, profiles)
     evaluator = DayEvaluator(case.network, devices, profiles, scenario)
     day = evaluator.evaluate()
+    min_v = day.min_voltage
 
     volt_lines = ["hour,bus,scenario,v_pu"]
     disp_lines = ["hour,device,bus,p_pu,q_pu"]
@@ -233,11 +234,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 f"{hour_result.hour},{bus.id},{scenario.mode},{_fmt(sol.v_mag[pos])}"
             )
         for dev in devices:
-            p = dev.p_at(hour_result.hour)
-            signed_p = p if isinstance(dev, PevLot) else -p
+            # load-style sign: lot charging positive, PV generation negative
+            p = -p_injection(dev)[hour_result.hour]
             q = hour_result.q_settings.get(dev.label, 0.0)
             disp_lines.append(
-                f"{hour_result.hour},{dev.label},{dev.bus},{_fmt(signed_p)},{_fmt(q)}"
+                f"{hour_result.hour},{dev.label},{dev.bus},{_fmt(p)},{_fmt(q)}"
             )
 
     if args.out:
@@ -246,7 +247,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         _atomic_write(out / "dispatch.csv", "\n".join(disp_lines) + "\n")
     bd = day.breakdown
     print(
-        f"mode={scenario.mode} min_v={day.min_voltage:.6f} max_v={max_v:.6f} "
+        f"mode={scenario.mode} min_v={min_v:.6f} max_v={max_v:.6f} "
         f"v_dev={bd.v_dev:.6f} loss={bd.loss:.6f} scalar={bd.scalar:.6f} "
         f"feasible={str(bd.feasible).lower()}"
     )
@@ -302,11 +303,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
     ]
     if missing:
         raise ValidationError(f"device profiles not found: {sorted(set(missing))}")
-    row_residual = float(np.max(np.abs(y.row_sums())))
+    row_residual = float(np.max(np.abs(y.sum(axis=1))))
     print(
         f"{case_path.name}: {net.n_bus} buses, {len(net.branches)} branches, "
         f"{len(case.devices)} devices; radial={str(net.radial).lower()}, "
-        f"ybus_symmetric={str(y.is_symmetric()).lower()}, "
+        f"ybus_symmetric={str(np.array_equal(y, y.T)).lower()}, "
         f"row_sum_residual={row_residual:.3e}"
     )
     return EXIT_OK

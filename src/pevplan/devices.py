@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -112,6 +112,21 @@ class PevLot:
 Device = Union[PvUnit, PevLot]
 
 
+def _p_profile(dev: Device) -> np.ndarray:
+    """The device's active power per hour (charging for a lot), pu."""
+    return np.asarray(dev.charge_profile if isinstance(dev, PevLot) else dev.p_profile)
+
+
+def p_injection(dev: Device) -> np.ndarray:
+    """The device's signed active injection per hour, pu.
+
+    PV generation adds to its bus's net injection; lot charging subtracts
+    from it.
+    """
+    p = _p_profile(dev)
+    return -p if isinstance(dev, PevLot) else p
+
+
 def _check_device_profile(dev, values: Sequence[float], name: str) -> None:
     values = tuple(float(v) for v in values)
     if len(values) != HOURS:
@@ -205,30 +220,6 @@ def capability_violation(dev: Device, p_now, q, v_bus):
     return np.maximum(worst, 0.0)
 
 
-def compose_load(
-    normal_p: float,
-    normal_q: float,
-    devices: Iterable[Device],
-    hour: int,
-    q_settings: Mapping[str, float] | None = None,
-) -> tuple[float, float]:
-    """Total (P, Q) load at a bus: normal load plus device contributions.
-
-    PEV charging adds to P, PV generation subtracts from it, and dispatched
-    device Q adds with the load-style sign (positive = consumption).
-    """
-    q_settings = q_settings or {}
-    p_total = normal_p
-    q_total = normal_q
-    for dev in devices:
-        if isinstance(dev, PevLot):
-            p_total += dev.p_at(hour)
-        else:
-            p_total -= dev.p_at(hour)
-        q_total += q_settings.get(dev.label, 0.0)
-    return p_total, q_total
-
-
 # Hour-by-hour templates for the synthetic profile shapes, unit peak.
 _PV_BELL = (
     0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
@@ -274,8 +265,3 @@ def synth_profile(shape: str, seed: int = 0, level: float = 1.0) -> HourlyProfil
         jitter = 1.0 + 0.05 * rng.standard_normal(HOURS)
         values = np.clip(values * jitter, 0.0, None)
     return HourlyProfile(f"{shape}-s{seed}", tuple(values))
-
-
-def synth_profiles(seed: int = 0, level: float = 1.0) -> dict[str, HourlyProfile]:
-    """One profile per standard shape, keyed by shape tag."""
-    return {shape: synth_profile(shape, seed, level) for shape in PROFILE_SHAPES}

@@ -26,8 +26,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .devices import Device, PevLot, PvUnit, q_capability
-from .network import Network, build_ybus
+from .devices import Device, PvUnit, p_injection, q_capability
+from .network import Network
 from .powerflow import (
     _FIXED_POINT_MARGIN,
     DEFAULT_TOL,
@@ -85,6 +85,8 @@ class Scenario:
         object.__setattr__(self, "weights", w)
         if not 0.5 <= self.v_ref <= 1.5:
             raise ValueError("v_ref out of plausible per-unit range")
+        if not 0.0 < self.pf_tol < np.inf:
+            raise ValueError(f"pf_tol must be positive and finite, got {self.pf_tol}")
 
     def participating(self, devices: Sequence[Device]) -> list[Device]:
         if self.mode == "none":
@@ -108,10 +110,7 @@ def hour_injections(
     q_settings = q_settings or {}
     for dev in devices:
         pos = net.index_of(dev.bus)
-        if isinstance(dev, PevLot):
-            p[pos] -= dev.p_at(hour)
-        else:
-            p[pos] += dev.p_at(hour)
+        p[pos] += p_injection(dev)[hour]
         q[pos] -= q_settings.get(dev.label, 0.0)
     return InjectionSet(p, q)
 
@@ -141,7 +140,7 @@ class DispatchResult:
 
 
 def _newton(net: Network, inj: InjectionSet, tol: float,
-            v0: np.ndarray | None, ybus) -> PowerFlowSolution:
+            v0: np.ndarray | None) -> PowerFlowSolution:
     """Newton (:func:`solve`) held to the fixed point's target, ``tol / 100``.
 
     Every score then has one accuracy, whichever solver produced it.  If
@@ -150,7 +149,7 @@ def _newton(net: Network, inj: InjectionSet, tol: float,
     point accepts a stalled residual.
     """
     try:
-        return solve(net, inj, tol=tol * _FIXED_POINT_MARGIN, v0=v0, ybus=ybus)
+        return solve(net, inj, tol=tol * _FIXED_POINT_MARGIN, v0=v0)
     except NonConvergence as exc:
         sol = exc.solution
         if sol is None or not sol.max_mismatch <= tol:
@@ -168,13 +167,12 @@ class _Hour:
     """
 
     def __init__(self, net: Network, devices: Sequence[Device], hour: int,
-                 scenario: Scenario, load_scale: float, ybus) -> None:
+                 scenario: Scenario, load_scale: float) -> None:
         self.net = net
         self.scenario = scenario
-        self.ybus = ybus
         self.fixed = hour_injections(net, devices, hour, load_scale=load_scale)
         self.dev_pos = [(dev, net.index_of(dev.bus)) for dev in devices]
-        arrays = _solver_arrays(net, ybus)
+        arrays = _solver_arrays(net)
         self.factor = arrays.fixed_point
         self.branches = arrays.branches
         self.pq_row = arrays.pq_row
@@ -190,9 +188,9 @@ class _Hour:
         inj = InjectionSet(self.fixed.p, self.q_injections(settings))
         tol = self.scenario.pf_tol
         try:
-            return solve_fixed_point(self.net, inj, tol=tol, v0=warm, ybus=self.ybus)
+            return solve_fixed_point(self.net, inj, tol=tol, v0=warm)
         except PowerFlowError:
-            return _newton(self.net, inj, tol, warm, self.ybus)
+            return _newton(self.net, inj, tol, warm)
 
     def trial(self, settings: Mapping[str, float], dev: Device,
               current: PowerFlowSolution
@@ -232,8 +230,7 @@ class _Hour:
                 q_inj = q_rest.copy()
                 q_inj[pos] -= qv
                 try:
-                    sol = _newton(self.net, InjectionSet(p, q_inj), tol, start(qv),
-                                  self.ybus)
+                    sol = _newton(self.net, InjectionSet(p, q_inj), tol, start(qv))
                 except NonConvergence:
                     return _TRIAL_PENALTY
                 return partial_objective(self.net, sol, self.scenario)
@@ -248,7 +245,6 @@ def dispatch_q(
     hour: int,
     scenario: Scenario,
     load_scale: float = 1.0,
-    ybus=None,
     v0: np.ndarray | None = None,
 ) -> DispatchResult:
     """Choose reactive setpoints for one hour under the scenario's mode.
@@ -257,9 +253,7 @@ def dispatch_q(
     trial failures inside the search are absorbed (the trial is discarded).
     """
     q: dict[str, float] = {dev.label: 0.0 for dev in devices}
-    if ybus is None:
-        ybus = build_ybus(net)
-    hr = _Hour(net, devices, hour, scenario, load_scale, ybus)
+    hr = _Hour(net, devices, hour, scenario, load_scale)
 
     base = hr.solution(q, v0)
     base_score = partial_objective(net, base, scenario)

@@ -7,8 +7,8 @@ immutable and safe to share between concurrent solver runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Literal
+from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
@@ -94,6 +94,11 @@ class Network:
     # id -> position lookup and the slack's position, filled in __post_init__
     _index: dict[int, int] = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
     _slack: int = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
+    # the power-flow solvers' arrays (Ybus, Z factor, branch and limit
+    # arrays), built by them on the first solve (two concurrent first solves
+    # may both build them; either copy is right); out of __init__, so a
+    # dataclasses.replace copy builds its own
+    _arrays: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "buses", tuple(self.buses))
@@ -184,18 +189,6 @@ class Network:
         hi = np.array([b.v_max for b in self.buses], dtype=float)
         return lo, hi
 
-    def with_loads(self, p: Iterable[float], q: Iterable[float]) -> "Network":
-        """Copy of the network with replaced normal loads (same ordering)."""
-        p = list(p)
-        q = list(q)
-        if len(p) != self.n_bus or len(q) != self.n_bus:
-            raise ValueError("load vectors must match bus count")
-        buses = tuple(
-            replace(b, normal_load_p=pi, normal_load_q=qi)
-            for b, pi, qi in zip(self.buses, p, q)
-        )
-        return Network(buses, self.branches, self.base_mva, self.base_kv, self.radial)
-
     # unit conversion helpers (system base)
     @property
     def z_base_ohm(self) -> float:
@@ -207,53 +200,13 @@ class Network:
         return self.base_mva * 1e3 / (np.sqrt(3.0) * self.base_kv)
 
 
-class AdmittanceMatrix:
-    """Dense bus admittance matrix with polar accessors.
+def build_ybus(net: Network) -> np.ndarray:
+    """The dense bus admittance matrix, complex and read-only.
 
-    Entries follow the usual convention: off-diagonals are the negated series
-    admittance of the connecting branch, diagonals the sum of incident branch
-    admittances.  No shunt elements are modeled, so every row sums to zero.
+    Off-diagonals are the negated series admittance of the connecting
+    branch, diagonals the sum of incident branch admittances.  No shunt
+    elements are modeled, so every row sums to zero.
     """
-
-    def __init__(self, values: np.ndarray):
-        values = np.asarray(values, dtype=complex)
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise ValueError("admittance matrix must be square")
-        values.setflags(write=False)
-        self._values = values
-        # arrays the power-flow solvers derive from this matrix, built by
-        # them on first use and reused by every later solve
-        self.solver_cache = None
-
-    @property
-    def values(self) -> np.ndarray:
-        """Complex matrix (read-only view)."""
-        return self._values
-
-    @property
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self._values)
-
-    @property
-    def angle(self) -> np.ndarray:
-        return np.angle(self._values)
-
-    @property
-    def n(self) -> int:
-        return self._values.shape[0]
-
-    def __getitem__(self, key) -> complex:
-        return self._values[key]
-
-    def is_symmetric(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self._values - self._values.T) <= tol))
-
-    def row_sums(self) -> np.ndarray:
-        return self._values.sum(axis=1)
-
-
-def build_ybus(net: Network) -> AdmittanceMatrix:
-    """Assemble the bus admittance matrix from the branch list."""
     n = net.n_bus
     y = np.zeros((n, n), dtype=complex)
     for br in net.branches:
@@ -264,4 +217,5 @@ def build_ybus(net: Network) -> AdmittanceMatrix:
         y[j, i] -= y_series
         y[i, i] += y_series
         y[j, j] += y_series
-    return AdmittanceMatrix(y)
+    y.setflags(write=False)
+    return y

@@ -187,9 +187,6 @@ class ParetoArchive:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def genomes(self) -> list[PlacementGenome]:
-        return [e.genome for e in self.entries]
-
 
 @dataclass(frozen=True)
 class OptimizeResult:

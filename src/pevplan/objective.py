@@ -20,9 +20,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .devices import Device, HourlyProfile, PevLot, capability_violation
+from .devices import (
+    Device,
+    HourlyProfile,
+    PevLot,
+    _p_profile,
+    capability_violation,
+    p_injection,
+)
 from .dispatch import DispatchResult, Scenario, _newton, dispatch_q, partial_objective
-from .network import Network, build_ybus
+from .network import (
+    Network,
+    build_ybus,  # noqa: F401  (the benchmark's tracer wraps this name)
+)
 from .powerflow import (
     InjectionSet,
     PowerFlowError,
@@ -59,11 +69,6 @@ def combine(v_dev: float, loss: float, cost: float,
     """The scalar objective; exported so reports can recompute it."""
     a, b, c = weights
     return a * v_dev + b * loss + c * cost
-
-
-def _p_profile(dev: Device) -> np.ndarray:
-    """The device's active power per hour (charging for a lot), pu."""
-    return np.asarray(dev.charge_profile if isinstance(dev, PevLot) else dev.p_profile)
 
 
 @dataclass(frozen=True)
@@ -106,6 +111,8 @@ class DayResult:
 
     @property
     def min_voltage(self) -> float:
+        if not self.hours:
+            raise PowerFlowError("no hour of the day converged")
         return min(h.solution.v_min for h in self.hours)
 
 
@@ -154,7 +161,6 @@ class DayEvaluator:
         self.net = net
         self.devices = list(devices)
         self.scenario = scenario
-        self._ybus = build_ybus(net)
         if scenario.load_profile_id is not None:
             if not profiles or scenario.load_profile_id not in profiles:
                 raise ValueError(
@@ -201,7 +207,7 @@ class DayEvaluator:
     def _day_arrays(self) -> tuple:
         """The solver arrays and the scaled normal-load injections, one
         column per hour (built on the first day, not at construction)."""
-        arrays = _solver_arrays(self.net, self._ybus)
+        arrays = _solver_arrays(self.net)
         p_load, q_load = self.net.load_vectors()
         scale = np.asarray(self._load_shape, dtype=float)
         return arrays, -p_load[:, None] * scale, -q_load[:, None] * scale
@@ -211,15 +217,12 @@ class DayEvaluator:
     ) -> tuple[ObjectiveBreakdown, tuple[DispatchResult, ...] | None]:
         """The day's breakdown and, with ``trail``, its per-hour results."""
         t0 = perf_counter()
-        net, scenario, ybus, stats = self.net, self.scenario, self._ybus, self._stats
+        net, scenario, stats = self.net, self.scenario, self._stats
         tol = scenario.pf_tol
         arrays, p_base, q_base = self._day_arrays
         p = p_base.copy()
         for dev in devices:
-            if isinstance(dev, PevLot):
-                p[net.index_of(dev.bus)] -= _p_profile(dev)
-            else:
-                p[net.index_of(dev.bus)] += _p_profile(dev)
+            p[net.index_of(dev.bus)] += p_injection(dev)
         factor = arrays.fixed_point
         v, iterations, mismatch, converged = _fixed_point_block(
             factor, (p + 1j * q_base)[factor[0]], tol
@@ -233,8 +236,7 @@ class DayEvaluator:
         for hour in np.flatnonzero(~converged):
             stats["newton_columns"] += 1
             try:
-                sol = _newton(net, InjectionSet(p[:, hour], q_base[:, hour]), tol,
-                              None, ybus)
+                sol = _newton(net, InjectionSet(p[:, hour], q_base[:, hour]), tol, None)
             except PowerFlowError:
                 stats["divergent_hours"] += 1
                 live[hour] = False
@@ -264,7 +266,7 @@ class DayEvaluator:
                 hours.append(dispatched[hour])
                 continue
             sol = newton.get(hour) or _finish(net, v[:, hour], int(iterations[hour]),
-                                              float(mismatch[hour]), True, ybus)
+                                              float(mismatch[hour]), True)
             score = partial_objective(net, sol, scenario)
             hours.append(DispatchResult(hour, {d.label: 0.0 for d in devices},
                                         sol, sol, score, score))
@@ -279,8 +281,7 @@ class DayEvaluator:
         for start in (v0, None):
             try:
                 return dispatch_q(self.net, devices, hour, self.scenario,
-                                  load_scale=self._load_shape[hour], ybus=self._ybus,
-                                  v0=start)
+                                  load_scale=self._load_shape[hour], v0=start)
             except PowerFlowError:
                 if start is None:
                     stats["divergent_hours"] += 1
@@ -317,14 +318,3 @@ class DayEvaluator:
             scalar=combine(v_dev, loss, cost, scenario.weights),
             feasible=feasible, violation_penalty=violation,
         )
-
-
-def evaluate_objective(
-    net: Network,
-    lot_buses: Sequence[int] | None,
-    devices: Sequence[Device],
-    profiles: dict[str, HourlyProfile] | None,
-    scenario: Scenario,
-) -> ObjectiveBreakdown:
-    """One-shot evaluation of a placement (see :class:`DayEvaluator`)."""
-    return DayEvaluator(net, devices, profiles, scenario).evaluate(lot_buses).breakdown

@@ -13,6 +13,8 @@ The slack bus holds a fixed phasor; every other bus is constant-PQ (converter
 devices included — their charging/generation enters through the injection
 vector).  A previously solved voltage profile can seed either iteration,
 which cuts repeated solves during dispatch search to a few iterations.
+Both solvers build a network's admittance matrix and the arrays derived
+from it on its first solve and keep them on the network for every later one.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .network import AdmittanceMatrix, Network, build_ybus
+from .network import Network, build_ybus
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 50
@@ -113,10 +115,6 @@ class PowerFlowSolution:
     def v_min(self) -> float:
         return float(self.v_mag.min())
 
-    @property
-    def branch_current_mag(self) -> np.ndarray:
-        return np.abs(self.branch_current)
-
 
 def _cond_estimate(jac: np.ndarray) -> float:
     if not np.all(np.isfinite(jac)):
@@ -128,15 +126,17 @@ def _cond_estimate(jac: np.ndarray) -> float:
 
 
 class _SolverArrays:
-    """Arrays that every solve on one admittance matrix reuses.
+    """Arrays that every solve on one network reuses.
 
-    ``branches`` holds the per-branch (from-index, to-index, series
-    admittance, resistance) arrays behind every solution's branch
-    quantities.  The fixed-point factor, its row lookup and the limit arrays
-    are computed on first use, so Newton-only use never pays for them.
+    ``y`` is the admittance matrix and ``branches`` holds the per-branch
+    (from-index, to-index, series admittance, resistance) arrays behind
+    every solution's branch quantities.  The fixed-point factor, its row
+    lookup and the limit arrays are computed on first use, so Newton-only
+    use never pays for them.
     """
 
-    def __init__(self, net: Network, y: np.ndarray) -> None:
+    def __init__(self, net: Network) -> None:
+        self.y = build_ybus(net)
         self.branches = (
             np.array([net.index_of(br.from_bus) for br in net.branches], dtype=int),
             np.array([net.index_of(br.to_bus) for br in net.branches], dtype=int),
@@ -144,14 +144,13 @@ class _SolverArrays:
             np.array([br.resistance for br in net.branches], dtype=float),
         )
         self._net = net
-        self._y = y
 
     @cached_property
     def fixed_point(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(pq, Y[pq, :], Z, w)`` with ``Z = inv(Y[pq, pq])``, ``w = −Z·Y[pq, slack]``."""
         slack = self._net.slack_index
-        pq = np.delete(np.arange(len(self._y)), slack)
-        y_pq = self._y[pq]
+        pq = np.delete(np.arange(len(self.y)), slack)
+        y_pq = self.y[pq]
         z = np.linalg.inv(y_pq[:, pq])
         w = -z @ y_pq[:, slack]
         return pq, y_pq, z, w
@@ -167,11 +166,11 @@ class _SolverArrays:
         return _limit_arrays(self._net)
 
 
-def _solver_arrays(net: Network, ybus_obj: AdmittanceMatrix) -> _SolverArrays:
-    """The cached arrays of ``ybus_obj``, which must have been built from ``net``."""
-    if ybus_obj.solver_cache is None:
-        ybus_obj.solver_cache = _SolverArrays(net, ybus_obj.values)
-    return ybus_obj.solver_cache
+def _solver_arrays(net: Network) -> _SolverArrays:
+    """The arrays of ``net``, built on its first solve and kept on it."""
+    if net._arrays is None:
+        object.__setattr__(net, "_arrays", _SolverArrays(net))
+    return net._arrays
 
 
 def _currents_and_loss(
@@ -183,25 +182,17 @@ def _currents_and_loss(
     return currents, float((np.abs(currents) ** 2 * r).sum())
 
 
-def _branch_quantities(
-    net: Network, v: np.ndarray, ybus_obj: AdmittanceMatrix
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Branch currents, sending-end flows, and total series I²R loss."""
-    branches = _solver_arrays(net, ybus_obj).branches
-    currents, loss = _currents_and_loss(v, branches)
-    flows = v[branches[0]] * np.conj(currents)
-    return currents, flows, loss
-
-
 def _finish(net: Network, v: np.ndarray, iterations: int, mismatch: float,
-            converged: bool, ybus_obj: AdmittanceMatrix,
-            diverged: bool = False) -> PowerFlowSolution:
-    currents, flows, loss = _branch_quantities(net, v, ybus_obj)
+            converged: bool, diverged: bool = False) -> PowerFlowSolution:
+    """The solution at ``v``, with its branch currents, sending-end flows
+    and total series I²R loss."""
+    branches = _solver_arrays(net).branches
+    currents, loss = _currents_and_loss(v, branches)
     return PowerFlowSolution(
         v_mag=np.abs(v),
         v_ang=np.angle(v),
         branch_current=currents,
-        branch_flow_from=flows,
+        branch_flow_from=v[branches[0]] * np.conj(currents),
         total_losses=loss,
         iterations=iterations,
         max_mismatch=float(mismatch),
@@ -210,9 +201,11 @@ def _finish(net: Network, v: np.ndarray, iterations: int, mismatch: float,
     )
 
 
-def _start(net: Network, inj: InjectionSet, slack_voltage: complex,
+def _start(net: Network, inj: InjectionSet, tol: float,
            v0: np.ndarray | None) -> np.ndarray:
     """Check a solve's inputs; the starting voltage vector (flat or ``v0``)."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance tol must be positive and finite, got {tol}")
     n = net.n_bus
     if len(inj.p) != n:
         raise ValueError("injection length does not match bus count")
@@ -223,7 +216,7 @@ def _start(net: Network, inj: InjectionSet, slack_voltage: complex,
             raise ValueError("v0 must have one entry per bus")
     else:
         v = np.full(n, 1.0 + 0.0j)
-    v[net.slack_index] = slack_voltage
+    v[net.slack_index] = 1.0
     return v
 
 
@@ -231,22 +224,17 @@ def solve(
     net: Network,
     inj: InjectionSet,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    slack_voltage: complex = 1.0 + 0.0j,
     v0: np.ndarray | None = None,
-    ybus: AdmittanceMatrix | None = None,
 ) -> PowerFlowSolution:
     """Newton-Raphson power flow; raises on failure, never returns silently bad.
 
-    ``v0`` warm-starts the iteration with a complex voltage vector (its slack
-    entry is overwritten).  ``ybus`` lets callers reuse a prebuilt matrix
-    across many solves on the same network.
+    The slack holds 1.0 pu.  ``v0`` warm-starts the iteration with a complex
+    voltage vector (its slack entry is overwritten).
     """
     n = net.n_bus
     s = net.slack_index
-    v = _start(net, inj, slack_voltage, v0)
-    y_obj = ybus or build_ybus(net)
-    y = y_obj.values
+    v = _start(net, inj, tol, v0)
+    y = _solver_arrays(net).y
     s_spec = inj.p + 1j * inj.q
 
     pq = np.array([i for i in range(n) if i != s], dtype=int)
@@ -263,12 +251,11 @@ def solve(
     f = mismatch_vec(v)
     mis = float(np.max(np.abs(f))) if npq else 0.0
 
-    for it in range(max_iter):
+    for it in range(DEFAULT_MAX_ITER):
         if mis <= tol:
-            return _finish(net, v, it, mis, converged=True, ybus_obj=y_obj)
+            return _finish(net, v, it, mis, converged=True)
         if not math.isfinite(mis) or mis > _DIVERGENCE_MISMATCH:
-            sol = _finish(net, v, it, mis, converged=False, diverged=True,
-                          ybus_obj=y_obj)
+            sol = _finish(net, v, it, mis, converged=False, diverged=True)
             raise NonConvergence(
                 f"diverged at iteration {it} (mismatch {mis:.3e})", sol
             )
@@ -307,12 +294,11 @@ def solve(
         mis = float(np.max(np.abs(f))) if npq else 0.0
 
     if mis <= tol:
-        return _finish(net, v, max_iter, mis, converged=True, ybus_obj=y_obj)
-    sol = _finish(net, v, max_iter, mis, converged=False,
-                  diverged=not math.isfinite(mis) or mis > _DIVERGENCE_MISMATCH,
-                  ybus_obj=y_obj)
+        return _finish(net, v, DEFAULT_MAX_ITER, mis, converged=True)
+    sol = _finish(net, v, DEFAULT_MAX_ITER, mis, converged=False,
+                  diverged=not math.isfinite(mis) or mis > _DIVERGENCE_MISMATCH)
     raise NonConvergence(
-        f"no convergence after {max_iter} iterations (mismatch {mis:.3e})", sol
+        f"no convergence after {DEFAULT_MAX_ITER} iterations (mismatch {mis:.3e})", sol
     )
 
 
@@ -457,7 +443,6 @@ def solve_fixed_point(
     inj: InjectionSet,
     tol: float = DEFAULT_TOL,
     v0: np.ndarray | None = None,
-    ybus: AdmittanceMatrix | None = None,
 ) -> PowerFlowSolution:
     """Z-bus fixed-point power flow with the contract of :func:`solve`.
 
@@ -466,42 +451,17 @@ def solve_fixed_point(
     to ``tol / 100`` before it returns; if rounding stops it short of that,
     or the iterations run out, it returns once Newton's test holds and
     otherwise raises :class:`NonConvergence` with the partial solution.
-    ``Z`` is factored once per admittance matrix, so pass a reused ``ybus``
-    when solving the same network many times.
+    ``Z`` is factored on the network's first fixed-point solve.
     """
-    v = _start(net, inj, 1.0 + 0.0j, v0)
-    y_obj = ybus or build_ybus(net)
-    factor = _solver_arrays(net, y_obj).fixed_point
+    v = _start(net, inj, tol, v0)
+    factor = _solver_arrays(net).fixed_point
     try:
         v, it, mis = _fixed_point(factor, (inj.p + 1j * inj.q)[factor[0]], v, tol)
     except _FixedPointFailure as fail:
         sol = _finish(net, fail.v, fail.iterations, fail.mismatch, converged=False,
-                      diverged=fail.diverged, ybus_obj=y_obj)
+                      diverged=fail.diverged)
         raise NonConvergence(str(fail), sol) from None
-    return _finish(net, v, it, mis, converged=True, ybus_obj=y_obj)
-
-
-def compute_losses(net: Network, sol: PowerFlowSolution) -> float:
-    """Total series I²R loss of a converged solution, pu."""
-    if not sol.converged:
-        raise PowerFlowError(
-            f"refusing to report losses of a non-converged solution "
-            f"(mismatch {sol.max_mismatch:.3e})"
-        )
-    loss = 0.0
-    for k, br in enumerate(net.branches):
-        loss += (abs(sol.branch_current[k]) ** 2) * br.resistance
-    return loss
-
-
-def compute_reactive_losses(net: Network, sol: PowerFlowSolution) -> float:
-    """Total series I²X absorption of a converged solution, pu."""
-    if not sol.converged:
-        raise PowerFlowError("refusing to report losses of a non-converged solution")
-    return float(
-        sum((abs(sol.branch_current[k]) ** 2) * br.reactance
-            for k, br in enumerate(net.branches))
-    )
+    return _finish(net, v, it, mis, converged=True)
 
 
 @dataclass(frozen=True)

@@ -138,6 +138,32 @@ def test_simulate_requires_mode(capsys):
     assert "requires --mode" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "solve"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_unusable_tolerance_is_rejected(capsys, command, tol):
+    # no solve can meet the first three: every hour would diverge, or Newton
+    # would run out of iterations on a converged state; an infinite one
+    # would pass the flat start as the answer
+    mode = ["--mode", "none"] if command == "simulate" else []
+    code, out, err = run(capsys, command, *mode, "--tol", tol)
+    assert code == 5
+    assert "tol" in err
+
+
+def test_simulate_day_without_a_converged_hour(capsys, tmp_path):
+    profiles = tmp_path / "profiles.csv"
+    bundled = builtin_path("profiles33.csv").read_text().rstrip("\n")
+    profiles.write_text(bundled + "\noverload," + ",".join(["60.0"] * 24) + "\n")
+    code, out, err = run(
+        capsys, "simulate", "--mode", "none", "--profiles", str(profiles),
+        "--load-profile", "overload", "--out", str(tmp_path / "run"),
+    )
+    assert code == 6
+    assert "no hour of the day converged" in err
+    assert out == ""
+    assert not (tmp_path / "run").exists()
+
+
 def test_simulate_mode_none_artifacts(capsys, tmp_path):
     code, out, _ = run(
         capsys, "simulate", "--mode", "none",

@@ -7,16 +7,13 @@ import pytest
 
 from pevplan.devices import (
     HOURS,
-    PROFILE_SHAPES,
     HourlyProfile,
     PevLot,
     PvUnit,
     QCapability,
     capability_violation,
-    compose_load,
     q_capability,
     synth_profile,
-    synth_profiles,
 )
 
 FLAT = tuple(0.02 for _ in range(HOURS))
@@ -53,7 +50,6 @@ def test_synth_profiles_deterministic():
     b = synth_profile("pv-bell", seed=5)
     assert a == b
     assert synth_profile("pv-bell", seed=6) != a
-    assert set(synth_profiles(seed=2)) == set(PROFILE_SHAPES)
 
 
 def test_synth_pv_bell_keeps_night_dark():
@@ -202,25 +198,3 @@ def test_violation_positive_outside_interval():
     outside = cap.q_max * 1.001 + 1e-6
     assert capability_violation(dev, 0.0, outside, 1.0) > 0.0
     assert capability_violation(dev, 0.0, cap.q_max * 0.5, 1.0) == 0.0
-
-
-# -- load composition --------------------------------------------------------
-
-
-def test_compose_load_signs():
-    devices = [pv(p=0.02), lot(p=0.03)]
-    p, q = compose_load(0.10, 0.05, devices, hour=6)
-    # PV generates (subtracts), the lot charges (adds)
-    assert p == pytest.approx(0.10 - 0.02 + 0.03)
-    assert q == pytest.approx(0.05)
-    p2, q2 = compose_load(
-        0.10, 0.05, devices, 6, q_settings={"pv@7": -0.01, "lot@19": 0.004}
-    )
-    assert p2 == pytest.approx(p)
-    assert q2 == pytest.approx(0.05 - 0.01 + 0.004)
-
-
-def test_compose_load_ignores_unknown_labels():
-    p, q = compose_load(0.1, 0.0, [pv()], 0, q_settings={"lot@99": 1.0})
-    assert q == 0.0
-    assert p == pytest.approx(0.1 - 0.02)

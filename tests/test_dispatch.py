@@ -16,7 +16,6 @@ from pevplan.dispatch import (
     hour_injections,
     partial_objective,
 )
-from pevplan.network import build_ybus
 from pevplan.objective import place_lots
 from pevplan.powerflow import (
     InjectionSet,
@@ -91,6 +90,11 @@ def test_hour_injections_signs(feeder4):
     )
     assert inj2.p[1] == pytest.approx(-p_load[1] * 0.5 + 0.02)
     assert inj2.q[1] == pytest.approx(-q_load[1] * 0.5 + 0.01)
+
+    # a setpoint for a device that is not there changes nothing
+    inj3 = hour_injections(feeder4, devs, 0, q_settings={"lot@99": 1.0})
+    np.testing.assert_array_equal(inj3.p, inj.p)
+    np.testing.assert_array_equal(inj3.q, inj.q)
 
 
 def test_partial_objective_arithmetic(feeder4):
@@ -255,10 +259,9 @@ def test_wrong_factor_falls_back_to_newton(bus33, devices33, monkeypatch):
     net = bus33.network
     sc = Scenario(mode="dgq")
     honest = dispatch_q(net, devices33, PEAK_HOUR, sc)
-    ybus = build_ybus(net)
-    arrays = _solver_arrays(net, ybus)
+    arrays = _solver_arrays(net)
     pq, y_pq, z, w = arrays.fixed_point
-    arrays.fixed_point = (pq, y_pq, z * 1.001, w)
+    monkeypatch.setattr(arrays, "fixed_point", (pq, y_pq, z * 1.001, w))
     fallbacks = []
     newton = dispatch.solve
 
@@ -267,7 +270,7 @@ def test_wrong_factor_falls_back_to_newton(bus33, devices33, monkeypatch):
         return newton(*args, **kwargs)
 
     monkeypatch.setattr(dispatch, "solve", counted)
-    res = dispatch_q(net, devices33, PEAK_HOUR, sc, ybus=ybus)
+    res = dispatch_q(net, devices33, PEAK_HOUR, sc)
     assert len(fallbacks) > 2
     assert res.solution.converged and res.solution.max_mismatch <= sc.pf_tol
     assert res.score == pytest.approx(honest.score, abs=1e-8)
@@ -302,8 +305,7 @@ def test_trial_score_matches_newton_objective(bus33, devices33, data):
     # (solved to 1e-12: at pf_tol Newton's own stopping error reaches 4e-8)
     net = bus33.network
     sc = Scenario(mode="dgq+v2gq")
-    ybus = build_ybus(net)
-    base = solve(net, hour_injections(net, devices33, PEAK_HOUR), ybus=ybus)
+    base = solve(net, hour_injections(net, devices33, PEAK_HOUR))
 
     def setpoint(dev):
         cap = q_capability(dev, dev.p_at(PEAK_HOUR),
@@ -311,15 +313,13 @@ def test_trial_score_matches_newton_objective(bus33, devices33, data):
         return data.draw(st.floats(cap.q_min, cap.q_max), label=dev.label)
 
     settings_now = {dev.label: setpoint(dev) for dev in devices33}
-    now = solve(net, hour_injections(net, devices33, PEAK_HOUR, settings_now),
-                ybus=ybus)
-    hr = dispatch._Hour(net, devices33, PEAK_HOUR, sc, 1.0, ybus)
+    now = solve(net, hour_injections(net, devices33, PEAK_HOUR, settings_now))
+    hr = dispatch._Hour(net, devices33, PEAK_HOUR, sc, 1.0)
     for dev in sc.participating(devices33):
         qv = setpoint(dev)
         moved = dict(settings_now)
         moved[dev.label] = qv
-        ref = solve(net, hour_injections(net, devices33, PEAK_HOUR, moved),
-                    tol=1e-12, ybus=ybus)
+        ref = solve(net, hour_injections(net, devices33, PEAK_HOUR, moved), tol=1e-12)
         score_at, start = hr.trial(settings_now, dev, now)
         score = score_at(qv)
         assert score == pytest.approx(partial_objective(net, ref, sc), abs=1e-8)

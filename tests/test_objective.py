@@ -11,7 +11,6 @@ from pevplan.objective import (
     DayEvaluator,
     ObjectiveBreakdown,
     combine,
-    evaluate_objective,
     place_lots,
 )
 
@@ -119,14 +118,6 @@ def test_constant_load_when_no_profile_named(bus33, devices33):
     assert day.breakdown.scalar > 0
 
 
-def test_one_shot_wrapper_matches_evaluator(bus33, devices33, profiles33, day_eval):
-    sc = Scenario(mode="dgq", load_profile_id="load-weekday")
-    direct = evaluate_objective(bus33.network, (19, 32), devices33, profiles33, sc)
-    assert direct.scalar == pytest.approx(
-        day_eval.evaluate((19, 32)).breakdown.scalar, abs=1e-12
-    )
-
-
 def test_infeasibility_reported_without_distorting_objective(
     bus33, devices33, profiles33
 ):
@@ -195,9 +186,9 @@ def test_failed_block_column_goes_alone_to_newton(bus33, devices33, profiles33,
         converged[forced] = False
         return v, iterations, mismatch, converged
 
-    def counted(net_, inj, tol, v0, ybus):
+    def counted(net_, inj, tol, v0):
         calls.append((inj, v0))
-        return newton(net_, inj, tol, v0, ybus)
+        return newton(net_, inj, tol, v0)
 
     monkeypatch.setattr(objective, "_fixed_point_block", one_column_fails)
     monkeypatch.setattr(objective, "_newton", counted)

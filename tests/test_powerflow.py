@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pevplan import load_builtin
+from pevplan import load_builtin, powerflow
 from pevplan.network import Branch, Bus, Network, build_ybus
 from pevplan.powerflow import (
     DEFAULT_MAX_ITER,
@@ -24,8 +25,6 @@ from pevplan.powerflow import (
     branch_table,
     bus_table,
     check_limits,
-    compute_losses,
-    compute_reactive_losses,
     solve,
     solve_fixed_point,
 )
@@ -83,14 +82,15 @@ def test_power_balance(solved33):
     # slack output must equal load plus series losses, P and Q alike
     net, sol = solved33
     v = sol.v_complex
-    y = build_ybus(net).values
+    y = build_ybus(net)
     s_slack = (v * np.conj(y @ v))[net.slack_index]
     p_load, q_load = net.load_vectors()
+    i_sq = np.abs(sol.branch_current) ** 2
+    r = np.array([br.resistance for br in net.branches])
+    x = np.array([br.reactance for br in net.branches])
+    assert float(i_sq @ r) == pytest.approx(sol.total_losses, abs=1e-15)
     assert s_slack.real - p_load.sum() == pytest.approx(sol.total_losses, abs=1e-7)
-    assert s_slack.imag - q_load.sum() == pytest.approx(
-        compute_reactive_losses(net, sol), abs=1e-7
-    )
-    assert compute_losses(net, sol) == pytest.approx(sol.total_losses, abs=1e-15)
+    assert s_slack.imag - q_load.sum() == pytest.approx(float(i_sq @ x), abs=1e-7)
 
 
 def test_zero_injection_flat_profile(feeder4):
@@ -122,12 +122,6 @@ def test_warm_start_reconverges_fast(solved33):
     v0 = sol.v_complex * (1.0 + 0.001 * rng.standard_normal(net.n_bus))
     again = solve(net, inj, v0=v0)
     np.testing.assert_allclose(again.v_mag, sol.v_mag, atol=1e-8)
-
-
-def test_slack_voltage_parameter(feeder4):
-    sol = solve(feeder4, loads_of(feeder4), slack_voltage=1.05 + 0j)
-    assert sol.v_mag[0] == pytest.approx(1.05)
-    assert sol.v_ang[0] == 0.0
 
 
 # -- failure modes -----------------------------------------------------------
@@ -182,11 +176,39 @@ def test_loss_helpers_refuse_unconverged(feeder4):
         sol.total_losses, sol.iterations, 1.0, converged=False,
     )
     with pytest.raises(PowerFlowError, match="non-converged"):
-        compute_losses(feeder4, stale)
-    with pytest.raises(PowerFlowError, match="non-converged"):
-        compute_reactive_losses(feeder4, stale)
-    with pytest.raises(PowerFlowError, match="non-converged"):
         check_limits(feeder4, stale)
+
+
+# -- solver arrays cached per network ----------------------------------------
+
+
+def test_two_solves_on_one_network_build_ybus_once(monkeypatch):
+    net = small_feeder(5)
+    built = []
+    build = powerflow.build_ybus
+
+    def counted(net_):
+        built.append(net_)
+        return build(net_)
+
+    monkeypatch.setattr(powerflow, "build_ybus", counted)
+    solve(net, loads_of(net))
+    solve_fixed_point(net, loads_of(net))
+    assert len(built) == 1 and built[0] is net
+
+
+def test_replaced_network_builds_its_own_arrays():
+    net = small_feeder(5)
+    inj = loads_of(net)
+    original = solve(net, inj)
+    # the cache takes no part in equality or hashing
+    assert net == small_feeder(5) and hash(net) == hash(small_feeder(5))
+    doubled = tuple(replace(br, resistance=2.0 * br.resistance) for br in net.branches)
+    copy = replace(net, branches=doubled)
+    fresh = Network(net.buses, doubled)
+    loss = solve(copy, inj).total_losses
+    assert loss == solve(fresh, inj).total_losses
+    assert loss != pytest.approx(original.total_losses, rel=0.1)
 
 
 # -- Z-bus fixed point ------------------------------------------------------
@@ -195,14 +217,13 @@ def test_loss_helpers_refuse_unconverged(feeder4):
 @pytest.mark.parametrize("scale", [0.3, 0.55, 0.8, 1.0])
 def test_fixed_point_matches_newton_on_bus33(bus33, scale):
     net = bus33.network
-    ybus = build_ybus(net)
     p, q = net.load_vectors()
     inj = InjectionSet.from_loads(p * scale, q * scale)
-    ref = solve(net, inj, tol=1e-12, ybus=ybus)
-    cold = solve_fixed_point(net, inj, ybus=ybus)
+    ref = solve(net, inj, tol=1e-12)
+    cold = solve_fixed_point(net, inj)
     # warm start from a nearby load, as the dispatch search does
     near = solve(net, InjectionSet.from_loads(p * scale * 0.97, q * scale * 0.97))
-    warm = solve_fixed_point(net, inj, v0=near.v_complex, ybus=ybus)
+    warm = solve_fixed_point(net, inj, v0=near.v_complex)
     for sol in (cold, warm):
         # converged under Newton's own test, with the fixed point's margin
         assert sol.converged and sol.max_mismatch <= DEFAULT_TOL / 100
@@ -285,16 +306,15 @@ def test_fixed_point_divergence_carries_partial_solution(feeder4):
     assert err.value.solution.diverged
 
 
-def test_fixed_point_refuses_a_wrong_factor(bus33):
+def test_fixed_point_refuses_a_wrong_factor(bus33, monkeypatch):
     # with Z off by 0.1% the iteration settles on the wrong point, where its
     # step residual vanishes; the true Y·V mismatch must refuse it
     net = bus33.network
-    ybus = build_ybus(net)
-    arrays = _solver_arrays(net, ybus)
+    arrays = _solver_arrays(net)
     pq, y_pq, z, w = arrays.fixed_point
-    arrays.fixed_point = (pq, y_pq, z * 1.001, w)
+    monkeypatch.setattr(arrays, "fixed_point", (pq, y_pq, z * 1.001, w))
     with pytest.raises(NonConvergence) as err:
-        solve_fixed_point(net, loads_of(net), ybus=ybus)
+        solve_fixed_point(net, loads_of(net))
     partial = err.value.solution
     assert not partial.converged and not partial.diverged
     assert partial.max_mismatch > DEFAULT_TOL
@@ -323,7 +343,7 @@ def test_fixed_point_newton_and_sweep_agree_on_radial_feeders(net):
 def test_block_columns_match_single_fixed_point_solves(net, scales):
     # each column of the block runs the 1-D kernel's rule from a flat start;
     # heavy scales make some columns fail, and the verdict must agree too
-    factor = _solver_arrays(net, build_ybus(net)).fixed_point
+    factor = _solver_arrays(net).fixed_point
     pq = factor[0]
     inj = loads_of(net)
     s_pq = np.stack([(inj.p + 1j * inj.q)[pq] * k for k in scales], axis=1)
