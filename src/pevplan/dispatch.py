@@ -4,15 +4,17 @@ Three participation modes: ``none`` (all converters idle on the reactive
 axis), ``dgq`` (PV inverters support voltage), ``dgq+v2gq`` (PV inverters
 plus PEV-lot converters).  Dispatch is a coordinate-descent sweep: each
 participating device in turn gets a bounded one-dimensional search over its
-capability interval, scored by a fresh power-flow solve.  A search's trial
-points are scored on the bare Z-bus fixed-point kernel, seeded with a
-first-order step and read for |V| and the loss only; the base, accept and
-recheck solves return full solutions from the fixed point.  Either falls back
-to Newton (:func:`solve`), held to the fixed point's target, only if the
-fixed point raises, so every score is Newton-converged, all scores have one
-accuracy, and the fallbacks are exactly the calls to ``solve``.  Moves are
-accepted only when they improve the hour's partial objective by more than
-the solves' own error, so the dispatched state is never worse than the
+capability interval, scored by a fresh power-flow solve.  Every solve of an
+hour (the base, each trial point of a search, each capability recheck) runs
+the Z-bus fixed-point kernel and falls back to Newton (:func:`solve`), held
+to the fixed point's target, only if the kernel raises, so every score is
+Newton-converged, all scores have one accuracy, and the fallbacks are
+exactly the calls to ``solve``.  A trial starts from a first-order step off
+the current voltages and keeps the voltage vector it solved, so an accepted
+move takes the state and the score the search saw, with no second solve;
+full solutions are built only for the hour's base and final states.  Moves
+are accepted only when they improve the hour's partial objective by more
+than the solves' own error, so the dispatched state is never worse than the
 undispatched one and no accept hangs on rounding.  The ``dgq+v2gq`` mode
 runs the PV-only stage first and adds the lots afterwards, which makes the
 three modes monotone by construction.
@@ -36,10 +38,11 @@ from .powerflow import (
     PowerFlowError,
     PowerFlowSolution,
     _currents_and_loss,
+    _finish,
     _fixed_point,
     _solver_arrays,
+    _start,
     solve,
-    solve_fixed_point,
 )
 
 MODES = ("none", "dgq", "dgq+v2gq")
@@ -52,6 +55,8 @@ _TRIAL_PENALTY = 1e9
 _SEARCH_REL_XATOL = 0.08
 _SEARCH_MIN_XATOL = 1e-4
 _SEARCH_MAXITER = 10
+
+_State = tuple[np.ndarray, int, float]  # (v, iterations, mismatch) of one _Hour.solve
 
 
 def canonical_mode(mode: str) -> str:
@@ -80,8 +85,8 @@ class Scenario:
     def __post_init__(self) -> None:
         object.__setattr__(self, "mode", canonical_mode(self.mode))
         w = tuple(float(x) for x in self.weights)
-        if len(w) != 3 or any(x < 0 for x in w):
-            raise ValueError("weights must be three nonnegative numbers")
+        if len(w) != 3 or not all(0.0 <= x < np.inf for x in w):
+            raise ValueError(f"weights must be three nonnegative finite numbers, got {w}")
         object.__setattr__(self, "weights", w)
         if not 0.5 <= self.v_ref <= 1.5:
             raise ValueError("v_ref out of plausible per-unit range")
@@ -158,12 +163,11 @@ def _newton(net: Network, inj: InjectionSet, tol: float,
 
 
 class _Hour:
-    """One hour's injections and solvers for :func:`dispatch_q`.
+    """One hour's injections and solver for :func:`dispatch_q`.
 
     Solves within an hour differ only in device Q, so P and the scaled
-    normal-load Q are assembled once.  :meth:`solution` returns a full
-    solution from the fixed point, or from Newton if the fixed point raises.
-    :meth:`trial` scores Brent points on the bare fixed-point kernel.
+    normal-load Q are assembled once.  Solves yield states; full solutions
+    are built from states only for the hour's result.
     """
 
     def __init__(self, net: Network, devices: Sequence[Device], hour: int,
@@ -183,60 +187,56 @@ class _Hour:
             q_inj[pos] -= settings[dev.label]
         return q_inj
 
-    def solution(self, settings: Mapping[str, float],
-                 warm: np.ndarray | None) -> PowerFlowSolution:
-        inj = InjectionSet(self.fixed.p, self.q_injections(settings))
+    def solve(self, q_inj: np.ndarray, start: np.ndarray) -> _State:
+        """The state with reactive injections ``q_inj``, solved from ``start``.
+
+        The fixed-point kernel runs on a copy of ``start``; if it raises,
+        Newton runs from ``start`` itself, and its failure propagates.
+        """
         tol = self.scenario.pf_tol
         try:
-            return solve_fixed_point(self.net, inj, tol=tol, v0=warm)
+            return _fixed_point(self.factor, (self.fixed.p + 1j * q_inj)[self.factor[0]],
+                                start.copy(), tol)
         except PowerFlowError:
-            return _newton(self.net, inj, tol, warm)
+            sol = _newton(self.net, InjectionSet(self.fixed.p, q_inj), tol, start)
+            return sol.v_complex, sol.iterations, sol.max_mismatch
+
+    def score(self, v: np.ndarray) -> float:
+        """The hour's dispatch score at voltages ``v``."""
+        return _score(self.scenario, np.abs(v), _currents_and_loss(v, self.branches)[1])
 
     def trial(self, settings: Mapping[str, float], dev: Device,
-              current: PowerFlowSolution
-              ) -> tuple[Callable[[float], float], Callable[[float], np.ndarray]]:
-        """Score and start vector of ``dev`` at setpoint ``qv``.
+              v: np.ndarray) -> tuple[Callable[[float], float], dict[float, _State]]:
+        """Score of ``dev`` at setpoint ``qv``, and the states it solved.
 
-        The other devices stay at ``settings``.  The start is the first-order
-        step off ``current``: ``V + Z[:, k]·(j·Δq / conj(V[k]))``.  A trial
-        runs the kernel from it, building no injection set and no solution;
-        if the kernel fails, the point goes to Newton (:func:`solve`), and a
-        Newton failure scores ``_TRIAL_PENALTY``.  A full solve of the same
-        setpoint from the same start reproduces the trial's score, to the
-        last bit when no other device shares the bus.
+        The other devices stay at ``settings``.  Each point is solved from
+        the first-order step off the current voltages ``v``:
+        ``V + Z[:, k]·(j·Δq / conj(V[k]))``.  Its state is kept under its
+        setpoint, so the point a search picks needs no second solve.  A point
+        whose Newton fallback fails too scores ``_TRIAL_PENALTY`` and keeps
+        no state.
         """
         pos = self.net.index_of(dev.bus)
-        k = self.pq_row[pos]
         pq, _, z, _ = self.factor
-        p = self.fixed.p
         rest = dict(settings)
         rest[dev.label] = 0.0
         q_rest = self.q_injections(rest)
-        s_pq = (p + 1j * q_rest)[pq]
-        v_cur = current.v_complex
         q_now = settings[dev.label]
-        dv_dq = np.zeros_like(v_cur)
-        dv_dq[pq] = z[:, k] * (1j / np.conj(v_cur[pos]))
-        tol = self.scenario.pf_tol
+        dv_dq = np.zeros_like(v)
+        dv_dq[pq] = z[:, self.pq_row[pos]] * (1j / np.conj(v[pos]))
+        solved: dict[float, _State] = {}
 
-        def start(qv: float) -> np.ndarray:
-            return v_cur + dv_dq * (qv - q_now)
-
-        def score(qv: float) -> float:
-            s_pq[k] = complex(p[pos], q_rest[pos] - qv)
+        def score_at(qv: float) -> float:
+            q_inj = q_rest.copy()
+            q_inj[pos] -= qv
             try:
-                v, _, _ = _fixed_point(self.factor, s_pq, start(qv), tol)
-            except PowerFlowError:
-                q_inj = q_rest.copy()
-                q_inj[pos] -= qv
-                try:
-                    sol = _newton(self.net, InjectionSet(p, q_inj), tol, start(qv))
-                except NonConvergence:
-                    return _TRIAL_PENALTY
-                return partial_objective(self.net, sol, self.scenario)
-            return _score(self.scenario, np.abs(v), _currents_and_loss(v, self.branches)[1])
+                state = self.solve(q_inj, v + dv_dq * (qv - q_now))
+            except NonConvergence:
+                return _TRIAL_PENALTY
+            solved[qv] = state
+            return self.score(state[0])
 
-        return score, start
+        return score_at, solved
 
 
 def dispatch_q(
@@ -255,21 +255,18 @@ def dispatch_q(
     q: dict[str, float] = {dev.label: 0.0 for dev in devices}
     hr = _Hour(net, devices, hour, scenario, load_scale)
 
-    base = hr.solution(q, v0)
-    base_score = partial_objective(net, base, scenario)
+    # with every setpoint at zero the hour's injections are hr.fixed
+    base_state = hr.solve(hr.fixed.q, _start(net, hr.fixed, scenario.pf_tol, v0))
+    base_score = hr.score(base_state[0])
 
     participants = scenario.participating(devices)
-    if not participants:
-        return DispatchResult(hour, q, base, base, base_score, base_score)
-
     stages: list[list[Device]]
     if scenario.mode == "dgq+v2gq":
         stages = [[d for d in participants if isinstance(d, PvUnit)], participants]
     else:
         stages = [participants]
 
-    current_sol = base
-    current_score = base_score
+    state, score = base_state, base_score
     infeasible: list[str] = []
     # A move must gain more than the solves' own error.  Each solve stops at
     # a mismatch of at most pf_tol·_FIXED_POINT_MARGIN (1e-10 at the default
@@ -291,14 +288,14 @@ def dispatch_q(
             continue
         dirty = {dev.label for dev in stage} - clean
         for _ in range(MAX_SWEEPS):
-            score_at_sweep_start = current_score
+            score_at_sweep_start = score
             for dev in stage:
                 if dev.label not in dirty:
                     continue
                 dirty.discard(dev.label)
                 clean.add(dev.label)
                 p_now = dev.p_at(hour)
-                v_bus = float(current_sol.v_mag[net.index_of(dev.bus)])
+                v_bus = float(np.abs(state[0][net.index_of(dev.bus)]))
                 cap = q_capability(dev, p_now, v_bus)
                 if not cap.feasible:
                     if dev.label not in infeasible:
@@ -311,7 +308,7 @@ def dispatch_q(
                 if net.index_of(dev.bus) not in hr.pq_row:
                     continue  # Q at the slack bus enters no solve
 
-                score_at, start = hr.trial(q, dev, current_sol)
+                score_at, solved = hr.trial(q, dev, state[0])
                 xatol = max(_SEARCH_MIN_XATOL, _SEARCH_REL_XATOL * cap.width)
                 res = minimize_scalar(
                     score_at,
@@ -319,50 +316,41 @@ def dispatch_q(
                     method="bounded",
                     options={"xatol": xatol, "maxiter": _SEARCH_MAXITER},
                 )
-                q_candidate = cap.clamp(float(res.x))
-                trial_q = dict(q)
-                trial_q[dev.label] = q_candidate
-                try:
-                    # from the trial's start, so the accepted score is the
-                    # score the search chose
-                    sol = hr.solution(trial_q, start(q_candidate))
-                except NonConvergence:
-                    continue
-                score = partial_objective(net, sol, scenario)
-                if score < current_score - min_gain:
-                    q[dev.label] = q_candidate
-                    current_sol = sol
-                    current_score = score
+                # res.x is a point the search solved, unless it scored the
+                # penalty; its state and score are the accepted ones
+                if res.fun < _TRIAL_PENALTY and res.fun < score - min_gain:
+                    q[dev.label] = float(res.x)
+                    state, score = solved[res.x], float(res.fun)
                     dirty.update(d.label for d in stage if d.label != dev.label)
                     clean.intersection_update({dev.label})
-            if not dirty or score_at_sweep_start - current_score < SWEEP_IMPROVEMENT_TOL:
+            if not dirty or score_at_sweep_start - score < SWEEP_IMPROVEMENT_TOL:
                 break
 
-    current_sol, current_score, reverted = _recheck_capability(
-        net, devices, participants, hour, scenario, q, current_sol, current_score,
-        base, base_score, hr.solution, infeasible,
-    )
-    return DispatchResult(
-        hour, q, current_sol, base, current_score, base_score,
-        tuple(infeasible), reverted,
-    )
+    state, score = _recheck_capability(hr, participants, hour, q, state, score, infeasible)
+    reverted = score > base_score
+    if reverted:  # the clamped state scores worse than the undispatched one
+        for dev in participants:
+            q[dev.label] = 0.0
+        state, score = base_state, base_score
+    base = _finish(net, *base_state, converged=True)
+    final = base if state is base_state else _finish(net, *state, converged=True)
+    return DispatchResult(hour, q, final, base, score, base_score, tuple(infeasible), reverted)
 
 
 def _recheck_capability(
-    net, devices, participants, hour, scenario, q, current_sol, current_score,
-    base, base_score, pf, infeasible,
-):
+    hr: _Hour, participants: Sequence[Device], hour: int, q: dict[str, float],
+    state: _State, score: float, infeasible: list[str],
+) -> tuple[_State, float]:
     """Clamp setpoints into the capability interval at the final voltages.
 
     The interval depends on the device's own bus voltage, which moved during
-    the search, so the check iterates clamp-and-resolve until stable.  If the
-    clamped state scores worse than the undispatched base, everything reverts
-    to zero.
+    the search, so the check iterates clamp-and-resolve until stable.
+    Returns the final state and its score.
     """
     for _ in range(5):
         adjusted = False
         for dev in participants:
-            v_bus = float(current_sol.v_mag[net.index_of(dev.bus)])
+            v_bus = float(np.abs(state[0][hr.net.index_of(dev.bus)]))
             cap = q_capability(dev, dev.p_at(hour), v_bus)
             if not cap.feasible:
                 if q[dev.label] != 0.0:
@@ -376,11 +364,6 @@ def _recheck_capability(
                 adjusted = True
         if not adjusted:
             break
-        current_sol = pf(q, current_sol.v_complex)
-        current_score = partial_objective(net, current_sol, scenario)
-
-    if current_score > base_score:
-        for dev in participants:
-            q[dev.label] = 0.0
-        return base, base_score, True
-    return current_sol, current_score, False
+        state = hr.solve(hr.q_injections(q), state[0])
+        score = hr.score(state[0])
+    return state, score

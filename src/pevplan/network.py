@@ -7,6 +7,7 @@ immutable and safe to share between concurrent solver runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -45,6 +46,8 @@ class Bus:
     def __post_init__(self) -> None:
         if self.kind not in ("slack", "load"):
             raise ValidationError(f"bus {self.id}: unknown kind {self.kind!r}")
+        if not (math.isfinite(self.normal_load_p) and math.isfinite(self.normal_load_q)):
+            raise ValidationError(f"bus {self.id}: non-finite normal load")
         if not self.v_min < self.v_max:
             raise ValidationError(
                 f"bus {self.id}: v_min {self.v_min} must be below v_max {self.v_max}"
@@ -68,6 +71,8 @@ class Branch:
         name = f"branch {self.from_bus}-{self.to_bus}"
         if self.from_bus == self.to_bus:
             raise ValidationError(f"{name}: self-loop")
+        if not (math.isfinite(self.resistance) and math.isfinite(self.reactance)):
+            raise ValidationError(f"{name}: non-finite impedance {self.impedance}")
         if self.resistance < 0.0:
             raise ValidationError(f"{name}: negative resistance {self.resistance}")
         if self.reactance <= 0.0:
@@ -103,8 +108,8 @@ class Network:
     def __post_init__(self) -> None:
         object.__setattr__(self, "buses", tuple(self.buses))
         object.__setattr__(self, "branches", tuple(self.branches))
-        if self.base_mva <= 0 or self.base_kv <= 0:
-            raise ValidationError("system base values must be positive")
+        if not (0 < self.base_mva < math.inf and 0 < self.base_kv < math.inf):
+            raise ValidationError("system base values must be positive and finite")
         index: dict[int, int] = {}
         for pos, bus in enumerate(self.buses):
             if bus.id in index:

@@ -193,7 +193,6 @@ class OptimizeResult:
     archive: ParetoArchive
     best_genome: PlacementGenome
     best_breakdown: ObjectiveBreakdown
-    best_day: DayResult
     history: tuple[float, ...]  # best scalar seen, per generation (index 0 = initial pop)
     evaluations: int  # distinct placements evaluated
     params: GaParams
@@ -252,7 +251,9 @@ def optimize_placement(
     (the search itself never mutates it beyond adding evaluations).
     """
     params = params or GaParams()
-    n_lots = params.n_lots or sum(isinstance(d, PevLot) for d in devices)
+    n_lots = params.n_lots
+    if n_lots is None:
+        n_lots = sum(isinstance(d, PevLot) for d in devices)
     if n_lots <= 0:
         raise InfeasibleConfigError("no lots to place")
     candidates = _resolve_candidates(net, params, n_lots)
@@ -302,17 +303,17 @@ def optimize_placement(
     best_scalar = math.inf
     best_key: tuple[bool, float] = (True, math.inf)  # (infeasible?, scalar)
     best_genome = population[0]
-    best_day = results[0]
+    best_breakdown = results[0].breakdown
 
     def update_best(genome: PlacementGenome, day: DayResult) -> None:
-        nonlocal best_scalar, best_key, best_genome, best_day
+        nonlocal best_scalar, best_key, best_genome, best_breakdown
         bd = day.breakdown
         best_scalar = min(best_scalar, bd.scalar)
         key = (not bd.feasible, bd.scalar)
         if key < best_key:
             best_key = key
             best_genome = genome
-            best_day = day
+            best_breakdown = bd
 
     for g, r in zip(population, results):
         update_best(g, r)
@@ -360,8 +361,7 @@ def optimize_placement(
     return OptimizeResult(
         archive=archive,
         best_genome=best_genome,
-        best_breakdown=best_day.breakdown,
-        best_day=best_day,
+        best_breakdown=best_breakdown,
         history=tuple(history),
         evaluations=len(seen),
         params=params,

@@ -97,8 +97,7 @@ class InjectionSet:
 class PowerFlowSolution:
     """Converged (or flagged) state of one power-flow solve."""
 
-    v_mag: np.ndarray
-    v_ang: np.ndarray
+    v_complex: np.ndarray  # the bus voltages the solve ended at
     branch_current: np.ndarray  # complex, oriented from_bus -> to_bus
     branch_flow_from: np.ndarray  # complex power entering at the from end
     total_losses: float
@@ -107,9 +106,13 @@ class PowerFlowSolution:
     converged: bool
     diverged: bool = False
 
+    @cached_property
+    def v_mag(self) -> np.ndarray:
+        return np.abs(self.v_complex)
+
     @property
-    def v_complex(self) -> np.ndarray:
-        return self.v_mag * np.exp(1j * self.v_ang)
+    def v_ang(self) -> np.ndarray:
+        return np.angle(self.v_complex)
 
     @property
     def v_min(self) -> float:
@@ -189,8 +192,7 @@ def _finish(net: Network, v: np.ndarray, iterations: int, mismatch: float,
     branches = _solver_arrays(net).branches
     currents, loss = _currents_and_loss(v, branches)
     return PowerFlowSolution(
-        v_mag=np.abs(v),
-        v_ang=np.angle(v),
+        v_complex=v,
         branch_current=currents,
         branch_flow_from=v[branches[0]] * np.conj(currents),
         total_losses=loss,

@@ -148,8 +148,7 @@ def _finish(
     mismatch = float(np.max(np.abs(resid)))
 
     return PowerFlowSolution(
-        v_mag=np.abs(v),
-        v_ang=np.angle(v),
+        v_complex=v,
         branch_current=currents,
         branch_flow_from=flows,
         total_losses=loss,

@@ -47,6 +47,23 @@ def test_validate_missing_file(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "solve"])
+@pytest.mark.parametrize("row, bad, name", [
+    ("6,7,0.1872,0.6188,400.0", "6,7,nan,0.6188,400.0", "branch 6-7"),
+    ("6,7,0.1872,0.6188,400.0", "6,7,0.1872,nan,400.0", "branch 6-7"),
+    ("6,7,0.1872,0.6188,400.0", "6,7,0.1872,inf,400.0", "branch 6-7"),
+    ("7,load,200.0,100.0", "7,load,nan,100.0", "bus 7"),
+], ids=["r_ohm-nan", "x_ohm-nan", "x_ohm-inf", "p_load_kw-nan"])
+def test_non_finite_network_data_is_rejected(capsys, tmp_path, command, row, bad, name):
+    text = builtin_path("bus33.grid").read_text()
+    assert text.count(f"\n{row}\n") == 1
+    case = tmp_path / "bad.grid"
+    case.write_text(text.replace(f"\n{row}\n", f"\n{bad}\n"))
+    code, out, err = run(capsys, command, "--case", str(case))
+    assert code == 5
+    assert name in err and "non-finite" in err
+
+
 def test_validate_parse_failure(capsys, tmp_path):
     bad = tmp_path / "bad.grid"
     bad.write_text(BAD_GRID)
@@ -238,6 +255,12 @@ def test_optimize_infeasible_configuration(capsys):
     assert "cannot host" in err
 
 
+def test_optimize_zero_lots(capsys):
+    code, _, err = run(capsys, "optimize", "--lots", "0", "--pop", "4", "--gens", "1")
+    assert code == 7
+    assert "no lots to place" in err
+
+
 def test_optimize_bad_candidates_flag(capsys):
     code, _, err = run(
         capsys, "optimize", "--lots", "1", "--candidates", "5,x",
@@ -251,6 +274,17 @@ def test_bad_weights_flag(capsys):
     code, _, err = run(capsys, "simulate", "--mode", "none", "--weights", "1,2")
     assert code == 5
     assert "three comma-separated" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimize"])
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+def test_non_finite_weights_are_rejected(capsys, command, weight):
+    # a tiny search, so that a run that accepts the weights ends quickly
+    search = ["--lots", "1", "--candidates", "5,12", "--pop", "4", "--gens", "1"]
+    code, out, err = run(capsys, command, "--mode", "none", "--weights", f"{weight},0.1,0.3",
+                         *(search if command == "optimize" else []))
+    assert code == 5
+    assert "weights" in err and out == ""
 
 
 # -- config file -------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pevplan import dispatch
+from pevplan import dispatch, powerflow
 from pevplan.devices import HOURS, PevLot, PvUnit, q_capability
 from pevplan.dispatch import (
     CAPABILITY_RECHECK_TOL,
@@ -18,6 +18,7 @@ from pevplan.dispatch import (
 )
 from pevplan.objective import place_lots
 from pevplan.powerflow import (
+    _FIXED_POINT_MARGIN,
     InjectionSet,
     NonConvergence,
     PowerFlowError,
@@ -190,37 +191,14 @@ def test_dispatch_propagates_base_divergence(feeder4):
 
 def test_fixed_point_failure_falls_back_to_newton(bus33, devices33, monkeypatch):
     net = bus33.network
-    sc = Scenario(mode="dgq")
-    calls = []
-    newton = dispatch.solve
-
-    def broken(*args, **kwargs):
-        calls.append("fixed point")
-        raise NonConvergence("forced", None)
-
-    def counted(*args, **kwargs):
-        calls.append("newton")
-        return newton(*args, **kwargs)
-
-    monkeypatch.setattr(dispatch, "solve_fixed_point", broken)
-    monkeypatch.setattr(dispatch, "solve", counted)
-    res = dispatch_q(net, devices33, PEAK_HOUR, sc)
-    # each solve reached Newton through the module's ``solve``, once
-    assert len(calls) > 2
-    assert calls == ["fixed point", "newton"] * (len(calls) // 2)
-    ref = solve(net, hour_injections(net, devices33, PEAK_HOUR), tol=sc.pf_tol)
-    np.testing.assert_array_equal(res.base_solution.v_mag, ref.v_mag)
-    assert res.base_solution.iterations == ref.iterations
-    assert res.score < res.base_score - 1e-4
-
-
-def test_trial_kernel_failure_falls_back_to_newton(bus33, devices33, monkeypatch):
-    net = bus33.network
     sc = Scenario(mode="dgq+v2gq")
-    calls = []
-    nfev = []
+    honest = dispatch_q(net, devices33, PEAK_HOUR, sc)
+    inj = hour_injections(net, devices33, PEAK_HOUR)
+    ref = solve(net, inj, tol=sc.pf_tol * _FIXED_POINT_MARGIN)
+    calls, nfev, rechecks = [], [], []
     newton = dispatch.solve
     brent = dispatch.minimize_scalar
+    recheck = dispatch._recheck_capability
 
     def broken(*args, **kwargs):
         calls.append("kernel")
@@ -235,22 +213,67 @@ def test_trial_kernel_failure_falls_back_to_newton(bus33, devices33, monkeypatch
         nfev.append(res.nfev)
         return res
 
-    # only the trials run the bare kernel; full solves keep the fixed point
+    def rechecked(*args, **kwargs):
+        before = len(calls)
+        out = recheck(*args, **kwargs)
+        rechecks.append((len(calls) - before) // 2)
+        return out
+
     monkeypatch.setattr(dispatch, "_fixed_point", broken)
     monkeypatch.setattr(dispatch, "solve", counted)
     monkeypatch.setattr(dispatch, "minimize_scalar", searched)
+    monkeypatch.setattr(dispatch, "_recheck_capability", rechecked)
     res = dispatch_q(net, devices33, PEAK_HOUR, sc)
-    # each trial point failed once and reached Newton once, through ``solve``
-    assert len(calls) == 2 * sum(nfev) > 0
-    assert calls == ["kernel", "newton"] * sum(nfev)
-
-    monkeypatch.setattr(dispatch, "solve_fixed_point", broken)
-    ref = dispatch_q(net, devices33, PEAK_HOUR, sc)  # Newton only
-    assert res.q_settings.keys() == ref.q_settings.keys()
-    for label, q in ref.q_settings.items():
+    # every solve of the hour, base, trial point or recheck, failed on the
+    # kernel once and reached Newton once, through the module's ``solve``
+    solves = sum(nfev) + 1 + sum(rechecks)
+    assert nfev and len(rechecks) == 1
+    assert calls == ["kernel", "newton"] * solves
+    np.testing.assert_array_equal(res.base_solution.v_complex, ref.v_complex)
+    assert res.base_solution.iterations == ref.iterations
+    assert res.q_settings.keys() == honest.q_settings.keys()
+    for label, q in honest.q_settings.items():
         assert res.q_settings[label] == pytest.approx(q, abs=1e-7)
-    assert res.score == pytest.approx(ref.score, abs=1e-9)
-    assert res.base_score == pytest.approx(ref.base_score, abs=1e-9)
+    assert res.score == pytest.approx(honest.score, abs=1e-9)
+    assert res.base_score == pytest.approx(honest.base_score, abs=1e-9)
+    assert res.score < res.base_score - 1e-4
+
+
+def test_hour_solves_each_point_once(bus33, devices33, monkeypatch):
+    # the base, every trial point and every recheck run the kernel once; an
+    # accepted move takes its trial's state, and full solutions are built
+    # for the base and the final state only
+    kernel, finished, nfev, rechecks = [], [], [], []
+    brent = dispatch.minimize_scalar
+    recheck = dispatch._recheck_capability
+
+    def counting(log, fn):
+        def wrapped(*args, **kwargs):
+            log.append(1)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def searched(*args, **kwargs):
+        res = brent(*args, **kwargs)
+        nfev.append(res.nfev)
+        return res
+
+    def rechecked(*args, **kwargs):
+        before = len(kernel)
+        out = recheck(*args, **kwargs)
+        rechecks.append(len(kernel) - before)
+        return out
+
+    # counted in both modules, so that a full solve through powerflow counts too
+    for module in (dispatch, powerflow):
+        monkeypatch.setattr(module, "_fixed_point", counting(kernel, module._fixed_point))
+        monkeypatch.setattr(module, "_finish", counting(finished, module._finish))
+    monkeypatch.setattr(dispatch, "minimize_scalar", searched)
+    monkeypatch.setattr(dispatch, "_recheck_capability", rechecked)
+    res = dispatch_q(bus33.network, devices33, PEAK_HOUR, Scenario(mode="dgq+v2gq"))
+    assert res.score < res.base_score and not res.reverted
+    assert len(kernel) == sum(nfev) + 1 + sum(rechecks)
+    assert len(finished) == 2
 
 
 def test_wrong_factor_falls_back_to_newton(bus33, devices33, monkeypatch):
@@ -279,8 +302,8 @@ def test_wrong_factor_falls_back_to_newton(bus33, devices33, monkeypatch):
 
 
 def test_accepted_score_is_the_searched_score(bus33, devices33, monkeypatch):
-    # the accept solve starts where the chosen trial started, so the hour's
-    # score is exactly the minimum the search saw, not a re-solve's neighbour
+    # an accepted move keeps the state its trial solved, so the hour's score
+    # is exactly a minimum the search saw, also with a lot on the PV's bus
     found = []
     brent = dispatch.minimize_scalar
 
@@ -291,10 +314,13 @@ def test_accepted_score_is_the_searched_score(bus33, devices33, monkeypatch):
 
     monkeypatch.setattr(dispatch, "minimize_scalar", searched)
     pv = next(d for d in devices33 if isinstance(d, PvUnit))
-    res = dispatch_q(bus33.network, [pv], PEAK_HOUR, Scenario(mode="dgq"))
-    assert len(found) == 1 and not res.reverted
-    assert res.score < res.base_score
-    assert res.score == found[0]
+    lot = next(d for d in devices33 if isinstance(d, PevLot))
+    for devices in ([pv], [pv, lot.moved_to(pv.bus)]):
+        found.clear()
+        res = dispatch_q(bus33.network, devices, PEAK_HOUR, Scenario(mode="dgq+v2gq"))
+        assert len(found) >= len(devices) and not res.reverted
+        assert res.score < res.base_score
+        assert res.score in found
 
 
 @settings(max_examples=30, deadline=None)
@@ -320,12 +346,8 @@ def test_trial_score_matches_newton_objective(bus33, devices33, data):
         moved = dict(settings_now)
         moved[dev.label] = qv
         ref = solve(net, hour_injections(net, devices33, PEAK_HOUR, moved), tol=1e-12)
-        score_at, start = hr.trial(settings_now, dev, now)
-        score = score_at(qv)
-        assert score == pytest.approx(partial_objective(net, ref, sc), abs=1e-8)
-        # the accept solve starts where the trial started and scores the same
-        full = hr.solution(moved, start(qv))
-        assert partial_objective(net, full, sc) == score
+        score_at, _ = hr.trial(settings_now, dev, now.v_complex)
+        assert score_at(qv) == pytest.approx(partial_objective(net, ref, sc), abs=1e-8)
 
 
 @settings(max_examples=50, deadline=None)

@@ -36,6 +36,23 @@ def test_branch_rejects_self_loop_and_bad_impedance():
         Branch(1, 2, 0.01, 0.02, current_cap=0.0)
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda: Bus(2, normal_load_p=np.nan), "bus 2"),
+    (lambda: Bus(2, normal_load_q=np.inf), "bus 2"),
+    (lambda: Branch(1, 2, np.nan, 0.02), "branch 1-2"),
+    (lambda: Branch(1, 2, np.inf, 0.02), "branch 1-2"),
+    (lambda: Branch(1, 2, 0.01, np.inf), "branch 1-2"),
+    (lambda: Network((Bus(1, kind="slack"),), (), base_mva=np.nan), "base"),
+    (lambda: Network((Bus(1, kind="slack"),), (), base_kv=np.inf), "base"),
+], ids=["load_p-nan", "load_q-inf", "r-nan", "r-inf", "x-inf", "base_mva-nan",
+        "base_kv-inf"])
+def test_non_finite_values_are_rejected(make, name):
+    with pytest.raises(ValidationError, match=name):
+        make()
+    # no ampacity stays legal
+    assert Branch(1, 2, 0.01, 0.02).current_cap == np.inf
+
+
 def test_network_requires_exactly_one_slack():
     with pytest.raises(ValidationError, match="exactly one slack"):
         Network((Bus(1), Bus(2)), (Branch(1, 2, 0.01, 0.02),))

@@ -280,6 +280,13 @@ def test_configuration_errors():
         optimize_placement(net, devices, None, sc, GaParams(candidates=(1, 2)))
 
 
+def test_zero_lots_is_no_lots_to_place():
+    # an explicit 0 is not replaced by the case's lot count
+    net, devices, sc = tiny_setup()
+    with pytest.raises(InfeasibleConfigError, match="no lots"):
+        optimize_placement(net, devices, None, sc, GaParams(population=4, n_lots=0))
+
+
 def test_shared_evaluator_reuses_cache_without_leaking():
     net, devices, sc = tiny_setup()
     evaluator = DayEvaluator(net, devices, None, sc)
