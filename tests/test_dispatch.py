@@ -239,6 +239,54 @@ def test_fixed_point_failure_falls_back_to_newton(bus33, devices33, monkeypatch)
     assert res.score < res.base_score - 1e-4
 
 
+def test_trial_kernel_failure_falls_back_to_newton(bus33, devices33, monkeypatch):
+    # the kernel fails only while a search runs: each trial point reaches
+    # Newton once, the base and recheck solves keep the kernel
+    net = bus33.network
+    sc = Scenario(mode="dgq+v2gq")
+    honest = dispatch_q(net, devices33, PEAK_HOUR, sc)
+    calls, nfev = [], []
+    searching = [False]
+    kernel = dispatch._fixed_point
+    newton = dispatch.solve
+    brent = dispatch.minimize_scalar
+
+    def flaky(*args, **kwargs):
+        if not searching[0]:
+            calls.append("outside")
+            return kernel(*args, **kwargs)
+        calls.append("kernel")
+        raise PowerFlowError("forced")
+
+    def counted(*args, **kwargs):
+        calls.append("newton")
+        return newton(*args, **kwargs)
+
+    def searched(*args, **kwargs):
+        searching[0] = True
+        try:
+            res = brent(*args, **kwargs)
+        finally:
+            searching[0] = False
+        nfev.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(dispatch, "_fixed_point", flaky)
+    monkeypatch.setattr(dispatch, "solve", counted)
+    monkeypatch.setattr(dispatch, "minimize_scalar", searched)
+    res = dispatch_q(net, devices33, PEAK_HOUR, sc)
+    trials = [c for c in calls if c != "outside"]
+    assert nfev and len(trials) == 2 * sum(nfev)
+    assert trials == ["kernel", "newton"] * sum(nfev)
+    assert calls.count("outside") >= 1  # the base solve ran the kernel
+    assert res.q_settings.keys() == honest.q_settings.keys()
+    for label, q in honest.q_settings.items():
+        assert res.q_settings[label] == pytest.approx(q, abs=1e-7)
+    assert res.score == pytest.approx(honest.score, abs=1e-9)
+    assert res.base_score == pytest.approx(honest.base_score, abs=1e-9)
+    assert res.score < res.base_score - 1e-4
+
+
 def test_hour_solves_each_point_once(bus33, devices33, monkeypatch):
     # the base, every trial point and every recheck run the kernel once; an
     # accepted move takes its trial's state, and full solutions are built
