@@ -24,7 +24,6 @@ from .devices import (
     PvUnit,
     QCapability,
     q_capability,
-    synth_profile,
 )
 from .dispatch import DispatchResult, Scenario, dispatch_q, partial_objective
 from .network import (
@@ -111,7 +110,6 @@ __all__ = [
     "save_case",
     "solve",
     "solve_sweep",
-    "synth_profile",
     "transfer_power_general",
     "transfer_power_reactive_line",
 ]

@@ -36,6 +36,8 @@ from pathlib import Path
 from .devices import (
     DEFAULT_COST_PER_PEV,
     DEFAULT_N_PEV,
+    DEFAULT_VC_MAX,
+    DEFAULT_X_COUPLING,
     HOURS,
     Device,
     HourlyProfile,
@@ -49,6 +51,7 @@ from .network import (
     Bus,
     Network,
     ValidationError,
+    _check_base,
 )
 
 _BUS_HEADER = ["id", "kind", "p_load_kw", "q_load_kvar"]
@@ -205,11 +208,15 @@ def _read_grid_text(text: str, source: str) -> Case:
         target = {"BUS": bus_rows, "BRANCH": branch_rows, "DEVICE": device_rows}[section]
         target.append((cells, where))
 
-    base_mva = _parse_float(system.get("base_mva", "10.0"), f"{source}:[SYSTEM] base_mva")
-    base_kv = _parse_float(system.get("base_kv", "12.66"), f"{source}:[SYSTEM] base_kv")
+    base_mva = _parse_float(system.get("base_mva", str(Network.base_mva)),
+                            f"{source}:[SYSTEM] base_mva")
+    base_kv = _parse_float(system.get("base_kv", str(Network.base_kv)),
+                           f"{source}:[SYSTEM] base_kv")
     v_min = _parse_float(system.get("v_min", str(DEFAULT_V_MIN)), f"{source}:[SYSTEM] v_min")
     v_max = _parse_float(system.get("v_max", str(DEFAULT_V_MAX)), f"{source}:[SYSTEM] v_max")
     radial = _parse_bool(system.get("radial", "true"), f"{source}:[SYSTEM] radial")
+    # the scales divide by the base, so it is checked before they are built
+    _check_base(base_mva, base_kv)
     scales = _Scales(base_mva, base_kv)
 
     buses = []
@@ -398,23 +405,23 @@ def case_from_dict(data: dict) -> Case:
                 bus=d["bus"],
                 type=d["type"],
                 s_rated_kva=d["s_rated_kva"],
-                x_coupling_pu=d.get("x_coupling_pu", 0.05),
-                vc_max_pu=d.get("vc_max_pu", 1.1),
+                x_coupling_pu=d.get("x_coupling_pu", DEFAULT_X_COUPLING),
+                vc_max_pu=d.get("vc_max_pu", DEFAULT_VC_MAX),
                 profile_id=d["profile_id"],
                 n_pev=d.get("n_pev", DEFAULT_N_PEV),
                 cost_per_pev=d.get("cost_per_pev", DEFAULT_COST_PER_PEV),
             )
             for d in data.get("devices", [])
         )
-    except (KeyError, TypeError) as exc:
+        net = Network(
+            buses=buses,
+            branches=branches,
+            base_mva=sysd.get("base_mva", Network.base_mva),
+            base_kv=sysd.get("base_kv", Network.base_kv),
+            radial=sysd.get("radial", True),
+        )
+    except (AttributeError, KeyError, TypeError) as exc:
         raise CaseParseError(f"malformed case object: {exc}") from exc
-    net = Network(
-        buses=buses,
-        branches=branches,
-        base_mva=sysd.get("base_mva", 10.0),
-        base_kv=sysd.get("base_kv", 12.66),
-        radial=sysd.get("radial", True),
-    )
     return Case(network=net, devices=devices)
 
 

@@ -32,6 +32,7 @@ from .network import ValidationError, build_ybus
 from .nsga import GaParams, InfeasibleConfigError, optimize_placement
 from .objective import DayEvaluator
 from .powerflow import (
+    DEFAULT_TOL,
     InjectionSet,
     NonConvergence,
     PowerFlowError,
@@ -151,9 +152,9 @@ def _resolve_case_paths(args: argparse.Namespace) -> tuple[Path, Path]:
 def _scenario(args: argparse.Namespace, default_mode: str = "none") -> Scenario:
     return Scenario(
         mode=args.mode or default_mode,
-        weights=_parse_weights(args.weights) if args.weights else (0.6, 0.1, 0.3),
+        weights=_parse_weights(args.weights) if args.weights else Scenario.weights,
         load_profile_id=getattr(args, "load_profile", None),
-        pf_tol=args.tol if args.tol is not None else 1e-8,
+        pf_tol=args.tol if args.tol is not None else DEFAULT_TOL,
     )
 
 
@@ -169,7 +170,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     case_path, _ = _resolve_case_paths(args)
     case = load_case(case_path)
     net = case.network
-    tol = args.tol if args.tol is not None else 1e-8
+    tol = args.tol if args.tol is not None else DEFAULT_TOL
     p_load, q_load = net.load_vectors()
     inj = InjectionSet.from_loads(p_load, q_load)
     sol = solve(net, inj, tol=tol)
@@ -220,7 +221,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ValidationError("simulate requires --mode")
     devices = bind_devices(case, profiles)
     evaluator = DayEvaluator(case.network, devices, profiles, scenario)
-    day = evaluator.evaluate()
+    day = evaluator._evaluate_with_trail()
     min_v = day.min_voltage
 
     volt_lines = ["hour,bus,scenario,v_pu"]
@@ -261,9 +262,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     scenario = _scenario(args, default_mode="dgq+v2gq")
     devices = bind_devices(case, profiles)
     params = GaParams(
-        population=args.pop if args.pop is not None else 40,
-        generations=args.gens if args.gens is not None else 60,
-        seed=args.seed if args.seed is not None else 0,
+        population=args.pop if args.pop is not None else GaParams.population,
+        generations=args.gens if args.gens is not None else GaParams.generations,
+        seed=args.seed if args.seed is not None else GaParams.seed,
         n_lots=args.lots,
         candidates=_parse_candidates(args.candidates) if args.candidates else None,
     )

@@ -10,7 +10,7 @@ negative Q means it feeds vars into the grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 import numpy as np
@@ -22,8 +22,6 @@ DEFAULT_X_COUPLING = 0.05
 DEFAULT_VC_MAX = 1.1
 DEFAULT_N_PEV = 50
 DEFAULT_COST_PER_PEV = 1.0
-
-PROFILE_SHAPES = ("pv-bell", "pev-evening-peak", "load-double-peak", "flat")
 
 
 @dataclass(frozen=True)
@@ -60,7 +58,6 @@ class PvUnit:
     p_profile: tuple[float, ...]
     x_coupling: float = DEFAULT_X_COUPLING
     vc_max: float = DEFAULT_VC_MAX
-    apply_dc_link: bool = True
 
     def __post_init__(self) -> None:
         _check_device_profile(self, self.p_profile, "p_profile")
@@ -88,7 +85,6 @@ class PevLot:
     vc_max: float = DEFAULT_VC_MAX
     n_pev: int = DEFAULT_N_PEV
     cost_per_pev: float = DEFAULT_COST_PER_PEV
-    apply_dc_link: bool = True
 
     def __post_init__(self) -> None:
         _check_device_profile(self, self.charge_profile, "charge_profile")
@@ -155,8 +151,6 @@ class QCapability:
     q_min: float
     q_max: float
     feasible: bool = True
-    rating_bound: float = 0.0
-    dc_link_bound: float = float("inf")
 
     @property
     def width(self) -> float:
@@ -187,22 +181,16 @@ def q_capability(dev: Device, p_now: float, v_bus: float) -> QCapability:
     p_now = min(max(p_now, 0.0), dev.s_rated)
 
     rating = math.sqrt(max(dev.s_rated**2 - p_now**2, 0.0))
-    q_min, q_max = -rating, rating
-    dc_upper = float("inf")
-    if dev.apply_dc_link:
-        center = v_bus**2 / dev.x_coupling
-        radius_sq = (dev.vc_max * v_bus / dev.x_coupling) ** 2 - p_now**2
-        if radius_sq < 0.0:
-            return QCapability(0.0, 0.0, feasible=False, rating_bound=rating)
-        radius = math.sqrt(radius_sq)
-        dc_upper = -center + radius
-        q_max = min(q_max, dc_upper)
-        q_min = max(q_min, -center - radius)
+    center = v_bus**2 / dev.x_coupling
+    radius_sq = (dev.vc_max * v_bus / dev.x_coupling) ** 2 - p_now**2
+    if radius_sq < 0.0:
+        return QCapability(0.0, 0.0, feasible=False)
+    radius = math.sqrt(radius_sq)
+    q_max = min(rating, -center + radius)
+    q_min = max(-rating, -center - radius)
     if q_min > q_max:
-        return QCapability(
-            0.0, 0.0, feasible=False, rating_bound=rating, dc_link_bound=dc_upper
-        )
-    return QCapability(q_min, q_max, rating_bound=rating, dc_link_bound=dc_upper)
+        return QCapability(0.0, 0.0, feasible=False)
+    return QCapability(q_min, q_max)
 
 
 def capability_violation(dev: Device, p_now, q, v_bus):
@@ -211,57 +199,7 @@ def capability_violation(dev: Device, p_now, q, v_bus):
     Works elementwise on equal-shaped arrays too, e.g. one entry per hour.
     """
     over_rating = p_now**2 + q**2 - dev.s_rated**2
-    worst = over_rating
-    if dev.apply_dc_link:
-        center = v_bus**2 / dev.x_coupling
-        lhs = (q + center) ** 2 + p_now**2
-        rhs = (dev.vc_max * v_bus / dev.x_coupling) ** 2
-        worst = np.maximum(worst, lhs - rhs)
-    return np.maximum(worst, 0.0)
-
-
-# Hour-by-hour templates for the synthetic profile shapes, unit peak.
-_PV_BELL = (
-    0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-    0.06, 0.21, 0.45, 0.66, 0.82, 0.94,
-    1.0, 0.98, 0.88, 0.73, 0.53, 0.31,
-    0.12, 0.0, 0.0, 0.0, 0.0, 0.0,
-)
-_PEV_EVENING = (
-    0.16, 0.10, 0.08, 0.06, 0.06, 0.08,
-    0.20, 0.36, 0.44, 0.36, 0.28, 0.24,
-    0.24, 0.24, 0.28, 0.36, 0.52, 0.76,
-    0.92, 1.0, 0.92, 0.68, 0.44, 0.24,
-)
-_LOAD_DOUBLE = (
-    0.68, 0.65, 0.61, 0.61, 0.65, 0.71,
-    0.81, 0.90, 0.97, 0.94, 0.90, 0.87,
-    0.84, 0.81, 0.77, 0.77, 0.81, 0.87,
-    0.94, 1.0, 0.97, 0.90, 0.81, 0.73,
-)
-
-
-def synth_profile(shape: str, seed: int = 0, level: float = 1.0) -> HourlyProfile:
-    """Deterministic synthetic 24-hour profile for a named shape.
-
-    ``level`` scales the whole profile (for "flat" it is the constant value).
-    The same (shape, seed, level) always yields the same profile; seeds vary
-    the profile by a small multiplicative jitter that preserves zero hours.
-    """
-    if shape == "flat":
-        base = np.full(HOURS, 1.0)
-    elif shape == "pv-bell":
-        base = np.array(_PV_BELL)
-    elif shape == "pev-evening-peak":
-        base = np.array(_PEV_EVENING)
-    elif shape == "load-double-peak":
-        base = np.array(_LOAD_DOUBLE)
-    else:
-        raise ValueError(f"unknown profile shape {shape!r}, expected one of {PROFILE_SHAPES}")
-
-    values = base * level
-    if seed != 0:
-        rng = np.random.default_rng(seed)
-        jitter = 1.0 + 0.05 * rng.standard_normal(HOURS)
-        values = np.clip(values * jitter, 0.0, None)
-    return HourlyProfile(f"{shape}-s{seed}", tuple(values))
+    center = v_bus**2 / dev.x_coupling
+    lhs = (q + center) ** 2 + p_now**2
+    rhs = (dev.vc_max * v_bus / dev.x_coupling) ** 2
+    return np.maximum(np.maximum(over_rating, lhs - rhs), 0.0)

@@ -87,6 +87,13 @@ class Branch:
         return complex(self.resistance, self.reactance)
 
 
+def _check_base(base_mva: float, base_kv: float) -> None:
+    """Raise unless both system base values are positive and finite."""
+    for name, value in (("base_mva", base_mva), ("base_kv", base_kv)):
+        if not 0 < value < math.inf:
+            raise ValidationError(f"system {name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Network:
     """Validated feeder model: ordered buses, branches, and the pu base."""
@@ -108,8 +115,7 @@ class Network:
     def __post_init__(self) -> None:
         object.__setattr__(self, "buses", tuple(self.buses))
         object.__setattr__(self, "branches", tuple(self.branches))
-        if not (0 < self.base_mva < math.inf and 0 < self.base_kv < math.inf):
-            raise ValidationError("system base values must be positive and finite")
+        _check_base(self.base_mva, self.base_kv)
         index: dict[int, int] = {}
         for pos, bus in enumerate(self.buses):
             if bus.id in index:
@@ -177,9 +183,6 @@ class Network:
         except KeyError:
             raise KeyError(f"no bus with id {bus_id}") from None
 
-    def bus(self, bus_id: int) -> Bus:
-        return self.buses[self.index_of(bus_id)]
-
     def bus_ids(self) -> tuple[int, ...]:
         return tuple(b.id for b in self.buses)
 
@@ -193,16 +196,6 @@ class Network:
         lo = np.array([b.v_min for b in self.buses], dtype=float)
         hi = np.array([b.v_max for b in self.buses], dtype=float)
         return lo, hi
-
-    # unit conversion helpers (system base)
-    @property
-    def z_base_ohm(self) -> float:
-        return self.base_kv**2 / self.base_mva
-
-    @property
-    def i_base_a(self) -> float:
-        # three-phase base current in amperes for a line-to-line kV base
-        return self.base_mva * 1e3 / (np.sqrt(3.0) * self.base_kv)
 
 
 def build_ybus(net: Network) -> np.ndarray:

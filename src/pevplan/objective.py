@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .devices import (
+    HOURS,
     Device,
     HourlyProfile,
     PevLot,
@@ -44,7 +45,6 @@ from .powerflow import (
     check_limits,  # noqa: F401  (the benchmark's tracer wraps this name)
 )
 
-HOURS = 24
 _DIVERGENT_HOUR_PENALTY = 1e3
 
 
@@ -188,15 +188,28 @@ class DayEvaluator:
     def _placed(self, key: tuple[int, ...]) -> list[Device]:
         return place_lots(self.devices, key, self.net) if key else list(self.devices)
 
-    def evaluate(self, lot_buses: Sequence[int] | None = None) -> DayResult:
+    def _key(self, lot_buses: Sequence[int] | None) -> tuple[int, ...]:
         if lot_buses is None:
             lot_buses = [d.bus for d in self.devices if isinstance(d, PevLot)]
-        key = tuple(sorted(int(b) for b in lot_buses))
+        return tuple(sorted(int(b) for b in lot_buses))
+
+    def evaluate(self, lot_buses: Sequence[int] | None = None) -> DayResult:
+        key = self._key(lot_buses)
         breakdown = self._cache.get(key)
         if breakdown is None:
             breakdown, _ = self._evaluate_day(self._placed(key))
             self._cache[key] = breakdown
         return DayResult(key, breakdown, self)
+
+    def _evaluate_with_trail(self) -> DayResult:
+        """``evaluate()`` with the per-hour trail filled in from the same
+        day computation, so reading ``hours`` computes no second day."""
+        key = self._key(None)
+        breakdown, hours = self._evaluate_day(self._placed(key), trail=True)
+        self._cache[key] = breakdown
+        day = DayResult(key, breakdown, self)
+        day.__dict__["hours"] = hours  # the cached value of DayResult.hours
+        return day
 
     def _trail(self, key: tuple[int, ...]) -> tuple[DispatchResult, ...]:
         """The dispatch results of every non-divergent hour of ``key``'s day."""

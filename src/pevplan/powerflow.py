@@ -1,13 +1,14 @@
 """Numeric AC power flow on the full network.
 
-Two solvers share one result container.  :func:`solve` is Newton-Raphson in
-polar coordinates with the full complex Jacobian: the general solver, and
-the arbiter the others are checked against.  :func:`solve_fixed_point` is
-the Z-bus fixed point ``V[pq] = w·V_slack + Z·conj(S[pq] / V[pq])`` with
-``Z = inv(Y[pq, pq])`` (Teng's direct radial load flow in matrix form; with
-no shunts its drop matrix equals this ``Z``, so meshed feeders work too).
+:func:`solve` is Newton-Raphson in polar coordinates with the full complex
+Jacobian: the general solver, and the arbiter the others are checked
+against.  Next to it sits a private kernel, the Z-bus fixed point
+``V[pq] = w·V_slack + Z·conj(S[pq] / V[pq])`` with ``Z = inv(Y[pq, pq])``
+(Teng's direct radial load flow in matrix form; with no shunts its drop
+matrix equals this ``Z``, so meshed feeders work too), in a one-column
+form for reactive dispatch and a many-column form for a day's base flows.
 It needs no Jacobian, which makes it the cheaper choice for the many
-near-identical solves of reactive dispatch.
+near-identical solves of dispatch; Newton is its fallback.
 
 The slack bus holds a fixed phasor; every other bus is constant-PQ (converter
 devices included — their charging/generation enters through the injection
@@ -304,18 +305,6 @@ def solve(
     )
 
 
-class _FixedPointFailure(PowerFlowError):
-    """The fixed-point kernel stopped without convergence, at state ``v``."""
-
-    def __init__(self, message: str, v: np.ndarray, iterations: int,
-                 mismatch: float, diverged: bool) -> None:
-        super().__init__(message)
-        self.v = v
-        self.iterations = iterations
-        self.mismatch = mismatch
-        self.diverged = diverged
-
-
 def _fixed_point(
     factor: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     s_pq: np.ndarray,
@@ -334,7 +323,9 @@ def _fixed_point(
     more before convergence is reported: that is Newton's test, ≤ ``tol``.
     The iteration normally runs on to ``tol / 100``; it stops short of that
     when the step residual no longer falls or the iterations run out.
-    Raises :class:`_FixedPointFailure` otherwise.
+    Otherwise raises :class:`PowerFlowError`, whose message names the
+    failure: a stalled residual above ``tol``, divergence, or iterations
+    exhausted.
     """
     pq, y_pq, z, w = factor
     target = tol * _FIXED_POINT_MARGIN
@@ -362,20 +353,19 @@ def _fixed_point(
                 mis = true_mismatch()
                 if mis <= tol:
                     return v, it, mis
-                raise _FixedPointFailure(
+                raise PowerFlowError(
                     f"fixed point stopped at step residual {res:.3e} with "
-                    f"mismatch {mis:.3e} above {tol:.1e}", v, it, mis, False,
+                    f"mismatch {mis:.3e} above {tol:.1e}"
                 )
             if not math.isfinite(res) or res > _DIVERGENCE_MISMATCH:
-                raise _FixedPointFailure(
-                    f"fixed point diverged at iteration {it} (residual {res:.3e})",
-                    v, it, true_mismatch(), True,
+                raise PowerFlowError(
+                    f"fixed point diverged at iteration {it} (residual {res:.3e})"
                 )
             prev = res
         mis = true_mismatch()
-    raise _FixedPointFailure(
+    raise PowerFlowError(
         f"fixed point above mismatch {tol:.1e} after {it} iterations "
-        f"(mismatch {mis:.3e})", v, it, mis, False,
+        f"(mismatch {mis:.3e})"
     )
 
 
@@ -438,32 +428,6 @@ def _fixed_point_block(
             active = active[~(stop | failed)]
         settle(active, DEFAULT_MAX_ITER, accept=False)
     return v, iterations, mismatch, converged
-
-
-def solve_fixed_point(
-    net: Network,
-    inj: InjectionSet,
-    tol: float = DEFAULT_TOL,
-    v0: np.ndarray | None = None,
-) -> PowerFlowSolution:
-    """Z-bus fixed-point power flow with the contract of :func:`solve`.
-
-    The slack holds 1.0 pu.  Converged means Newton's own test: max |ΔP|,
-    |ΔQ| over the non-slack buses ≤ ``tol``.  The iteration normally runs on
-    to ``tol / 100`` before it returns; if rounding stops it short of that,
-    or the iterations run out, it returns once Newton's test holds and
-    otherwise raises :class:`NonConvergence` with the partial solution.
-    ``Z`` is factored on the network's first fixed-point solve.
-    """
-    v = _start(net, inj, tol, v0)
-    factor = _solver_arrays(net).fixed_point
-    try:
-        v, it, mis = _fixed_point(factor, (inj.p + 1j * inj.q)[factor[0]], v, tol)
-    except _FixedPointFailure as fail:
-        sol = _finish(net, fail.v, fail.iterations, fail.mismatch, converged=False,
-                      diverged=fail.diverged)
-        raise NonConvergence(str(fail), sol) from None
-    return _finish(net, v, it, mis, converged=True)
 
 
 @dataclass(frozen=True)

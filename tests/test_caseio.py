@@ -86,11 +86,12 @@ def test_parse_minimal_grid(tmp_path):
     case = load_case(write_case(tmp_path, MINIMAL_GRID))
     net = case.network
     assert net.n_bus == 2
-    assert net.bus(2).normal_load_p == pytest.approx(0.01)
-    assert net.bus(2).normal_load_q == pytest.approx(0.006)
+    load = net.buses[net.index_of(2)]
+    assert load.normal_load_p == pytest.approx(0.01)
+    assert load.normal_load_q == pytest.approx(0.006)
     br = net.branches[0]
-    assert br.resistance == pytest.approx(0.0922 / net.z_base_ohm)
-    assert br.current_cap == pytest.approx(400.0 / net.i_base_a)
+    assert br.resistance == pytest.approx(0.0922 / (12.66**2 / 10.0))
+    assert br.current_cap == pytest.approx(400.0 / (10.0 * 1e3 / (math.sqrt(3.0) * 12.66)))
 
 
 def test_parse_error_reports_file_and_line(tmp_path):

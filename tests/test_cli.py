@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import subprocess
@@ -9,8 +10,11 @@ from pathlib import Path
 import pytest
 
 import pevplan
-from pevplan.caseio import builtin_path
+from pevplan import cli
+from pevplan.caseio import bind_devices, builtin_path, case_to_dict, load_builtin, load_case
 from pevplan.cli import main
+from pevplan.dispatch import Scenario
+from pevplan.objective import DayEvaluator
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 # Well above the ~1 s that importing pevplan takes, so that only a hung child
@@ -62,6 +66,30 @@ def test_non_finite_network_data_is_rejected(capsys, tmp_path, command, row, bad
     code, out, err = run(capsys, command, "--case", str(case))
     assert code == 5
     assert name in err and "non-finite" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "solve"])
+@pytest.mark.parametrize("key", ["base_mva", "base_kv"])
+def test_zero_system_base_is_rejected(capsys, tmp_path, command, key):
+    text = builtin_path("bus33.grid").read_text()
+    assert text.count(f"\n{key} = ") == 1
+    case = tmp_path / "zero.grid"
+    case.write_text(text.replace(f"\n{key} = ", f"\n{key} = 0 # "))
+    code, out, err = run(capsys, command, "--case", str(case))
+    assert code == 5
+    assert f"system {key} must be positive and finite, got 0.0" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("system", [[], {"base_mva": "10"}], ids=["list", "text-base"])
+def test_malformed_json_system_is_a_parse_error(capsys, tmp_path, system):
+    data = case_to_dict(load_case(builtin_path("bus33.grid")))
+    data["system"] = system
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(data))
+    code, out, err = run(capsys, "validate", "--case", str(case))
+    assert code == 4
+    assert "malformed case object" in err
 
 
 def test_validate_parse_failure(capsys, tmp_path):
@@ -200,6 +228,26 @@ def test_simulate_mode_none_artifacts(capsys, tmp_path):
     assert "mode=none" in out and "feasible=false" in out
 
 
+def test_simulate_computes_its_day_once(capsys, monkeypatch):
+    built = []
+
+    class Recorded(DayEvaluator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(cli, "DayEvaluator", Recorded)
+    code, out, _ = run(capsys, "simulate", "--mode", "dgq+v2gq",
+                       "--load-profile", "load-weekday")
+    assert code == 0
+    assert [ev.stats.days for ev in built] == [1]
+    # the breakdown is the one evaluate() gives
+    case, profiles = load_builtin()
+    sc = Scenario(mode="dgq+v2gq", load_profile_id="load-weekday")
+    fresh = DayEvaluator(case.network, bind_devices(case, profiles), profiles, sc)
+    assert f"scalar={fresh.evaluate().breakdown.scalar:.6f} " in out
+
+
 def test_simulate_dgq_improves_and_is_reproducible(capsys, tmp_path):
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
     code_a, out_a, _ = run(
@@ -335,6 +383,10 @@ def test_help_documents_exit_codes():
     assert proc.returncode == 0
     assert "exit codes:" in proc.stdout
     assert "7  requested optimization is infeasible" in proc.stdout
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in pevplan.__all__ if not hasattr(pevplan, name)] == []
 
 
 def _run_version(argv, **kwargs):

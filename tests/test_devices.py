@@ -13,14 +13,13 @@ from pevplan.devices import (
     QCapability,
     capability_violation,
     q_capability,
-    synth_profile,
 )
 
 FLAT = tuple(0.02 for _ in range(HOURS))
 
 
-def pv(s=0.05, x=0.05, vc=1.1, p=0.02, dc=True):
-    return PvUnit(7, s, tuple(p for _ in range(HOURS)), x, vc, apply_dc_link=dc)
+def pv(s=0.05, x=0.05, vc=1.1, p=0.02):
+    return PvUnit(7, s, tuple(p for _ in range(HOURS)), x, vc)
 
 
 def lot(s=0.06, x=0.05, vc=1.1, p=0.03, **kw):
@@ -43,28 +42,6 @@ def test_profile_scaling_and_indexing():
     prof = HourlyProfile("flat", tuple(0.5 for _ in range(HOURS)))
     assert prof[3] == 0.5
     assert prof.scaled(2.0) == tuple(1.0 for _ in range(HOURS))
-
-
-def test_synth_profiles_deterministic():
-    a = synth_profile("pv-bell", seed=5)
-    b = synth_profile("pv-bell", seed=5)
-    assert a == b
-    assert synth_profile("pv-bell", seed=6) != a
-
-
-def test_synth_pv_bell_keeps_night_dark():
-    # jitter is multiplicative, so zero hours stay exactly zero
-    prof = synth_profile("pv-bell", seed=99)
-    assert prof.values[0] == 0.0
-    assert prof.values[23] == 0.0
-    assert max(prof.values) > 0.8
-
-
-def test_synth_flat_level():
-    prof = synth_profile("flat", level=0.3)
-    assert prof.values == tuple(0.3 for _ in range(HOURS))
-    with pytest.raises(ValueError, match="unknown profile shape"):
-        synth_profile("sawtooth")
 
 
 # -- device dataclasses ------------------------------------------------------
@@ -116,8 +93,6 @@ def test_capability_hand_case():
     root = math.sqrt(0.75)
     assert cap.q_max == pytest.approx(root, abs=1e-12)
     assert cap.q_min == pytest.approx(-root, abs=1e-12)
-    assert cap.rating_bound == pytest.approx(root, abs=1e-12)
-    assert cap.dc_link_bound == pytest.approx(-20.0 + math.sqrt(484.0 - 0.25), abs=1e-9)
 
 
 def test_capability_boundaries_satisfy_constraints():
@@ -165,14 +140,6 @@ def test_capability_infeasible_is_not_degenerate():
         cap.clamp(0.0)
     degenerate = q_capability(pv(s=0.05, p=0.05), 0.05, 1.0)
     assert degenerate.feasible != cap.feasible
-
-
-def test_capability_without_dc_link_is_pure_rating_circle():
-    dev = pv(dc=False, s=0.05, p=0.03)
-    cap = q_capability(dev, 0.03, 1.0)
-    assert cap.q_max == pytest.approx(0.04, abs=1e-15)
-    assert cap.q_min == pytest.approx(-0.04, abs=1e-15)
-    assert cap.dc_link_bound == math.inf
 
 
 def test_capability_input_validation():

@@ -471,7 +471,6 @@ def test_score_noise_changes_no_accepted_setpoint(bus33, devices33, profiles33,
         return lambda *args: score(*args) * (1.0 + 1e-15 * rng.choice((-1.0, 1.0)))
 
     monkeypatch.setattr(dispatch, "_score", noisy(dispatch._score))
-    monkeypatch.setattr(dispatch, "partial_objective", noisy(dispatch.partial_objective))
     for hour, (q_clean, q_noisy) in enumerate(zip(clean, setpoints())):
         for label, q in q_clean.items():
             assert q_noisy[label] == pytest.approx(q, abs=1e-12), (hour, label)

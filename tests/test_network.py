@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from pevplan.caseio import _Scales
 from pevplan.network import Branch, Bus, Network, ValidationError, build_ybus
 
 from conftest import small_feeder
@@ -107,15 +108,18 @@ def test_index_lookup_and_bus_access(feeder4):
     assert feeder4.slack_id == 1
     assert feeder4.slack_index == 0
     assert feeder4.index_of(3) == 2
-    assert feeder4.bus(4).id == 4
+    assert feeder4.buses[feeder4.index_of(4)].id == 4
     with pytest.raises(KeyError, match="no bus with id 42"):
         feeder4.index_of(42)
 
 
 def test_base_conversions():
+    # the per-unit divisors the case parser applies, on a network's default base
     net = two_bus_net()
-    assert net.z_base_ohm == pytest.approx(12.66**2 / 10.0)
-    assert net.i_base_a == pytest.approx(10.0 * 1e3 / (np.sqrt(3.0) * 12.66))
+    scales = _Scales(net.base_mva, net.base_kv)
+    assert scales.power_kw == 10_000.0
+    assert scales.impedance_ohm == pytest.approx(12.66**2 / 10.0)
+    assert scales.current_a == pytest.approx(10.0 * 1e3 / (np.sqrt(3.0) * 12.66))
 
 
 def test_ybus_single_branch_entries():

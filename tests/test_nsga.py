@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from pevplan.devices import HOURS, PevLot, synth_profile
+from pevplan.caseio import load_builtin
+from pevplan.devices import HOURS, PevLot
 from pevplan.dispatch import Scenario
 from pevplan.nsga import (
     GaParams,
@@ -170,8 +171,14 @@ def test_ga_params_validation():
 # -- the search itself -------------------------------------------------------
 
 
+def commuter(level):
+    """The bundled ``lot-commuter`` charging profile scaled by ``level``."""
+    _, profiles = load_builtin()
+    return profiles["lot-commuter"].scaled(level)
+
+
 def lot_fleet(level=0.02):
-    profile = synth_profile("pev-evening-peak").scaled(level)
+    profile = commuter(level)
     return [PevLot(6, level, profile, n_pev=10, cost_per_pev=0.1)]
 
 
@@ -232,7 +239,7 @@ def test_exhaustive_coverage_on_tiny_problem():
 
 def test_archive_is_mutually_nondominated():
     net = small_feeder(8)
-    profile = synth_profile("pev-evening-peak").scaled(0.015)
+    profile = commuter(0.015)
     devices = [
         PevLot(5, 0.015, profile, n_pev=10, cost_per_pev=0.1),
         PevLot(7, 0.015, profile, n_pev=10, cost_per_pev=0.1),

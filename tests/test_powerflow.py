@@ -18,15 +18,15 @@ from pevplan.powerflow import (
     PowerFlowError,
     PowerFlowSolution,
     SingularJacobian,
+    _finish,
     _fixed_point,
     _fixed_point_block,
-    _FixedPointFailure,
     _solver_arrays,
+    _start,
     branch_table,
     bus_table,
     check_limits,
     solve,
-    solve_fixed_point,
 )
 from pevplan.sweep import solve_sweep
 
@@ -35,6 +35,14 @@ from conftest import radial_feeders, small_feeder
 
 def loads_of(net) -> InjectionSet:
     return InjectionSet.from_loads(*net.load_vectors())
+
+
+def fixed_point(net, inj, tol=DEFAULT_TOL, v0=None) -> PowerFlowSolution:
+    """The fixed-point kernel as a dispatch hour runs it, as a solution."""
+    v = _start(net, inj, tol, v0)
+    factor = _solver_arrays(net).fixed_point
+    v, it, mis = _fixed_point(factor, (inj.p + 1j * inj.q)[factor[0]], v, tol)
+    return _finish(net, v, it, mis, converged=True)
 
 
 @pytest.fixture(scope="module")
@@ -148,10 +156,9 @@ def test_degenerate_start_raises_singular(feeder4):
     v0 = np.array([1.0, 1.0, 0.0, 1.0], dtype=complex)
     with pytest.raises((SingularJacobian, NonConvergence)):
         solve(feeder4, loads_of(feeder4), v0=v0)
-    # the fixed point divides by that zero and flags the run as diverged
-    with pytest.raises(NonConvergence) as err:
-        solve_fixed_point(feeder4, loads_of(feeder4), v0=v0)
-    assert err.value.solution.diverged
+    # the fixed point divides by that zero and reports divergence
+    with pytest.raises(PowerFlowError, match="fixed point diverged"):
+        fixed_point(feeder4, loads_of(feeder4), v0=v0)
 
 
 def test_injection_validation(feeder4):
@@ -193,7 +200,7 @@ def test_two_solves_on_one_network_build_ybus_once(monkeypatch):
 
     monkeypatch.setattr(powerflow, "build_ybus", counted)
     solve(net, loads_of(net))
-    solve_fixed_point(net, loads_of(net))
+    fixed_point(net, loads_of(net))
     assert len(built) == 1 and built[0] is net
 
 
@@ -220,10 +227,10 @@ def test_fixed_point_matches_newton_on_bus33(bus33, scale):
     p, q = net.load_vectors()
     inj = InjectionSet.from_loads(p * scale, q * scale)
     ref = solve(net, inj, tol=1e-12)
-    cold = solve_fixed_point(net, inj)
+    cold = fixed_point(net, inj)
     # warm start from a nearby load, as the dispatch search does
     near = solve(net, InjectionSet.from_loads(p * scale * 0.97, q * scale * 0.97))
-    warm = solve_fixed_point(net, inj, v0=near.v_complex)
+    warm = fixed_point(net, inj, v0=near.v_complex)
     for sol in (cold, warm):
         # converged under Newton's own test, with the fixed point's margin
         assert sol.converged and sol.max_mismatch <= DEFAULT_TOL / 100
@@ -238,8 +245,8 @@ def test_fixed_point_returns_a_converged_start_unchanged(bus33):
     # a start that already meets tol / 100 costs no step: a dispatch trial
     # that lands on the current setpoint then scores the current state
     net = bus33.network
-    first = solve_fixed_point(net, loads_of(net))
-    again = solve_fixed_point(net, loads_of(net), v0=first.v_complex)
+    first = fixed_point(net, loads_of(net))
+    again = fixed_point(net, loads_of(net), v0=first.v_complex)
     assert again.iterations == 0 and again.converged
     np.testing.assert_array_equal(again.v_complex, first.v_complex)
     assert again.max_mismatch <= DEFAULT_TOL / 100
@@ -250,7 +257,7 @@ def test_fixed_point_below_rounding_floor_meets_newtons_test(bus33):
     # iteration stops once the mismatch stops falling, converged under
     # Newton's test, instead of running out its iterations and raising
     net = bus33.network
-    sol = solve_fixed_point(net, loads_of(net), tol=1e-12)
+    sol = fixed_point(net, loads_of(net), tol=1e-12)
     assert sol.converged and 1e-14 < sol.max_mismatch <= 1e-12
     assert sol.iterations < DEFAULT_MAX_ITER
     ref = solve(net, loads_of(net), tol=1e-12)
@@ -273,7 +280,7 @@ def test_fixed_point_matches_newton_on_meshed_network():
     net = Network(buses, branches, radial=False)
     inj = loads_of(net)
     ref = solve(net, inj, tol=1e-12)
-    sol = solve_fixed_point(net, inj)
+    sol = fixed_point(net, inj)
     assert sol.converged
     np.testing.assert_allclose(sol.v_complex, ref.v_complex, rtol=0, atol=1e-9)
     assert sol.total_losses == pytest.approx(ref.total_losses, abs=1e-9)
@@ -284,7 +291,7 @@ def test_fixed_point_matches_newton_on_meshed_network():
 def test_fixed_point_rejects_what_newton_rejects(feeder4):
     wrong_length = InjectionSet(np.zeros(3), np.zeros(3))
     non_finite = InjectionSet(np.array([0.0, np.nan, 0.0, 0.0]), np.zeros(4))
-    for solver in (solve, solve_fixed_point):
+    for solver in (solve, fixed_point):
         with pytest.raises(ValueError, match="does not match bus count"):
             solver(feeder4, wrong_length)
         with pytest.raises(ValueError, match="non-finite injection"):
@@ -293,16 +300,14 @@ def test_fixed_point_rejects_what_newton_rejects(feeder4):
             solver(feeder4, loads_of(feeder4), v0=np.ones(3, dtype=complex))
 
 
-def test_fixed_point_divergence_carries_partial_solution(feeder4):
+def test_fixed_point_reports_exhaustion_and_divergence(feeder4):
+    # a load far past the nose point circles until the iterations run out;
+    # a larger one blows up at once
     p, q = feeder4.load_vectors()
-    for scale in (1e4, 1e7):
-        with pytest.raises(NonConvergence) as err:
-            solve_fixed_point(feeder4, InjectionSet.from_loads(p * scale, q * scale))
-        partial = err.value.solution
-        assert isinstance(partial, PowerFlowSolution)
-        assert not partial.converged
-        assert partial.max_mismatch > DEFAULT_TOL
-    assert err.value.solution.diverged
+    exhausted = f"fixed point above mismatch 1.0e-08 after {DEFAULT_MAX_ITER} iterations"
+    for scale, failure in ((1e4, exhausted), (1e7, "fixed point diverged at iteration 1")):
+        with pytest.raises(PowerFlowError, match=failure):
+            fixed_point(feeder4, InjectionSet.from_loads(p * scale, q * scale))
 
 
 def test_fixed_point_refuses_a_wrong_factor(bus33, monkeypatch):
@@ -312,12 +317,9 @@ def test_fixed_point_refuses_a_wrong_factor(bus33, monkeypatch):
     arrays = _solver_arrays(net)
     pq, y_pq, z, w = arrays.fixed_point
     monkeypatch.setattr(arrays, "fixed_point", (pq, y_pq, z * 1.001, w))
-    with pytest.raises(NonConvergence) as err:
-        solve_fixed_point(net, loads_of(net))
-    partial = err.value.solution
-    assert not partial.converged and not partial.diverged
-    assert partial.max_mismatch > DEFAULT_TOL
-    assert partial.iterations < DEFAULT_MAX_ITER
+    with pytest.raises(PowerFlowError, match="fixed point stopped at step residual "
+                       r".* with mismatch .* above 1\.0e-08"):
+        fixed_point(net, loads_of(net))
 
 
 @settings(max_examples=40, deadline=None)
@@ -327,7 +329,7 @@ def test_fixed_point_newton_and_sweep_agree_on_radial_feeders(net):
     # (the sweep builds no admittance matrix)
     inj = loads_of(net)
     newton = solve(net, inj, tol=1e-10)
-    fixed = solve_fixed_point(net, inj, tol=1e-10)
+    fixed = fixed_point(net, inj, tol=1e-10)
     assert fixed.converged and fixed.max_mismatch <= 1e-10
     sweep = solve_sweep(net, inj, tol=1e-12)
     np.testing.assert_allclose(fixed.v_complex, newton.v_complex, rtol=0, atol=1e-8)
@@ -352,7 +354,7 @@ def test_block_columns_match_single_fixed_point_solves(net, scales):
         flat = np.full(net.n_bus, 1.0 + 0.0j)
         try:
             single, it, mis = _fixed_point(factor, s_pq[:, col].copy(), flat, DEFAULT_TOL)
-        except _FixedPointFailure:
+        except PowerFlowError:
             assert not converged[col]
             continue
         assert converged[col]
