@@ -1,4 +1,5 @@
-"""Layer benchmark: one day evaluation and one population ranking, timed and counted.
+"""Layer benchmark: one day evaluation, one population ranking and a batch of
+placement searches, timed and counted.
 
     python bench/layers.py --out BENCH.json [--baseline-src OTHER/src]
 
@@ -11,7 +12,13 @@ seeded random populations.  The JSON gives, per source tree:
 - ``day_ms``: wall ms per day evaluation in modes ``none`` and ``dgq+v2gq``
   (median of repeats, each on a fresh evaluator, so nothing is cached);
 - ``rank_ms``: wall ms to rank a 40- and an 80-member population for
-  tournament selection (front ranks and crowding distances);
+  tournament selection (front ranks and crowding distances), from the
+  breakdowns, so a tree that ranks arrays pays for building them here;
+- ``search``: 8 fixed-seed mode-``none`` searches (population 40, 60
+  generations, 2 lots) sharing one fresh evaluator, the repeat of median
+  wall time: ``wall_ms``, the evaluator's ``day_ms`` (``DayStats.day_s``),
+  the GA's own ``ga_ms`` (wall minus days), the days computed and the
+  searches' summed distinct evaluations;
 - ``work``: solver calls and fixed-point iterations per day, counted by
   wrapping the kernels, so a faster figure can be told apart from less work;
 - ``stats``: the evaluator's own work counters, where the tree has them.
@@ -44,6 +51,9 @@ REPEATS = {"none": 15, "dgq+v2gq": 3}
 POPULATIONS = (40, 80)
 RANK_REPEATS = 200
 FEASIBLE_SHARE = 0.3
+SEARCH_SEEDS = tuple(range(8))
+SEARCH_PARAMS = {"population": 40, "generations": 60, "n_lots": 2}
+SEARCH_REPEATS = 5
 
 
 def _populations(pevplan, size: int, count: int = 20):
@@ -69,6 +79,8 @@ def _ranker(nsga):
     """Selection ranking in the tree's own API: front ranks and crowding."""
     import numpy as np
 
+    if hasattr(nsga, "_columns"):  # ranks the objective, feasibility and penalty arrays
+        return lambda pop: nsga._rank(*nsga._columns(pop))
     if hasattr(nsga, "constrained_fronts"):
         return nsga._rank
 
@@ -138,6 +150,22 @@ def _evaluator(pevplan, bundle, mode):
     return pevplan.DayEvaluator(net, devices, profiles, scenario)
 
 
+def _search_batch(pevplan, bundle) -> dict:
+    """One batch of the fixed-seed searches on a fresh evaluator."""
+    net, devices, profiles = bundle
+    ev = _evaluator(pevplan, bundle, "none")
+    distinct = 0
+    t0 = perf_counter()
+    for seed in SEARCH_SEEDS:
+        params = pevplan.GaParams(seed=seed, **SEARCH_PARAMS)
+        distinct += pevplan.optimize_placement(
+            net, devices, profiles, ev.scenario, params, evaluator=ev).evaluations
+    wall_s = perf_counter() - t0
+    return {"wall_ms": wall_s * 1e3, "day_ms": ev.stats.day_s * 1e3,
+            "ga_ms": (wall_s - ev.stats.day_s) * 1e3, "days": ev.stats.days,
+            "distinct_evals": distinct}
+
+
 def measure(src: Path) -> dict:
     sys.path.insert(0, str(src))
     import pevplan
@@ -181,6 +209,10 @@ def measure(src: Path) -> dict:
         for k in range(RANK_REPEATS):
             rank(pops[k % len(pops)])
         out["rank_ms"][str(size)] = (perf_counter() - t0) / RANK_REPEATS * 1e3
+    _search_batch(pevplan, bundle)  # warm-up
+    batches = sorted((_search_batch(pevplan, bundle) for _ in range(SEARCH_REPEATS)),
+                     key=lambda b: b["wall_ms"])
+    out["search"] = batches[len(batches) // 2]
     return out
 
 
@@ -211,7 +243,9 @@ def main() -> int:
                    "placements": {m: [",".join(map(str, p)) for p in ps]
                                   for m, ps in PLACEMENTS.items()},
                    "day_repeats": REPEATS, "populations": list(POPULATIONS),
-                   "feasible_share": FEASIBLE_SHARE, "rank_repeats": RANK_REPEATS},
+                   "feasible_share": FEASIBLE_SHARE, "rank_repeats": RANK_REPEATS,
+                   "search": {"mode": "none", "seeds": list(SEARCH_SEEDS),
+                              **SEARCH_PARAMS, "repeats": SEARCH_REPEATS}},
         "current": _measure_in_child(ROOT / "src"),
     }
     if args.baseline_src:

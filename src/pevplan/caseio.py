@@ -413,13 +413,18 @@ def case_from_dict(data: dict) -> Case:
             )
             for d in data.get("devices", [])
         )
-        net = Network(
-            buses=buses,
-            branches=branches,
-            base_mva=sysd.get("base_mva", Network.base_mva),
-            base_kv=sysd.get("base_kv", Network.base_kv),
-            radial=sysd.get("radial", True),
-        )
+        bases = {key: sysd.get(key, getattr(Network, key)) for key in ("base_mva", "base_kv")}
+        radial = sysd.get("radial", True)
+        for key, value in bases.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise CaseParseError(
+                    f"malformed case object: system {key} must be a number, got {value!r}"
+                )
+        if not isinstance(radial, bool):
+            raise CaseParseError(
+                f"malformed case object: system radial must be true or false, got {radial!r}"
+            )
+        net = Network(buses=buses, branches=branches, radial=radial, **bases)
     except (AttributeError, KeyError, TypeError) as exc:
         raise CaseParseError(f"malformed case object: {exc}") from exc
     return Case(network=net, devices=devices)

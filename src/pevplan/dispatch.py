@@ -231,7 +231,7 @@ class _Hour:
             q_inj[pos] -= qv
             try:
                 state = self.solve(q_inj, v + dv_dq * (qv - q_now))
-            except NonConvergence:
+            except PowerFlowError:
                 return _TRIAL_PENALTY
             solved[qv] = state
             return self.score(state[0])

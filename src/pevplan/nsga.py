@@ -7,16 +7,20 @@ feasible solution beats any infeasible one, and infeasible solutions compare
 by total violation.  That makes the infeasible members a total order, so the
 sort peels Pareto fronts from the feasible members only and appends the
 infeasible ones in groups of equal violation.  Alongside the Pareto archive
-the search reports the single genome with the best weighted scalar, tracked
-as a running minimum over every evaluation so it can never regress between
-generations.
+the search reports the single genome that is best feasible-first (any
+feasible placement before any infeasible one, then the lower weighted
+scalar) over every evaluation, so it never regresses between generations.
+
+Inside the loop the population is an int array of sorted candidate-index
+rows, and each operator draws its randomness for the whole generation in a
+few array calls.  A placement is evaluated once per search; repeats are a
+dictionary lookup.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +28,7 @@ import numpy as np
 from .devices import Device, HourlyProfile, PevLot
 from .dispatch import Scenario
 from .network import Network
-from .objective import DayEvaluator, DayResult, ObjectiveBreakdown
+from .objective import DayEvaluator, ObjectiveBreakdown
 
 
 class InfeasibleConfigError(ValueError):
@@ -78,35 +82,41 @@ def nondominated_sort(vectors: Sequence[Sequence[float]]) -> list[list[int]]:
     return fronts
 
 
-def constrained_fronts(breakdowns: Sequence[ObjectiveBreakdown]) -> list[list[int]]:
-    """The fronts of Deb's sort under :func:`constrained_dominates`.
+_Columns = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _columns(breakdowns: Sequence[ObjectiveBreakdown]) -> _Columns:
+    """What ranking reads of each member: its objective vector (one row
+    each), its feasibility and its violation penalty."""
+    return (
+        np.array([b.vector for b in breakdowns], dtype=float).reshape(-1, 3),
+        np.array([b.feasible for b in breakdowns], dtype=bool),
+        np.array([b.violation_penalty for b in breakdowns], dtype=float),
+    )
+
+
+def _rank(obj: np.ndarray, feasible: np.ndarray,
+          penalty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Front rank (0 = best) and crowding distance within its front, per
+    member, for Deb's sort under :func:`constrained_dominates`.
 
     Every feasible member dominates every infeasible one, so the Pareto
     fronts of the feasible members come first.  Infeasible members compare
-    by penalty alone, a total order: they follow in groups of equal penalty,
-    lowest first.  Each front lists its indices in ascending order.
+    by penalty alone, a total order: each distinct penalty makes one front,
+    lowest first.
     """
-    feasible = [i for i, b in enumerate(breakdowns) if b.feasible]
-    fronts = [
-        [feasible[k] for k in front]
-        for front in nondominated_sort([breakdowns[i].vector for i in feasible])
-    ]
-    infeasible = sorted(
-        (b.violation_penalty, i) for i, b in enumerate(breakdowns) if not b.feasible
-    )
-    for _, group in groupby(infeasible, key=lambda pair: pair[0]):
-        fronts.append([i for _, i in group])
-    return fronts
-
-
-def _rank(breakdowns: Sequence[ObjectiveBreakdown]) -> tuple[np.ndarray, np.ndarray]:
-    """Front rank (0 = best) and crowding distance within its front, per member."""
-    ranks = np.empty(len(breakdowns), dtype=int)
-    crowd = np.full(len(breakdowns), math.inf)
-    for rank, front in enumerate(constrained_fronts(breakdowns)):
-        ranks[front] = rank
-        if len(front) > 2:  # a smaller front has only boundary members
-            crowd[front] = crowding_distance([breakdowns[i].vector for i in front])
+    ranks = np.empty(len(obj), dtype=int)
+    crowd = np.full(len(obj), math.inf)
+    good = np.flatnonzero(feasible)
+    fronts = nondominated_sort(obj[good])
+    for rank, front in enumerate(fronts):
+        ranks[good[front]] = rank
+    bad = np.flatnonzero(~feasible)
+    ranks[bad] = len(fronts) + np.unique(penalty[bad], return_inverse=True)[1]
+    # a front of one or two members has only boundary members
+    for rank in np.flatnonzero(np.bincount(ranks) > 2):
+        front = np.flatnonzero(ranks == rank)
+        crowd[front] = crowding_distance(obj[front])
     return ranks, crowd
 
 
@@ -193,14 +203,16 @@ class OptimizeResult:
     archive: ParetoArchive
     best_genome: PlacementGenome
     best_breakdown: ObjectiveBreakdown
-    history: tuple[float, ...]  # best scalar seen, per generation (index 0 = initial pop)
+    history: tuple[float, ...]  # best_breakdown's scalar after each generation (0 = initial)
     evaluations: int  # distinct placements evaluated
     params: GaParams
 
 
 def _resolve_candidates(net: Network, params: GaParams, n_lots: int) -> tuple[int, ...]:
+    """The candidate buses, sorted, so a row of sorted candidate indices is
+    also a sorted placement."""
     if params.candidates is None:
-        candidates = tuple(b for b in net.bus_ids() if b != net.slack_id)
+        candidates = tuple(sorted(b for b in net.bus_ids() if b != net.slack_id))
     else:
         candidates = tuple(sorted(set(params.candidates)))
         for c in candidates:
@@ -237,6 +249,69 @@ def _fleet_with_n_lots(devices: Sequence[Device], n_lots: int) -> list[Device]:
     return out
 
 
+# The operators work on populations of candidate indices: an int array with
+# one sorted row of ``n_lots`` distinct indices per member.  Each draws its
+# randomness for the whole population in a few array calls.
+
+
+def _sample(rng: np.random.Generator, n_cand: int, size: int, n_lots: int) -> np.ndarray:
+    """``size`` uniform ``n_lots``-subsets of ``range(n_cand)``: the indices
+    of each row's lowest random keys."""
+    keys = rng.random((size, n_cand))
+    return np.sort(np.argsort(keys, axis=1)[:, :n_lots], axis=1)
+
+
+def _tournament(rng: np.random.Generator, ranks: np.ndarray, crowd: np.ndarray,
+                size: int) -> np.ndarray:
+    """Parent indices, shape ``(size, 2)``, each the winner of a binary
+    tournament: the lower rank wins, then the larger crowding distance, then
+    the first contestant drawn."""
+    drawn = rng.integers(0, len(ranks), size=(size, 2, 2))
+    i, j = drawn[..., 0], drawn[..., 1]
+    j_wins = (ranks[j] < ranks[i]) | ((ranks[j] == ranks[i]) & (crowd[j] > crowd[i]))
+    return np.where(j_wins, j, i)
+
+
+def _crossover(rng: np.random.Generator, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row, a uniform ``n_lots``-subset of the union of ``a``'s and
+    ``b``'s genes.
+
+    Every gene gets a random key, a ``b`` gene already in ``a`` gets
+    ``inf``, and the child takes the genes of the lowest keys; ``a`` alone
+    holds ``n_lots`` distinct genes, so no ``inf`` is ever taken.
+    """
+    n_lots = a.shape[1]
+    genes = np.concatenate((a, b), axis=1)
+    keys = rng.random(genes.shape)
+    keys[:, n_lots:][(b[:, :, None] == a[:, None, :]).any(axis=2)] = np.inf
+    pick = np.argsort(keys, axis=1)[:, :n_lots]
+    return np.sort(np.take_along_axis(genes, pick, axis=1), axis=1)
+
+
+def _mutate(rng: np.random.Generator, rows: np.ndarray, rate: float,
+            n_cand: int) -> np.ndarray:
+    """With probability ``rate`` per row, one uniformly drawn slot takes a
+    uniformly drawn candidate the row does not hold."""
+    size, n_lots = rows.shape
+    if n_cand == n_lots:  # no candidate outside the row
+        return rows
+    hit = rng.random(size) < rate
+    slot = rng.integers(0, n_lots, size=size)
+    new = rng.integers(0, n_cand - n_lots, size=size)  # rank among the non-members
+    for k in range(n_lots):  # the row is sorted: skip each member at or below
+        new += rows[:, k] <= new
+    out = rows.copy()
+    out[hit, slot[hit]] = new[hit]
+    return np.sort(out, axis=1)
+
+
+def _survivors(ranks: np.ndarray, crowd: np.ndarray, size: int) -> np.ndarray:
+    """The ``size`` members mu+lambda truncation keeps, in index order: whole
+    fronts, best first, then the members of the front that overflows with the
+    largest crowding distances (the lower index on a tie)."""
+    return np.sort(np.lexsort((-crowd, ranks))[:size])
+
+
 def optimize_placement(
     net: Network,
     devices: Sequence[Device],
@@ -256,8 +331,7 @@ def optimize_placement(
         n_lots = sum(isinstance(d, PevLot) for d in devices)
     if n_lots <= 0:
         raise InfeasibleConfigError("no lots to place")
-    candidates = _resolve_candidates(net, params, n_lots)
-    cand_arr = np.asarray(candidates, dtype=int)
+    candidates = np.asarray(_resolve_candidates(net, params, n_lots), dtype=int)
     rng = np.random.default_rng(params.seed)
     if evaluator is None:
         evaluator = DayEvaluator(
@@ -269,98 +343,44 @@ def optimize_placement(
             f"but the search places {n_lots}"
         )
 
-    def sample() -> PlacementGenome:
-        picked = rng.choice(cand_arr, size=n_lots, replace=False)
-        return PlacementGenome(tuple(int(b) for b in picked))
-
-    def crossover(a: PlacementGenome, b: PlacementGenome) -> PlacementGenome:
-        union = np.asarray(sorted(set(a.lot_buses) | set(b.lot_buses)), dtype=int)
-        picked = rng.choice(union, size=n_lots, replace=False)
-        return PlacementGenome(tuple(int(x) for x in picked))
-
-    def mutate(g: PlacementGenome) -> PlacementGenome:
-        if rng.random() >= params.mutation_rate:
-            return g
-        pool = [c for c in candidates if c not in g.lot_buses]
-        if not pool:
-            return g
-        slot = int(rng.integers(len(g.lot_buses)))
-        replacement = pool[int(rng.integers(len(pool)))]
-        buses = list(g.lot_buses)
-        buses[slot] = replacement
-        return PlacementGenome(tuple(buses))
-
     seen: dict[tuple[int, ...], ObjectiveBreakdown] = {}
-
-    def evaluate(g: PlacementGenome) -> DayResult:
-        day = evaluator.evaluate(g.lot_buses)
-        seen[day.lot_buses] = day.breakdown
-        return day
-
-    population = [sample() for _ in range(params.population)]
-    results = [evaluate(g) for g in population]
-
-    best_scalar = math.inf
     best_key: tuple[bool, float] = (True, math.inf)  # (infeasible?, scalar)
-    best_genome = population[0]
-    best_breakdown = results[0].breakdown
+    best_lots: tuple[int, ...] = ()
+    best_breakdown: ObjectiveBreakdown | None = None
 
-    def update_best(genome: PlacementGenome, day: DayResult) -> None:
-        nonlocal best_scalar, best_key, best_genome, best_breakdown
-        bd = day.breakdown
-        best_scalar = min(best_scalar, bd.scalar)
-        key = (not bd.feasible, bd.scalar)
-        if key < best_key:
-            best_key = key
-            best_genome = genome
-            best_breakdown = bd
+    def score(rows: np.ndarray) -> _Columns:
+        """The rows' placements in :func:`_columns` form; each placement new
+        to the search also bids for the feasible-first best."""
+        nonlocal best_key, best_lots, best_breakdown
+        breakdowns = []
+        for lots in map(tuple, candidates[rows].tolist()):
+            bd = seen.get(lots)
+            if bd is None:
+                bd = seen[lots] = evaluator.evaluate(lots).breakdown
+                key = (not bd.feasible, bd.scalar)
+                if key < best_key or best_breakdown is None:
+                    best_key, best_lots, best_breakdown = key, lots, bd
+            breakdowns.append(bd)
+        return _columns(breakdowns)
 
-    for g, r in zip(population, results):
-        update_best(g, r)
-    history = [best_scalar]
+    size = params.population
+    population = _sample(rng, len(candidates), size, n_lots)
+    columns = score(population)
+    history = [best_breakdown.scalar]
 
     for _ in range(params.generations):
-        ranks, crowd = _rank([r.breakdown for r in results])
+        parents = _tournament(rng, *_rank(*columns), size)
+        children = _crossover(rng, population[parents[:, 0]], population[parents[:, 1]])
+        children = _mutate(rng, children, params.mutation_rate, len(candidates))
+        merged = [np.concatenate(pair) for pair in zip(columns, score(children))]
+        keep = _survivors(*_rank(*merged), size)
+        population = np.concatenate((population, children))[keep]
+        columns = tuple(col[keep] for col in merged)
+        history.append(best_breakdown.scalar)
 
-        def tournament() -> PlacementGenome:
-            i, j = (int(x) for x in rng.integers(0, len(population), size=2))
-            if ranks[i] != ranks[j]:
-                return population[i] if ranks[i] < ranks[j] else population[j]
-            if crowd[i] != crowd[j]:
-                return population[i] if crowd[i] > crowd[j] else population[j]
-            return population[i]
-
-        offspring = []
-        while len(offspring) < params.population:
-            child = mutate(crossover(tournament(), tournament()))
-            offspring.append(child)
-        child_results = [evaluate(g) for g in offspring]
-        for g, r in zip(offspring, child_results):
-            update_best(g, r)
-
-        merged = population + offspring
-        merged_results = results + child_results
-        merged_breakdowns = [r.breakdown for r in merged_results]
-        fronts = constrained_fronts(merged_breakdowns)
-        next_pop: list[int] = []
-        for front in fronts:
-            if len(next_pop) + len(front) <= params.population:
-                next_pop.extend(front)
-                continue
-            need = params.population - len(next_pop)
-            if need > 0:
-                cd = crowding_distance([merged_breakdowns[i].vector for i in front])
-                order = np.argsort(-cd, kind="stable")
-                next_pop.extend(front[int(k)] for k in order[:need])
-            break
-        population = [merged[i] for i in next_pop]
-        results = [merged_results[i] for i in next_pop]
-        history.append(best_scalar)
-
-    archive = _build_archive(seen)
     return OptimizeResult(
-        archive=archive,
-        best_genome=best_genome,
+        archive=_build_archive(seen),
+        best_genome=PlacementGenome(best_lots),
         best_breakdown=best_breakdown,
         history=tuple(history),
         evaluations=len(seen),
@@ -371,12 +391,9 @@ def optimize_placement(
 def _build_archive(seen: dict[tuple[int, ...], ObjectiveBreakdown]) -> ParetoArchive:
     """Nondominated set over every placement this search scored."""
     items = sorted(seen.items())
-    breakdowns = [bd for _, bd in items]
-    front0 = constrained_fronts(breakdowns)[0]
-    vectors = [breakdowns[i].vector for i in front0]
-    crowd = crowding_distance(vectors)
+    ranks, crowd = _rank(*_columns([bd for _, bd in items]))
     entries = []
-    for pos, i in enumerate(front0):
+    for i in np.flatnonzero(ranks == 0).tolist():
         key, bd = items[i]
         entries.append(
             ArchiveEntry(
@@ -386,7 +403,7 @@ def _build_archive(seen: dict[tuple[int, ...], ObjectiveBreakdown]) -> ParetoArc
                 cost=bd.cost,
                 scalar=bd.scalar,
                 feasible=bd.feasible,
-                crowding=float(crowd[pos]),
+                crowding=float(crowd[i]),
             )
         )
     entries.sort(key=lambda e: (e.scalar, e.genome.lot_buses))

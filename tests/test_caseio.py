@@ -183,6 +183,24 @@ def test_case_from_dict_rejects_malformed():
         case_from_dict({"system": {}, "buses": [{"id": 1}], "branches": []})
 
 
+def test_case_from_dict_checks_system_types(bus33):
+    # radial must be a JSON boolean and the bases JSON numbers; a JSON
+    # boolean is not a number
+    data = case_to_dict(bus33)
+    data["system"] = {"base_mva": 10, "base_kv": 12.66, "radial": False}
+    net = case_from_dict(data).network
+    assert net.radial is False and net.base_mva == 10
+    for system, field in (
+        ({"radial": "false"}, "radial"),
+        ({"radial": 0}, "radial"),
+        ({"base_mva": True}, "base_mva"),
+        ({"base_kv": None}, "base_kv"),
+    ):
+        data["system"] = system
+        with pytest.raises(CaseParseError, match=f"malformed case object: system {field} must be"):
+            case_from_dict(data)
+
+
 def test_format_inference_and_override(bus33, tmp_path):
     # a .json suffix selects the structured form; fmt= overrides the suffix
     out = tmp_path / "case.dat"

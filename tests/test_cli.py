@@ -81,7 +81,11 @@ def test_zero_system_base_is_rejected(capsys, tmp_path, command, key):
     assert out == ""
 
 
-@pytest.mark.parametrize("system", [[], {"base_mva": "10"}], ids=["list", "text-base"])
+@pytest.mark.parametrize(
+    "system",
+    [[], {"base_mva": "10"}, {"base_mva": True}, {"radial": "false"}],
+    ids=["list", "text-base", "bool-base", "text-radial"],
+)
 def test_malformed_json_system_is_a_parse_error(capsys, tmp_path, system):
     data = case_to_dict(load_case(builtin_path("bus33.grid")))
     data["system"] = system

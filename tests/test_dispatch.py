@@ -22,6 +22,7 @@ from pevplan.powerflow import (
     InjectionSet,
     NonConvergence,
     PowerFlowError,
+    SingularJacobian,
     _solver_arrays,
     solve,
 )
@@ -285,6 +286,41 @@ def test_trial_kernel_failure_falls_back_to_newton(bus33, devices33, monkeypatch
     assert res.score == pytest.approx(honest.score, abs=1e-9)
     assert res.base_score == pytest.approx(honest.base_score, abs=1e-9)
     assert res.score < res.base_score - 1e-4
+
+
+def test_trial_absorbs_any_solver_failure(bus33, devices33, monkeypatch):
+    # after the base solve the kernel fails and Newton raises
+    # SingularJacobian: every trial scores the penalty, nothing moves, and
+    # the hour completes at its base score
+    net = bus33.network
+    sc = Scenario(mode="dgq+v2gq")
+    kernel = dispatch._fixed_point
+    brent = dispatch.minimize_scalar
+    kernel_calls, scored = [], []
+
+    def fails_after_base(*args, **kwargs):
+        kernel_calls.append(1)
+        if len(kernel_calls) == 1:
+            return kernel(*args, **kwargs)
+        raise PowerFlowError("forced")
+
+    def singular(*args, **kwargs):
+        raise SingularJacobian(1, 1e18)
+
+    def recorded(fn, *args, **kwargs):
+        def score(qv):
+            scored.append(fn(qv))
+            return scored[-1]
+        return brent(score, *args, **kwargs)
+
+    monkeypatch.setattr(dispatch, "_fixed_point", fails_after_base)
+    monkeypatch.setattr(dispatch, "solve", singular)
+    monkeypatch.setattr(dispatch, "minimize_scalar", recorded)
+    res = dispatch_q(net, devices33, PEAK_HOUR, sc)
+    assert scored and set(scored) == {dispatch._TRIAL_PENALTY}
+    assert res.score == res.base_score
+    assert not res.reverted
+    assert all(q == 0.0 for q in res.q_settings.values())
 
 
 def test_hour_solves_each_point_once(bus33, devices33, monkeypatch):

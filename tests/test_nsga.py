@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pevplan.caseio import load_builtin
 from pevplan.devices import HOURS, PevLot
@@ -13,13 +16,20 @@ from pevplan.nsga import (
     InfeasibleConfigError,
     PlacementGenome,
     constrained_dominates,
-    constrained_fronts,
     crowding_distance,
     dominates,
     nondominated_sort,
     optimize_placement,
 )
-from pevplan.nsga import _rank
+from pevplan.nsga import (
+    _columns,
+    _crossover,
+    _mutate,
+    _rank,
+    _sample,
+    _survivors,
+    _tournament,
+)
 from pevplan.objective import DayEvaluator, ObjectiveBreakdown
 
 from conftest import small_feeder
@@ -38,6 +48,12 @@ def brute_force_fronts(items, dom=dominates):
         fronts.append(front)
         remaining = [i for i in remaining if i not in front]
     return fronts
+
+
+def constrained_fronts(items):
+    """The fronts :func:`_rank` sorts breakdowns into, best first."""
+    ranks, _ = _rank(*_columns(items))
+    return [np.flatnonzero(ranks == r).tolist() for r in range(len(set(ranks.tolist())))]
 
 
 def feasible(v_dev, loss, cost=1.0):
@@ -102,27 +118,52 @@ def test_sort_with_constraint_domination():
     assert fronts[1:] == [[2], [1]]     # then by violation
 
 
+def random_breakdowns(rng, n):
+    """Breakdowns on integer grids, which tie vectors and penalties, with a
+    random share of them feasible."""
+    share = rng.uniform(0.0, 1.0)
+    items = []
+    for _ in range(n):
+        v_dev, loss, cost = (float(x) for x in rng.integers(0, 4, size=3))
+        ok = bool(rng.random() < share)
+        items.append(ObjectiveBreakdown(
+            v_dev, loss, cost, v_dev + loss + cost, feasible=ok,
+            violation_penalty=0.0 if ok else float(rng.integers(1, 4)),
+        ))
+    return items
+
+
 def test_feasible_first_sort_matches_constrained_peeling():
-    # integer grids tie vectors and penalties; every mix of feasibility
     rng = np.random.default_rng(3)
     for _ in range(200):
-        n = int(rng.integers(1, 41))
-        share = rng.uniform(0.0, 1.0)
-        items = []
-        for _ in range(n):
-            v_dev, loss, cost = (float(x) for x in rng.integers(0, 4, size=3))
-            ok = bool(rng.random() < share)
-            items.append(ObjectiveBreakdown(
-                v_dev, loss, cost, v_dev + loss + cost, feasible=ok,
-                violation_penalty=0.0 if ok else float(rng.integers(1, 4)),
-            ))
+        items = random_breakdowns(rng, int(rng.integers(1, 41)))
         fronts = brute_force_fronts(items, constrained_dominates)
         assert constrained_fronts(items) == fronts
-        ranks, crowd = _rank(items)
+        ranks, crowd = _rank(*_columns(items))
         for rank, front in enumerate(fronts):
             assert list(ranks[front]) == [rank] * len(front)
             expect = crowding_distance([items[i].vector for i in front])
             np.testing.assert_array_equal(crowd[front], expect)
+
+
+def test_survivors_keep_whole_fronts_then_the_most_crowded_apart():
+    # reference mu+lambda truncation, front by front, on the peeled fronts
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        n = int(rng.integers(1, 41))
+        size = int(rng.integers(1, n + 1))
+        items = random_breakdowns(rng, n)
+        expect = []
+        for front in brute_force_fronts(items, constrained_dominates):
+            need = size - len(expect)
+            if len(front) <= need:
+                expect += front
+                continue
+            cd = crowding_distance([items[i].vector for i in front])
+            expect += [front[k] for k in np.argsort(-cd, kind="stable")[:need]]
+            break
+        kept = _survivors(*_rank(*_columns(items)), size)
+        assert kept.tolist() == sorted(expect)
 
 
 def test_crowding_boundaries_are_infinite():
@@ -168,6 +209,103 @@ def test_ga_params_validation():
     assert GaParams(candidates=[9, 3]).candidates == (9, 3)
 
 
+# -- array operators ---------------------------------------------------------
+
+
+@st.composite
+def populations(draw, count=1):
+    """``n_cand`` and ``count`` populations of one shape: rows of sorted,
+    distinct candidate indices."""
+    n_cand = draw(st.integers(1, 40))
+    n_lots = draw(st.integers(1, min(n_cand, 6)))
+    size = draw(st.integers(1, 12))
+    return (n_cand,) + tuple(
+        np.array([sorted(draw(st.permutations(range(n_cand)))[:n_lots])
+                  for _ in range(size)], dtype=int)
+        for _ in range(count)
+    )
+
+
+def assert_placements(rows, n_cand, n_lots):
+    """Every row sorted, of distinct indices, all within the candidates."""
+    assert rows.shape[1] == n_lots
+    assert (np.diff(rows, axis=1) > 0).all()
+    assert ((rows >= 0) & (rows < n_cand)).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(populations(), st.integers(0, 2**32 - 1))
+def test_sample_draws_placements(pop, seed):
+    n_cand, rows = pop
+    drawn = _sample(np.random.default_rng(seed), n_cand, len(rows), rows.shape[1])
+    assert drawn.shape == rows.shape
+    assert_placements(drawn, n_cand, rows.shape[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(populations(count=2), st.integers(0, 2**32 - 1))
+def test_crossover_children_come_from_their_parents(pops, seed):
+    n_cand, a, b = pops
+    children = _crossover(np.random.default_rng(seed), a, b)
+    assert_placements(children, n_cand, a.shape[1])
+    for child, ra, rb in zip(children, a, b):
+        assert set(child) <= set(ra) | set(rb)
+
+
+@settings(max_examples=60, deadline=None)
+@given(populations(), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_mutation_swaps_one_slot_for_a_non_member(pop, rate, seed):
+    n_cand, rows = pop
+    mutated = _mutate(np.random.default_rng(seed), rows, rate, n_cand)
+    assert_placements(mutated, n_cand, rows.shape[1])
+    for new, old in zip(mutated, rows):
+        gone, came = set(old) - set(new), set(new) - set(old)
+        assert len(gone) == len(came) <= 1  # one slot, to a non-member
+    if n_cand > rows.shape[1]:  # at rate 1 every row has a non-member to take
+        always = _mutate(np.random.default_rng(seed), rows, 1.0, n_cand)
+        assert all(len(set(new) - set(old)) == 1 for new, old in zip(always, rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 30), st.integers(0, 2**32 - 1))
+def test_tournament_winner_beats_its_rival(size, members, seed):
+    rng = np.random.default_rng(seed)
+    ranks = rng.integers(0, 3, size=members)
+    crowd = rng.choice([0.5, 1.0, math.inf], size=members)
+    won = _tournament(np.random.default_rng(seed + 1), ranks, crowd, size)
+    drawn = np.random.default_rng(seed + 1).integers(0, members, size=(size, 2, 2))
+    for winner, (i, j) in zip(won.ravel(), drawn.reshape(-1, 2)):
+        assert winner in (i, j)
+        rival = j if winner == i else i
+        assert (ranks[winner], -crowd[winner]) <= (ranks[rival], -crowd[rival])
+        if (ranks[i], crowd[i]) == (ranks[j], crowd[j]):
+            assert winner == i  # a tie goes to the first contestant
+
+
+def test_crossover_draws_uniformly_from_the_union():
+    # {0, 1} x {1, 2}: the union {0, 1, 2} holds three pairs, each 1/3
+    n = 30_000
+    a = np.tile([0, 1], (n, 1))
+    b = np.tile([1, 2], (n, 1))
+    children = _crossover(np.random.default_rng(0), a, b)
+    pairs, counts = np.unique(children, axis=0, return_counts=True)
+    assert pairs.tolist() == [[0, 1], [0, 2], [1, 2]]
+    np.testing.assert_allclose(counts / n, 1 / 3, atol=0.015)
+
+
+def test_mutation_draws_uniformly_from_the_non_members():
+    # row {1, 3} of five candidates: each slot half the time, and each of
+    # the non-members 0, 2 and 4 a third of the time
+    n = 30_000
+    rows = np.tile([1, 3], (n, 1))
+    mutated = _mutate(np.random.default_rng(0), rows, 1.0, 5)
+    kept = np.where(np.isin(mutated, [1, 3]), mutated, -1).max(axis=1)
+    came = np.where(np.isin(mutated, [1, 3]), -1, mutated).max(axis=1)
+    np.testing.assert_allclose(np.mean(kept == 1), 0.5, atol=0.015)
+    for bus in (0, 2, 4):
+        np.testing.assert_allclose(np.mean(came == bus), 1 / 3, atol=0.015)
+
+
 # -- the search itself -------------------------------------------------------
 
 
@@ -205,6 +343,42 @@ def test_history_is_monotone_and_sized():
     assert len(res.history) == params.generations + 1
     assert all(b <= a for a, b in zip(res.history, res.history[1:]))
     assert res.history[-1] == res.best_breakdown.scalar
+
+
+class TableEvaluator:
+    """Stands in for a DayEvaluator: one-lot breakdowns from a table."""
+
+    lot_count = 1
+
+    def __init__(self, table):
+        self.table = table
+        self.asked = set()
+
+    def evaluate(self, lots):
+        self.asked.add(lots[0])
+        return SimpleNamespace(lot_buses=tuple(lots), breakdown=self.table[lots[0]])
+
+
+def test_history_follows_the_feasible_first_best():
+    # buses 2 and 3 violate limits yet score lower than any feasible bus:
+    # history reports the best the search returns, never a lower
+    # infeasible scalar, and once a feasible member exists it cannot rise
+    net = small_feeder(8)
+    table = {
+        2: ObjectiveBreakdown(9.0, 9.0, 9.0, 0.5, feasible=False, violation_penalty=1.0),
+        3: ObjectiveBreakdown(9.0, 9.0, 9.0, 0.7, feasible=False, violation_penalty=2.0),
+    }
+    for bus, scalar in zip(range(4, 9), (5.0, 4.0, 3.0, 2.0, 1.0)):
+        table[bus] = ObjectiveBreakdown(scalar, 0.0, 0.0, scalar, feasible=True)
+    for seed in range(5):
+        evaluator = TableEvaluator(table)
+        params = GaParams(population=4, generations=10, mutation_rate=0.5, seed=seed, n_lots=1)
+        res = optimize_placement(net, [], None, Scenario(mode="none"), params, evaluator=evaluator)
+        assert {2, 3} & evaluator.asked  # a lower infeasible scalar was seen
+        assert res.best_breakdown.feasible
+        assert res.history[-1] == res.best_breakdown.scalar
+        first = next(k for k, h in enumerate(res.history) if h >= 1.0)
+        assert all(b <= a for a, b in zip(res.history[first:], res.history[first + 1:]))
 
 
 def test_reported_best_is_min_over_evaluated():
