@@ -197,7 +197,8 @@ def measure(src: Path) -> dict:
                 "newton_columns": stats.newton_columns,
                 "divergent_hours": stats.divergent_hours,
                 "hours_dispatched_per_day": stats.hours_dispatched / days,
-                "cold_retries": stats.cold_retries,
+                # a tree whose DayStats predates reverted_hours counts cold_retries
+                "reverted_hours": getattr(stats, "reverted_hours", None),
             }
         out["work"][mode] = _count_work(pevplan, bundle, mode, placements)
     rank = _ranker(nsga)

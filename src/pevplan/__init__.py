@@ -16,7 +16,6 @@ from .caseio import (
     load_builtin,
     load_case,
     load_profiles,
-    save_case,
 )
 from .devices import (
     HourlyProfile,
@@ -107,7 +106,6 @@ __all__ = [
     "optimize_placement",
     "partial_objective",
     "q_capability",
-    "save_case",
     "solve",
     "solve_sweep",
     "transfer_power_general",

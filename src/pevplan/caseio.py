@@ -1,6 +1,7 @@
-"""Case-file and profile-file input/output.
+"""Case-file and profile-file input.
 
-Two interchangeable on-disk forms are supported:
+Two interchangeable on-disk forms are read, chosen by the file suffix
+(``.json`` is read as JSON, anything else as grid text):
 
 * ``grid`` — line-oriented text.  Sections ``[SYSTEM]``, ``[BUS]``,
   ``[BRANCH]``, ``[DEVICE]``; ``#`` starts a comment; each table section
@@ -16,9 +17,8 @@ Two interchangeable on-disk forms are supported:
 * ``json`` — the same content as one structured object, all quantities
   already per-unit, for programmatic use.
 
-Loading converts engineering units to per-unit exactly once; saving solves
-the conversion backwards so that save-then-load reproduces every float
-bit for bit.
+Loading converts engineering units to per-unit exactly once.  Nothing
+writes cases or profiles.
 
 Profiles live in a separate CSV (``profile_id,h0..h23``) holding per-unit
 (of device rating) values; ``bind_devices`` joins them with device rows.
@@ -92,32 +92,6 @@ class Case:
 
     network: Network
     devices: tuple[DeviceSpec, ...]
-
-
-def _exact_engineering(pu: float, scale: float) -> float:
-    """Engineering-unit value ``w`` whose quotient ``w / scale`` equals ``pu``.
-
-    ``pu * scale`` rounds, so dividing it back can land one ulp off; walk the
-    neighbouring floats until the division reproduces ``pu`` exactly.
-    """
-    if pu == 0.0 or not math.isfinite(pu):
-        return pu * scale
-    w = pu * scale
-    if w / scale == pu:
-        return w
-    lo = hi = w
-    for _ in range(64):
-        lo = math.nextafter(lo, -math.inf)
-        if lo / scale == pu:
-            return lo
-        hi = math.nextafter(hi, math.inf)
-        if hi / scale == pu:
-            return hi
-    raise ValueError(f"no engineering-unit encoding of {pu!r} at scale {scale!r}")
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 class _Scales:
@@ -278,102 +252,8 @@ def _read_grid_text(text: str, source: str) -> Case:
     return Case(network=net, devices=tuple(devices))
 
 
-def _write_grid_text(case: Case) -> str:
-    net = case.network
-    scales = _Scales(net.base_mva, net.base_kv)
-    lo, hi = net.voltage_bounds()
-    out = ["[SYSTEM]"]
-    out.append(f"base_mva = {_fmt(net.base_mva)}")
-    out.append(f"base_kv = {_fmt(net.base_kv)}")
-    out.append(f"v_min = {_fmt(lo.min())}")
-    out.append(f"v_max = {_fmt(hi.max())}")
-    out.append(f"radial = {'true' if net.radial else 'false'}")
-
-    out.append("")
-    out.append("[BUS]")
-    out.append(",".join(_BUS_HEADER))
-    for b in net.buses:
-        p_kw = _exact_engineering(b.normal_load_p, scales.power_kw)
-        q_kvar = _exact_engineering(b.normal_load_q, scales.power_kw)
-        out.append(f"{b.id},{b.kind},{_fmt(p_kw)},{_fmt(q_kvar)}")
-
-    out.append("")
-    out.append("[BRANCH]")
-    out.append(",".join(_BRANCH_HEADER))
-    for br in net.branches:
-        r = _exact_engineering(br.resistance, scales.impedance_ohm)
-        x = _exact_engineering(br.reactance, scales.impedance_ohm)
-        cap = _exact_engineering(br.current_cap, scales.current_a)
-        out.append(f"{br.from_bus},{br.to_bus},{_fmt(r)},{_fmt(x)},{_fmt(cap)}")
-
-    if case.devices:
-        out.append("")
-        out.append("[DEVICE]")
-        has_lots = any(d.type == "pevlot" for d in case.devices)
-        out.append(",".join(_DEVICE_HEADER_LOT if has_lots else _DEVICE_HEADER))
-        for d in case.devices:
-            row = [
-                str(d.bus),
-                d.type,
-                _fmt(d.s_rated_kva),
-                _fmt(d.x_coupling_pu),
-                _fmt(d.vc_max_pu),
-                d.profile_id,
-            ]
-            if has_lots:
-                row += [str(d.n_pev), _fmt(d.cost_per_pev)]
-            out.append(",".join(row))
-    out.append("")
-    return "\n".join(out)
-
-
 # ---------------------------------------------------------------------------
 # structured-object ("json") format — everything already per-unit
-
-
-def case_to_dict(case: Case) -> dict:
-    net = case.network
-    return {
-        "system": {
-            "base_mva": net.base_mva,
-            "base_kv": net.base_kv,
-            "radial": net.radial,
-        },
-        "buses": [
-            {
-                "id": b.id,
-                "kind": b.kind,
-                "p_load": b.normal_load_p,
-                "q_load": b.normal_load_q,
-                "v_min": b.v_min,
-                "v_max": b.v_max,
-            }
-            for b in net.buses
-        ],
-        "branches": [
-            {
-                "from": br.from_bus,
-                "to": br.to_bus,
-                "r": br.resistance,
-                "x": br.reactance,
-                "i_cap": br.current_cap,
-            }
-            for br in net.branches
-        ],
-        "devices": [
-            {
-                "bus": d.bus,
-                "type": d.type,
-                "s_rated_kva": d.s_rated_kva,
-                "x_coupling_pu": d.x_coupling_pu,
-                "vc_max_pu": d.vc_max_pu,
-                "profile_id": d.profile_id,
-                "n_pev": d.n_pev,
-                "cost_per_pev": d.cost_per_pev,
-            }
-            for d in case.devices
-        ],
-    }
 
 
 def case_from_dict(data: dict) -> Case:
@@ -434,40 +314,22 @@ def case_from_dict(data: dict) -> Case:
 # public entry points
 
 
-def _infer_format(path: Path, fmt: str | None) -> str:
-    if fmt is not None:
-        if fmt not in ("grid", "json"):
-            raise CaseParseError(f"unknown case format {fmt!r}")
-        return fmt
-    return "json" if path.suffix.lower() == ".json" else "grid"
-
-
-def load_case(path: str | Path, fmt: str | None = None) -> Case:
+def load_case(path: str | Path) -> Case:
     """Parse a case file into a validated :class:`Case`.
 
-    ``fmt`` is ``"grid"`` or ``"json"``; by default it is inferred from the
-    file suffix (``.json`` → json, anything else → grid).
+    A ``.json`` suffix is read as JSON, anything else as grid text.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"case file not found: {path}")
     text = path.read_text()
-    if _infer_format(path, fmt) == "json":
+    if path.suffix.lower() == ".json":
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise CaseParseError(f"{path}: invalid JSON: {exc}") from exc
         return case_from_dict(data)
     return _read_grid_text(text, str(path))
-
-
-def save_case(case: Case, path: str | Path, fmt: str | None = None) -> None:
-    """Write a case so that :func:`load_case` reproduces it exactly."""
-    path = Path(path)
-    if _infer_format(path, fmt) == "json":
-        path.write_text(json.dumps(case_to_dict(case), indent=2) + "\n")
-    else:
-        path.write_text(_write_grid_text(case))
 
 
 def load_profiles(path: str | Path) -> dict[str, HourlyProfile]:
@@ -499,15 +361,6 @@ def load_profiles(path: str | Path) -> dict[str, HourlyProfile]:
             except ValueError as exc:
                 raise CaseParseError(f"{path}:{lineno}: {exc}") from exc
     return profiles
-
-
-def save_profiles(profiles: dict[str, HourlyProfile], path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["profile_id"] + [f"h{i}" for i in range(HOURS)])
-        for pid in sorted(profiles):
-            writer.writerow([pid] + [_fmt(v) for v in profiles[pid].values])
 
 
 def bind_devices(

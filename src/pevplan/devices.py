@@ -42,9 +42,6 @@ class HourlyProfile:
             raise ValueError(f"profile {self.profile_id!r}: values must be finite and >= 0")
         object.__setattr__(self, "values", values)
 
-    def __getitem__(self, hour: int) -> float:
-        return self.values[hour]
-
     def scaled(self, factor: float) -> tuple[float, ...]:
         return tuple(v * factor for v in self.values)
 

@@ -51,6 +51,7 @@ _MODE_ALIASES = {"dgq-v2gq": "dgq+v2gq"}
 MAX_SWEEPS = 10
 SWEEP_IMPROVEMENT_TOL = 1e-6
 CAPABILITY_RECHECK_TOL = 1e-9
+_RECHECK_SOLVES = 10
 _TRIAL_PENALTY = 1e9
 _SEARCH_REL_XATOL = 0.08
 _SEARCH_MIN_XATOL = 1e-4
@@ -326,12 +327,16 @@ def dispatch_q(
             if not dirty or score_at_sweep_start - score < SWEEP_IMPROVEMENT_TOL:
                 break
 
-    state, score = _recheck_capability(hr, participants, hour, q, state, score, infeasible)
-    reverted = score > base_score
-    if reverted:  # the clamped state scores worse than the undispatched one
+    rechecked = _recheck_capability(hr, participants, hour, q, state, score, infeasible)
+    # revert if the setpoints did not settle in their intervals, or if the
+    # clamped state scores worse than the undispatched one
+    reverted = rechecked is None or rechecked[1] > base_score
+    if reverted:
         for dev in participants:
             q[dev.label] = 0.0
         state, score = base_state, base_score
+    else:
+        state, score = rechecked
     base = _finish(net, *base_state, converged=True)
     final = base if state is base_state else _finish(net, *state, converged=True)
     return DispatchResult(hour, q, final, base, score, base_score, tuple(infeasible), reverted)
@@ -340,14 +345,15 @@ def dispatch_q(
 def _recheck_capability(
     hr: _Hour, participants: Sequence[Device], hour: int, q: dict[str, float],
     state: _State, score: float, infeasible: list[str],
-) -> tuple[_State, float]:
+) -> tuple[_State, float] | None:
     """Clamp setpoints into the capability interval at the final voltages.
 
     The interval depends on the device's own bus voltage, which moved during
-    the search, so the check iterates clamp-and-resolve until stable.
-    Returns the final state and its score.
+    the search, so the check iterates clamp-and-resolve until a check of the
+    solved state adjusts nothing.  Returns that state and its score, or None
+    if the setpoints have not settled after ``_RECHECK_SOLVES`` solves.
     """
-    for _ in range(5):
+    for solves in range(_RECHECK_SOLVES + 1):
         adjusted = False
         for dev in participants:
             v_bus = float(np.abs(state[0][hr.net.index_of(dev.bus)]))
@@ -363,7 +369,9 @@ def _recheck_capability(
                 q[dev.label] = cap.clamp(q[dev.label])
                 adjusted = True
         if not adjusted:
+            return state, score
+        if solves == _RECHECK_SOLVES:
             break
         state = hr.solve(hr.q_injections(q), state[0])
         score = hr.score(state[0])
-    return state, score
+    return None

@@ -37,7 +37,6 @@ from .network import (
 from .powerflow import (
     InjectionSet,
     PowerFlowError,
-    PowerFlowSolution,
     _finish,
     _fixed_point_block,
     _limit_excess,
@@ -79,11 +78,10 @@ class DayStats:
     ``block_columns`` the hours solved in the 24-column base block, and
     ``block_iterations`` their summed fixed-point iterations;
     ``newton_columns`` the block columns that did not converge and went to
-    Newton alone; ``hours_dispatched`` the hours run through
-    :func:`dispatch_q`, of which ``cold_retries`` were repeated from a flat
-    start after a failure; ``divergent_hours`` the hours dropped because
-    Newton or both dispatch attempts failed too.  ``day_s`` is the wall time
-    spent computing days.
+    Newton alone; ``divergent_hours`` the hours dropped because Newton failed
+    too; ``hours_dispatched`` the hours run through :func:`dispatch_q`, of
+    which ``reverted_hours`` failed and kept their undispatched base column.
+    ``day_s`` is the wall time spent computing days.
     """
 
     days: int = 0
@@ -92,7 +90,7 @@ class DayStats:
     newton_columns: int = 0
     divergent_hours: int = 0
     hours_dispatched: int = 0
-    cold_retries: int = 0
+    reverted_hours: int = 0
     day_s: float = 0.0
 
 
@@ -147,7 +145,8 @@ class DayEvaluator:
     on its placement only.  A column that fails goes alone to Newton; if
     that fails too, the hour is divergent: the day is infeasible, carries
     ``_DIVERGENT_HOUR_PENALTY``, and the hour adds no objective terms.
-    Hours with participating devices are dispatched from their base column.
+    Hours with participating devices are dispatched from their base column;
+    an hour whose dispatch fails reverts to that column with every Q at 0.
     The day is then scored from the stacked final voltages.
     """
 
@@ -245,7 +244,6 @@ class DayEvaluator:
         stats["block_iterations"] += int(iterations.sum())
 
         live = np.ones(HOURS, dtype=bool)
-        newton: dict[int, PowerFlowSolution] = {}
         for hour in np.flatnonzero(~converged):
             stats["newton_columns"] += 1
             try:
@@ -254,18 +252,23 @@ class DayEvaluator:
                 stats["divergent_hours"] += 1
                 live[hour] = False
                 continue
-            newton[int(hour)] = sol
             v[:, hour] = sol.v_complex
+            iterations[hour], mismatch[hour] = sol.iterations, sol.max_mismatch
 
         q = np.zeros((len(devices), HOURS))
         dispatched: dict[int, DispatchResult] = {}
+        reverted: set[int] = set()
         if scenario.participating(devices):
-            for hour in np.flatnonzero(live):
-                result = self._dispatch(devices, int(hour), v[:, hour])
-                if result is None:
-                    live[hour] = False
+            for hour in map(int, np.flatnonzero(live)):
+                stats["hours_dispatched"] += 1
+                try:
+                    result = dispatch_q(net, devices, hour, scenario,
+                                        load_scale=self._load_shape[hour], v0=v[:, hour])
+                except PowerFlowError:
+                    stats["reverted_hours"] += 1
+                    reverted.add(hour)
                     continue
-                dispatched[int(hour)] = result
+                dispatched[hour] = result
                 v[:, hour] = result.solution.v_complex
                 q[:, hour] = [result.q_settings[d.label] for d in devices]
 
@@ -278,29 +281,11 @@ class DayEvaluator:
             if hour in dispatched:
                 hours.append(dispatched[hour])
                 continue
-            sol = newton.get(hour) or _finish(net, v[:, hour], int(iterations[hour]),
-                                              float(mismatch[hour]), True)
+            sol = _finish(net, v[:, hour], int(iterations[hour]), float(mismatch[hour]), True)
             score = partial_objective(net, sol, scenario)
-            hours.append(DispatchResult(hour, {d.label: 0.0 for d in devices},
-                                        sol, sol, score, score))
+            hours.append(DispatchResult(hour, {d.label: 0.0 for d in devices}, sol, sol,
+                                        score, score, reverted=hour in reverted))
         return breakdown, tuple(hours)
-
-    def _dispatch(self, devices: list[Device], hour: int,
-                  v0: np.ndarray) -> DispatchResult | None:
-        """``hour`` dispatched from ``v0``, retried from a flat start if that
-        fails; None if both fail."""
-        stats = self._stats
-        stats["hours_dispatched"] += 1
-        for start in (v0, None):
-            try:
-                return dispatch_q(self.net, devices, hour, self.scenario,
-                                  load_scale=self._load_shape[hour], v0=start)
-            except PowerFlowError:
-                if start is None:
-                    stats["divergent_hours"] += 1
-                else:
-                    stats["cold_retries"] += 1
-        return None
 
     def _score(self, devices: list[Device], v: np.ndarray, q: np.ndarray,
                live: np.ndarray, arrays) -> ObjectiveBreakdown:

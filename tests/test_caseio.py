@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 import math
 
@@ -7,20 +9,14 @@ import numpy as np
 import pytest
 
 from pevplan.caseio import (
-    Case,
     CaseParseError,
     DeviceSpec,
-    _exact_engineering,
     builtin_path,
     case_from_dict,
-    case_to_dict,
     load_builtin,
     load_case,
     load_profiles,
-    save_case,
-    save_profiles,
 )
-from pevplan.devices import HourlyProfile
 from pevplan.network import ValidationError
 
 MINIMAL_GRID = """\
@@ -37,6 +33,59 @@ id,kind,p_load_kw,q_load_kvar
 from,to,r_ohm,x_ohm,i_cap_a
 1,2,0.0922,0.0470,400.0
 """
+
+
+# One feeder twice: engineering units in grid text, per-unit in JSON.  The
+# bases are 10 MVA and 12.66 kV, so power divides by 1e4 kW, impedance by
+# 16.02756 ohm and current by 456.0428666584722 A.
+CROSS_GRID = """\
+[SYSTEM]
+base_mva = 10.0
+base_kv = 12.66
+v_min = 0.94
+v_max = 1.06
+radial = true
+
+[BUS]
+id,kind,p_load_kw,q_load_kvar
+1,slack,0.0,0.0
+2,load,100.0,60.0
+3,load,90.0,40.0
+
+[BRANCH]
+from,to,r_ohm,x_ohm,i_cap_a
+1,2,0.0922,0.0470,400.0
+2,3,0.4930,0.2511,300.0
+
+[DEVICE]
+bus,type,s_rated_kva,x_coupling_pu,vc_max_pu,profile_id,n_pev,cost_per_pev
+2,pv,500.0,0.04,1.15,pv-a,1,1.0
+3,pevlot,600.0,0.05,1.1,lot-a,60,0.05
+"""
+
+CROSS_JSON = {
+    "system": {"base_mva": 10.0, "base_kv": 12.66, "radial": True},
+    "buses": [
+        {"id": 1, "kind": "slack", "p_load": 0.0, "q_load": 0.0,
+         "v_min": 0.94, "v_max": 1.06},
+        {"id": 2, "kind": "load", "p_load": 0.01, "q_load": 0.006,
+         "v_min": 0.94, "v_max": 1.06},
+        {"id": 3, "kind": "load", "p_load": 0.009, "q_load": 0.004,
+         "v_min": 0.94, "v_max": 1.06},
+    ],
+    "branches": [
+        {"from": 1, "to": 2, "r": 0.005752591161723931, "x": 0.002932448856844086,
+         "i_cap": 0.8771105289528794},
+        {"from": 2, "to": 3, "r": 0.03075951673242839, "x": 0.0156667639990117,
+         "i_cap": 0.6578328967146596},
+    ],
+    "devices": [
+        {"bus": 2, "type": "pv", "s_rated_kva": 500.0, "x_coupling_pu": 0.04,
+         "vc_max_pu": 1.15, "profile_id": "pv-a", "n_pev": 1, "cost_per_pev": 1.0},
+        {"bus": 3, "type": "pevlot", "s_rated_kva": 600.0, "x_coupling_pu": 0.05,
+         "vc_max_pu": 1.1, "profile_id": "lot-a", "n_pev": 60, "cost_per_pev": 0.05},
+    ],
+}
 
 
 def write_case(tmp_path, text, name="case.grid"):
@@ -154,28 +203,32 @@ def test_missing_case_file_raises_file_not_found(tmp_path):
         load_case(tmp_path / "absent.grid")
 
 
-# -- round trips -------------------------------------------------------------
+# -- the two readers against each other -------------------------------------
 
 
-def test_grid_round_trip_is_exact(bus33, tmp_path):
-    """save -> load reproduces every parsed float bit for bit."""
-    out = tmp_path / "again.grid"
-    save_case(bus33, out)
-    again = load_case(out)
-    assert again == bus33  # dataclass equality covers all buses/branches/devices
+def assert_same_case(a, b):
+    """Equal cases, with per-unit floats equal to 1e-15 relative."""
+    na, nb = a.network, b.network
+    assert (na.base_mva, na.base_kv, na.radial) == (nb.base_mva, nb.base_kv, nb.radial)
+    for rows_a, rows_b in ((na.buses, nb.buses), (na.branches, nb.branches)):
+        assert len(rows_a) == len(rows_b)
+        for row_a, row_b in zip(rows_a, rows_b):
+            for f in dataclasses.fields(row_a):
+                x, y = getattr(row_a, f.name), getattr(row_b, f.name)
+                if isinstance(x, float):
+                    assert x == pytest.approx(y, rel=1e-15, abs=0.0), (row_a, f.name)
+                else:
+                    assert x == y, (row_a, f.name)
+    assert a.devices == b.devices
 
 
-def test_json_round_trip_is_exact(bus33, tmp_path):
-    out = tmp_path / "case.json"
-    save_case(bus33, out)
-    assert load_case(out) == bus33
-    # sanity: the file is plain JSON with the expected top-level keys
-    data = json.loads(out.read_text())
-    assert set(data) == {"system", "buses", "branches", "devices"}
-
-
-def test_case_dict_round_trip(bus33):
-    assert case_from_dict(case_to_dict(bus33)) == bus33
+def test_json_and_grid_readers_agree(tmp_path):
+    grid = load_case(write_case(tmp_path, CROSS_GRID))
+    as_json = load_case(write_case(tmp_path, json.dumps(CROSS_JSON), "case.json"))
+    assert_same_case(grid, as_json)
+    assert_same_case(grid, case_from_dict(CROSS_JSON))
+    lot = as_json.devices[1]
+    assert (lot.type, lot.n_pev, lot.cost_per_pev) == ("pevlot", 60, 0.05)
 
 
 def test_case_from_dict_rejects_malformed():
@@ -183,10 +236,10 @@ def test_case_from_dict_rejects_malformed():
         case_from_dict({"system": {}, "buses": [{"id": 1}], "branches": []})
 
 
-def test_case_from_dict_checks_system_types(bus33):
+def test_case_from_dict_checks_system_types():
     # radial must be a JSON boolean and the bases JSON numbers; a JSON
     # boolean is not a number
-    data = case_to_dict(bus33)
+    data = copy.deepcopy(CROSS_JSON)
     data["system"] = {"base_mva": 10, "base_kv": 12.66, "radial": False}
     net = case_from_dict(data).network
     assert net.radial is False and net.base_mva == 10
@@ -201,40 +254,15 @@ def test_case_from_dict_checks_system_types(bus33):
             case_from_dict(data)
 
 
-def test_format_inference_and_override(bus33, tmp_path):
-    # a .json suffix selects the structured form; fmt= overrides the suffix
-    out = tmp_path / "case.dat"
-    save_case(bus33, out, fmt="json")
-    assert load_case(out, fmt="json") == bus33
+def test_format_inference_and_override(tmp_path):
+    # the suffix alone picks the reader: .json is JSON, anything else grid
+    text = json.dumps(CROSS_JSON)
+    assert_same_case(load_case(write_case(tmp_path, text, "case.JSON")),
+                     load_case(write_case(tmp_path, CROSS_GRID, "case.txt")))
     with pytest.raises(CaseParseError):
-        load_case(out)  # .dat defaults to grid text and fails to parse
-    with pytest.raises(CaseParseError, match="unknown case format"):
-        load_case(out, fmt="yaml")
-
-
-def test_exact_engineering_inverts_division():
-    # any pu value that came from a division w/scale must be writable back
-    rng = np.random.default_rng(7)
-    scales = [10_000.0, 16.02756, 456.0794]
-    for scale in scales:
-        for _ in range(200):
-            pu = float(rng.uniform(1e-3, 5000.0)) / scale
-            w = _exact_engineering(pu, scale)
-            assert w / scale == pu  # exact, no tolerance
-    assert _exact_engineering(0.0, 123.0) == 0.0
-    assert math.isnan(_exact_engineering(float("nan"), 2.0))
-
-
-def test_exact_engineering_rejects_unreachable_value():
-    # consecutive floats near 8e4 map to quotients ~1.6 ulp apart at scale
-    # 1e4, so some per-unit floats are not any w/1e4; those must raise
-    # rather than silently round
-    pu = 7.970694490451034
-    assert not any(
-        math.nextafter(pu * 1e4, d) / 1e4 == pu for d in (0.0, math.inf, -math.inf)
-    )
-    with pytest.raises(ValueError, match="no engineering-unit encoding"):
-        _exact_engineering(pu, 1e4)
+        load_case(write_case(tmp_path, text, "case.dat"))  # JSON read as grid text
+    with pytest.raises(CaseParseError, match="invalid JSON"):
+        load_case(write_case(tmp_path, CROSS_GRID, "case.json"))
 
 
 # -- profiles ----------------------------------------------------------------
@@ -246,12 +274,6 @@ def test_load_builtin_profiles(profiles33):
     assert len(pv.values) == 24
     assert max(pv.values) == pytest.approx(0.85)
     assert pv.values[0] == 0.0  # no sun at midnight
-
-
-def test_profile_round_trip(tmp_path, profiles33):
-    out = tmp_path / "profiles.csv"
-    save_profiles(profiles33, out)
-    assert load_profiles(out) == profiles33
 
 
 def test_profile_header_is_checked(tmp_path):
@@ -318,6 +340,12 @@ def test_device_spec_round_trips_lot_columns(tmp_path):
     lot, pv = case.devices
     assert lot == DeviceSpec(2, "pevlot", 600.0, 0.05, 1.1, "lot-a", 60, 0.05)
     assert pv.n_pev == 1
-    out = tmp_path / "rt.grid"
-    save_case(case, out)
-    assert load_case(out) == case
+    # the JSON reader carries the same columns into the same rows
+    data = copy.deepcopy(CROSS_JSON)
+    data["devices"] = [
+        {"bus": 2, "type": "pevlot", "s_rated_kva": 600.0, "x_coupling_pu": 0.05,
+         "vc_max_pu": 1.1, "profile_id": "lot-a", "n_pev": 60, "cost_per_pev": 0.05},
+        {"bus": 2, "type": "pv", "s_rated_kva": 500.0, "x_coupling_pu": 0.04,
+         "vc_max_pu": 1.15, "profile_id": "pv-a", "n_pev": 1, "cost_per_pev": 1.0},
+    ]
+    assert case_from_dict(data).devices == case.devices

@@ -11,7 +11,7 @@ import pytest
 
 import pevplan
 from pevplan import cli
-from pevplan.caseio import bind_devices, builtin_path, case_to_dict, load_builtin, load_case
+from pevplan.caseio import bind_devices, builtin_path, load_builtin
 from pevplan.cli import main
 from pevplan.dispatch import Scenario
 from pevplan.objective import DayEvaluator
@@ -87,8 +87,12 @@ def test_zero_system_base_is_rejected(capsys, tmp_path, command, key):
     ids=["list", "text-base", "bool-base", "text-radial"],
 )
 def test_malformed_json_system_is_a_parse_error(capsys, tmp_path, system):
-    data = case_to_dict(load_case(builtin_path("bus33.grid")))
-    data["system"] = system
+    data = {
+        "system": system,
+        "buses": [{"id": 1, "kind": "slack", "p_load": 0.0, "q_load": 0.0},
+                  {"id": 2, "kind": "load", "p_load": 0.01, "q_load": 0.006}],
+        "branches": [{"from": 1, "to": 2, "r": 0.0058, "x": 0.0029, "i_cap": 0.88}],
+    }
     case = tmp_path / "case.json"
     case.write_text(json.dumps(data))
     code, out, err = run(capsys, "validate", "--case", str(case))

@@ -40,7 +40,7 @@ def test_profile_validation():
 
 def test_profile_scaling_and_indexing():
     prof = HourlyProfile("flat", tuple(0.5 for _ in range(HOURS)))
-    assert prof[3] == 0.5
+    assert prof.values[3] == 0.5  # hours index the values tuple
     assert prof.scaled(2.0) == tuple(1.0 for _ in range(HOURS))
 
 

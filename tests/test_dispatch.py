@@ -466,6 +466,78 @@ def test_dispatch_properties_on_generated_feeders(data):
             assert cap.contains(q, tol=CAPABILITY_RECHECK_TOL)
 
 
+def test_recheck_clamps_a_setpoint_the_search_left_outside(monkeypatch):
+    # the PV's dc-link circle (coupling reactance 4, vc_max 1.0) excludes
+    # Q = 0 at its bus voltage, and no setpoint inside it lowers the score, so
+    # the search leaves the PV at 0; only the recheck's clamp moves it inside
+    net = small_feeder(4)
+    pv = PvUnit(3, 0.1, flat_profile(0.08), x_coupling=4.0, vc_max=1.0)
+    lot = PevLot(2, 0.05, flat_profile(0.01), n_pev=50, cost_per_pev=0.05)
+    searched = []
+    recheck = dispatch._recheck_capability
+
+    def spied(hr, participants, hour, q, state, *rest):
+        searched.append((dict(q), np.abs(state[0])))
+        return recheck(hr, participants, hour, q, state, *rest)
+
+    monkeypatch.setattr(dispatch, "_recheck_capability", spied)
+    res = dispatch_q(net, [pv, lot], 0, Scenario(mode="dgq+v2gq", v_ref=0.95))
+    (q_searched, v_searched), = searched
+    pos = net.index_of(pv.bus)
+    assert not q_capability(pv, pv.p_at(0), float(v_searched[pos])).contains(
+        q_searched[pv.label], tol=CAPABILITY_RECHECK_TOL)
+    assert not res.reverted and res.q_settings[pv.label] < 0.0
+    for dev in (pv, lot):
+        cap = q_capability(dev, dev.p_at(0), float(res.solution.v_mag[net.index_of(dev.bus)]))
+        assert cap.contains(res.q_settings[dev.label], tol=CAPABILITY_RECHECK_TOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_recheck_returns_setpoints_inside_the_final_intervals(data):
+    # setpoints drawn from each converter's interval at the undispatched
+    # voltages, as a search sees them, often at an end of it; the voltages
+    # they lead to move the voltage-dependent dc-link bounds, which can leave
+    # a setpoint outside.  The recheck must return every setpoint inside its
+    # interval at the voltages it returns, and those voltages must be the
+    # solve of them; if the setpoints do not settle it returns None and
+    # dispatch_q reverts the hour.
+    net = data.draw(radial_feeders(), label="feeder")
+    buses = st.sampled_from([b.id for b in net.buses if b.kind != "slack"])
+    x_coupling = st.floats(0.05, 5.0)
+    vc_max = st.floats(1.0, 1.15)
+    pv_buses = data.draw(st.lists(buses, min_size=2, max_size=2, unique=True), label="pv buses")
+    devices = []
+    for kind, bus in zip((PvUnit, PvUnit, PevLot), pv_buses + [data.draw(buses, label="lot bus")]):
+        s_rated = data.draw(st.floats(0.02, 0.2), label="s_rated")
+        level = data.draw(st.floats(0.0, 1.0), label="p level")
+        devices.append(kind(bus, s_rated, flat_profile(s_rated * level),
+                            x_coupling=data.draw(x_coupling), vc_max=data.draw(vc_max)))
+    sc = Scenario(mode="dgq+v2gq")
+    hr = dispatch._Hour(net, devices, 0, sc, 1.0)
+    base_v = hr.solve(hr.fixed.q, np.ones(net.n_bus, dtype=complex))[0]
+    q, infeasible = {}, []
+    for dev in devices:
+        cap = q_capability(dev, dev.p_at(0), float(abs(base_v[net.index_of(dev.bus)])))
+        inside = st.sampled_from([cap.q_min, cap.q_max]) | st.floats(cap.q_min, cap.q_max)
+        q[dev.label] = data.draw(inside, label=dev.label) if cap.feasible else 0.0
+    state = hr.solve(hr.q_injections(q), base_v)
+    rechecked = dispatch._recheck_capability(hr, devices, 0, q, state,
+                                             hr.score(state[0]), infeasible)
+    if rechecked is None:
+        return
+    state, score = rechecked
+    assert score == hr.score(state[0])
+    ref = solve(net, InjectionSet(hr.fixed.p, hr.q_injections(q)), tol=1e-10)
+    np.testing.assert_allclose(state[0], ref.v_complex, rtol=0.0, atol=1e-7)
+    for dev in devices:
+        cap = q_capability(dev, dev.p_at(0), float(abs(state[0][net.index_of(dev.bus)])))
+        if cap.feasible:
+            assert cap.contains(q[dev.label], tol=CAPABILITY_RECHECK_TOL), dev.label
+        else:
+            assert q[dev.label] == 0.0 and dev.label in infeasible
+
+
 def test_tight_tolerance_needs_no_newton_fallback(bus33, devices33, monkeypatch):
     # at pf_tol = 1e-12 the fixed point's tol / 100 target lies below the
     # rounding floor of bus33; Newton's test still holds, so no solve falls back

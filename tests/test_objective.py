@@ -6,7 +6,7 @@ import pytest
 from pevplan import objective
 from pevplan.devices import HOURS, HourlyProfile, PevLot, capability_violation
 from pevplan.dispatch import Scenario, hour_injections
-from pevplan.powerflow import check_limits, solve
+from pevplan.powerflow import PowerFlowError, check_limits, solve
 from pevplan.objective import (
     DayEvaluator,
     ObjectiveBreakdown,
@@ -208,6 +208,71 @@ def test_failed_block_column_goes_alone_to_newton(bus33, devices33, profiles33,
     assert bd.feasible == honest.feasible
     for field in ("v_dev", "loss", "scalar", "violation_penalty"):
         assert getattr(bd, field) == pytest.approx(getattr(honest, field), abs=1e-9)
+
+
+def test_newton_column_trail_carries_newtons_solve(bus33, devices33, profiles33,
+                                                   monkeypatch):
+    # an undispatched hour's trail entry is built from the day's voltage,
+    # iteration and mismatch columns, into which Newton writes its own
+    forced = 19
+    block = objective._fixed_point_block
+    newton = objective._newton
+    solved = []
+
+    def one_column_fails(factor, s_pq, tol):
+        v, iterations, mismatch, converged = block(factor, s_pq, tol)
+        converged[forced] = False
+        return v, iterations, mismatch, converged
+
+    def recorded(*args):
+        solved.append(newton(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(objective, "_fixed_point_block", one_column_fails)
+    monkeypatch.setattr(objective, "_newton", recorded)
+    sc = Scenario(mode="none", load_profile_id="load-weekday")
+    day = DayEvaluator(bus33.network, devices33, profiles33, sc)._evaluate_with_trail()
+    (sol,) = solved
+    entry = day.hours[forced].solution
+    np.testing.assert_array_equal(entry.v_complex, sol.v_complex)
+    assert (entry.iterations, entry.max_mismatch, entry.converged) == (
+        sol.iterations, sol.max_mismatch, True)
+    assert entry.total_losses == sol.total_losses
+
+
+def test_failed_dispatch_reverts_the_hour_to_its_base_column(bus33, devices33,
+                                                             profiles33, monkeypatch):
+    # a dispatch that raises is not retried and its hour is not dropped: the
+    # hour keeps its converged base column with every Q at 0, and is counted
+    net, bad = bus33.network, 19
+    none_day = DayEvaluator(net, devices33, profiles33,
+                            Scenario(mode="none", load_profile_id="load-weekday")).evaluate()
+    dispatch_q = objective.dispatch_q
+    calls = []
+
+    def fails_at_bad(net_, devices, hour, *args, **kwargs):
+        calls.append(hour)
+        if hour == bad:
+            raise PowerFlowError("forced dispatch failure")
+        return dispatch_q(net_, devices, hour, *args, **kwargs)
+
+    monkeypatch.setattr(objective, "dispatch_q", fails_at_bad)
+    sc = Scenario(mode="dgq+v2gq", load_profile_id="load-weekday")
+    ev = DayEvaluator(net, devices33, profiles33, sc)
+    day = ev.evaluate()
+    assert calls == list(range(HOURS))
+    stats = ev.stats
+    assert (stats.reverted_hours, stats.divergent_hours) == (1, 0)
+    assert stats.hours_dispatched == HOURS
+    assert day.breakdown.violation_penalty < objective._DIVERGENT_HOUR_PENALTY
+
+    hours = day.hours
+    assert [h.hour for h in hours] == list(range(HOURS))
+    entry = hours[bad]
+    assert entry.reverted and set(entry.q_settings.values()) == {0.0}
+    assert entry.solution is entry.base_solution and entry.score == entry.base_score
+    np.testing.assert_array_equal(entry.solution.v_complex,
+                                  none_day.hours[bad].solution.v_complex)
 
 
 @pytest.mark.parametrize("mode", ["none", "dgq+v2gq"])
