@@ -19,8 +19,12 @@ seeded random populations.  The JSON gives, per source tree:
   wall time: ``wall_ms``, the evaluator's ``day_ms`` (``DayStats.day_s``),
   the GA's own ``ga_ms`` (wall minus days), the days computed and the
   searches' summed distinct evaluations;
-- ``work``: solver calls and fixed-point iterations per day, counted by
-  wrapping the kernels, so a faster figure can be told apart from less work;
+- ``work``: solver calls, fixed-point iterations, Brent searches and their
+  function calls (``nfev``) per day, counted by wrapping the kernels and
+  ``dispatch.minimize_scalar``, so a faster figure can be told apart from
+  less work;
+- ``import_s``: seconds to ``import pevplan``, the median of
+  ``IMPORT_REPEATS`` fresh processes;
 - ``stats``: the evaluator's own work counters, where the tree has them.
 
 A figure the measured tree cannot produce is null.
@@ -54,6 +58,7 @@ FEASIBLE_SHARE = 0.3
 SEARCH_SEEDS = tuple(range(8))
 SEARCH_PARAMS = {"population": 40, "generations": 60, "n_lots": 2}
 SEARCH_REPEATS = 5
+IMPORT_REPEATS = 5
 
 
 def _populations(pevplan, size: int, count: int = 20):
@@ -94,12 +99,12 @@ def _ranker(nsga):
 
 
 def _count_work(pevplan, bundle, mode, placements):
-    """Kernel calls, their iterations and Newton solves, per day."""
+    """Kernel calls, their iterations, Newton solves and Brent searches, per day."""
     from pevplan import dispatch, objective, powerflow
 
     counts = {"fixed_point_calls": 0, "fixed_point_iterations": 0,
               "block_calls": 0, "block_columns": 0, "block_iterations": 0,
-              "newton_solves": 0}
+              "newton_solves": 0, "brent_searches": 0, "brent_nfev": 0}
     undo = []
 
     def patch(owner, name, fn):
@@ -120,7 +125,16 @@ def _count_work(pevplan, bundle, mode, placements):
         counts["newton_solves"] += 1
         return newton(*args, **kwargs)
 
+    brent = dispatch.minimize_scalar
+
+    def counted_brent(*args, **kwargs):
+        res = brent(*args, **kwargs)
+        counts["brent_searches"] += 1
+        counts["brent_nfev"] += int(res.nfev)
+        return res
+
     patch(powerflow, "_fixed_point", counted_kernel)
+    patch(dispatch, "minimize_scalar", counted_brent)
     patch(dispatch, "_fixed_point", counted_kernel)
     patch(dispatch, "solve", counted_newton)
     if hasattr(objective, "_fixed_point_block"):
@@ -166,6 +180,17 @@ def _search_batch(pevplan, bundle) -> dict:
             "distinct_evals": distinct}
 
 
+def _import_s(src: Path) -> float:
+    """Median seconds to ``import pevplan`` from ``src`` in a fresh process."""
+    code = ("import time; t0 = time.perf_counter(); import pevplan; "
+            "print(time.perf_counter() - t0)")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    samples = [float(subprocess.run([sys.executable, "-c", code], check=True,
+                                    capture_output=True, text=True, env=env).stdout)
+               for _ in range(IMPORT_REPEATS)]
+    return statistics.median(samples)
+
+
 def measure(src: Path) -> dict:
     sys.path.insert(0, str(src))
     import pevplan
@@ -173,7 +198,8 @@ def measure(src: Path) -> dict:
 
     case, profiles = pevplan.load_builtin("bus33.grid", "profiles33.csv")
     bundle = (case.network, pevplan.bind_devices(case, profiles), profiles)
-    out: dict = {"day_ms": {}, "work": {}, "stats": {}, "rank_ms": {}}
+    out: dict = {"import_s": _import_s(src), "day_ms": {}, "work": {}, "stats": {},
+                 "rank_ms": {}}
     for mode, placements in PLACEMENTS.items():
         ev = _evaluator(pevplan, bundle, mode)
         ev.evaluate(placements[0])  # warm-up: lazy arrays, imports
@@ -246,7 +272,8 @@ def main() -> int:
                    "day_repeats": REPEATS, "populations": list(POPULATIONS),
                    "feasible_share": FEASIBLE_SHARE, "rank_repeats": RANK_REPEATS,
                    "search": {"mode": "none", "seeds": list(SEARCH_SEEDS),
-                              **SEARCH_PARAMS, "repeats": SEARCH_REPEATS}},
+                              **SEARCH_PARAMS, "repeats": SEARCH_REPEATS},
+                   "import_repeats": IMPORT_REPEATS},
         "current": _measure_in_child(ROOT / "src"),
     }
     if args.baseline_src:

@@ -4,29 +4,35 @@ Three participation modes: ``none`` (all converters idle on the reactive
 axis), ``dgq`` (PV inverters support voltage), ``dgq+v2gq`` (PV inverters
 plus PEV-lot converters).  Dispatch is a coordinate-descent sweep: each
 participating device in turn gets a bounded one-dimensional search over its
-capability interval, scored by a fresh power-flow solve.  Every solve of an
-hour (the base, each trial point of a search, each capability recheck) runs
-the Z-bus fixed-point kernel and falls back to Newton (:func:`solve`), held
-to the fixed point's target, only if the kernel raises, so every score is
-Newton-converged, all scores have one accuracy, and the fallbacks are
-exactly the calls to ``solve``.  A trial starts from a first-order step off
-the current voltages and keeps the voltage vector it solved, so an accepted
-move takes the state and the score the search saw, with no second solve;
-full solutions are built only for the hour's base and final states.  Moves
-are accepted only when they improve the hour's partial objective by more
-than the solves' own error, so the dispatched state is never worse than the
-undispatched one and no accept hangs on rounding.  The ``dgq+v2gq`` mode
-runs the PV-only stage first and adds the lots afterwards, which makes the
-three modes monotone by construction.
+capability interval, scored by a fresh power-flow solve.  The search is
+:func:`minimize_scalar`, this module's own bounded Brent: a transcription of
+Brent's ``fmin`` that takes the steps scipy's
+``minimize_scalar(method="bounded")`` takes, so pevplan runs on numpy alone.
+Every solve of an hour (the base, each trial point of a search, each
+capability recheck) runs the Z-bus fixed-point kernel and falls back to
+Newton (:func:`solve`), held to the fixed point's target, only if the kernel
+raises, so every score is Newton-converged, all scores have one accuracy,
+and the fallbacks are exactly the calls to ``solve``.  A trial starts from
+a first-order step off the current voltages and keeps the voltage vector it
+solved, so an accepted move takes the state and the score the search saw,
+with no second solve; full solutions are built only for the hour's base and
+final states.  Moves are accepted only when they improve the hour's partial
+objective by more than the solves' own error, so the dispatched state is
+never worse than the undispatched one and no accept hangs on rounding.  The
+one exception is an hour whose undispatched state breaks a converter's
+interval (Q = 0 lies outside it): there the setpoints clamped into their
+intervals stand even when they score worse.  The ``dgq+v2gq`` mode runs the
+PV-only stage first and adds the lots afterwards, which makes the three
+modes monotone by construction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .devices import Device, PvUnit, p_injection, q_capability
 from .network import Network
@@ -163,6 +169,100 @@ def _newton(net: Network, inj: InjectionSet, tol: float,
         return replace(sol, converged=True)
 
 
+class Minimum(NamedTuple):
+    """What :func:`minimize_scalar` found: the point, its value, the calls made."""
+
+    x: float
+    fun: float
+    nfev: int
+
+
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def minimize_scalar(func: Callable[[float], float], a: float, b: float,
+                    xatol: float, maxiter: int) -> Minimum:
+    """Minimise ``func`` on ``[a, b]`` by Brent's bounded method.
+
+    A transcription of Brent's ``fmin`` (*Algorithms for Minimization without
+    Derivatives*, 1973, ch. 5) as scipy's ``_minimize_scalar_bounded`` writes
+    it: the same golden-section and parabolic steps, the same tolerances
+    ``tol1 = sqrt(eps)·|x| + xatol/3`` and ``tol2 = 2·tol1``, the same
+    bracket updates, and a stop after ``maxiter`` calls of ``func``.  In
+    Python floats it calls ``func`` at the same points in the same order
+    and returns the same ``x``, ``fun`` and ``nfev``, bit for bit.  With
+    finite bounds every step is finite whatever ``func`` returns, so the
+    plain float ``max`` and sign below agree with numpy's.  Raises
+    ``ValueError``, as scipy does, for non-finite or inverted bounds.
+    """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("Optimization bounds must be finite scalars.")
+    if a > b:
+        raise ValueError("The lower bound exceeds the upper bound.")
+    a, b = float(a), float(b)
+    # xf is the best point so far, nfc the second best, fulc the previous nfc
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        # no step shorter than tol1
+        step = max(abs(rat), tol1)
+        x = xf + (step if rat >= 0.0 else -step)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            break
+    return Minimum(xf, fx, num)
+
+
 class _Hour:
     """One hour's injections and solver for :func:`dispatch_q`.
 
@@ -188,17 +288,24 @@ class _Hour:
             q_inj[pos] -= settings[dev.label]
         return q_inj
 
-    def solve(self, q_inj: np.ndarray, start: np.ndarray) -> _State:
-        """The state with reactive injections ``q_inj``, solved from ``start``.
+    def pq_injections(self, q_inj: np.ndarray) -> np.ndarray:
+        """The kernel's complex injections ``(p + j·q_inj)[pq]``."""
+        return (self.fixed.p + 1j * q_inj)[self.factor[0]]
+
+    def solve(self, s_pq: np.ndarray, start: np.ndarray) -> _State:
+        """The state with non-slack injections ``s_pq``, solved from ``start``.
 
         The fixed-point kernel runs on a copy of ``start``; if it raises,
-        Newton runs from ``start`` itself, and its failure propagates.
+        Newton runs from ``start`` itself on the full injections, whose
+        reactive part ``imag(p + j·q) == q`` gives back exactly, and its
+        failure propagates.
         """
         tol = self.scenario.pf_tol
         try:
-            return _fixed_point(self.factor, (self.fixed.p + 1j * q_inj)[self.factor[0]],
-                                start.copy(), tol)
+            return _fixed_point(self.factor, s_pq, start.copy(), tol)
         except PowerFlowError:
+            q_inj = self.fixed.q.copy()
+            q_inj[self.factor[0]] = s_pq.imag
             sol = _newton(self.net, InjectionSet(self.fixed.p, q_inj), tol, start)
             return sol.v_complex, sol.iterations, sol.max_mismatch
 
@@ -212,26 +319,28 @@ class _Hour:
 
         The other devices stay at ``settings``.  Each point is solved from
         the first-order step off the current voltages ``v``:
-        ``V + Z[:, k]·(j·Δq / conj(V[k]))``.  Its state is kept under its
-        setpoint, so the point a search picks needs no second solve.  A point
-        whose Newton fallback fails too scores ``_TRIAL_PENALTY`` and keeps
-        no state.
+        ``V + Z[:, k]·(j·Δq / conj(V[k]))``.  The injections of the other
+        devices are built once; a point writes only its own device's row.
+        Its state is kept under its setpoint, so the point a search picks
+        needs no second solve.  A point whose Newton fallback fails too
+        scores ``_TRIAL_PENALTY`` and keeps no state.
         """
         pos = self.net.index_of(dev.bus)
+        row = self.pq_row[pos]
         pq, _, z, _ = self.factor
         rest = dict(settings)
         rest[dev.label] = 0.0
-        q_rest = self.q_injections(rest)
+        s_rest = self.pq_injections(self.q_injections(rest))
         q_now = settings[dev.label]
         dv_dq = np.zeros_like(v)
-        dv_dq[pq] = z[:, self.pq_row[pos]] * (1j / np.conj(v[pos]))
+        dv_dq[pq] = z[:, row] * (1j / np.conj(v[pos]))
         solved: dict[float, _State] = {}
 
         def score_at(qv: float) -> float:
-            q_inj = q_rest.copy()
-            q_inj[pos] -= qv
+            s_pq = s_rest.copy()
+            s_pq[row] -= 1j * qv
             try:
-                state = self.solve(q_inj, v + dv_dq * (qv - q_now))
+                state = self.solve(s_pq, v + dv_dq * (qv - q_now))
             except PowerFlowError:
                 return _TRIAL_PENALTY
             solved[qv] = state
@@ -257,7 +366,8 @@ def dispatch_q(
     hr = _Hour(net, devices, hour, scenario, load_scale)
 
     # with every setpoint at zero the hour's injections are hr.fixed
-    base_state = hr.solve(hr.fixed.q, _start(net, hr.fixed, scenario.pf_tol, v0))
+    base_state = hr.solve(hr.pq_injections(hr.fixed.q),
+                          _start(net, hr.fixed, scenario.pf_tol, v0))
     base_score = hr.score(base_state[0])
 
     participants = scenario.participating(devices)
@@ -311,12 +421,8 @@ def dispatch_q(
 
                 score_at, solved = hr.trial(q, dev, state[0])
                 xatol = max(_SEARCH_MIN_XATOL, _SEARCH_REL_XATOL * cap.width)
-                res = minimize_scalar(
-                    score_at,
-                    bounds=(cap.q_min, cap.q_max),
-                    method="bounded",
-                    options={"xatol": xatol, "maxiter": _SEARCH_MAXITER},
-                )
+                res = minimize_scalar(score_at, cap.q_min, cap.q_max, xatol,
+                                      _SEARCH_MAXITER)
                 # res.x is a point the search solved, unless it scored the
                 # penalty; its state and score are the accepted ones
                 if res.fun < _TRIAL_PENALTY and res.fun < score - min_gain:
@@ -329,8 +435,11 @@ def dispatch_q(
 
     rechecked = _recheck_capability(hr, participants, hour, q, state, score, infeasible)
     # revert if the setpoints did not settle in their intervals, or if the
-    # clamped state scores worse than the undispatched one
-    reverted = rechecked is None or rechecked[1] > base_score
+    # clamped state scores worse than the undispatched one while Q = 0 lies
+    # in every interval at the base voltages; where it does not, the base
+    # breaks an interval, and the settled state is kept at its worse score
+    reverted = rechecked is None or (
+        rechecked[1] > base_score and _zero_fits(hr, participants, hour, base_state[0]))
     if reverted:
         for dev in participants:
             q[dev.label] = 0.0
@@ -340,6 +449,16 @@ def dispatch_q(
     base = _finish(net, *base_state, converged=True)
     final = base if state is base_state else _finish(net, *state, converged=True)
     return DispatchResult(hour, q, final, base, score, base_score, tuple(infeasible), reverted)
+
+
+def _zero_fits(hr: _Hour, participants: Sequence[Device], hour: int,
+               v: np.ndarray) -> bool:
+    """Whether Q = 0 lies in every participant's interval at voltages ``v``."""
+    return all(
+        q_capability(dev, dev.p_at(hour), float(np.abs(v[hr.net.index_of(dev.bus)])))
+        .contains(0.0, tol=CAPABILITY_RECHECK_TOL)
+        for dev in participants
+    )
 
 
 def _recheck_capability(
@@ -372,6 +491,6 @@ def _recheck_capability(
             return state, score
         if solves == _RECHECK_SOLVES:
             break
-        state = hr.solve(hr.q_injections(q), state[0])
+        state = hr.solve(hr.pq_injections(hr.q_injections(q)), state[0])
         score = hr.score(state[0])
     return None

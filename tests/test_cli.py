@@ -17,8 +17,8 @@ from pevplan.dispatch import Scenario
 from pevplan.objective import DayEvaluator
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
-# Well above the ~1 s that importing pevplan takes, so that only a hung child
-# process fails on it.
+# Well above the fraction of a second that importing pevplan takes, so that
+# only a hung child process fails on it.
 SCRIPT_TIMEOUT_S = 120
 
 BAD_GRID = """\
@@ -391,6 +391,34 @@ def test_help_documents_exit_codes():
     assert proc.returncode == 0
     assert "exit codes:" in proc.stdout
     assert "7  requested optimization is infeasible" in proc.stdout
+
+
+def test_no_scipy_module_is_loaded():
+    # pevplan's runtime needs numpy alone: scipy, a test-only dependency,
+    # must not load on import nor in a command
+    code = (
+        "import json, runpy, sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+        "import pevplan\n"
+        "loaded = {'import': scipy_modules()}\n"
+        "sys.argv = ['pevplan', 'validate']\n"
+        "try:\n"
+        "    runpy.run_module('pevplan.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    loaded['exit'] = exc.code\n"
+        "loaded['validate'] = scipy_modules()\n"
+        "print(json.dumps(loaded))\n"
+    )
+    src = str(Path(pevplan.__file__).parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    pythonpath = os.pathsep.join([src, inherited] if inherited else [src])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=SCRIPT_TIMEOUT_S,
+                          env={**os.environ, "PYTHONPATH": pythonpath})
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == {"import": [], "exit": 0, "validate": []}
 
 
 def test_every_exported_name_resolves():

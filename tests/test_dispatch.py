@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -515,13 +517,13 @@ def test_recheck_returns_setpoints_inside_the_final_intervals(data):
                             x_coupling=data.draw(x_coupling), vc_max=data.draw(vc_max)))
     sc = Scenario(mode="dgq+v2gq")
     hr = dispatch._Hour(net, devices, 0, sc, 1.0)
-    base_v = hr.solve(hr.fixed.q, np.ones(net.n_bus, dtype=complex))[0]
+    base_v = hr.solve(hr.pq_injections(hr.fixed.q), np.ones(net.n_bus, dtype=complex))[0]
     q, infeasible = {}, []
     for dev in devices:
         cap = q_capability(dev, dev.p_at(0), float(abs(base_v[net.index_of(dev.bus)])))
         inside = st.sampled_from([cap.q_min, cap.q_max]) | st.floats(cap.q_min, cap.q_max)
         q[dev.label] = data.draw(inside, label=dev.label) if cap.feasible else 0.0
-    state = hr.solve(hr.q_injections(q), base_v)
+    state = hr.solve(hr.pq_injections(hr.q_injections(q)), base_v)
     rechecked = dispatch._recheck_capability(hr, devices, 0, q, state,
                                              hr.score(state[0]), infeasible)
     if rechecked is None:
@@ -536,6 +538,56 @@ def test_recheck_returns_setpoints_inside_the_final_intervals(data):
             assert cap.contains(q[dev.label], tol=CAPABILITY_RECHECK_TOL), dev.label
         else:
             assert q[dev.label] == 0.0 and dev.label in infeasible
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_settled_setpoints_stay_in_their_intervals(data):
+    # a large coupling reactance with vc_max near 1 can put a converter's
+    # whole interval below Q = 0 at the undispatched voltages; the hour must
+    # not revert to Q = 0 there, so whenever the recheck settled, every
+    # returned setpoint lies in its interval at the returned voltages, and a
+    # state scoring worse than the base is kept only where 0 breaks an
+    # interval at the base voltages
+    net = data.draw(radial_feeders(), label="feeder")
+    buses = st.sampled_from([b.id for b in net.buses if b.kind != "slack"])
+    devices = []
+    for kind in (PvUnit, PevLot):
+        s_rated = data.draw(st.floats(0.02, 0.2), label="s_rated")
+        level = data.draw(st.floats(0.0, 1.0), label="p level")
+        devices.append(kind(data.draw(buses, label="bus"), s_rated,
+                            flat_profile(s_rated * level),
+                            x_coupling=data.draw(st.floats(0.05, 5.0), label="x_coupling"),
+                            vc_max=data.draw(st.floats(1.0, 1.15), label="vc_max")))
+    sc = Scenario(mode="dgq+v2gq", v_ref=data.draw(st.floats(0.95, 1.05), label="v_ref"))
+    recheck = dispatch._recheck_capability
+    settled = []
+
+    def spied(*args):
+        out = recheck(*args)
+        settled.append(out is not None)
+        return out
+
+    with mock.patch.object(dispatch, "_recheck_capability", spied):
+        res = dispatch_q(net, devices, 0, sc)
+    assert len(settled) == 1
+    if not settled[0]:
+        assert res.reverted
+        return
+
+    def interval(dev, sol):
+        return q_capability(dev, dev.p_at(0), float(sol.v_mag[net.index_of(dev.bus)]))
+
+    for dev in devices:
+        q = res.q_settings[dev.label]
+        if not interval(dev, res.solution).feasible:
+            assert q == 0.0 and dev.label in res.infeasible_devices
+        else:
+            assert interval(dev, res.solution).contains(q, tol=CAPABILITY_RECHECK_TOL), dev.label
+    if res.score > res.base_score:
+        assert not res.reverted
+        assert not all(interval(dev, res.base_solution).contains(
+            0.0, tol=CAPABILITY_RECHECK_TOL) for dev in devices)
 
 
 def test_tight_tolerance_needs_no_newton_fallback(bus33, devices33, monkeypatch):

@@ -5,6 +5,8 @@ pairs under ``pevplan`` that a traced run replaces with recording wrappers.
 A name that no longer resolves does not fail that run: it exits 0 and
 prints the metrics that depend on the name as null, with a ``missing``
 reason.  This test fails instead, so a rename or deletion is caught here.
+A name can also resolve and no longer be called, which leaves its spans and
+counters at zero; a traced dispatch hour catches that.
 """
 
 from __future__ import annotations
@@ -13,20 +15,22 @@ import importlib.util
 from pathlib import Path
 
 import pevplan
+from pevplan import objective
+from pevplan.dispatch import Scenario
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def wrapped_names() -> tuple[tuple[str, str, str], ...]:
-    """``WRAPPED`` read from the tracer's file, loaded by path."""
+def tracing_module():
+    """The tracer's file, loaded by path."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.WRAPPED
+    return module
 
 
 def test_every_traced_name_resolves_to_a_callable():
-    names = wrapped_names()
+    names = tracing_module().WRAPPED
     assert names
     unresolved = []
     for owner_path, attr, span in names:
@@ -36,3 +40,17 @@ def test_every_traced_name_resolves_to_a_callable():
         if not callable(getattr(owner, attr, None)):
             unresolved.append(f"pevplan.{owner_path}.{attr} ({span})")
     assert not unresolved, f"the traced run cannot wrap: {unresolved}"
+
+
+def test_a_traced_hour_records_its_brent_searches(bus33, devices33):
+    tracer = tracing_module().Tracer(pevplan)
+    tracer.install()
+    try:
+        res = objective.dispatch_q(bus33.network, devices33, 19, Scenario(mode="dgq+v2gq"))
+    finally:
+        tracer.restore()
+    assert not tracer.missing
+    work = tracer.work()
+    assert work["dispatch.hours"] == 1 and res.score < res.base_score
+    assert work["dispatch.brent_searches"] > 0
+    assert work["dispatch.brent_nfev"] > 0
