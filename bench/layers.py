@@ -19,10 +19,16 @@ seeded random populations.  The JSON gives, per source tree:
   wall time: ``wall_ms``, the evaluator's ``day_ms`` (``DayStats.day_s``),
   the GA's own ``ga_ms`` (wall minus days), the days computed and the
   searches' summed distinct evaluations;
-- ``work``: solver calls, fixed-point iterations, Brent searches and their
-  function calls (``nfev``) per day, counted by wrapping the kernels and
-  ``dispatch.minimize_scalar``, so a faster figure can be told apart from
-  less work;
+- ``work``: per day, the base block's calls, columns and iterations, the
+  dispatch's kernel columns, their iterations and the kernel steps that
+  solved them (``mean_width`` is columns per step), Newton solves, and
+  Brent searches and their function calls (``nfev``), so a faster figure
+  can be told apart from less work.  A tree whose ``DayStats`` counts the
+  lockstep's work is read from it, with the width of every block counted
+  by wrapping ``dispatch._fixed_point_block`` (``width_histogram``: blocks
+  per width over all the mode's placements).  An older tree is counted by
+  wrapping its kernels, Newton and ``dispatch.minimize_scalar``; it solves
+  each dispatch column alone, one step of width 1;
 - ``import_s``: seconds to ``import pevplan``, the median of
   ``IMPORT_REPEATS`` fresh processes;
 - ``stats``: the evaluator's own work counters, where the tree has them.
@@ -99,11 +105,14 @@ def _ranker(nsga):
 
 
 def _count_work(pevplan, bundle, mode, placements):
-    """Kernel calls, their iterations, Newton solves and Brent searches, per day."""
+    """The work of a day (see ``work`` above), averaged over ``placements``."""
     from pevplan import dispatch, objective, powerflow
 
-    counts = {"fixed_point_calls": 0, "fixed_point_iterations": 0,
-              "block_calls": 0, "block_columns": 0, "block_iterations": 0,
+    ev = _evaluator(pevplan, bundle, mode)
+    if hasattr(ev.stats, "dispatch_steps"):
+        return _lockstep_work(dispatch, ev, placements)
+    counts = {"block_calls": 0, "block_columns": 0, "block_iterations": 0,
+              "dispatch_columns": 0, "dispatch_iterations": 0,
               "newton_solves": 0, "brent_searches": 0, "brent_nfev": 0}
     undo = []
 
@@ -115,8 +124,8 @@ def _count_work(pevplan, bundle, mode, placements):
 
     def counted_kernel(*args, **kwargs):
         v, it, mis = kernel(*args, **kwargs)
-        counts["fixed_point_calls"] += 1
-        counts["fixed_point_iterations"] += it
+        counts["dispatch_columns"] += 1
+        counts["dispatch_iterations"] += it
         return v, it, mis
 
     newton = dispatch.solve
@@ -149,13 +158,50 @@ def _count_work(pevplan, bundle, mode, placements):
 
         patch(objective, "_fixed_point_block", counted_block)
     try:
-        ev = _evaluator(pevplan, bundle, mode)
         for pair in placements:
             ev.evaluate(pair)
     finally:
         for owner, name, fn in reversed(undo):
             setattr(owner, name, fn)
-    return {k: v / len(placements) for k, v in counts.items()}
+    work = {k: v / len(placements) for k, v in counts.items()}
+    calls = counts["dispatch_columns"]
+    work.update(dispatch_steps=work["dispatch_columns"], mean_width=1.0 if calls else None,
+                width_histogram={"1": calls} if calls else {})
+    return work
+
+
+def _lockstep_work(dispatch, ev, placements):
+    """The work of a tree that runs a day's dispatch in lockstep."""
+    widths: dict[int, int] = {}
+    iterations = [0]
+    block = dispatch._fixed_point_block
+
+    def counted_block(factor, s_pq, v, tol):
+        out = block(factor, s_pq, v, tol)
+        widths[s_pq.shape[1]] = widths.get(s_pq.shape[1], 0) + 1
+        iterations[0] += int(out[0].sum())
+        return out
+
+    dispatch._fixed_point_block = counted_block
+    try:
+        for pair in placements:
+            ev.evaluate(pair)
+    finally:
+        dispatch._fixed_point_block = block
+    st, days = ev.stats, len(placements)
+    return {
+        "block_calls": st.days / days,
+        "block_columns": st.block_columns / days,
+        "block_iterations": st.block_iterations / days,
+        "dispatch_columns": st.dispatch_columns / days,
+        "dispatch_iterations": iterations[0] / days,
+        "newton_solves": (st.newton_columns + st.newton_fallbacks) / days,
+        "brent_searches": st.searches / days,
+        "brent_nfev": st.trials / days,
+        "dispatch_steps": st.dispatch_steps / days,
+        "mean_width": st.dispatch_columns / st.dispatch_steps if st.dispatch_steps else None,
+        "width_histogram": {str(w): widths[w] for w in sorted(widths)},
+    }
 
 
 def _evaluator(pevplan, bundle, mode):

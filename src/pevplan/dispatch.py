@@ -5,36 +5,46 @@ axis), ``dgq`` (PV inverters support voltage), ``dgq+v2gq`` (PV inverters
 plus PEV-lot converters).  Dispatch is a coordinate-descent sweep: each
 participating device in turn gets a bounded one-dimensional search over its
 capability interval, scored by a fresh power-flow solve.  The search is
-:func:`minimize_scalar`, this module's own bounded Brent: a transcription of
+this module's own bounded Brent (:func:`_brent`): a transcription of
 Brent's ``fmin`` that takes the steps scipy's
 ``minimize_scalar(method="bounded")`` takes, so pevplan runs on numpy alone.
-Every solve of an hour (the base, each trial point of a search, each
-capability recheck) runs the Z-bus fixed-point kernel and falls back to
-Newton (:func:`solve`), held to the fixed point's target, only if the kernel
-raises, so every score is Newton-converged, all scores have one accuracy,
-and the fallbacks are exactly the calls to ``solve``.  A trial starts from
-a first-order step off the current voltages and keeps the voltage vector it
+It is a generator that yields each point and receives its score, and
+:func:`minimize_scalar` drives it with a function.
+
+An hour's descent (:func:`_descent`) is written once, as a generator of
+what it needs solved: the base, the capability rechecks, and searches.  Two
+runners answer it.  :func:`dispatch_q` runs one hour alone: every solve
+runs the Z-bus fixed-point kernel and falls back to Newton (:func:`solve`),
+held to the fixed point's target, only if the kernel raises, and every
+search runs through :func:`minimize_scalar`.  A day's runner
+(:func:`_dispatch_day`) runs the descents of all its hours in lockstep:
+each step solves the pending point of every running hour as one column of
+the block kernel, sends a column the kernel fails alone to Newton, and
+scores the step's trial states together.  Either way every score is
+Newton-converged and all scores have one accuracy.  A trial starts from a
+first-order step off the current voltages and keeps the voltage vector it
 solved, so an accepted move takes the state and the score the search saw,
 with no second solve; full solutions are built only for the hour's base and
 final states.  Moves are accepted only when they improve the hour's partial
 objective by more than the solves' own error, so the dispatched state is
-never worse than the undispatched one and no accept hangs on rounding.  The
-one exception is an hour whose undispatched state breaks a converter's
-interval (Q = 0 lies outside it): there the setpoints clamped into their
-intervals stand even when they score worse.  The ``dgq+v2gq`` mode runs the
-PV-only stage first and adds the lots afterwards, which makes the three
-modes monotone by construction.
+never worse than the undispatched one and no accept hangs on rounding, and
+the two runners accept the same moves.  The one exception is an hour whose
+undispatched state breaks a converter's interval (Q = 0 lies outside it):
+there the setpoints clamped into their intervals stand even when they score
+worse.  The ``dgq+v2gq`` mode runs the PV-only stage first and adds the
+lots afterwards, which makes the three modes monotone by construction.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Generator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .devices import Device, PvUnit, p_injection, q_capability
+from .devices import Device, PvUnit, QCapability, p_injection, q_capability
 from .network import Network
 from .powerflow import (
     _FIXED_POINT_MARGIN,
@@ -46,6 +56,7 @@ from .powerflow import (
     _currents_and_loss,
     _finish,
     _fixed_point,
+    _fixed_point_block,
     _solver_arrays,
     _start,
     solve,
@@ -63,7 +74,8 @@ _SEARCH_REL_XATOL = 0.08
 _SEARCH_MIN_XATOL = 1e-4
 _SEARCH_MAXITER = 10
 
-_State = tuple[np.ndarray, int, float]  # (v, iterations, mismatch) of one _Hour.solve
+_State = tuple[np.ndarray, int, float]  # (v, iterations, mismatch) of one solve
+_Solve = tuple[np.ndarray, np.ndarray]  # a solve request: (s_pq, start)
 
 
 def canonical_mode(mode: str) -> str:
@@ -181,20 +193,22 @@ _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
-def minimize_scalar(func: Callable[[float], float], a: float, b: float,
-                    xatol: float, maxiter: int) -> Minimum:
-    """Minimise ``func`` on ``[a, b]`` by Brent's bounded method.
+def _brent(a: float, b: float, xatol: float,
+           maxiter: int) -> Generator[float, float, Minimum]:
+    """Minimise a function on ``[a, b]`` by Brent's bounded method, stepwise.
 
-    A transcription of Brent's ``fmin`` (*Algorithms for Minimization without
+    A generator: it yields each point at which it needs the function and
+    receives the value there, and returns the :class:`Minimum` it found.  A
+    transcription of Brent's ``fmin`` (*Algorithms for Minimization without
     Derivatives*, 1973, ch. 5) as scipy's ``_minimize_scalar_bounded`` writes
     it: the same golden-section and parabolic steps, the same tolerances
     ``tol1 = sqrt(eps)·|x| + xatol/3`` and ``tol2 = 2·tol1``, the same
-    bracket updates, and a stop after ``maxiter`` calls of ``func``.  In
-    Python floats it calls ``func`` at the same points in the same order
-    and returns the same ``x``, ``fun`` and ``nfev``, bit for bit.  With
-    finite bounds every step is finite whatever ``func`` returns, so the
-    plain float ``max`` and sign below agree with numpy's.  Raises
-    ``ValueError``, as scipy does, for non-finite or inverted bounds.
+    bracket updates, and a stop after ``maxiter`` points.  In Python floats
+    it asks for the same points in the same order and returns the same
+    ``x``, ``fun`` and ``nfev``, bit for bit.  With finite bounds every step
+    is finite whatever the values are, so the plain float ``max`` and sign
+    below agree with numpy's.  Raises ``ValueError``, as scipy does, for
+    non-finite or inverted bounds.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("Optimization bounds must be finite scalars.")
@@ -205,7 +219,7 @@ def minimize_scalar(func: Callable[[float], float], a: float, b: float,
     fulc = a + _GOLDEN * (b - a)
     nfc = xf = fulc
     rat = e = 0.0
-    fx = func(xf)
+    fx = yield xf
     num = 1
     ffulc = fnfc = fx
     xm = 0.5 * (a + b)
@@ -235,7 +249,7 @@ def minimize_scalar(func: Callable[[float], float], a: float, b: float,
         # no step shorter than tol1
         step = max(abs(rat), tol1)
         x = xf + (step if rat >= 0.0 else -step)
-        fu = func(x)
+        fu = yield x
         num += 1
         if fu <= fx:
             if x >= xf:
@@ -263,8 +277,53 @@ def minimize_scalar(func: Callable[[float], float], a: float, b: float,
     return Minimum(xf, fx, num)
 
 
+def minimize_scalar(func: Callable[[float], float], a: float, b: float,
+                    xatol: float, maxiter: int) -> Minimum:
+    """Minimise ``func`` on ``[a, b]``: :func:`_brent`, calling ``func`` at each point."""
+    search = _brent(a, b, xatol, maxiter)
+    x = next(search)
+    while True:
+        try:
+            x = search.send(func(x))
+        except StopIteration as done:
+            return done.value
+
+
+class _Search(NamedTuple):
+    """A search request: one device's bounds, and each setpoint's solve.
+
+    The other devices stay at their setpoints.  A point ``qv`` is solved
+    from the first-order step off the current voltages ``v``:
+    ``V + Z[:, k]·(j·Δq / conj(V[k]))``.  The injections of the other
+    devices, ``s_rest``, are built once; a point writes only its own
+    device's row.
+    """
+
+    a: float
+    b: float
+    xatol: float
+    s_rest: np.ndarray
+    row: int
+    v: np.ndarray
+    dv_dq: np.ndarray
+    q_now: float
+
+    def column(self, qv: float) -> _Solve:
+        """The solve request of setpoint ``qv``."""
+        s_pq, start = np.empty_like(self.s_rest), np.empty_like(self.v)
+        self.fill(qv, s_pq, start)
+        return s_pq, start
+
+    def fill(self, qv: float, s_pq: np.ndarray, start: np.ndarray) -> None:
+        """Write the solve request of setpoint ``qv`` into ``s_pq`` and ``start``."""
+        s_pq[:] = self.s_rest
+        s_pq[self.row] -= 1j * qv
+        np.multiply(self.dv_dq, qv - self.q_now, out=start)
+        start += self.v
+
+
 class _Hour:
-    """One hour's injections and solver for :func:`dispatch_q`.
+    """One hour's injections and solver for the dispatch of that hour.
 
     Solves within an hour differ only in device Q, so P and the scaled
     normal-load Q are assembled once.  Solves yield states; full solutions
@@ -274,6 +333,8 @@ class _Hour:
     def __init__(self, net: Network, devices: Sequence[Device], hour: int,
                  scenario: Scenario, load_scale: float) -> None:
         self.net = net
+        self.devices = devices
+        self.hour = hour
         self.scenario = scenario
         self.fixed = hour_injections(net, devices, hour, load_scale=load_scale)
         self.dev_pos = [(dev, net.index_of(dev.bus)) for dev in devices]
@@ -296,57 +357,78 @@ class _Hour:
         """The state with non-slack injections ``s_pq``, solved from ``start``.
 
         The fixed-point kernel runs on a copy of ``start``; if it raises,
-        Newton runs from ``start`` itself on the full injections, whose
-        reactive part ``imag(p + j·q) == q`` gives back exactly, and its
-        failure propagates.
+        :meth:`newton` runs, and its failure propagates.
         """
-        tol = self.scenario.pf_tol
         try:
-            return _fixed_point(self.factor, s_pq, start.copy(), tol)
+            return _fixed_point(self.factor, s_pq, start.copy(), self.scenario.pf_tol)
         except PowerFlowError:
-            q_inj = self.fixed.q.copy()
-            q_inj[self.factor[0]] = s_pq.imag
-            sol = _newton(self.net, InjectionSet(self.fixed.p, q_inj), tol, start)
-            return sol.v_complex, sol.iterations, sol.max_mismatch
+            return self.newton(s_pq, start)
+
+    def newton(self, s_pq: np.ndarray, start: np.ndarray) -> _State:
+        """Newton's state from ``start`` itself, on the full injections,
+        whose reactive part ``imag(p + j·q) == q`` gives back exactly."""
+        q_inj = self.fixed.q.copy()
+        q_inj[self.factor[0]] = s_pq.imag
+        sol = _newton(self.net, InjectionSet(self.fixed.p, q_inj), self.scenario.pf_tol,
+                      start)
+        return sol.v_complex, sol.iterations, sol.max_mismatch
 
     def score(self, v: np.ndarray) -> float:
         """The hour's dispatch score at voltages ``v``."""
         return _score(self.scenario, np.abs(v), _currents_and_loss(v, self.branches)[1])
 
-    def trial(self, settings: Mapping[str, float], dev: Device,
-              v: np.ndarray) -> tuple[Callable[[float], float], dict[float, _State]]:
-        """Score of ``dev`` at setpoint ``qv``, and the states it solved.
-
-        The other devices stay at ``settings``.  Each point is solved from
-        the first-order step off the current voltages ``v``:
-        ``V + Z[:, k]·(j·Δq / conj(V[k]))``.  The injections of the other
-        devices are built once; a point writes only its own device's row.
-        Its state is kept under its setpoint, so the point a search picks
-        needs no second solve.  A point whose Newton fallback fails too
-        scores ``_TRIAL_PENALTY`` and keeps no state.
-        """
+    def search(self, settings: Mapping[str, float], dev: Device, v: np.ndarray,
+               cap: QCapability) -> _Search:
+        """The search of ``dev`` over ``cap`` from the state at voltages ``v``."""
         pos = self.net.index_of(dev.bus)
         row = self.pq_row[pos]
         pq, _, z, _ = self.factor
         rest = dict(settings)
         rest[dev.label] = 0.0
-        s_rest = self.pq_injections(self.q_injections(rest))
-        q_now = settings[dev.label]
         dv_dq = np.zeros_like(v)
         dv_dq[pq] = z[:, row] * (1j / np.conj(v[pos]))
+        return _Search(cap.q_min, cap.q_max,
+                       max(_SEARCH_MIN_XATOL, _SEARCH_REL_XATOL * cap.width),
+                       self.pq_injections(self.q_injections(rest)), row, v, dv_dq,
+                       settings[dev.label])
+
+    def searched(self, search: _Search) -> tuple[Minimum, _State | None]:
+        """Run ``search`` through :func:`minimize_scalar`, solving each point
+        with :meth:`solve`: the minimum and the state at its ``x``.
+
+        A point whose solve fails scores ``_TRIAL_PENALTY`` and keeps no
+        state, so the state is None when the minimum is the penalty.
+        """
         solved: dict[float, _State] = {}
 
         def score_at(qv: float) -> float:
-            s_pq = s_rest.copy()
-            s_pq[row] -= 1j * qv
             try:
-                state = self.solve(s_pq, v + dv_dq * (qv - q_now))
+                state = self.solve(*search.column(qv))
             except PowerFlowError:
                 return _TRIAL_PENALTY
             solved[qv] = state
             return self.score(state[0])
 
-        return score_at, solved
+        res = minimize_scalar(score_at, search.a, search.b, search.xatol, _SEARCH_MAXITER)
+        return res, solved.get(res.x)
+
+
+# the requests of an hour's descent, and the replies they receive
+_Request = _Solve | _Search
+_Reply = Any  # the _State of a _Solve, (Minimum, _State | None) of a _Search
+
+
+def _serial(hr: _Hour, steps: Generator[_Request, _Reply, Any]) -> Any:
+    """Run ``steps`` of hour ``hr`` one request at a time and return its
+    result: each solve through :meth:`_Hour.solve`, whose failure
+    propagates, and each search through :meth:`_Hour.searched`."""
+    reply = None
+    while True:
+        try:
+            request = steps.send(reply)
+        except StopIteration as done:
+            return done.value
+        reply = hr.searched(request) if isinstance(request, _Search) else hr.solve(*request)
 
 
 def dispatch_q(
@@ -359,15 +441,32 @@ def dispatch_q(
 ) -> DispatchResult:
     """Choose reactive setpoints for one hour under the scenario's mode.
 
-    Raises :class:`NonConvergence` if even the undispatched power flow fails;
-    trial failures inside the search are absorbed (the trial is discarded).
+    The hour's :func:`_descent`, run one request at a time.  Raises any
+    :class:`PowerFlowError` of the undispatched (base) solve or of a
+    capability-recheck solve: the one the Newton fallback raises after the
+    kernel failed, a :class:`NonConvergence` or a
+    :class:`~pevplan.powerflow.SingularJacobian`.  A trial that fails inside
+    a search is absorbed (it scores ``_TRIAL_PENALTY``).  Raises
+    ``ValueError`` for non-finite injections or a ``v0`` of the wrong length.
     """
-    q: dict[str, float] = {dev.label: 0.0 for dev in devices}
     hr = _Hour(net, devices, hour, scenario, load_scale)
+    return _serial(hr, _descent(hr, _start(net, hr.fixed, scenario.pf_tol, v0)))
 
+
+def _descent(hr: _Hour,
+             start: np.ndarray) -> Generator[_Request, _Reply, DispatchResult]:
+    """One hour's coordinate descent, from its base solve to its result.
+
+    Yields requests and receives their replies: a solve request ``(s_pq,
+    start)`` receives the solved state, or has the solve's
+    :class:`PowerFlowError` thrown in, which ends the hour; a
+    :class:`_Search` receives ``(minimum, state at its x)``.  The base
+    solve starts from ``start``.
+    """
+    net, devices, hour, scenario = hr.net, hr.devices, hr.hour, hr.scenario
+    q: dict[str, float] = {dev.label: 0.0 for dev in devices}
     # with every setpoint at zero the hour's injections are hr.fixed
-    base_state = hr.solve(hr.pq_injections(hr.fixed.q),
-                          _start(net, hr.fixed, scenario.pf_tol, v0))
+    base_state = yield hr.pq_injections(hr.fixed.q), start
     base_score = hr.score(base_state[0])
 
     participants = scenario.participating(devices)
@@ -419,21 +518,19 @@ def dispatch_q(
                 if net.index_of(dev.bus) not in hr.pq_row:
                     continue  # Q at the slack bus enters no solve
 
-                score_at, solved = hr.trial(q, dev, state[0])
-                xatol = max(_SEARCH_MIN_XATOL, _SEARCH_REL_XATOL * cap.width)
-                res = minimize_scalar(score_at, cap.q_min, cap.q_max, xatol,
-                                      _SEARCH_MAXITER)
+                res, trial_state = yield hr.search(q, dev, state[0], cap)
                 # res.x is a point the search solved, unless it scored the
                 # penalty; its state and score are the accepted ones
                 if res.fun < _TRIAL_PENALTY and res.fun < score - min_gain:
                     q[dev.label] = float(res.x)
-                    state, score = solved[res.x], float(res.fun)
+                    state, score = trial_state, float(res.fun)
                     dirty.update(d.label for d in stage if d.label != dev.label)
                     clean.intersection_update({dev.label})
             if not dirty or score_at_sweep_start - score < SWEEP_IMPROVEMENT_TOL:
                 break
 
-    rechecked = _recheck_capability(hr, participants, hour, q, state, score, infeasible)
+    rechecked = yield from _recheck_capability(hr, participants, hour, q, state, score,
+                                               infeasible)
     # revert if the setpoints did not settle in their intervals, or if the
     # clamped state scores worse than the undispatched one while Q = 0 lies
     # in every interval at the base voltages; where it does not, the base
@@ -464,13 +561,14 @@ def _zero_fits(hr: _Hour, participants: Sequence[Device], hour: int,
 def _recheck_capability(
     hr: _Hour, participants: Sequence[Device], hour: int, q: dict[str, float],
     state: _State, score: float, infeasible: list[str],
-) -> tuple[_State, float] | None:
+) -> Generator[_Request, _Reply, tuple[_State, float] | None]:
     """Clamp setpoints into the capability interval at the final voltages.
 
     The interval depends on the device's own bus voltage, which moved during
     the search, so the check iterates clamp-and-resolve until a check of the
-    solved state adjusts nothing.  Returns that state and its score, or None
-    if the setpoints have not settled after ``_RECHECK_SOLVES`` solves.
+    solved state adjusts nothing.  Yields each resolve as a solve request.
+    Returns that state and its score, or None if the setpoints have not
+    settled after ``_RECHECK_SOLVES`` solves.
     """
     for solves in range(_RECHECK_SOLVES + 1):
         adjusted = False
@@ -491,6 +589,133 @@ def _recheck_capability(
             return state, score
         if solves == _RECHECK_SOLVES:
             break
-        state = hr.solve(hr.pq_injections(hr.q_injections(q)), state[0])
+        state = yield hr.pq_injections(hr.q_injections(q)), state[0]
         score = hr.score(state[0])
     return None
+
+
+def _scores(scenario: Scenario, branches: tuple[np.ndarray, ...],
+            v: np.ndarray) -> np.ndarray:
+    """:func:`_score` of each row of ``v``, one state a row.
+
+    Each sum runs along a contiguous row, as :meth:`_Hour.score` runs
+    along its vector, so the two agree bit for bit.
+    """
+    a, b, _ = scenario.weights
+    f_idx, t_idx, y_series, r = branches
+    loss = (np.abs((v[:, f_idx] - v[:, t_idx]) * y_series) ** 2 * r).sum(axis=1)
+    return a * np.abs(scenario.v_ref - np.abs(v)).sum(axis=1) + b * loss
+
+
+class _Lane:
+    """One hour of a lockstep day: its descent and the solve it waits on.
+
+    While a search runs, ``brent`` is its :func:`_brent`, ``x`` the point
+    being solved and ``solved`` the states of the points solved so far;
+    otherwise ``request`` is the pending solve request.
+    """
+
+    def __init__(self, hr: _Hour, start: np.ndarray, stats: Counter) -> None:
+        self.hr = hr
+        self.steps = _descent(hr, start)
+        self.stats = stats
+        self.result: DispatchResult | None = None
+        self.brent: Generator[float, float, Minimum] | None = None
+
+    def fill(self, s_pq: np.ndarray, start: np.ndarray) -> None:
+        """Write the pending solve request into ``s_pq`` and ``start``."""
+        if self.brent is None:
+            s_pq[:], start[:] = self.request
+        else:
+            self.search.fill(self.x, s_pq, start)
+
+    def send(self, reply: _Reply = None, error: PowerFlowError | None = None) -> bool:
+        """Hand the descent its reply, or throw in a failed solve; False
+        once the hour is over, with its result or, where a solve failed,
+        None."""
+        try:
+            request = self.steps.send(reply) if error is None else self.steps.throw(error)
+        except StopIteration as done:
+            self.result = done.value
+            return False
+        except PowerFlowError:
+            return False
+        if isinstance(request, _Search):
+            self.stats["searches"] += 1
+            self.search, self.solved = request, {}
+            self.brent = _brent(request.a, request.b, request.xatol, _SEARCH_MAXITER)
+            self.x = next(self.brent)
+        else:
+            self.brent, self.request = None, request
+        return True
+
+    def scored(self, state: _State | None, fx: float) -> bool:
+        """Hand the search the score of its point; False as :meth:`send`."""
+        if state is not None:
+            self.solved[self.x] = state
+        try:
+            self.x = self.brent.send(fx)
+        except StopIteration as done:
+            res = done.value
+            return self.send((res, self.solved.get(res.x)))
+        return True
+
+
+def _dispatch_day(net: Network, devices: Sequence[Device], scenario: Scenario,
+                  hours: Sequence[int], load_shape: Sequence[float], v0: np.ndarray,
+                  stats: Counter) -> list[DispatchResult | None]:
+    """The :func:`_descent` of each of ``hours``, run in lockstep.
+
+    Hour ``h`` has load scale ``load_shape[h]`` and starts from ``v0[:, h]``.
+    Each step gathers the pending solve of every hour still running (its
+    base, a trial point of a search, or a recheck) into one block of the
+    fixed-point kernel.  A column the kernel fails goes alone to Newton;
+    a trial whose Newton fails too scores ``_TRIAL_PENALTY``, and any other
+    solve's failure is thrown into its hour, which then has no result
+    (None).  The step's trial states are scored together.  Counts the
+    searches, the trials, the steps, their columns and the Newton
+    fallbacks in ``stats``.
+    """
+    tol = scenario.pf_tol
+    lanes = []
+    for hour in hours:
+        hr = _Hour(net, devices, hour, scenario, load_shape[hour])
+        lanes.append(_Lane(hr, _start(net, hr.fixed, tol, v0[:, hour]), stats))
+    arrays = _solver_arrays(net)
+    factor, branches = arrays.fixed_point, arrays.branches
+    running = [lane for lane in lanes if lane.send()]
+    while running:
+        # one row a column, so that each solved state is a contiguous row
+        m = len(running)
+        s = np.empty((m, len(factor[0])), dtype=complex)
+        v = np.empty((m, net.n_bus), dtype=complex)
+        for j, lane in enumerate(running):
+            lane.fill(s[j], v[j])
+        starts = v.copy()
+        iterations, mismatch, converged = _fixed_point_block(factor, s.T, v.T, tol)
+        stats["dispatch_steps"] += 1
+        stats["dispatch_columns"] += m
+        failed: dict[int, PowerFlowError] = {}
+        for j in np.flatnonzero(~converged):
+            stats["newton_fallbacks"] += 1
+            try:
+                v[j], iterations[j], mismatch[j] = running[j].hr.newton(s[j], starts[j])
+            except PowerFlowError as exc:
+                failed[j] = exc
+        trials = [j for j, lane in enumerate(running) if lane.brent is not None]
+        stats["trials"] += len(trials)
+        solved = [j for j in trials if j not in failed]
+        scores = dict(zip(solved, _scores(scenario, branches, v[solved]).tolist()))
+        still = []
+        for j, lane, it, mis in zip(range(m), running, iterations.tolist(), mismatch.tolist()):
+            state = None if j in failed else (v[j], it, mis)
+            if lane.brent is not None:
+                going = lane.scored(state, scores.get(j, _TRIAL_PENALTY))
+            elif state is None:
+                going = lane.send(error=failed[j])
+            else:
+                going = lane.send(state)
+            if going:
+                still.append(lane)
+        running = still
+    return [lane.result for lane in lanes]

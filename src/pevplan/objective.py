@@ -7,7 +7,10 @@ The score of a parking-lot placement over 24 hours is
 
 with voltage-band, ampacity, and converter-capability checks folded into a
 separate feasibility flag and violation magnitude so that constraint
-handling never distorts the reported objective values.
+handling never distorts the reported objective values.  A day solves its 24
+base flows as one block of the fixed-point kernel and dispatches its hours
+in lockstep (``dispatch._dispatch_day``), one kernel block per step, so it
+never calls :func:`dispatch_q`, which runs one hour alone.
 """
 
 from __future__ import annotations
@@ -29,7 +32,14 @@ from .devices import (
     capability_violation,
     p_injection,
 )
-from .dispatch import DispatchResult, Scenario, _newton, dispatch_q, partial_objective
+from .dispatch import (
+    DispatchResult,
+    Scenario,
+    _dispatch_day,
+    _newton,
+    dispatch_q,  # noqa: F401  (the benchmark's tracer wraps this name)
+    partial_objective,
+)
 from .network import (
     Network,
     build_ybus,  # noqa: F401  (the benchmark's tracer wraps this name)
@@ -79,9 +89,15 @@ class DayStats:
     ``block_iterations`` their summed fixed-point iterations;
     ``newton_columns`` the block columns that did not converge and went to
     Newton alone; ``divergent_hours`` the hours dropped because Newton failed
-    too; ``hours_dispatched`` the hours run through :func:`dispatch_q`, of
-    which ``reverted_hours`` failed and kept their undispatched base column.
-    ``day_s`` is the wall time spent computing days.
+    too; ``hours_dispatched`` the hours dispatched, of which
+    ``reverted_hours`` failed and kept their undispatched base column.  The
+    dispatched hours ran ``searches`` Brent searches with ``trials`` points
+    (their summed ``nfev``), in ``dispatch_steps`` lockstep steps of
+    ``dispatch_columns`` kernel columns in all (bases, trials and
+    rechecks), so ``dispatch_columns / dispatch_steps`` is the mean block
+    width; ``newton_fallbacks`` counts the dispatch columns the kernel
+    failed, each sent alone to Newton.  ``day_s`` is the wall time spent
+    computing days.
     """
 
     days: int = 0
@@ -91,6 +107,11 @@ class DayStats:
     divergent_hours: int = 0
     hours_dispatched: int = 0
     reverted_hours: int = 0
+    searches: int = 0
+    trials: int = 0
+    dispatch_steps: int = 0
+    dispatch_columns: int = 0
+    newton_fallbacks: int = 0
     day_s: float = 0.0
 
 
@@ -145,9 +166,10 @@ class DayEvaluator:
     on its placement only.  A column that fails goes alone to Newton; if
     that fails too, the hour is divergent: the day is infeasible, carries
     ``_DIVERGENT_HOUR_PENALTY``, and the hour adds no objective terms.
-    Hours with participating devices are dispatched from their base column;
-    an hour whose dispatch fails reverts to that column with every Q at 0.
-    The day is then scored from the stacked final voltages.
+    Hours with participating devices are dispatched from their base column,
+    all in lockstep; an hour whose dispatch fails reverts to that column
+    with every Q at 0.  The day is then scored from the stacked final
+    voltages.
     """
 
     def __init__(
@@ -236,8 +258,9 @@ class DayEvaluator:
         for dev in devices:
             p[net.index_of(dev.bus)] += p_injection(dev)
         factor = arrays.fixed_point
-        v, iterations, mismatch, converged = _fixed_point_block(
-            factor, (p + 1j * q_base)[factor[0]], tol
+        v = np.full((net.n_bus, HOURS), 1.0 + 0.0j)
+        iterations, mismatch, converged = _fixed_point_block(
+            factor, (p + 1j * q_base)[factor[0]], v, tol
         )
         stats["days"] += 1
         stats["block_columns"] += HOURS
@@ -259,12 +282,11 @@ class DayEvaluator:
         dispatched: dict[int, DispatchResult] = {}
         reverted: set[int] = set()
         if scenario.participating(devices):
-            for hour in map(int, np.flatnonzero(live)):
-                stats["hours_dispatched"] += 1
-                try:
-                    result = dispatch_q(net, devices, hour, scenario,
-                                        load_scale=self._load_shape[hour], v0=v[:, hour])
-                except PowerFlowError:
+            hours = [int(h) for h in np.flatnonzero(live)]
+            stats["hours_dispatched"] += len(hours)
+            results = _dispatch_day(net, devices, scenario, hours, self._load_shape, v, stats)
+            for hour, result in zip(hours, results):
+                if result is None:
                     stats["reverted_hours"] += 1
                     reverted.add(hour)
                     continue

@@ -6,9 +6,10 @@ against.  Next to it sits a private kernel, the Z-bus fixed point
 ``V[pq] = w·V_slack + Z·conj(S[pq] / V[pq])`` with ``Z = inv(Y[pq, pq])``
 (Teng's direct radial load flow in matrix form; with no shunts its drop
 matrix equals this ``Z``, so meshed feeders work too), in a one-column
-form for reactive dispatch and a many-column form for a day's base flows.
-It needs no Jacobian, which makes it the cheaper choice for the many
-near-identical solves of dispatch; Newton is its fallback.
+form for one hour's dispatch and a block form, from a start matrix, for a
+day's base flows and its lockstep dispatch.  Both apply the same rules to
+each column.  It needs no Jacobian, which makes it the cheaper choice for
+the many near-identical solves of dispatch; Newton is its fallback.
 
 The slack bus holds a fixed phasor; every other bus is constant-PQ (converter
 devices included — their charging/generation enters through the injection
@@ -355,7 +356,7 @@ def _fixed_point(
                     return v, it, mis
                 raise PowerFlowError(
                     f"fixed point stopped at step residual {res:.3e} with "
-                    f"mismatch {mis:.3e} above {tol:.1e}"
+                    f"mismatch {mis:.3e} above {tol:.1e} after {it} iterations"
                 )
             if not math.isfinite(res) or res > _DIVERGENCE_MISMATCH:
                 raise PowerFlowError(
@@ -372,62 +373,71 @@ def _fixed_point(
 def _fixed_point_block(
     factor: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     s_pq: np.ndarray,
+    v: np.ndarray,
     tol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_fixed_point` from a flat start on every column of ``s_pq`` at once.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_fixed_point` on every column of ``v`` at once, in place.
 
-    ``s_pq`` holds one column of non-slack injections per case.  Each column
-    follows the 1-D rule: it aims for ``tol / 100``, stops on a stalled step
-    residual under ``tol`` or after ``DEFAULT_MAX_ITER`` iterations, and
-    leaves the block when it stops, so the rest iterate on without it.  A
-    column converges only if its true ``Y·V`` mismatch then meets ``tol``.
-    Returns ``(v, iterations, mismatch, converged)``: ``v`` holds one full
-    voltage column per case (1.0 pu at the slack), the others one entry per
-    column.  A column that did not converge is left where it stopped.
+    ``s_pq`` holds one column of non-slack injections per case and ``v`` one
+    full start column per case, 1.0 pu at the slack.  Each column follows
+    the 1-D rules: a column whose start already meets ``tol / 100`` is
+    returned unchanged after 0 iterations; the others aim for ``tol / 100``
+    and stop on a stalled step residual under ``tol``, on divergence, or
+    after ``DEFAULT_MAX_ITER`` iterations.  The iterating columns are kept
+    compact, and a column leaves them when it stops, so the rest iterate on
+    without it; each stopped column is written back to ``v`` once.  The true
+    ``Y·V`` mismatch is computed twice, over the start and over the columns
+    that moved, and a column converges only if it stopped as the 1-D kernel
+    returns and that mismatch meets ``tol``.  Returns ``(iterations,
+    mismatch, converged)``, one entry per column; a column that did not
+    converge is left where it stopped.
     """
     pq, y_pq, z, w = factor
     target = tol * _FIXED_POINT_MARGIN
-    m = s_pq.shape[1]
-    v = np.full((y_pq.shape[1], m), 1.0 + 0.0j)
-    vp = v[pq]
-    iterations = np.zeros(m, dtype=int)
-    mismatch = np.full(m, math.inf)
-    converged = np.zeros(m, dtype=bool)
-
-    def settle(cols: np.ndarray, it: int, accept: bool = True) -> None:
-        if not cols.size:
-            return
-        v[np.ix_(pq, cols)] = vp[:, cols]
-        ds = vp[:, cols] * np.conj(y_pq @ v[:, cols]) - s_pq[:, cols]
-        mis = np.maximum(np.abs(ds.real), np.abs(ds.imag)).max(axis=0, initial=0.0)
-        iterations[cols] = it
-        mismatch[cols] = mis
-        converged[cols] = accept & (mis <= tol)
-
+    w = w[:, None]
+    iterations = np.zeros(s_pq.shape[1], dtype=int)
     # a zero or overflowing voltage shows up as a non-finite residual
     with np.errstate(all="ignore"):
-        settle(np.arange(m), 0)
-        prev = mismatch.copy()
-        active = np.flatnonzero(~(prev <= target))
-        converged[active] = False
+        vp_all = v[pq]
+        mismatch = _max_abs(vp_all * np.conj(y_pq @ v) - s_pq)
+        moved = np.flatnonzero(~(mismatch <= target))
+        accepted = np.ones(len(mismatch), dtype=bool)
+        cols, s, vp, prev = moved, s_pq[:, moved], vp_all[:, moved], mismatch[moved]
         for it in range(1, DEFAULT_MAX_ITER + 1):
-            if not active.size:
+            if not cols.size:
                 break
-            ratio = s_pq[:, active] / vp[:, active]
-            v_next = w[:, None] + z @ np.conj(ratio)
-            step = (v_next - vp[:, active]) * ratio
-            res = np.maximum(np.abs(step.real), np.abs(step.imag)).max(axis=0, initial=0.0)
-            vp[:, active] = v_next
-            stop = (res <= target) | (
-                (res <= tol) & ((res >= prev[active]) | (it == DEFAULT_MAX_ITER))
-            )
-            failed = ~stop & ~(res <= _DIVERGENCE_MISMATCH)
-            settle(active[stop], it)
-            settle(active[failed], it, accept=False)
-            prev[active] = res
-            active = active[~(stop | failed)]
-        settle(active, DEFAULT_MAX_ITER, accept=False)
-    return v, iterations, mismatch, converged
+            ratio = s / vp
+            v_next = z @ np.conj(ratio)
+            v_next += w
+            res = _max_abs((v_next - vp) * ratio)
+            # under tol a column stops once its residual stalls or on the
+            # last iteration, and otherwise only on the target
+            limit = tol if it == DEFAULT_MAX_ITER else np.where(res >= prev, tol, target)
+            stop = res <= limit
+            going = ~stop & (res <= _DIVERGENCE_MISMATCH)
+            if going.all():
+                vp, prev = v_next, res
+                continue
+            ended = ~going
+            done = cols[ended]
+            vp_all[:, done] = v_next[:, ended]
+            iterations[done] = it
+            accepted[done] = stop[ended]
+            cols, s, vp, prev = cols[going], s[:, going], v_next[:, going], res[going]
+        # a column still going ran out of iterations
+        vp_all[:, cols] = vp
+        iterations[cols] = DEFAULT_MAX_ITER
+        accepted[cols] = False
+        if moved.size:
+            v[pq] = vp_all
+            mismatch[moved] = _max_abs(
+                vp_all[:, moved] * np.conj(y_pq @ v[:, moved]) - s_pq[:, moved])
+    return iterations, mismatch, accepted & (mismatch <= tol)
+
+
+def _max_abs(ds: np.ndarray) -> np.ndarray:
+    """Max |real|, |imag| of each column: the column's max |ΔP|, |ΔQ|."""
+    return np.maximum(np.abs(ds.real), np.abs(ds.imag)).max(axis=0, initial=0.0)
 
 
 @dataclass(frozen=True)

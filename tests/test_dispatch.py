@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,7 @@ from pevplan.dispatch import (
     hour_injections,
     partial_objective,
 )
-from pevplan.objective import place_lots
+from pevplan.objective import DayEvaluator, place_lots
 from pevplan.powerflow import (
     _FIXED_POINT_MARGIN,
     InjectionSet,
@@ -217,8 +218,9 @@ def test_fixed_point_failure_falls_back_to_newton(bus33, devices33, monkeypatch)
         return res
 
     def rechecked(*args, **kwargs):
+        # the recheck yields its solves, which run while it is suspended
         before = len(calls)
-        out = recheck(*args, **kwargs)
+        out = yield from recheck(*args, **kwargs)
         rechecks.append((len(calls) - before) // 2)
         return out
 
@@ -345,8 +347,9 @@ def test_hour_solves_each_point_once(bus33, devices33, monkeypatch):
         return res
 
     def rechecked(*args, **kwargs):
+        # the recheck yields its solves, which run while it is suspended
         before = len(kernel)
-        out = recheck(*args, **kwargs)
+        out = yield from recheck(*args, **kwargs)
         rechecks.append(len(kernel) - before)
         return out
 
@@ -412,8 +415,9 @@ def test_accepted_score_is_the_searched_score(bus33, devices33, monkeypatch):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_trial_score_matches_newton_objective(bus33, devices33, data):
-    # a trial scores one device's setpoint on the bare kernel; it must agree
-    # with partial_objective of Newton's full solution of the same injections
+    # a trial solves one device's setpoint on the bare kernel from its
+    # search's first-order start; its score must agree with
+    # partial_objective of Newton's full solution of the same injections
     # (solved to 1e-12: at pf_tol Newton's own stopping error reaches 4e-8)
     net = bus33.network
     sc = Scenario(mode="dgq+v2gq")
@@ -432,8 +436,12 @@ def test_trial_score_matches_newton_objective(bus33, devices33, data):
         moved = dict(settings_now)
         moved[dev.label] = qv
         ref = solve(net, hour_injections(net, devices33, PEAK_HOUR, moved), tol=1e-12)
-        score_at, _ = hr.trial(settings_now, dev, now.v_complex)
-        assert score_at(qv) == pytest.approx(partial_objective(net, ref, sc), abs=1e-8)
+        cap = q_capability(dev, dev.p_at(PEAK_HOUR),
+                           float(now.v_mag[net.index_of(dev.bus)]))
+        search = hr.search(settings_now, dev, now.v_complex, cap)
+        state = hr.solve(*search.column(qv))
+        assert hr.score(state[0]) == pytest.approx(partial_objective(net, ref, sc),
+                                                   abs=1e-8)
 
 
 @settings(max_examples=50, deadline=None)
@@ -524,8 +532,8 @@ def test_recheck_returns_setpoints_inside_the_final_intervals(data):
         inside = st.sampled_from([cap.q_min, cap.q_max]) | st.floats(cap.q_min, cap.q_max)
         q[dev.label] = data.draw(inside, label=dev.label) if cap.feasible else 0.0
     state = hr.solve(hr.pq_injections(hr.q_injections(q)), base_v)
-    rechecked = dispatch._recheck_capability(hr, devices, 0, q, state,
-                                             hr.score(state[0]), infeasible)
+    rechecked = dispatch._serial(hr, dispatch._recheck_capability(
+        hr, devices, 0, q, state, hr.score(state[0]), infeasible))
     if rechecked is None:
         return
     state, score = rechecked
@@ -564,7 +572,7 @@ def test_settled_setpoints_stay_in_their_intervals(data):
     settled = []
 
     def spied(*args):
-        out = recheck(*args)
+        out = yield from recheck(*args)
         settled.append(out is not None)
         return out
 
@@ -634,3 +642,113 @@ def test_score_noise_changes_no_accepted_setpoint(bus33, devices33, profiles33,
     for hour, (q_clean, q_noisy) in enumerate(zip(clean, setpoints())):
         for label, q in q_clean.items():
             assert q_noisy[label] == pytest.approx(q, abs=1e-12), (hour, label)
+
+
+# -- the lockstep day --------------------------------------------------------
+
+# the golden dgq+v2gq placements the accept threshold was sized on
+GOLDEN_V2G = ((7, 29), (3, 17), (12, 25), (5, 33), (2, 19), (10, 30), (4, 8), (15, 22),
+              (18, 33), (6, 26), (9, 11), (20, 28))
+
+
+def test_lockstep_day_runs_each_hour_as_dispatch_q_does(bus33, devices33, profiles33,
+                                                       monkeypatch):
+    # the day drives every hour's descent in lockstep, on block kernel
+    # columns and batched scores; dispatch_q runs one hour alone on the 1-D
+    # kernel.  From the same base column each hour must run the same
+    # searches with the same nfev and accept the same moves, so setpoints
+    # and scores agree to the solves' rounding
+    net = bus33.network
+    shape = profiles33["load-weekday"].values
+    sc = Scenario(mode="dgq+v2gq", load_profile_id="load-weekday")
+    searches: dict[tuple[str, int], list] = {}
+    path = ["lockstep"]
+    descent = dispatch._descent
+
+    def logged(hr, start):
+        log = searches.setdefault((path[0], hr.hour), [])
+        steps = descent(hr, start)
+        reply = None
+        while True:
+            try:
+                request = steps.send(reply)
+            except StopIteration as done:
+                return done.value
+            reply = yield request
+            if isinstance(request, dispatch._Search):
+                res = reply[0]
+                log.append((request.row, request.q_now, res.nfev, res.x, res.fun))
+
+    monkeypatch.setattr(dispatch, "_descent", logged)
+    for key in GOLDEN_V2G:
+        searches.clear()
+        path[0] = "lockstep"
+        lockstep = DayEvaluator(net, devices33, profiles33, sc)._trail(key)
+        bases = DayEvaluator(net, devices33, profiles33,
+                             replace(sc, mode="none"))._trail(key)
+        path[0] = "serial"
+        placed = place_lots(devices33, key, net)
+        for hour in range(HOURS):
+            alone = dispatch_q(net, placed, hour, sc, load_scale=shape[hour],
+                               v0=bases[hour].solution.v_complex)
+            day = lockstep[hour]
+            where = (key, hour)
+            a, b = searches[("lockstep", hour)], searches[("serial", hour)]
+            assert [s[0] for s in a] == [s[0] for s in b], where
+            assert [s[2] for s in a] == [s[2] for s in b], where
+            np.testing.assert_allclose([s[1:] for s in a], [s[1:] for s in b],
+                                       rtol=0, atol=1e-9, err_msg=str(where))
+            assert day.reverted == alone.reverted, where
+            assert day.infeasible_devices == alone.infeasible_devices, where
+            assert day.q_settings.keys() == alone.q_settings.keys()
+            for label, q in alone.q_settings.items():
+                assert day.q_settings[label] == pytest.approx(q, abs=1e-9), where
+            assert day.score == pytest.approx(alone.score, abs=1e-9), where
+            assert day.base_score == pytest.approx(alone.base_score, abs=1e-9), where
+
+
+def test_a_failed_trial_column_goes_alone_to_newton(bus33, devices33, profiles33,
+                                                   monkeypatch):
+    # the kernel is made to fail one trial column of a wide block: that
+    # column alone goes to Newton, from its own start, and the day still
+    # scores as it does without the failure
+    net, key = bus33.network, (3, 17)
+    sc = Scenario(mode="dgq+v2gq", load_profile_id="load-weekday")
+    honest = DayEvaluator(net, devices33, profiles33, sc).evaluate(key).breakdown
+    block, fill, newton = dispatch._fixed_point_block, dispatch._Lane.fill, dispatch._newton
+    kinds, forced, calls = [], [], []
+
+    def recorded_fill(lane, s_pq, start):
+        kinds.append(lane.brent is not None)
+        fill(lane, s_pq, start)
+
+    def one_trial_fails(factor, s_pq, v, tol):
+        trials = [j for j, trial in enumerate(kinds) if trial]
+        kinds.clear()
+        starts = v.copy()
+        iterations, mismatch, converged = block(factor, s_pq, v, tol)
+        if not forced and len(trials) > 4:
+            j = trials[len(trials) // 2]
+            converged[j] = False
+            forced.append((s_pq[:, j].copy(), starts[:, j]))
+        return iterations, mismatch, converged
+
+    def counted(net_, inj, tol, v0):
+        calls.append((inj, v0.copy()))
+        return newton(net_, inj, tol, v0)
+
+    monkeypatch.setattr(dispatch._Lane, "fill", recorded_fill)
+    monkeypatch.setattr(dispatch, "_fixed_point_block", one_trial_fails)
+    monkeypatch.setattr(dispatch, "_newton", counted)
+    ev = DayEvaluator(net, devices33, profiles33, sc)
+    bd = ev.evaluate(key).breakdown
+    ((s_pq, start),) = forced
+    ((inj, v0),) = calls
+    pq = _solver_arrays(net).fixed_point[0]
+    np.testing.assert_array_equal(inj.p[pq], s_pq.real)
+    np.testing.assert_array_equal(inj.q[pq], s_pq.imag)
+    np.testing.assert_array_equal(v0, start)
+    assert ev.stats.newton_fallbacks == 1
+    assert bd.feasible == honest.feasible
+    for field in ("v_dev", "loss", "scalar", "violation_penalty"):
+        assert getattr(bd, field) == pytest.approx(getattr(honest, field), abs=1e-9)

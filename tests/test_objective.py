@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from pevplan import objective
+from pevplan import dispatch, objective
 from pevplan.devices import HOURS, HourlyProfile, PevLot, capability_violation
-from pevplan.dispatch import Scenario, hour_injections
-from pevplan.powerflow import PowerFlowError, check_limits, solve
+from pevplan.dispatch import Scenario, dispatch_q, hour_injections
+from pevplan.powerflow import PowerFlowError, _solver_arrays, check_limits, solve
 from pevplan.objective import (
     DayEvaluator,
     ObjectiveBreakdown,
@@ -181,10 +183,10 @@ def test_failed_block_column_goes_alone_to_newton(bus33, devices33, profiles33,
     newton = objective._newton
     calls = []
 
-    def one_column_fails(factor, s_pq, tol):
-        v, iterations, mismatch, converged = block(factor, s_pq, tol)
+    def one_column_fails(factor, s_pq, v, tol):
+        iterations, mismatch, converged = block(factor, s_pq, v, tol)
         converged[forced] = False
-        return v, iterations, mismatch, converged
+        return iterations, mismatch, converged
 
     def counted(net_, inj, tol, v0):
         calls.append((inj, v0))
@@ -219,10 +221,10 @@ def test_newton_column_trail_carries_newtons_solve(bus33, devices33, profiles33,
     newton = objective._newton
     solved = []
 
-    def one_column_fails(factor, s_pq, tol):
-        v, iterations, mismatch, converged = block(factor, s_pq, tol)
+    def one_column_fails(factor, s_pq, v, tol):
+        iterations, mismatch, converged = block(factor, s_pq, v, tol)
         converged[forced] = False
-        return v, iterations, mismatch, converged
+        return iterations, mismatch, converged
 
     def recorded(*args):
         solved.append(newton(*args))
@@ -243,36 +245,110 @@ def test_newton_column_trail_carries_newtons_solve(bus33, devices33, profiles33,
 def test_failed_dispatch_reverts_the_hour_to_its_base_column(bus33, devices33,
                                                              profiles33, monkeypatch):
     # a dispatch that raises is not retried and its hour is not dropped: the
-    # hour keeps its converged base column with every Q at 0, and is counted
+    # hour keeps its converged base column with every Q at 0, and is counted.
+    # Hour 19's base solve fails inside the lockstep, on the kernel and then
+    # on Newton, so the failure is thrown into that hour alone.
     net, bad = bus33.network, 19
     none_day = DayEvaluator(net, devices33, profiles33,
                             Scenario(mode="none", load_profile_id="load-weekday")).evaluate()
-    dispatch_q = objective.dispatch_q
-    calls = []
+    p_bad = hour_injections(net, devices33, bad,
+                            load_scale=profiles33["load-weekday"].values[bad]).p
+    pq = _solver_arrays(net).fixed_point[0]
+    block, newton = dispatch._fixed_point_block, dispatch._newton
+    failed = []
 
-    def fails_at_bad(net_, devices, hour, *args, **kwargs):
-        calls.append(hour)
-        if hour == bad:
+    def bad_hour_fails(factor, s_pq, v, tol):
+        iterations, mismatch, converged = block(factor, s_pq, v, tol)
+        converged[(s_pq.real == p_bad[pq][:, None]).all(axis=0)] = False
+        return iterations, mismatch, converged
+
+    def newton_fails_at_bad(net_, inj, tol, v0):
+        if np.array_equal(inj.p, p_bad):
+            failed.append(v0)
             raise PowerFlowError("forced dispatch failure")
-        return dispatch_q(net_, devices, hour, *args, **kwargs)
+        return newton(net_, inj, tol, v0)
 
-    monkeypatch.setattr(objective, "dispatch_q", fails_at_bad)
+    monkeypatch.setattr(dispatch, "_fixed_point_block", bad_hour_fails)
+    monkeypatch.setattr(dispatch, "_newton", newton_fails_at_bad)
     sc = Scenario(mode="dgq+v2gq", load_profile_id="load-weekday")
     ev = DayEvaluator(net, devices33, profiles33, sc)
     day = ev.evaluate()
-    assert calls == list(range(HOURS))
+    # the hour's base solve, from its base column, was its only solve
+    (start,) = failed
+    np.testing.assert_array_equal(start, none_day.hours[bad].solution.v_complex)
     stats = ev.stats
     assert (stats.reverted_hours, stats.divergent_hours) == (1, 0)
-    assert stats.hours_dispatched == HOURS
+    assert stats.hours_dispatched == HOURS and stats.newton_fallbacks == 1
     assert day.breakdown.violation_penalty < objective._DIVERGENT_HOUR_PENALTY
 
     hours = day.hours
     assert [h.hour for h in hours] == list(range(HOURS))
+    assert len(failed) == 2  # reading the trail computed the day again
     entry = hours[bad]
     assert entry.reverted and set(entry.q_settings.values()) == {0.0}
     assert entry.solution is entry.base_solution and entry.score == entry.base_score
     np.testing.assert_array_equal(entry.solution.v_complex,
                                   none_day.hours[bad].solution.v_complex)
+    assert not any(h.reverted for h in hours if h.hour != bad)
+
+
+# -- the day's work counters -------------------------------------------------
+
+
+def test_day_counters_repeat_exactly(bus33, devices33, profiles33):
+    sc = Scenario(mode="dgq+v2gq", load_profile_id="load-weekday")
+
+    def counters():
+        ev = DayEvaluator(bus33.network, devices33, profiles33, sc)
+        for key in ((7, 29), (3, 17)):
+            ev.evaluate(key)
+        return replace(ev.stats, day_s=0.0)
+
+    first = counters()
+    assert first == counters()
+    assert first.days == 2 and first.hours_dispatched == 2 * HOURS
+    # every dispatch column is a base, a trial or a recheck solve
+    assert first.dispatch_columns >= first.trials + first.hours_dispatched
+    assert first.searches < first.trials and first.newton_fallbacks == 0
+    assert first.dispatch_steps < first.dispatch_columns
+
+
+def test_day_searches_equal_those_of_its_hours_run_serially(bus33, devices33, profiles33,
+                                                             monkeypatch):
+    # the lockstep runs each hour's searches as dispatch_q runs them alone,
+    # from the same base column, counted by wrapping the serial Brent
+    net, key = bus33.network, (3, 17)
+    shape = profiles33["load-weekday"].values
+    sc = Scenario(mode="dgq+v2gq", load_profile_id="load-weekday")
+    ev = DayEvaluator(net, devices33, profiles33, sc)
+    ev.evaluate(key)
+    bases = DayEvaluator(net, devices33, profiles33,
+                         replace(sc, mode="none")).evaluate(key).hours
+    nfev = []
+    brent = dispatch.minimize_scalar
+
+    def counted(*args):
+        res = brent(*args)
+        nfev.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(dispatch, "minimize_scalar", counted)
+    placed = place_lots(devices33, key, net)
+    for hour in range(HOURS):
+        dispatch_q(net, placed, hour, sc, load_scale=shape[hour],
+                   v0=bases[hour].solution.v_complex)
+    assert (ev.stats.searches, ev.stats.trials) == (len(nfev), sum(nfev))
+
+
+def test_day_searches_of_the_traced_benchmark_placements(bus33, devices33, profiles33):
+    # the first four day-v2g placements of benchmark seed 1; its traced run
+    # counted 1,974 Brent searches and 13,292 nfev on them by wrapping
+    # dispatch.minimize_scalar when each hour was dispatched serially
+    sc = Scenario(mode="dgq+v2gq", load_profile_id="load-weekday")
+    ev = DayEvaluator(bus33.network, devices33, profiles33, sc)
+    for key in ((7, 30), (17, 19), (25, 26), (24, 28)):
+        ev.evaluate(key)
+    assert (ev.stats.searches, ev.stats.trials) == (1974, 13292)
 
 
 @pytest.mark.parametrize("mode", ["none", "dgq+v2gq"])

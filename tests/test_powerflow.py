@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -8,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pevplan import load_builtin, powerflow
+from pevplan import dispatch, load_builtin, powerflow
+from pevplan.dispatch import Scenario
 from pevplan.network import Branch, Bus, Network, build_ybus
+from pevplan.objective import DayEvaluator
 from pevplan.powerflow import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -337,29 +341,134 @@ def test_fixed_point_newton_and_sweep_agree_on_radial_feeders(net):
     assert fixed.total_losses == pytest.approx(sweep.total_losses, abs=1e-8)
 
 
+def _failed_at(exc: PowerFlowError) -> int:
+    """The iteration at which the 1-D kernel's failure says it stopped."""
+    found = re.search(r"at iteration (\d+)|after (\d+) iterations", str(exc))
+    return int(found.group(1) or found.group(2))
+
+
+def block_matches_columns(factor, s_pq, v0, tol) -> Counter:
+    """Run the block kernel from ``v0`` and check every column against the
+    1-D kernel from the same start: the same verdict, the same iteration
+    count, and voltages within 1e-12.  Counts how the columns ended."""
+    v = v0.copy()
+    iterations, mismatch, converged = _fixed_point_block(factor, s_pq, v, tol)
+    ends: Counter = Counter()
+    for col in range(s_pq.shape[1]):
+        try:
+            single, it, mis = _fixed_point(factor, s_pq[:, col].copy(), v0[:, col].copy(),
+                                           tol)
+        except PowerFlowError as exc:
+            assert not converged[col], str(exc)
+            assert iterations[col] == _failed_at(exc)
+            ends[str(exc).split(" at ")[0].split(" after ")[0]] += 1
+            continue
+        assert converged[col] and iterations[col] == it
+        assert mismatch[col] <= tol
+        np.testing.assert_allclose(v[:, col], single, rtol=0, atol=1e-12)
+        ends["converged at the start" if it == 0 else "converged"] += 1
+    return ends
+
+
 @settings(max_examples=40, deadline=None)
 @given(net=radial_feeders(),
-       scales=st.lists(st.sampled_from([0.0, 0.3, 1.0, 2.5, 40.0, 400.0])
-                       | st.floats(0.0, 3.0), min_size=1, max_size=8))
-def test_block_columns_match_single_fixed_point_solves(net, scales):
-    # each column of the block runs the 1-D kernel's rule from a flat start;
-    # heavy scales make some columns fail, and the verdict must agree too
+       columns=st.lists(st.tuples(st.sampled_from([0.0, 0.3, 1.0, 2.5, 40.0, 400.0])
+                                  | st.floats(0.0, 3.0),
+                                  st.sampled_from(["flat", "solved", "perturbed"]),
+                                  st.integers(0, 2**32 - 1)),
+                        min_size=1, max_size=8))
+def test_block_columns_match_single_fixed_point_solves(net, columns):
+    # each column of the block runs the 1-D kernel's rules from its own
+    # start: flat, the converged 1-D solve (which meets the target at once)
+    # or a random voltage near flat; heavy scales make some columns fail,
+    # and the verdict and the iteration count must agree too
     factor = _solver_arrays(net).fixed_point
     pq = factor[0]
     inj = loads_of(net)
-    s_pq = np.stack([(inj.p + 1j * inj.q)[pq] * k for k in scales], axis=1)
-    v, iterations, mismatch, converged = _fixed_point_block(factor, s_pq, DEFAULT_TOL)
-    assert v.shape == (net.n_bus, len(scales))
-    for col in range(len(scales)):
-        flat = np.full(net.n_bus, 1.0 + 0.0j)
-        try:
-            single, it, mis = _fixed_point(factor, s_pq[:, col].copy(), flat, DEFAULT_TOL)
-        except PowerFlowError:
-            assert not converged[col]
-            continue
-        assert converged[col]
-        assert mismatch[col] <= DEFAULT_TOL
-        np.testing.assert_allclose(v[:, col], single, rtol=0, atol=1e-12)
+    s_pq = np.stack([(inj.p + 1j * inj.q)[pq] * scale for scale, _, _ in columns], axis=1)
+    v0 = np.ones((net.n_bus, len(columns)), dtype=complex)
+    for col, (_, start, seed) in enumerate(columns):
+        rng = np.random.default_rng(seed)
+        if start == "perturbed":
+            angle = rng.uniform(-0.1, 0.1, len(pq))
+            v0[pq, col] = rng.uniform(0.9, 1.1, len(pq)) * np.exp(1j * angle)
+        elif start == "solved":
+            try:
+                v0[:, col] = _fixed_point(factor, s_pq[:, col].copy(), v0[:, col].copy(),
+                                          DEFAULT_TOL)[0]
+            except PowerFlowError:
+                pass
+    block_matches_columns(factor, s_pq, v0, DEFAULT_TOL)
+
+
+def test_block_kernel_ends_each_column_as_the_1d_kernel_does(bus33, feeder4, monkeypatch):
+    # one block of feeder4 columns that meet the target at the start,
+    # converge, diverge and run out of iterations; bus33 columns that stall
+    # under tol at a tolerance below the rounding floor, and that stall above
+    # it under a wrong factor
+    factor = _solver_arrays(feeder4).fixed_point
+    inj = loads_of(feeder4)
+    s = (inj.p + 1j * inj.q)[factor[0]]
+    s_pq = np.stack([s, s, s * 1e7, s * 1e4, s * 0.5], axis=1)
+    v0 = np.ones((feeder4.n_bus, 5), dtype=complex)
+    v0[:, 0] = _fixed_point(factor, s.copy(), v0[:, 0].copy(), DEFAULT_TOL)[0]
+    assert block_matches_columns(factor, s_pq, v0, DEFAULT_TOL) == {
+        "converged at the start": 1, "converged": 2, "fixed point diverged": 1,
+        "fixed point above mismatch 1.0e-08": 1}
+
+    net = bus33.network
+    arrays = _solver_arrays(net)
+    inj = loads_of(net)
+    s = (inj.p + 1j * inj.q)[arrays.fixed_point[0]]
+    s_pq = np.stack([s * k for k in (0.3, 0.7, 1.0)], axis=1)
+    v0 = np.ones((net.n_bus, 3), dtype=complex)
+    ends = block_matches_columns(arrays.fixed_point, s_pq, v0, 1e-12)
+    assert ends == {"converged": 3}
+    pq, y_pq, z, w = arrays.fixed_point
+    monkeypatch.setattr(arrays, "fixed_point", (pq, y_pq, z * 1.001, w))
+    ends = block_matches_columns(arrays.fixed_point, s_pq, v0, DEFAULT_TOL)
+    assert ends == {"fixed point stopped": 3}
+
+
+def test_block_kernel_matches_recorded_dispatch_columns(bus33, devices33, profiles33,
+                                                        monkeypatch):
+    # every block a bus33 dgq+v2gq day hands the kernel: bases, Brent trials
+    # from their first-order starts, and rechecks
+    recorded = []
+    block = dispatch._fixed_point_block
+
+    def recording(factor, s_pq, v, tol):
+        recorded.append((s_pq.copy(), v.copy(), tol))
+        return block(factor, s_pq, v, tol)
+
+    monkeypatch.setattr(dispatch, "_fixed_point_block", recording)
+    sc = Scenario(mode="dgq+v2gq", load_profile_id="load-weekday")
+    DayEvaluator(bus33.network, devices33, profiles33, sc).evaluate((3, 17))
+    factor = _solver_arrays(bus33.network).fixed_point
+    ends: Counter = Counter()
+    for s_pq, v0, tol in recorded:
+        ends += block_matches_columns(factor, s_pq, v0, tol)
+    assert ends["converged at the start"] > 0 and ends["converged"] > 1000
+    assert sum(ends.values()) == sum(s.shape[1] for s, _, _ in recorded)
+
+
+def test_a_failing_column_leaves_its_neighbours_unchanged(feeder4):
+    factor = _solver_arrays(feeder4).fixed_point
+    inj = loads_of(feeder4)
+    s = (inj.p + 1j * inj.q)[factor[0]]
+    good = np.stack([s * 0.5, s, s * 2.0], axis=1)
+    v = np.ones((feeder4.n_bus, 3), dtype=complex)
+    alone = _fixed_point_block(factor, good, v, DEFAULT_TOL)
+    for bad in (1e4, 1e7):  # runs out of iterations, diverges
+        mixed = np.insert(good, 1, s * bad, axis=1)
+        v_mixed = np.ones((feeder4.n_bus, 4), dtype=complex)
+        iterations, mismatch, converged = _fixed_point_block(factor, mixed, v_mixed,
+                                                             DEFAULT_TOL)
+        assert list(converged) == [True, False, True, True]
+        keep = [0, 2, 3]
+        np.testing.assert_array_equal(iterations[keep], alone[0])
+        np.testing.assert_array_equal(converged[keep], alone[2])
+        np.testing.assert_allclose(v_mixed[:, keep], v, rtol=0, atol=1e-12)
 
 
 # -- limit checking ----------------------------------------------------------
