@@ -17,8 +17,15 @@ seeded random populations.  The JSON gives, per source tree:
 - ``search``: 8 fixed-seed mode-``none`` searches (population 40, 60
   generations, 2 lots) sharing one fresh evaluator, the repeat of median
   wall time: ``wall_ms``, the evaluator's ``day_ms`` (``DayStats.day_s``),
-  the GA's own ``ga_ms`` (wall minus days), the days computed and the
-  searches' summed distinct evaluations;
+  the GA's own ``ga_ms`` (wall minus days), the days computed, the
+  batches they were computed in, and the searches' summed distinct
+  evaluations;
+- ``search_v2g``: fixed-seed ``dgq+v2gq`` searches (population 40, a few
+  generations, 2 lots) sharing one fresh evaluator, run once: ``wall_ms``,
+  ``day_ms``, the days computed, the distinct evaluations, and
+  ``batch_sizes``, the batches of days the evaluator computed per batch
+  size (counted by wrapping ``DayEvaluator._days``; a tree without it
+  computes each day alone, a batch of one);
 - ``work``: per day, the base block's calls, columns and iterations, the
   dispatch's kernel columns, their iterations and the kernel steps that
   solved them (``mean_width`` is columns per step), Newton solves, and
@@ -64,6 +71,8 @@ FEASIBLE_SHARE = 0.3
 SEARCH_SEEDS = tuple(range(8))
 SEARCH_PARAMS = {"population": 40, "generations": 60, "n_lots": 2}
 SEARCH_REPEATS = 5
+V2G_SEARCH_SEEDS = (0, 1)
+V2G_SEARCH_PARAMS = {"population": 40, "generations": 3, "n_lots": 2}
 IMPORT_REPEATS = 5
 
 
@@ -190,7 +199,7 @@ def _lockstep_work(dispatch, ev, placements):
         dispatch._fixed_point_block = block
     st, days = ev.stats, len(placements)
     return {
-        "block_calls": st.days / days,
+        "block_calls": getattr(st, "batches", st.days) / days,
         "block_columns": st.block_columns / days,
         "block_iterations": st.block_iterations / days,
         "dispatch_columns": st.dispatch_columns / days,
@@ -223,7 +232,41 @@ def _search_batch(pevplan, bundle) -> dict:
     wall_s = perf_counter() - t0
     return {"wall_ms": wall_s * 1e3, "day_ms": ev.stats.day_s * 1e3,
             "ga_ms": (wall_s - ev.stats.day_s) * 1e3, "days": ev.stats.days,
+            # a tree without the counter computes each day alone
+            "batches": getattr(ev.stats, "batches", ev.stats.days),
             "distinct_evals": distinct}
+
+
+def _v2g_searches(pevplan, bundle) -> dict:
+    """The fixed-seed ``dgq+v2gq`` searches on one fresh evaluator."""
+    net, devices, profiles = bundle
+    ev = _evaluator(pevplan, bundle, "dgq+v2gq")
+    cls = type(ev)
+    days = getattr(cls, "_days", None)
+    sizes: dict[int, int] = {}
+
+    def counted(self, placements, trail=False):
+        sizes[len(placements)] = sizes.get(len(placements), 0) + 1
+        return days(self, placements, trail)
+
+    if days is not None:
+        cls._days = counted
+    distinct = 0
+    t0 = perf_counter()
+    try:
+        for seed in V2G_SEARCH_SEEDS:
+            params = pevplan.GaParams(seed=seed, **V2G_SEARCH_PARAMS)
+            distinct += pevplan.optimize_placement(
+                net, devices, profiles, ev.scenario, params, evaluator=ev).evaluations
+    finally:
+        if days is not None:
+            cls._days = days
+    wall_s = perf_counter() - t0
+    if days is None:
+        sizes = {1: ev.stats.days}
+    return {"wall_ms": wall_s * 1e3, "day_ms": ev.stats.day_s * 1e3,
+            "days": ev.stats.days, "distinct_evals": distinct,
+            "batch_sizes": {str(k): sizes[k] for k in sorted(sizes)}}
 
 
 def _import_s(src: Path) -> float:
@@ -286,6 +329,7 @@ def measure(src: Path) -> dict:
     batches = sorted((_search_batch(pevplan, bundle) for _ in range(SEARCH_REPEATS)),
                      key=lambda b: b["wall_ms"])
     out["search"] = batches[len(batches) // 2]
+    out["search_v2g"] = _v2g_searches(pevplan, bundle)
     return out
 
 
@@ -319,6 +363,8 @@ def main() -> int:
                    "feasible_share": FEASIBLE_SHARE, "rank_repeats": RANK_REPEATS,
                    "search": {"mode": "none", "seeds": list(SEARCH_SEEDS),
                               **SEARCH_PARAMS, "repeats": SEARCH_REPEATS},
+                   "search_v2g": {"mode": "dgq+v2gq", "seeds": list(V2G_SEARCH_SEEDS),
+                                  **V2G_SEARCH_PARAMS, "repeats": 1},
                    "import_repeats": IMPORT_REPEATS},
         "current": _measure_in_child(ROOT / "src"),
     }

@@ -10,7 +10,8 @@ negative Q means it feeds vars into the grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from copy import copy
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -55,13 +56,12 @@ class PvUnit:
     p_profile: tuple[float, ...]
     x_coupling: float = DEFAULT_X_COUPLING
     vc_max: float = DEFAULT_VC_MAX
+    # the device's name in setpoint maps, built once
+    label: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_device_profile(self, self.p_profile, "p_profile")
-
-    @property
-    def label(self) -> str:
-        return f"pv@{self.bus}"
+        object.__setattr__(self, "label", f"pv@{self.bus}")
 
     def p_at(self, hour: int) -> float:
         return self.p_profile[hour]
@@ -82,6 +82,8 @@ class PevLot:
     vc_max: float = DEFAULT_VC_MAX
     n_pev: int = DEFAULT_N_PEV
     cost_per_pev: float = DEFAULT_COST_PER_PEV
+    # the device's name in setpoint maps, built once
+    label: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_device_profile(self, self.charge_profile, "charge_profile")
@@ -89,17 +91,21 @@ class PevLot:
             raise ValueError(f"lot at bus {self.bus}: n_pev must be positive")
         if self.cost_per_pev <= 0:
             raise ValueError(f"lot at bus {self.bus}: cost_per_pev must be positive")
-
-    @property
-    def label(self) -> str:
-        return f"lot@{self.bus}"
+        object.__setattr__(self, "label", f"lot@{self.bus}")
 
     def p_at(self, hour: int) -> float:
         return self.charge_profile[hour]
 
     def moved_to(self, bus: int) -> "PevLot":
-        """Same lot placed at another bus (used by the placement search)."""
-        return replace(self, bus=bus)
+        """Same lot placed at another bus (used by the placement search).
+
+        The lot's fields were checked when it was built and a move changes
+        none that the checks read, so the copy is not checked again.
+        """
+        lot = copy(self)
+        object.__setattr__(lot, "bus", bus)
+        object.__setattr__(lot, "label", f"lot@{bus}")
+        return lot
 
 
 Device = Union[PvUnit, PevLot]

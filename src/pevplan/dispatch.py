@@ -17,18 +17,20 @@ runners answer it.  :func:`dispatch_q` runs one hour alone: every solve
 runs the Z-bus fixed-point kernel and falls back to Newton (:func:`solve`),
 held to the fixed point's target, only if the kernel raises, and every
 search runs through :func:`minimize_scalar`.  A day's runner
-(:func:`_dispatch_day`) runs the descents of all its hours in lockstep:
-each step solves the pending point of every running hour as one column of
-the block kernel, sends a column the kernel fails alone to Newton, and
-scores the step's trial states together.  Either way every score is
-Newton-converged and all scores have one accuracy.  A trial starts from a
-first-order step off the current voltages and keeps the voltage vector it
-solved, so an accepted move takes the state and the score the search saw,
-with no second solve; full solutions are built only for the hour's base and
-final states.  Moves are accepted only when they improve the hour's partial
-objective by more than the solves' own error, so the dispatched state is
-never worse than the undispatched one and no accept hangs on rounding, and
-the two runners accept the same moves.  The one exception is an hour whose
+(:func:`_dispatch_day`) runs the descents of all its hours, or of all the
+hours of a batch of days, in lockstep: each step solves the pending point
+of every running hour as one column of the block kernel, sends a column
+the kernel fails alone to Newton, and scores the step's trial states
+together; no hour's solves or scores depend on the others in its step.
+Either way every score is Newton-converged and all scores have one
+accuracy.  A trial starts from a first-order step off the current voltages
+and keeps the voltage vector it solved, so an accepted move takes the
+state and the score the search saw, with no second solve; full solutions
+are built only for the hour's base and final states.  Moves are accepted
+only when they improve the hour's partial objective by more than the
+solves' own error, so the dispatched state is never worse than the
+undispatched one and no accept hangs on rounding, and the two runners
+accept the same moves.  The one exception is an hour whose
 undispatched state breaks a converter's interval (Q = 0 lies outside it):
 there the setpoints clamped into their intervals stand even when they score
 worse.  The ``dgq+v2gq`` mode runs the PV-only stage first and adds the
@@ -599,11 +601,15 @@ def _scores(scenario: Scenario, branches: tuple[np.ndarray, ...],
     """:func:`_score` of each row of ``v``, one state a row.
 
     Each sum runs along a contiguous row, as :meth:`_Hour.score` runs
-    along its vector, so the two agree bit for bit.
+    along its vector, so a row scores bit for bit as it does alone.  (The
+    branch ends are gathered with ``np.take``: ``v[:, idx]`` would lay the
+    rows out column-major, and their sums would then run in another order
+    once there are two rows or more.)
     """
     a, b, _ = scenario.weights
     f_idx, t_idx, y_series, r = branches
-    loss = (np.abs((v[:, f_idx] - v[:, t_idx]) * y_series) ** 2 * r).sum(axis=1)
+    drop = np.take(v, f_idx, axis=1) - np.take(v, t_idx, axis=1)
+    loss = (np.abs(drop * y_series) ** 2 * r).sum(axis=1)
     return a * np.abs(scenario.v_ref - np.abs(v)).sum(axis=1) + b * loss
 
 
@@ -661,26 +667,29 @@ class _Lane:
         return True
 
 
-def _dispatch_day(net: Network, devices: Sequence[Device], scenario: Scenario,
-                  hours: Sequence[int], load_shape: Sequence[float], v0: np.ndarray,
+def _dispatch_day(net: Network, scenario: Scenario,
+                  hours: Sequence[tuple[Sequence[Device], int, float]], v0: np.ndarray,
                   stats: Counter) -> list[DispatchResult | None]:
     """The :func:`_descent` of each of ``hours``, run in lockstep.
 
-    Hour ``h`` has load scale ``load_shape[h]`` and starts from ``v0[:, h]``.
-    Each step gathers the pending solve of every hour still running (its
-    base, a trial point of a search, or a recheck) into one block of the
-    fixed-point kernel.  A column the kernel fails goes alone to Newton;
-    a trial whose Newton fails too scores ``_TRIAL_PENALTY``, and any other
-    solve's failure is thrown into its hour, which then has no result
-    (None).  The step's trial states are scored together.  Counts the
+    An entry ``(devices, hour, load_scale)`` is one hour of one placement's
+    day, and entry ``i`` starts from ``v0[:, i]``; the entries may come
+    from the days of several placements.  Each step gathers the pending
+    solve of every hour still running (its base, a trial point of a
+    search, or a recheck) into one block of the fixed-point kernel, whose
+    columns do not see each other, so an hour runs as it would alone.  A
+    column the kernel fails goes alone to Newton; a trial whose Newton
+    fails too scores ``_TRIAL_PENALTY``, and any other solve's failure is
+    thrown into its hour, which then has no result (None).  The step's
+    trial states are scored together, each from its own row.  Counts the
     searches, the trials, the steps, their columns and the Newton
     fallbacks in ``stats``.
     """
     tol = scenario.pf_tol
     lanes = []
-    for hour in hours:
-        hr = _Hour(net, devices, hour, scenario, load_shape[hour])
-        lanes.append(_Lane(hr, _start(net, hr.fixed, tol, v0[:, hour]), stats))
+    for i, (devices, hour, load_scale) in enumerate(hours):
+        hr = _Hour(net, devices, hour, scenario, load_scale)
+        lanes.append(_Lane(hr, _start(net, hr.fixed, tol, v0[:, i]), stats))
     arrays = _solver_arrays(net)
     factor, branches = arrays.fixed_point, arrays.branches
     running = [lane for lane in lanes if lane.send()]

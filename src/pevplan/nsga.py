@@ -13,8 +13,9 @@ scalar) over every evaluation, so it never regresses between generations.
 
 Inside the loop the population is an int array of sorted candidate-index
 rows, and each operator draws its randomness for the whole generation in a
-few array calls.  A placement is evaluated once per search; repeats are a
-dictionary lookup.
+few array calls.  A placement is evaluated once per search, and a
+generation's new placements are evaluated together, as one
+``DayEvaluator.evaluate_many`` call; repeats are a dictionary lookup.
 """
 
 from __future__ import annotations
@@ -352,8 +353,12 @@ def optimize_placement(
         """The rows' placements in :func:`_columns` form; each placement new
         to the search also bids for the feasible-first best."""
         nonlocal best_key, best_lots, best_breakdown
+        placements = list(map(tuple, candidates[rows].tolist()))
+        # the generation's new placements are computed as batches; each is
+        # then read through evaluate, a cache hit, in the rows' order
+        evaluator.evaluate_many([lots for lots in placements if lots not in seen])
         breakdowns = []
-        for lots in map(tuple, candidates[rows].tolist()):
+        for lots in placements:
             bd = seen.get(lots)
             if bd is None:
                 bd = seen[lots] = evaluator.evaluate(lots).breakdown

@@ -7,10 +7,14 @@ The score of a parking-lot placement over 24 hours is
 
 with voltage-band, ampacity, and converter-capability checks folded into a
 separate feasibility flag and violation magnitude so that constraint
-handling never distorts the reported objective values.  A day solves its 24
-base flows as one block of the fixed-point kernel and dispatches its hours
-in lockstep (``dispatch._dispatch_day``), one kernel block per step, so it
-never calls :func:`dispatch_q`, which runs one hour alone.
+handling never distorts the reported objective values.  Days are computed
+in batches of up to ``_BATCH`` placements: a batch solves the base flows of
+all its days as one block of the fixed-point kernel and dispatches all
+their hours in one lockstep (``dispatch._dispatch_day``), one kernel block
+per step, so it never calls :func:`dispatch_q`, which runs one hour alone.
+The kernel's columns and the lockstep's hours do not see each other, and
+each day is scored from its own columns, so a placement's breakdown is the
+same bit for bit in any batch.
 """
 
 from __future__ import annotations
@@ -55,6 +59,9 @@ from .powerflow import (
 )
 
 _DIVERGENT_HOUR_PENALTY = 1e3
+# Placements whose days are computed together: 192 base-block columns.  A
+# wider batch gains little more and holds more arrays at once.
+_BATCH = 8
 
 
 @dataclass(frozen=True)
@@ -84,8 +91,10 @@ def combine(v_dev: float, loss: float, cost: float,
 class DayStats:
     """Work counters of one :class:`DayEvaluator` since it was built.
 
-    ``days`` counts day computations (cache misses and trail recomputes);
-    ``block_columns`` the hours solved in the 24-column base block, and
+    ``days`` counts day computations (cache misses and trail recomputes),
+    made in ``batches`` batches, so ``days / batches`` is the mean batch
+    size; ``block_columns`` the hours solved in the batches' base blocks
+    (24 columns a day), and
     ``block_iterations`` their summed fixed-point iterations;
     ``newton_columns`` the block columns that did not converge and went to
     Newton alone; ``divergent_hours`` the hours dropped because Newton failed
@@ -101,6 +110,7 @@ class DayStats:
     """
 
     days: int = 0
+    batches: int = 0
     block_columns: int = 0
     block_iterations: int = 0
     newton_columns: int = 0
@@ -157,19 +167,20 @@ class DayEvaluator:
     """Evaluates lot placements over one 24-hour day, memoized per placement.
 
     The network, PV fleet, lot templates, profiles, and scenario are fixed at
-    construction; :meth:`evaluate` varies only the lot buses, so repeated
-    genomes during a search cost one dictionary lookup.  Only breakdowns are
-    cached; a result's per-hour trail is recomputed when read.
+    construction; :meth:`evaluate_many` and :meth:`evaluate` vary only the
+    lot buses, so repeated genomes during a search cost one dictionary
+    lookup.  Only breakdowns are cached; a result's per-hour trail is
+    recomputed when read.
 
-    A day starts from its 24 undispatched base flows, solved together as
-    the columns of one fixed-point block from a flat start, so a day depends
-    on its placement only.  A column that fails goes alone to Newton; if
-    that fails too, the hour is divergent: the day is infeasible, carries
-    ``_DIVERGENT_HOUR_PENALTY``, and the hour adds no objective terms.
-    Hours with participating devices are dispatched from their base column,
-    all in lockstep; an hour whose dispatch fails reverts to that column
-    with every Q at 0.  The day is then scored from the stacked final
-    voltages.
+    A batch of days starts from their undispatched base flows, 24 a day,
+    solved together as the columns of one fixed-point block from a flat
+    start, so a day depends on its placement only.  A column that fails
+    goes alone to Newton; if that fails too, the hour is divergent: the day
+    is infeasible, carries ``_DIVERGENT_HOUR_PENALTY``, and the hour adds no
+    objective terms.  Hours with participating devices are dispatched from
+    their base column, the hours of every day in the batch in one lockstep;
+    an hour whose dispatch fails reverts to that column with every Q at 0.
+    Each day is then scored from its own stacked final voltages.
     """
 
     def __init__(
@@ -215,18 +226,30 @@ class DayEvaluator:
         return tuple(sorted(int(b) for b in lot_buses))
 
     def evaluate(self, lot_buses: Sequence[int] | None = None) -> DayResult:
-        key = self._key(lot_buses)
-        breakdown = self._cache.get(key)
-        if breakdown is None:
-            breakdown, _ = self._evaluate_day(self._placed(key))
-            self._cache[key] = breakdown
-        return DayResult(key, breakdown, self)
+        """The day of one placement (the devices' own by default): a batch of one."""
+        return self.evaluate_many([self._key(lot_buses)])[0]
+
+    def evaluate_many(self, placements: Sequence[Sequence[int]]) -> list[DayResult]:
+        """The day of each placement, in order.
+
+        The placements not cached yet are computed together, ``_BATCH`` at
+        a time.  A placement's breakdown is the same bit for bit whatever
+        batch it is computed in.
+        """
+        keys = [self._key(lots) for lots in placements]
+        new = list(dict.fromkeys(key for key in keys if key not in self._cache))
+        for first in range(0, len(new), _BATCH):
+            batch = new[first:first + _BATCH]
+            days = self._days([self._placed(key) for key in batch])
+            for key, (breakdown, _) in zip(batch, days):
+                self._cache[key] = breakdown
+        return [DayResult(key, self._cache[key], self) for key in keys]
 
     def _evaluate_with_trail(self) -> DayResult:
         """``evaluate()`` with the per-hour trail filled in from the same
         day computation, so reading ``hours`` computes no second day."""
         key = self._key(None)
-        breakdown, hours = self._evaluate_day(self._placed(key), trail=True)
+        ((breakdown, hours),) = self._days([self._placed(key)], trail=True)
         self._cache[key] = breakdown
         day = DayResult(key, breakdown, self)
         day.__dict__["hours"] = hours  # the cached value of DayResult.hours
@@ -234,7 +257,7 @@ class DayEvaluator:
 
     def _trail(self, key: tuple[int, ...]) -> tuple[DispatchResult, ...]:
         """The dispatch results of every non-divergent hour of ``key``'s day."""
-        _, hours = self._evaluate_day(self._placed(key), trail=True)
+        ((_, hours),) = self._days([self._placed(key)], trail=True)
         return hours
 
     @cached_property
@@ -246,95 +269,133 @@ class DayEvaluator:
         scale = np.asarray(self._load_shape, dtype=float)
         return arrays, -p_load[:, None] * scale, -q_load[:, None] * scale
 
-    def _evaluate_day(
-        self, devices: list[Device], trail: bool = False
-    ) -> tuple[ObjectiveBreakdown, tuple[DispatchResult, ...] | None]:
-        """The day's breakdown and, with ``trail``, its per-hour results."""
+    def _days(
+        self, placements: list[list[Device]], trail: bool = False
+    ) -> list[tuple[ObjectiveBreakdown, tuple[DispatchResult, ...] | None]]:
+        """Each placement's breakdown and, with ``trail``, its per-hour
+        results, computed together.
+
+        Column ``d·HOURS + h`` of the day arrays is hour ``h`` of placement
+        ``d``, so each placement's hours are one contiguous run of columns.
+        """
         t0 = perf_counter()
         net, scenario, stats = self.net, self.scenario, self._stats
         tol = scenario.pf_tol
         arrays, p_base, q_base = self._day_arrays
-        p = p_base.copy()
-        for dev in devices:
-            p[net.index_of(dev.bus)] += p_injection(dev)
+        k = len(placements)
+        p, q_load = np.tile(p_base, k), np.tile(q_base, k)
+        for d, devices in enumerate(placements):
+            day = p[:, d * HOURS:(d + 1) * HOURS]
+            for dev in devices:
+                day[net.index_of(dev.bus)] += p_injection(dev)
         factor = arrays.fixed_point
-        v = np.full((net.n_bus, HOURS), 1.0 + 0.0j)
+        v = np.full((net.n_bus, k * HOURS), 1.0 + 0.0j)
         iterations, mismatch, converged = _fixed_point_block(
-            factor, (p + 1j * q_base)[factor[0]], v, tol
+            factor, (p + 1j * q_load)[factor[0]], v, tol
         )
-        stats["days"] += 1
-        stats["block_columns"] += HOURS
+        stats["batches"] += 1
+        stats["days"] += k
+        stats["block_columns"] += k * HOURS
         stats["block_iterations"] += int(iterations.sum())
 
-        live = np.ones(HOURS, dtype=bool)
-        for hour in np.flatnonzero(~converged):
+        live = np.ones(k * HOURS, dtype=bool)
+        for col in np.flatnonzero(~converged):
             stats["newton_columns"] += 1
             try:
-                sol = _newton(net, InjectionSet(p[:, hour], q_base[:, hour]), tol, None)
+                sol = _newton(net, InjectionSet(p[:, col], q_load[:, col]), tol, None)
             except PowerFlowError:
                 stats["divergent_hours"] += 1
-                live[hour] = False
+                live[col] = False
                 continue
-            v[:, hour] = sol.v_complex
-            iterations[hour], mismatch[hour] = sol.iterations, sol.max_mismatch
+            v[:, col] = sol.v_complex
+            iterations[col], mismatch[col] = sol.iterations, sol.max_mismatch
 
-        q = np.zeros((len(devices), HOURS))
+        q = np.zeros((k, len(placements[0]), HOURS))
         dispatched: dict[int, DispatchResult] = {}
         reverted: set[int] = set()
-        if scenario.participating(devices):
-            hours = [int(h) for h in np.flatnonzero(live)]
-            stats["hours_dispatched"] += len(hours)
-            results = _dispatch_day(net, devices, scenario, hours, self._load_shape, v, stats)
-            for hour, result in zip(hours, results):
+        if scenario.participating(placements[0]):
+            cols = np.flatnonzero(live).tolist()
+            stats["hours_dispatched"] += len(cols)
+            results = _dispatch_day(
+                net, scenario,
+                [(placements[col // HOURS], col % HOURS, self._load_shape[col % HOURS])
+                 for col in cols],
+                v[:, cols], stats)
+            for col, result in zip(cols, results):
                 if result is None:
                     stats["reverted_hours"] += 1
-                    reverted.add(hour)
+                    reverted.add(col)
                     continue
-                dispatched[hour] = result
-                v[:, hour] = result.solution.v_complex
-                q[:, hour] = [result.q_settings[d.label] for d in devices]
+                dispatched[col] = result
+                v[:, col] = result.solution.v_complex
+                q[col // HOURS, :, col % HOURS] = [
+                    result.q_settings[dev.label] for dev in placements[col // HOURS]]
 
-        breakdown = self._score(devices, v[:, live], q[:, live], live, arrays)
+        # placement-major rows, one a day's hour, so that each day's sums run
+        # over the same contiguous data however many days the batch holds
+        rows = np.ascontiguousarray(v.T).reshape(k, HOURS, net.n_bus)
+        day_live = live.reshape(k, HOURS)
+        rows[~day_live] = 1.0  # finite stand-ins for divergent hours, which add no terms
+        out = self._score(placements, rows, q, day_live, arrays)
         stats["day_s"] += perf_counter() - t0
         if not trail:
-            return breakdown, None
-        hours = []
-        for hour in map(int, np.flatnonzero(live)):
-            if hour in dispatched:
-                hours.append(dispatched[hour])
-                continue
-            sol = _finish(net, v[:, hour], int(iterations[hour]), float(mismatch[hour]), True)
-            score = partial_objective(net, sol, scenario)
-            hours.append(DispatchResult(hour, {d.label: 0.0 for d in devices}, sol, sol,
-                                        score, score, reverted=hour in reverted))
-        return breakdown, tuple(hours)
+            return [(breakdown, None) for breakdown in out]
+        days = []
+        for d, (devices, breakdown) in enumerate(zip(placements, out)):
+            hours = []
+            for col in range(d * HOURS, (d + 1) * HOURS):
+                if not live[col]:
+                    continue
+                if col in dispatched:
+                    hours.append(dispatched[col])
+                    continue
+                sol = _finish(net, v[:, col], int(iterations[col]), float(mismatch[col]), True)
+                score = partial_objective(net, sol, scenario)
+                hours.append(DispatchResult(col % HOURS, {dev.label: 0.0 for dev in devices},
+                                            sol, sol, score, score, reverted=col in reverted))
+            days.append((breakdown, tuple(hours)))
+        return days
 
-    def _score(self, devices: list[Device], v: np.ndarray, q: np.ndarray,
-               live: np.ndarray, arrays) -> ObjectiveBreakdown:
-        """The breakdown of a day from its final voltages, one column per
-        live hour, and the devices' Q setpoints in those hours."""
-        scenario = self.scenario
+    def _score(self, placements: list[list[Device]], v: np.ndarray, q: np.ndarray,
+               live: np.ndarray, arrays) -> list[ObjectiveBreakdown]:
+        """The breakdown of each day of a batch from its final voltages.
+
+        ``v`` holds the voltages as ``(day, hour, bus)`` and ``q`` the
+        devices' setpoints as ``(day, device, hour)``; ``live`` marks the
+        hours that count, ``(day, hour)``, and a divergent hour adds no
+        terms (its voltages need only be finite).  The placements differ in
+        their lot buses only.  Each sum runs over one day's own rows, so a
+        day scores bit for bit as it does alone.
+        """
+        scenario, net = self.scenario, self.net
         f_idx, t_idx, y_series, r = arrays.branches
-        v_mag = np.abs(v).T
-        i_mag = np.abs((v[f_idx] - v[t_idx]) * y_series[:, None]).T
+        dead = ~live
+        v_mag = np.abs(v)
+        i_mag = np.abs((np.take(v, f_idx, axis=2) - np.take(v, t_idx, axis=2)) * y_series)
         band, amp = _limit_excess(v_mag, i_mag, arrays.limits)
-        violation = float(band.sum() + amp.sum())
-        feasible = bool(live.all()) and violation == 0.0
-        violation += _DIVERGENT_HOUR_PENALTY * int(HOURS - live.sum())
-        hours = np.flatnonzero(live)
-        for dev, q_dev in zip(devices, q):
-            excess = capability_violation(
-                dev, _p_profile(dev)[hours], q_dev, v_mag[:, self.net.index_of(dev.bus)]
+        dev_terms = np.abs(scenario.v_ref - v_mag)
+        loss_terms = i_mag**2 * r
+        for terms in (band, amp, dev_terms, loss_terms):
+            terms[dead] = 0.0
+        violation = band.sum(axis=(1, 2)) + amp.sum(axis=(1, 2))
+        feasible = live.all(axis=1) & (violation == 0.0)
+        violation += _DIVERGENT_HOUR_PENALTY * dead.sum(axis=1)
+        days = np.arange(len(placements))
+        for j, dev in enumerate(placements[0]):
+            pos = [net.index_of(devices[j].bus) for devices in placements]
+            excess = capability_violation(dev, _p_profile(dev), q[:, j], v_mag[days, :, pos])
+            over = np.where(live & (excess > 1e-9), excess, 0.0)
+            feasible &= ~over.any(axis=1)
+            violation += over.sum(axis=1)
+        v_dev = dev_terms.sum(axis=(1, 2)).tolist()
+        loss = loss_terms.sum(axis=2).sum(axis=1).tolist()
+        cost = sum(d.n_pev * d.cost_per_pev for d in placements[0] if isinstance(d, PevLot))
+        return [
+            ObjectiveBreakdown(
+                v_dev=day_v_dev, loss=day_loss, cost=cost,
+                scalar=combine(day_v_dev, day_loss, cost, scenario.weights),
+                feasible=ok, violation_penalty=penalty,
             )
-            over = excess[excess > 1e-9]
-            if over.size:
-                feasible = False
-                violation += float(over.sum())
-        v_dev = float(np.abs(scenario.v_ref - v_mag).sum())
-        loss = float((i_mag**2 @ r).sum())
-        cost = sum(d.n_pev * d.cost_per_pev for d in devices if isinstance(d, PevLot))
-        return ObjectiveBreakdown(
-            v_dev=v_dev, loss=loss, cost=cost,
-            scalar=combine(v_dev, loss, cost, scenario.weights),
-            feasible=feasible, violation_penalty=violation,
-        )
+            for day_v_dev, day_loss, ok, penalty in zip(v_dev, loss, feasible.tolist(),
+                                                       violation.tolist())
+        ]

@@ -6,10 +6,12 @@ against.  Next to it sits a private kernel, the Z-bus fixed point
 ``V[pq] = w·V_slack + Z·conj(S[pq] / V[pq])`` with ``Z = inv(Y[pq, pq])``
 (Teng's direct radial load flow in matrix form; with no shunts its drop
 matrix equals this ``Z``, so meshed feeders work too), in a one-column
-form for one hour's dispatch and a block form, from a start matrix, for a
-day's base flows and its lockstep dispatch.  Both apply the same rules to
-each column.  It needs no Jacobian, which makes it the cheaper choice for
-the many near-identical solves of dispatch; Newton is its fallback.
+form for one hour's dispatch and a block form, from a start matrix, for
+the base flows and the lockstep dispatch of a batch of days.  Both apply
+the same rules to each column, and the block takes its products one
+column at a time, so a column's result does not depend on the block it
+runs in.  It needs no Jacobian, which makes it the cheaper choice for the
+many near-identical solves of dispatch; Newton is its fallback.
 
 The slack bus holds a fixed phasor; every other bus is constant-PQ (converter
 devices included — their charging/generation enters through the injection
@@ -384,30 +386,33 @@ def _fixed_point_block(
     returned unchanged after 0 iterations; the others aim for ``tol / 100``
     and stop on a stalled step residual under ``tol``, on divergence, or
     after ``DEFAULT_MAX_ITER`` iterations.  The iterating columns are kept
-    compact, and a column leaves them when it stops, so the rest iterate on
-    without it; each stopped column is written back to ``v`` once.  The true
-    ``Y·V`` mismatch is computed twice, over the start and over the columns
-    that moved, and a column converges only if it stopped as the 1-D kernel
-    returns and that mismatch meets ``tol``.  Returns ``(iterations,
-    mismatch, converged)``, one entry per column; a column that did not
-    converge is left where it stopped.
+    compact, one row each, and a column leaves them when it stops, so the
+    rest iterate on without it; each stopped column is written back to
+    ``v`` once.  The true ``Y·V`` mismatch is computed twice, over the
+    start and over the columns that moved, and a column converges only if
+    it stopped as the 1-D kernel returns and that mismatch meets ``tol``.
+    Every product is taken column by column (:func:`_products`), so a
+    column ends bit for bit as it does alone, whatever the block's width
+    and whatever the other columns hold.  Returns ``(iterations, mismatch,
+    converged)``, one entry per column; a column that did not converge is
+    left where it stopped.
     """
     pq, y_pq, z, w = factor
     target = tol * _FIXED_POINT_MARGIN
-    w = w[:, None]
-    iterations = np.zeros(s_pq.shape[1], dtype=int)
+    s_rows = s_pq.T
+    iterations = np.zeros(len(s_rows), dtype=int)
     # a zero or overflowing voltage shows up as a non-finite residual
     with np.errstate(all="ignore"):
-        vp_all = v[pq]
-        mismatch = _max_abs(vp_all * np.conj(y_pq @ v) - s_pq)
+        vp_all = np.ascontiguousarray(v[pq].T)
+        mismatch = _max_abs(vp_all * np.conj(_products(y_pq, v.T)) - s_rows)
         moved = np.flatnonzero(~(mismatch <= target))
         accepted = np.ones(len(mismatch), dtype=bool)
-        cols, s, vp, prev = moved, s_pq[:, moved], vp_all[:, moved], mismatch[moved]
+        cols, s, vp, prev = moved, s_rows[moved], vp_all[moved], mismatch[moved]
         for it in range(1, DEFAULT_MAX_ITER + 1):
             if not cols.size:
                 break
             ratio = s / vp
-            v_next = z @ np.conj(ratio)
+            v_next = _products(z, np.conj(ratio))
             v_next += w
             res = _max_abs((v_next - vp) * ratio)
             # under tol a column stops once its residual stalls or on the
@@ -420,24 +425,34 @@ def _fixed_point_block(
                 continue
             ended = ~going
             done = cols[ended]
-            vp_all[:, done] = v_next[:, ended]
+            vp_all[done] = v_next[ended]
             iterations[done] = it
             accepted[done] = stop[ended]
-            cols, s, vp, prev = cols[going], s[:, going], v_next[:, going], res[going]
+            cols, s, vp, prev = cols[going], s[going], v_next[going], res[going]
         # a column still going ran out of iterations
-        vp_all[:, cols] = vp
+        vp_all[cols] = vp
         iterations[cols] = DEFAULT_MAX_ITER
         accepted[cols] = False
         if moved.size:
-            v[pq] = vp_all
+            v[pq] = vp_all.T
             mismatch[moved] = _max_abs(
-                vp_all[:, moved] * np.conj(y_pq @ v[:, moved]) - s_pq[:, moved])
+                vp_all[moved] * np.conj(_products(y_pq, v.T[moved])) - s_rows[moved])
     return iterations, mismatch, accepted & (mismatch <= tol)
 
 
+def _products(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``a @ x`` for each row ``x`` of ``rows``, one row a result.
+
+    A stacked matrix-vector product: each row is multiplied alone, so its
+    result does not depend on how many rows there are or what they hold,
+    as a matrix-matrix product's would.
+    """
+    return np.matmul(a, rows[:, :, None])[:, :, 0]
+
+
 def _max_abs(ds: np.ndarray) -> np.ndarray:
-    """Max |real|, |imag| of each column: the column's max |ΔP|, |ΔQ|."""
-    return np.maximum(np.abs(ds.real), np.abs(ds.imag)).max(axis=0, initial=0.0)
+    """Max |real|, |imag| of each row: the row's max |ΔP|, |ΔQ|."""
+    return np.maximum(np.abs(ds.real), np.abs(ds.imag)).max(axis=1, initial=0.0)
 
 
 @dataclass(frozen=True)

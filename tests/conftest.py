@@ -55,13 +55,14 @@ def feeder4():
 
 
 @st.composite
-def radial_feeders(draw):
-    """A random tree of 3–60 buses with moderate loads, buses in shuffled order.
+def radial_feeders(draw, min_buses: int = 3, max_buses: int = 60):
+    """A random tree of 3–60 buses (or as bounded) with moderate loads,
+    buses in shuffled order.
 
     Bus k hangs off one of buses 1..k-1; the branch row may read either way
     round, and the slack need not come first in the bus list.
     """
-    n = draw(st.integers(3, 60))
+    n = draw(st.integers(min_buses, max_buses))
     buses = [Bus(1, kind="slack")]
     branches = []
     for k in range(2, n + 1):

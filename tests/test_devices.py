@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from pevplan import devices
 from pevplan.devices import (
     HOURS,
     HourlyProfile,
@@ -75,6 +77,29 @@ def test_lot_moved_to_changes_only_bus():
     assert b.bus == 25
     assert (b.s_rated, b.n_pev, b.cost_per_pev) == (a.s_rated, a.n_pev, a.cost_per_pev)
     assert a.bus == 19  # original untouched
+
+
+def test_moved_lot_equals_a_rebuilt_one_and_carries_its_label(monkeypatch):
+    # a move copies the lot without checking it again; it must equal the
+    # lot rebuilt at the new bus, label included, while a bad constructor
+    # input still raises
+    a = lot(n_pev=60, cost_per_pev=0.05)
+    checked = []
+    check = devices._check_device_profile
+    monkeypatch.setattr(devices, "_check_device_profile",
+                        lambda *args: checked.append(args) or check(*args))
+    b = a.moved_to(25)
+    assert not checked
+    rebuilt = replace(a, bus=25)
+    assert len(checked) == 1
+    assert b == rebuilt and repr(b) == repr(rebuilt) and hash(b) == hash(rebuilt)
+    assert (b.label, rebuilt.label, a.label) == ("lot@25", "lot@25", "lot@19")
+    assert b.charge_profile is a.charge_profile
+    with pytest.raises(ValueError, match="outside \\[0, s_rated\\]"):
+        replace(a, s_rated=0.001)
+    with pytest.raises(ValueError, match="n_pev"):
+        replace(b, n_pev=0)
+    assert replace(pv(), bus=9).label == "pv@9"
 
 
 # -- reactive capability -----------------------------------------------------

@@ -444,6 +444,22 @@ def test_trial_score_matches_newton_objective(bus33, devices33, data):
                                                    abs=1e-8)
 
 
+def test_a_step_scores_each_state_as_it_scores_alone(bus33):
+    # a lockstep step scores its trial states together; each row's score
+    # must equal the hour's own score of that state bit for bit, whatever
+    # the step's width, or an hour's searches would depend on its batch
+    net = bus33.network
+    sc = Scenario(mode="dgq+v2gq")
+    hr = dispatch._Hour(net, [], PEAK_HOUR, sc, 1.0)
+    branches = _solver_arrays(net).branches
+    rng = np.random.default_rng(7)
+    for width in (1, 2, 5, 13, 40):
+        v = rng.uniform(0.9, 1.05, (width, net.n_bus)) * np.exp(
+            1j * rng.uniform(-0.05, 0.05, (width, net.n_bus)))
+        scores = dispatch._scores(sc, branches, v)
+        assert scores.tolist() == [hr.score(row) for row in v]
+
+
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_dispatch_properties_on_generated_feeders(data):

@@ -358,6 +358,9 @@ class TableEvaluator:
         self.asked.add(lots[0])
         return SimpleNamespace(lot_buses=tuple(lots), breakdown=self.table[lots[0]])
 
+    def evaluate_many(self, placements):
+        return [self.evaluate(lots) for lots in placements]
+
 
 def test_history_follows_the_feasible_first_best():
     # buses 2 and 3 violate limits yet score lower than any feasible bus:

@@ -4,10 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pevplan import dispatch, objective
-from pevplan.devices import HOURS, HourlyProfile, PevLot, capability_violation
-from pevplan.dispatch import Scenario, dispatch_q, hour_injections
+from pevplan.devices import HOURS, HourlyProfile, PevLot, PvUnit, capability_violation
+from pevplan.dispatch import MODES, Scenario, dispatch_q, hour_injections
+from pevplan.nsga import GaParams, optimize_placement
 from pevplan.powerflow import PowerFlowError, _solver_arrays, check_limits, solve
 from pevplan.objective import (
     DayEvaluator,
@@ -15,6 +18,8 @@ from pevplan.objective import (
     combine,
     place_lots,
 )
+
+from conftest import radial_feeders
 
 
 @pytest.fixture(scope="module")
@@ -361,3 +366,63 @@ def test_evaluation_order_does_not_matter(bus33, devices33, profiles33, mode):
 
     # bit-identical: ObjectiveBreakdown compares its floats exactly
     assert in_order((7, 29), (3, 17)) == in_order((3, 17), (7, 29))
+
+
+# -- a day does not depend on its batch ---------------------------------------
+
+
+def placements_of(buses, n_lots: int, max_size: int):
+    """Lists of placements of ``n_lots`` lots on ``buses``, repeats allowed."""
+    return st.lists(st.permutations(buses).map(lambda p: tuple(sorted(p[:n_lots]))),
+                    min_size=1, max_size=max_size)
+
+
+def batch_independent(net, devices, profiles, placements, seed: int) -> None:
+    """In every mode, a batch's breakdowns equal fresh one-at-a-time ones,
+    and a search on an evaluator that already holds them returns what a
+    search on a fresh evaluator returns."""
+    n_lots = sum(isinstance(d, PevLot) for d in devices)
+    params = GaParams(population=4, generations=2, seed=seed, n_lots=n_lots)
+    for mode in MODES:
+        sc = Scenario(mode=mode, load_profile_id="load-weekday")
+        shared = DayEvaluator(net, devices, profiles, sc)
+        batch = [day.breakdown for day in shared.evaluate_many(placements)]
+        alone = [DayEvaluator(net, devices, profiles, sc).evaluate(key).breakdown
+                 for key in placements]
+        assert batch == alone, mode  # exact: ObjectiveBreakdown compares floats
+        assert shared.stats.batches == -(-len(set(placements)) // objective._BATCH)
+        fresh = optimize_placement(net, devices, profiles, sc, params)
+        assert optimize_placement(net, devices, profiles, sc, params,
+                                  evaluator=shared) == fresh, mode
+
+
+@settings(max_examples=2, deadline=None)
+@given(data=st.data())
+def test_bus33_days_do_not_depend_on_their_batch(bus33, devices33, profiles33, data):
+    net = bus33.network
+    buses = [b for b in net.bus_ids() if b != net.slack_id]
+    placements = data.draw(placements_of(buses, 2, 10), label="placements")
+    batch_independent(net, devices33, profiles33, placements,
+                      data.draw(st.integers(0, 2**31 - 1), label="seed"))
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_generated_feeder_days_do_not_depend_on_their_batch(data):
+    # 5–15 buses, a PV unit and 1–3 lots with hourly profiles, and an
+    # hourly load shape
+    net = data.draw(radial_feeders(5, 15), label="feeder")
+    buses = [b.id for b in net.buses if b.kind != "slack"]
+    n_lots = data.draw(st.integers(1, min(3, len(buses))), label="lots")
+
+    def hourly(peak: float):
+        return data.draw(st.lists(st.floats(0.0, peak), min_size=HOURS, max_size=HOURS))
+
+    devices = [PvUnit(data.draw(st.sampled_from(buses), label="pv bus"), 0.02, hourly(0.02))]
+    devices += [PevLot(bus, 0.03, hourly(0.03)) for bus in buses[:n_lots]]
+    profiles = {"load-weekday": HourlyProfile(
+        "load-weekday", data.draw(st.lists(st.floats(0.2, 1.5), min_size=HOURS,
+                                           max_size=HOURS), label="load shape"))}
+    placements = data.draw(placements_of(buses, n_lots, 12), label="placements")
+    batch_independent(net, devices, profiles, placements,
+                      data.draw(st.integers(0, 2**31 - 1), label="seed"))

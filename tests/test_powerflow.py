@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pevplan import dispatch, load_builtin, powerflow
+from pevplan import dispatch, load_builtin, objective, powerflow
 from pevplan.dispatch import Scenario
 from pevplan.network import Branch, Bus, Network, build_ybus
 from pevplan.objective import DayEvaluator
@@ -430,10 +430,11 @@ def test_block_kernel_ends_each_column_as_the_1d_kernel_does(bus33, feeder4, mon
     assert ends == {"fixed point stopped": 3}
 
 
-def test_block_kernel_matches_recorded_dispatch_columns(bus33, devices33, profiles33,
-                                                        monkeypatch):
-    # every block a bus33 dgq+v2gq day hands the kernel: bases, Brent trials
-    # from their first-order starts, and rechecks
+@pytest.fixture(scope="module")
+def dispatch_blocks33(bus33, devices33, profiles33):
+    """Every block a bus33 dgq+v2gq day hands the kernel: bases, Brent
+    trials from their first-order starts, and rechecks, as ``(s_pq, start,
+    tol)``."""
     recorded = []
     block = dispatch._fixed_point_block
 
@@ -441,15 +442,59 @@ def test_block_kernel_matches_recorded_dispatch_columns(bus33, devices33, profil
         recorded.append((s_pq.copy(), v.copy(), tol))
         return block(factor, s_pq, v, tol)
 
-    monkeypatch.setattr(dispatch, "_fixed_point_block", recording)
     sc = Scenario(mode="dgq+v2gq", load_profile_id="load-weekday")
-    DayEvaluator(bus33.network, devices33, profiles33, sc).evaluate((3, 17))
+    dispatch._fixed_point_block = recording
+    try:
+        DayEvaluator(bus33.network, devices33, profiles33, sc).evaluate((3, 17))
+    finally:
+        dispatch._fixed_point_block = block
+    return recorded
+
+
+def test_block_kernel_matches_recorded_dispatch_columns(bus33, dispatch_blocks33):
     factor = _solver_arrays(bus33.network).fixed_point
     ends: Counter = Counter()
-    for s_pq, v0, tol in recorded:
+    for s_pq, v0, tol in dispatch_blocks33:
         ends += block_matches_columns(factor, s_pq, v0, tol)
     assert ends["converged at the start"] > 0 and ends["converged"] > 1000
-    assert sum(ends.values()) == sum(s.shape[1] for s, _, _ in recorded)
+    assert sum(ends.values()) == sum(s.shape[1] for s, _, _ in dispatch_blocks33)
+
+
+def columns_stand_alone(factor, s_pq, v0, tol) -> None:
+    """Every column of a block ends bit for bit as its width-1 block does:
+    the same voltages, iterations, mismatch and verdict."""
+    v = v0.copy()
+    block = _fixed_point_block(factor, s_pq, v, tol)
+    for col in range(s_pq.shape[1]):
+        v1 = v0[:, col:col + 1].copy()
+        alone = _fixed_point_block(factor, s_pq[:, col:col + 1].copy(), v1, tol)
+        np.testing.assert_array_equal(v[:, col], v1[:, 0])
+        assert [out[col] for out in block] == [out[0] for out in alone], col
+
+
+def test_block_columns_do_not_see_each_other(bus33, devices33, profiles33,
+                                             dispatch_blocks33, monkeypatch):
+    # a column's products must not depend on the block's width or on the
+    # other columns, so that a day is the same in any batch: the recorded
+    # dispatch blocks of a day, and one base block of eight placements
+    factor = _solver_arrays(bus33.network).fixed_point
+    for s_pq, v0, tol in dispatch_blocks33:
+        columns_stand_alone(factor, s_pq, v0, tol)
+
+    recorded = []
+    block = objective._fixed_point_block
+
+    def recording(factor, s_pq, v, tol):
+        recorded.append((s_pq.copy(), v.copy(), tol))
+        return block(factor, s_pq, v, tol)
+
+    monkeypatch.setattr(objective, "_fixed_point_block", recording)
+    sc = Scenario(mode="none", load_profile_id="load-weekday")
+    keys = [(2, 19), (7, 29), (3, 17), (12, 25), (5, 33), (10, 30), (4, 8), (15, 22)]
+    DayEvaluator(bus33.network, devices33, profiles33, sc).evaluate_many(keys)
+    ((s_pq, v0, tol),) = recorded
+    assert s_pq.shape[1] == 8 * 24
+    columns_stand_alone(factor, s_pq, v0, tol)
 
 
 def test_a_failing_column_leaves_its_neighbours_unchanged(feeder4):
