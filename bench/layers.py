@@ -1,14 +1,22 @@
-"""Layer benchmark: one day evaluation, one population ranking and a batch of
-placement searches, timed and counted.
+"""Layer benchmark: one power-flow solve, one day evaluation, one population
+ranking and a batch of placement searches, timed and counted.
 
     python bench/layers.py --out BENCH.json [--baseline-src OTHER/src]
 
 Measures the pevplan source in ``src/`` beside this directory and, with
 ``--baseline-src``, another checkout's source the same way, each in its own
-process with BLAS pinned to one thread.  The inputs are fixed: the bundled
-bus33 case with the ``load-weekday`` profile, fixed two-lot placements, and
-seeded random populations.  The JSON gives, per source tree:
+process with BLAS pinned to one thread.  The trees are measured ``ROUNDS``
+times, alternating which goes first, so that a drift of the host's speed
+shows as spread rather than as a difference between trees: a figure that
+differs between rounds is reported as ``{"median", "min", "max"}`` over
+them, and one that every round repeats (a work counter) as its value.  The
+inputs are fixed: the bundled bus33 case with the ``load-weekday`` profile,
+fixed load scales, fixed two-lot placements, and seeded random populations.
+The JSON gives, per source tree:
 
+- ``solve_us``: µs per cold (flat-start) Newton and sweep solve on bus33 at
+  ``SOLVE_SCALES`` of its normal load, the median of ``SOLVE_REPEATS``
+  passes over the scales, with each solver's iterations per scale;
 - ``day_ms``: wall ms per day evaluation in modes ``none`` and ``dgq+v2gq``
   (median of repeats, each on a fresh evaluator, so nothing is cached);
 - ``rank_ms``: wall ms to rank a 40- and an 80-member population for
@@ -74,6 +82,9 @@ SEARCH_REPEATS = 5
 V2G_SEARCH_SEEDS = (0, 1)
 V2G_SEARCH_PARAMS = {"population": 40, "generations": 3, "n_lots": 2}
 IMPORT_REPEATS = 5
+SOLVE_SCALES = (0.3, 0.55, 0.8, 1.0)
+SOLVE_REPEATS = 300
+ROUNDS = 5
 
 
 def _populations(pevplan, size: int, count: int = 20):
@@ -269,6 +280,24 @@ def _v2g_searches(pevplan, bundle) -> dict:
             "batch_sizes": {str(k): sizes[k] for k in sorted(sizes)}}
 
 
+def _solve_us(pevplan, net) -> dict:
+    """Cold Newton and sweep solves at ``SOLVE_SCALES`` (see ``solve_us``)."""
+    p, q = net.load_vectors()
+    injections = [pevplan.InjectionSet.from_loads(p * s, q * s) for s in SOLVE_SCALES]
+    out = {}
+    for name, solver in (("newton", pevplan.solve), ("sweep", pevplan.solve_sweep)):
+        # the first pass also builds the network's solver arrays
+        out[f"{name}_iterations"] = [solver(net, inj).iterations for inj in injections]
+        samples = []
+        for _ in range(SOLVE_REPEATS):
+            t0 = perf_counter()
+            for inj in injections:
+                solver(net, inj)
+            samples.append((perf_counter() - t0) / len(injections) * 1e6)
+        out[f"{name}_us"] = statistics.median(samples)
+    return out
+
+
 def _import_s(src: Path) -> float:
     """Median seconds to ``import pevplan`` from ``src`` in a fresh process."""
     code = ("import time; t0 = time.perf_counter(); import pevplan; "
@@ -287,8 +316,8 @@ def measure(src: Path) -> dict:
 
     case, profiles = pevplan.load_builtin("bus33.grid", "profiles33.csv")
     bundle = (case.network, pevplan.bind_devices(case, profiles), profiles)
-    out: dict = {"import_s": _import_s(src), "day_ms": {}, "work": {}, "stats": {},
-                 "rank_ms": {}}
+    out: dict = {"import_s": _import_s(src), "solve_us": _solve_us(pevplan, case.network),
+                 "day_ms": {}, "work": {}, "stats": {}, "rank_ms": {}}
     for mode, placements in PLACEMENTS.items():
         ev = _evaluator(pevplan, bundle, mode)
         ev.evaluate(placements[0])  # warm-up: lazy arrays, imports
@@ -341,6 +370,19 @@ def _measure_in_child(src: Path) -> dict:
     return json.loads(done.stdout)
 
 
+def _over_rounds(values: list):
+    """One figure's values over the rounds as one: the value if every round
+    repeats it, else its median and range; dicts are summarised key by key."""
+    first = values[0]
+    if isinstance(first, dict):
+        return {k: _over_rounds([v[k] for v in values]) for k in first}
+    if all(v == first for v in values):
+        return first
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        return {"median": statistics.median(values), "min": min(values), "max": max(values)}
+    return {"rounds": values}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, help="JSON file to write")
@@ -365,11 +407,18 @@ def main() -> int:
                               **SEARCH_PARAMS, "repeats": SEARCH_REPEATS},
                    "search_v2g": {"mode": "dgq+v2gq", "seeds": list(V2G_SEARCH_SEEDS),
                                   **V2G_SEARCH_PARAMS, "repeats": 1},
-                   "import_repeats": IMPORT_REPEATS},
-        "current": _measure_in_child(ROOT / "src"),
+                   "import_repeats": IMPORT_REPEATS,
+                   "solve": {"scales": list(SOLVE_SCALES), "repeats": SOLVE_REPEATS},
+                   "rounds": ROUNDS},
     }
+    trees = {"current": ROOT / "src"}
     if args.baseline_src:
-        result["baseline"] = _measure_in_child(args.baseline_src.resolve())
+        trees["baseline"] = args.baseline_src.resolve()
+    runs: dict[str, list] = {name: [] for name in trees}
+    for r in range(ROUNDS):
+        for name in list(trees)[:: 1 if r % 2 == 0 else -1]:
+            runs[name].append(_measure_in_child(trees[name]))
+    result.update((name, _over_rounds(rounds)) for name, rounds in runs.items())
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 

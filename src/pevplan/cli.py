@@ -185,7 +185,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     )
     if args.check_sweep:
         ref = solve_sweep(net, inj)
-        gap = float(np.max(np.abs(ref.v_mag - sol.v_mag)))
+        gap = float(np.max(np.abs(ref.v_complex - sol.v_complex)))
         print(f"# sweep cross-check: max voltage gap {gap:.3e} pu")
     if args.out:
         out = Path(args.out)

@@ -106,8 +106,8 @@ class Network:
     # id -> position lookup and the slack's position, filled in __post_init__
     _index: dict[int, int] = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
     _slack: int = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
-    # the power-flow solvers' arrays (Ybus, Z factor, branch and limit
-    # arrays), built by them on the first solve (two concurrent first solves
+    # the power-flow solvers' arrays (Ybus, Z factor, sweep tree, branch and
+    # limit arrays), built by them on first use (two concurrent first solves
     # may both build them; either copy is right); out of __init__, so a
     # dataclasses.replace copy builds its own
     _arrays: object = field(default=None, init=False, repr=False, compare=False)

@@ -1,8 +1,9 @@
 """Numeric AC power flow on the full network.
 
 :func:`solve` is Newton-Raphson in polar coordinates with the full complex
-Jacobian: the general solver, and the arbiter the others are checked
-against.  Next to it sits a private kernel, the Z-bus fixed point
+Jacobian, formed over the non-slack block ``Y[pq, pq]`` alone: the general
+solver, and the arbiter the others are checked against.  Next to it sits a
+private kernel, the Z-bus fixed point
 ``V[pq] = w·V_slack + Z·conj(S[pq] / V[pq])`` with ``Z = inv(Y[pq, pq])``
 (Teng's direct radial load flow in matrix form; with no shunts its drop
 matrix equals this ``Z``, so meshed feeders work too), in a one-column
@@ -17,8 +18,9 @@ The slack bus holds a fixed phasor; every other bus is constant-PQ (converter
 devices included — their charging/generation enters through the injection
 vector).  A previously solved voltage profile can seed either iteration,
 which cuts repeated solves during dispatch search to a few iterations.
-Both solvers build a network's admittance matrix and the arrays derived
-from it on its first solve and keep them on the network for every later one.
+Each network keeps the arrays its solvers derive from it (the admittance
+matrix and its non-slack blocks, the Z factor, the sweep's tree, the limit
+arrays), each built by the first solve that reads it.
 """
 
 from __future__ import annotations
@@ -135,15 +137,15 @@ def _cond_estimate(jac: np.ndarray) -> float:
 class _SolverArrays:
     """Arrays that every solve on one network reuses.
 
-    ``y`` is the admittance matrix and ``branches`` holds the per-branch
-    (from-index, to-index, series admittance, resistance) arrays behind
-    every solution's branch quantities.  The fixed-point factor, its row
-    lookup and the limit arrays are computed on first use, so Newton-only
-    use never pays for them.
+    ``branches`` holds the per-branch (from-index, to-index, series
+    admittance, resistance) arrays behind every solution's branch
+    quantities.  Everything else is computed on first use, so a solver
+    builds only what it reads: Newton the admittance matrix ``y`` and its
+    non-slack blocks, the fixed point its factor, the sweep its tree (which
+    needs no ``y``), and the limit checks the limit arrays.
     """
 
     def __init__(self, net: Network) -> None:
-        self.y = build_ybus(net)
         self.branches = (
             np.array([net.index_of(br.from_bus) for br in net.branches], dtype=int),
             np.array([net.index_of(br.to_bus) for br in net.branches], dtype=int),
@@ -153,24 +155,40 @@ class _SolverArrays:
         self._net = net
 
     @cached_property
+    def y(self) -> np.ndarray:
+        return build_ybus(self._net)
+
+    @cached_property
+    def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(pq, Y[pq, :], Y[pq, pq])``, ``pq`` the non-slack bus positions."""
+        pq = np.delete(np.arange(self._net.n_bus), self._net.slack_index)
+        y_pq = self.y[pq]
+        return pq, y_pq, np.ascontiguousarray(y_pq[:, pq])
+
+    @cached_property
     def fixed_point(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(pq, Y[pq, :], Z, w)`` with ``Z = inv(Y[pq, pq])``, ``w = −Z·Y[pq, slack]``."""
-        slack = self._net.slack_index
-        pq = np.delete(np.arange(len(self.y)), slack)
-        y_pq = self.y[pq]
-        z = np.linalg.inv(y_pq[:, pq])
-        w = -z @ y_pq[:, slack]
-        return pq, y_pq, z, w
+        pq, y_pq, y_pp = self.blocks
+        z = np.linalg.inv(y_pp)
+        return pq, y_pq, z, -z @ y_pq[:, self._net.slack_index]
 
     @cached_property
     def pq_row(self) -> dict[int, int]:
         """Bus position -> row of the non-slack vectors of :attr:`fixed_point`."""
-        return {int(pos): row for row, pos in enumerate(self.fixed_point[0])}
+        return {int(pos): row for row, pos in enumerate(self.blocks[0])}
+
+    @cached_property
+    def tree(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The sweep's radial tree (:func:`pevplan.sweep._build_tree`)."""
+        from .sweep import _build_tree  # the sweep imports this module
+
+        return _build_tree(self._net, *self.branches[:2])
 
     @cached_property
     def limits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The network's :func:`_limit_arrays`."""
-        return _limit_arrays(self._net)
+        """Per-bus lower and upper voltage bounds and per-branch ampacities, pu."""
+        lo, hi = self._net.voltage_bounds()
+        return lo, hi, np.array([br.current_cap for br in self._net.branches], dtype=float)
 
 
 def _solver_arrays(net: Network) -> _SolverArrays:
@@ -237,24 +255,20 @@ def solve(
     The slack holds 1.0 pu.  ``v0`` warm-starts the iteration with a complex
     voltage vector (its slack entry is overwritten).
     """
-    n = net.n_bus
-    s = net.slack_index
     v = _start(net, inj, tol, v0)
-    y = _solver_arrays(net).y
+    arrays = _solver_arrays(net)
+    y, (pq, _, y_pp) = arrays.y, arrays.blocks
     s_spec = inj.p + 1j * inj.q
-
-    pq = np.array([i for i in range(n) if i != s], dtype=int)
     npq = len(pq)
-    diag = np.arange(n)
-    pq_grid = np.ix_(pq, pq)
     vm = np.abs(v)
     va = np.angle(v)
 
-    def mismatch_vec(vv: np.ndarray) -> np.ndarray:
-        ds = vv * np.conj(y @ vv) - s_spec
-        return np.concatenate([ds.real[pq], ds.imag[pq]])
+    def mismatch_vec(vv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ibus = y @ vv
+        ds = vv * np.conj(ibus) - s_spec
+        return ibus, np.concatenate([ds.real[pq], ds.imag[pq]])
 
-    f = mismatch_vec(v)
+    ibus, f = mismatch_vec(v)
     mis = float(np.max(np.abs(f))) if npq else 0.0
 
     for it in range(DEFAULT_MAX_ITER):
@@ -265,27 +279,7 @@ def solve(
             raise NonConvergence(
                 f"diverged at iteration {it} (mismatch {mis:.3e})", sol
             )
-
-        # Complex Jacobian, written with row/column scaling instead of
-        # diagonal-matrix products: dS/dθ = j·diag(V)·conj(diag(I) − Y·diag(V))
-        # and dS/d|V| = diag(V)·conj(Y·diag(V/|V|)) + conj(diag(I))·diag(V/|V|).
-        ibus = y @ v
-        m = -(y * v[None, :])
-        m[diag, diag] += ibus
-        ds_dva = (1j * v)[:, None] * np.conj(m)
-        # a degenerate |V| = 0 state turns vnorm into NaN, which the
-        # singular-Jacobian check below converts into a clear error
-        with np.errstate(invalid="ignore", divide="ignore"):
-            vnorm = v / vm
-        ds_dvm = v[:, None] * np.conj(y * vnorm[None, :])
-        ds_dvm[diag, diag] += np.conj(ibus) * vnorm
-
-        jac = np.empty((2 * npq, 2 * npq))
-        jac[:npq, :npq] = ds_dva.real[pq_grid]
-        jac[:npq, npq:] = ds_dvm.real[pq_grid]
-        jac[npq:, :npq] = ds_dva.imag[pq_grid]
-        jac[npq:, npq:] = ds_dvm.imag[pq_grid]
-
+        jac = _jacobian(y_pp, v[pq], vm[pq], ibus[pq])
         try:
             dx = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:
@@ -296,7 +290,7 @@ def solve(
         va[pq] += dx[:npq]
         vm[pq] += dx[npq:]
         v = vm * np.exp(1j * va)
-        f = mismatch_vec(v)
+        ibus, f = mismatch_vec(v)
         mis = float(np.max(np.abs(f))) if npq else 0.0
 
     if mis <= tol:
@@ -306,6 +300,35 @@ def solve(
     raise NonConvergence(
         f"no convergence after {DEFAULT_MAX_ITER} iterations (mismatch {mis:.3e})", sol
     )
+
+
+def _jacobian(y_pp: np.ndarray, v: np.ndarray, vm: np.ndarray,
+              ibus: np.ndarray) -> np.ndarray:
+    """Newton's real Jacobian over the non-slack buses, ``[[dP/dθ, dP/d|V|],
+    [dQ/dθ, dQ/d|V|]]``, from ``Y[pq, pq]`` and the non-slack ``V``, ``|V|``
+    and ``I = (Y·V)[pq]``.
+
+    The complex blocks are written with row/column scaling instead of
+    diagonal-matrix products: dS/dθ = j·diag(V)·conj(diag(I) − Y·diag(V))
+    and dS/d|V| = diag(V)·conj(Y·diag(V/|V|)) + conj(diag(I))·diag(V/|V|).
+    """
+    npq = len(v)
+    diag = np.arange(npq)
+    m = -(y_pp * v[None, :])
+    m[diag, diag] += ibus
+    ds_dva = (1j * v)[:, None] * np.conj(m)
+    # a degenerate |V| = 0 state turns vnorm into NaN, which the
+    # singular-Jacobian check of the solve converts into a clear error
+    with np.errstate(invalid="ignore", divide="ignore"):
+        vnorm = v / vm
+    ds_dvm = v[:, None] * np.conj(y_pp * vnorm[None, :])
+    ds_dvm[diag, diag] += np.conj(ibus) * vnorm
+    jac = np.empty((2 * npq, 2 * npq))
+    jac[:npq, :npq] = ds_dva.real
+    jac[:npq, npq:] = ds_dvm.real
+    jac[npq:, :npq] = ds_dva.imag
+    jac[npq:, npq:] = ds_dvm.imag
+    return jac
 
 
 def _fixed_point(
@@ -484,12 +507,6 @@ class LimitReport:
         return not self.voltage_violations and not self.thermal_violations
 
 
-def _limit_arrays(net: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-bus lower and upper voltage bounds and per-branch ampacities, pu."""
-    lo, hi = net.voltage_bounds()
-    return lo, hi, np.array([br.current_cap for br in net.branches], dtype=float)
-
-
 def _limit_excess(
     v_mag: np.ndarray, i_mag: np.ndarray,
     limits: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -508,7 +525,7 @@ def check_limits(net: Network, sol: PowerFlowSolution) -> LimitReport:
     """Compare a converged solution against bus voltage bands and ampacities."""
     if not sol.converged:
         raise PowerFlowError("refusing to check limits of a non-converged solution")
-    lo, hi, cap = limits = _limit_arrays(net)
+    lo, hi, cap = limits = _solver_arrays(net).limits
     v = sol.v_mag
     i = np.abs(sol.branch_current)
     band, amp = _limit_excess(v, i, limits)

@@ -1,43 +1,47 @@
 """Backward/forward sweep power flow for radial feeders.
 
-Current-summation variant: backward pass accumulates branch currents from
-the leaves, forward pass drops voltages from the slack outward.  No
-admittance matrix and no Jacobian — deliberately disjoint machinery so this
-solver can arbitrate the Newton-Raphson implementation on radial cases.
+Current-summation variant in the matrix form of Teng's direct load flow
+(IEEE TPD, 2003): the backward pass sums bus draws into branch currents
+through the 0/1 path matrix (his BIBC), the forward pass drops voltages
+from the slack outward through its transpose (his BCBV with the branch
+impedances).  The tree is built from the branch rows alone, once per
+network.  No admittance matrix and no Jacobian — deliberately disjoint
+machinery so this solver can arbitrate the Newton-Raphson implementation on
+radial cases.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
 from .network import Network
-from .powerflow import InjectionSet, NonConvergence, PowerFlowSolution
+from .powerflow import (InjectionSet, NonConvergence, PowerFlowSolution, _solver_arrays,
+                        _SolverArrays)
 
 
-@dataclass(frozen=True)
-class _TreeEdge:
-    branch_index: int
-    parent: int  # bus position
-    child: int  # bus position
-    z: complex
-    file_forward: bool  # True when the branch row reads parent -> child
+def _build_tree(
+    net: Network, f_idx: np.ndarray, t_idx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The breadth-first tree from the slack, as ``(z, sign, paths,
+    incidence)`` over the branch rows ``f_idx → t_idx``.
 
-
-def _build_tree(net: Network) -> list[_TreeEdge]:
-    """Edges in breadth-first order from the slack, orientation resolved."""
+    ``z`` holds each row's impedance and ``sign`` is +1 where the row reads
+    away from the slack and −1 where it reads towards it.  ``paths[k, b]``
+    is 1 when bus ``b`` lies below branch ``k`` (Teng's BIBC), and
+    ``incidence[b, k]`` is +1 at the row's from bus and −1 at its to bus.
+    """
     if not net.radial or len(net.branches) != net.n_bus - 1:
         raise ValueError("sweep solver requires a radial network")
-    adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(net.n_bus)}
-    for k, br in enumerate(net.branches):
-        f = net.index_of(br.from_bus)
-        t = net.index_of(br.to_bus)
+    n, rows = net.n_bus, np.arange(len(net.branches))
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for k, (f, t) in enumerate(zip(f_idx.tolist(), t_idx.tolist())):
         adj[f].append((t, k))
         adj[t].append((f, k))
 
-    edges: list[_TreeEdge] = []
+    paths = np.zeros((len(rows), n), dtype=complex)
+    sign = np.empty(len(rows))
     seen = {net.slack_index}
     queue = deque([net.slack_index])
     while queue:
@@ -46,18 +50,15 @@ def _build_tree(net: Network) -> list[_TreeEdge]:
             if child in seen:
                 continue
             seen.add(child)
-            br = net.branches[k]
-            edges.append(
-                _TreeEdge(
-                    branch_index=k,
-                    parent=parent,
-                    child=child,
-                    z=br.impedance,
-                    file_forward=net.index_of(br.from_bus) == parent,
-                )
-            )
+            paths[:, child] = paths[:, parent]
+            paths[k, child] = 1.0
+            sign[k] = 1.0 if f_idx[k] == parent else -1.0
             queue.append(child)
-    return edges
+    incidence = np.zeros((n, len(rows)), dtype=complex)
+    incidence[f_idx, rows] = 1.0
+    incidence[t_idx, rows] = -1.0
+    z = np.array([br.impedance for br in net.branches], dtype=complex)
+    return z, sign, paths, incidence
 
 
 def solve_sweep(
@@ -78,81 +79,54 @@ def solve_sweep(
     s_spec = inj.p + 1j * inj.q
     slack = net.slack_index
     inj.check_finite(slack)
-    edges = _build_tree(net)
+    arrays = _solver_arrays(net)
+    z, _, paths, _ = arrays.tree
 
     v = np.full(n, slack_voltage, dtype=complex)
+    neg_s = -s_spec
 
     def backward(voltages: np.ndarray) -> np.ndarray:
-        # Current drawn at each bus, then accumulated up the tree.
-        draw = np.conj(-s_spec / voltages)
+        # Current drawn at each bus, summed over the buses below each branch
+        # (in the tree's orientation, away from the slack).
+        draw = np.conj(neg_s / voltages)
         draw[slack] = 0.0
-        branch_i = np.zeros(len(net.branches), dtype=complex)
-        for e in reversed(edges):
-            branch_i[e.branch_index] = draw[e.child]
-            draw[e.parent] += draw[e.child]
-        return branch_i
+        return paths @ draw
 
     it = 0
     for it in range(1, max_iter + 1):
-        branch_i = backward(v)
-        v_new = v.copy()
-        v_new[slack] = slack_voltage
-        for e in edges:
-            v_new[e.child] = v_new[e.parent] - e.z * branch_i[e.branch_index]
+        v_new = slack_voltage - paths.T @ (z * backward(v))
         delta = float(np.max(np.abs(v_new - v)))
         v = v_new
         if delta <= tol:
             break
     else:
-        sol = _finish(net, edges, v, backward(v), s_spec, it, converged=False)
+        sol = _finish(net, arrays, v, backward(v), s_spec, it, converged=False)
         raise NonConvergence(
             f"sweep did not settle after {max_iter} iterations "
             f"(last voltage change {delta:.3e})",
             sol,
         )
 
-    return _finish(net, edges, v, backward(v), s_spec, it, converged=True)
+    return _finish(net, arrays, v, backward(v), s_spec, it, converged=True)
 
 
-def _finish(
-    net: Network,
-    edges: list[_TreeEdge],
-    v: np.ndarray,
-    branch_i_tree: np.ndarray,
-    s_spec: np.ndarray,
-    iterations: int,
-    converged: bool,
-) -> PowerFlowSolution:
+def _finish(net: Network, arrays: _SolverArrays, v: np.ndarray, branch_i_tree: np.ndarray,
+            s_spec: np.ndarray, iterations: int, converged: bool) -> PowerFlowSolution:
+    f_idx, _, _, r = arrays.branches
+    _, sign, _, incidence = arrays.tree
     # Convert tree-oriented currents to the branch rows' own orientation.
-    currents = np.zeros(len(net.branches), dtype=complex)
-    flows = np.zeros(len(net.branches), dtype=complex)
-    loss = 0.0
-    for e in edges:
-        i_file = branch_i_tree[e.branch_index] if e.file_forward else -branch_i_tree[e.branch_index]
-        currents[e.branch_index] = i_file
-        br = net.branches[e.branch_index]
-        f = net.index_of(br.from_bus)
-        flows[e.branch_index] = v[f] * np.conj(i_file)
-        loss += (abs(i_file) ** 2) * br.resistance
+    currents = sign * branch_i_tree
 
     # KCL residual straight from branch currents — no admittance matrix.
-    i_net = np.zeros(net.n_bus, dtype=complex)
-    for k, br in enumerate(net.branches):
-        f = net.index_of(br.from_bus)
-        t = net.index_of(br.to_bus)
-        i_net[f] += currents[k]
-        i_net[t] -= currents[k]
-    s_calc = v * np.conj(i_net)
-    resid = s_calc - s_spec
+    resid = v * np.conj(incidence @ currents) - s_spec
     resid[net.slack_index] = 0.0
-    mismatch = float(np.max(np.abs(resid)))
 
     return PowerFlowSolution(
         v_complex=v,
         branch_current=currents,
-        branch_flow_from=flows,
-        total_losses=loss,
+        branch_flow_from=v[f_idx] * np.conj(currents),
+        total_losses=float((np.abs(currents) ** 2 * r).sum()),
         iterations=iterations,
-        max_mismatch=mismatch,
+        max_mismatch=float(np.max(np.abs(resid))),
         converged=converged,
     )

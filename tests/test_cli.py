@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pevplan
@@ -126,6 +129,23 @@ def test_solve_sweep_cross_check(capsys):
     gap_line = next(l for l in out.splitlines() if "sweep cross-check" in l)
     gap = float(gap_line.rsplit("gap", 1)[1].split()[0])
     assert gap < 1e-6
+
+
+def test_solve_sweep_cross_check_sees_an_angle_error(capsys, monkeypatch):
+    # a sweep whose voltages are rotated keeps every magnitude, so only the
+    # phasor gap shows the error
+    sweep = cli.solve_sweep
+
+    def rotated(net, inj):
+        sol = sweep(net, inj)
+        return replace(sol, v_complex=sol.v_complex * np.exp(1e-4j))
+
+    monkeypatch.setattr(cli, "solve_sweep", rotated)
+    code, out, _ = run(capsys, "solve", "--check-sweep")
+    assert code == 0
+    gap_line = next(l for l in out.splitlines() if "sweep cross-check" in l)
+    assert re.fullmatch(r"# sweep cross-check: max voltage gap \S+ pu", gap_line)
+    assert float(gap_line.rsplit("gap", 1)[1].split()[0]) > 1e-6
 
 
 def test_solve_writes_artifacts(capsys, tmp_path):

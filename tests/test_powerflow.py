@@ -222,6 +222,110 @@ def test_replaced_network_builds_its_own_arrays():
     assert loss != pytest.approx(original.total_losses, rel=0.1)
 
 
+# -- Newton on the non-slack block ------------------------------------------
+
+
+def full_jacobian(y, v, vm, pq):
+    """Newton's Jacobian built over all n buses and then cut to the
+    non-slack block: the construction :func:`powerflow._jacobian` replaced,
+    kept as its oracle."""
+    n, npq = len(v), len(pq)
+    diag = np.arange(n)
+    grid = np.ix_(pq, pq)
+    ibus = y @ v
+    m = -(y * v[None, :])
+    m[diag, diag] += ibus
+    ds_dva = (1j * v)[:, None] * np.conj(m)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        vnorm = v / vm
+    ds_dvm = v[:, None] * np.conj(y * vnorm[None, :])
+    ds_dvm[diag, diag] += np.conj(ibus) * vnorm
+    jac = np.empty((2 * npq, 2 * npq))
+    jac[:npq, :npq] = ds_dva.real[grid]
+    jac[:npq, npq:] = ds_dvm.real[grid]
+    jac[npq:, :npq] = ds_dva.imag[grid]
+    jac[npq:, npq:] = ds_dvm.imag[grid]
+    return jac
+
+
+def full_newton(net, inj, tol=DEFAULT_TOL):
+    """Newton's iteration on :func:`full_jacobian`: ``(v, iterations,
+    mismatch)``, or the message of the error it stops with."""
+    y, s = build_ybus(net), net.slack_index
+    pq = np.array([i for i in range(net.n_bus) if i != s])
+    v = _start(net, inj, tol, None)
+    s_spec = inj.p + 1j * inj.q
+    vm, va = np.abs(v), np.angle(v)
+
+    def mismatch(vv):
+        ds = vv * np.conj(y @ vv) - s_spec
+        f = np.concatenate([ds.real[pq], ds.imag[pq]])
+        return f, float(np.max(np.abs(f)))
+
+    f, mis = mismatch(v)
+    for it in range(DEFAULT_MAX_ITER + 1):
+        if mis <= tol:
+            return v, it, mis
+        if not math.isfinite(mis) or mis > 1e6 or it == DEFAULT_MAX_ITER:
+            return "no convergence"
+        try:
+            dx = np.linalg.solve(full_jacobian(y, v, vm, pq), -f)
+        except np.linalg.LinAlgError:
+            return "singular"
+        if not np.all(np.isfinite(dx)):
+            return "singular"
+        va[pq] += dx[:len(pq)]
+        vm[pq] += dx[len(pq):]
+        v = vm * np.exp(1j * va)
+        f, mis = mismatch(v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(net=radial_feeders(), seed=st.integers(0, 2**32 - 1))
+def test_block_jacobian_equals_the_full_construction(net, seed):
+    arrays = _solver_arrays(net)
+    y, (pq, _, y_pp) = arrays.y, arrays.blocks
+    rng = np.random.default_rng(seed)
+    v = 1.0 + 0.1 * (rng.standard_normal(net.n_bus) + 1j * rng.standard_normal(net.n_bus))
+    v[net.slack_index] = 1.0
+    # a degenerate |V| = 0 entry turns both into the same NaNs
+    v[pq[rng.integers(len(pq))]] *= rng.integers(2)
+    with np.errstate(invalid="ignore"):
+        got = powerflow._jacobian(y_pp, v[pq], np.abs(v)[pq], (y @ v)[pq])
+    np.testing.assert_array_equal(got, full_jacobian(y, v, np.abs(v), pq))
+
+
+def assert_newton_matches_full(net, inj):
+    want = full_newton(net, inj)
+    try:
+        sol = solve(net, inj)
+    except SingularJacobian:
+        assert want == "singular"
+        return
+    except NonConvergence:
+        assert want == "no convergence"
+        return
+    v, it, mis = want
+    assert np.array_equal(sol.v_complex, v)
+    assert (sol.iterations, sol.max_mismatch) == (it, mis)
+    assert sol.total_losses == _finish(net, v, it, mis, converged=True).total_losses
+
+
+@settings(max_examples=40, deadline=None)
+@given(net=radial_feeders(), scale=st.floats(0.0, 30.0))
+def test_newton_is_bit_identical_to_the_full_construction(net, scale):
+    p, q = net.load_vectors()
+    assert_newton_matches_full(net, InjectionSet.from_loads(p * scale, q * scale))
+
+
+def test_newton_is_bit_identical_to_the_full_construction_on_bus33(bus33):
+    net = bus33.network
+    p, q = net.load_vectors()
+    # Newton fails at the last two scales, and so must the oracle
+    for scale in [*np.linspace(0.0, 2.0, 21), 50.0, 1e4]:
+        assert_newton_matches_full(net, InjectionSet.from_loads(p * scale, q * scale))
+
+
 # -- Z-bus fixed point ------------------------------------------------------
 
 
@@ -553,6 +657,23 @@ def test_thermal_violation_detected():
     assert (tv.from_bus, tv.to_bus) == (1, 2)
     assert tv.i > tv.i_cap
     assert report.thermal_margin < 0
+
+
+def test_check_limits_reads_each_networks_own_limits(solved33):
+    net, sol = solved33
+    report = check_limits(net, sol)
+    # the cached limit arrays give the report that fresh ones give
+    assert check_limits(net, sol) == report
+    assert check_limits(Network(net.buses, net.branches), sol) == report
+    # a replace copy with other bounds reads its own
+    tight = replace(net, buses=tuple(replace(b, v_min=0.99) for b in net.buses))
+    tight_report = check_limits(tight, sol)
+    assert len(tight_report.voltage_violations) > len(report.voltage_violations)
+    assert {v.bound for v in tight_report.voltage_violations} == {0.99}
+    capped = replace(net, branches=tuple(replace(br, current_cap=0.01)
+                                         for br in net.branches))
+    assert check_limits(capped, sol).thermal_violations and not report.thermal_violations
+    assert check_limits(net, sol) == report
 
 
 # -- report tables -----------------------------------------------------------

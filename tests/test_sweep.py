@@ -1,17 +1,145 @@
 from __future__ import annotations
 
+from collections import deque
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pevplan import powerflow, sweep
 from pevplan.network import Branch, Bus, Network
-from pevplan.powerflow import InjectionSet, NonConvergence, solve
+from pevplan.powerflow import InjectionSet, NonConvergence, PowerFlowSolution, solve
 from pevplan.sweep import solve_sweep
 
-from conftest import small_feeder
+from conftest import radial_feeders, small_feeder
 
 
 def loads_of(net) -> InjectionSet:
     return InjectionSet.from_loads(*net.load_vectors())
+
+
+def loop_sweep(net, inj, tol=1e-10, max_iter=200) -> PowerFlowSolution:
+    """The sweep written edge by edge: a breadth-first list of tree edges,
+    a backward loop that adds each child's current into its parent and a
+    forward loop that drops each child's voltage from its parent's.  The
+    matrix sweep's oracle; raises as :func:`solve_sweep` does."""
+    n, slack = net.n_bus, net.slack_index
+    ends = [(net.index_of(br.from_bus), net.index_of(br.to_bus)) for br in net.branches]
+    adj = {i: [] for i in range(n)}
+    for k, (f, t) in enumerate(ends):
+        adj[f].append((t, k))
+        adj[t].append((f, k))
+    edges = []  # (branch, parent, child, row reads parent -> child)
+    seen, queue = {slack}, deque([slack])
+    while queue:
+        parent = queue.popleft()
+        for child, k in adj[parent]:
+            if child not in seen:
+                seen.add(child)
+                edges.append((k, parent, child, ends[k][0] == parent))
+                queue.append(child)
+    s_spec = inj.p + 1j * inj.q
+
+    def backward(v):
+        draw = np.conj(-s_spec / v)
+        draw[slack] = 0.0
+        branch_i = np.zeros(len(ends), dtype=complex)
+        for k, parent, child, _ in reversed(edges):
+            branch_i[k] = draw[child]
+            draw[parent] += draw[child]
+        return branch_i
+
+    v = np.full(n, 1.0 + 0.0j)
+    for it in range(1, max_iter + 1):
+        branch_i = backward(v)
+        v_new = v.copy()
+        for k, parent, child, _ in edges:
+            v_new[child] = v_new[parent] - net.branches[k].impedance * branch_i[k]
+        delta = float(np.max(np.abs(v_new - v)))
+        v = v_new
+        if delta <= tol:
+            break
+    branch_i = backward(v)
+    currents = np.zeros(len(ends), dtype=complex)
+    loss = 0.0
+    for k, _, _, forward in edges:
+        currents[k] = branch_i[k] if forward else -branch_i[k]
+        loss += abs(currents[k]) ** 2 * net.branches[k].resistance
+    i_net = np.zeros(n, dtype=complex)
+    for k, (f, t) in enumerate(ends):
+        i_net[f] += currents[k]
+        i_net[t] -= currents[k]
+    resid = v * np.conj(i_net) - s_spec
+    resid[slack] = 0.0
+    f_idx = [f for f, _ in ends]
+    return PowerFlowSolution(v, currents, v[f_idx] * np.conj(currents), loss, it,
+                             float(np.max(np.abs(resid))), converged=delta <= tol)
+
+
+def assert_sweeps_agree(got, want, atol=1e-12):
+    assert got.iterations == want.iterations and got.converged == want.converged
+    np.testing.assert_allclose(got.v_complex, want.v_complex, rtol=0, atol=atol)
+    np.testing.assert_allclose(got.branch_current, want.branch_current, rtol=0, atol=atol)
+    np.testing.assert_allclose(got.branch_flow_from, want.branch_flow_from,
+                               rtol=0, atol=atol)
+    assert got.total_losses == pytest.approx(want.total_losses, rel=0, abs=atol)
+    assert got.max_mismatch == pytest.approx(want.max_mismatch, rel=0, abs=atol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(net=radial_feeders(), scale=st.floats(0.0, 20.0), tol=st.sampled_from([1e-6, 1e-10]))
+def test_matrix_sweep_matches_the_edge_loop_on_radial_feeders(net, scale, tol):
+    # radial_feeders draws some branch rows reversed and shuffles the buses
+    p, q = net.load_vectors()
+    inj = InjectionSet.from_loads(p * scale, q * scale)
+    want = loop_sweep(net, inj, tol=tol)
+    try:
+        got = solve_sweep(net, inj, tol=tol)
+    except NonConvergence as err:
+        got = err.solution
+    assert_sweeps_agree(got, want)
+
+
+def test_matrix_sweep_matches_the_edge_loop_on_bus33(bus33):
+    net = bus33.network
+    p, q = net.load_vectors()
+    for scale in (0.0, 0.3, 0.55, 0.8, 1.0, 2.0):
+        inj = InjectionSet.from_loads(p * scale, q * scale)
+        assert_sweeps_agree(solve_sweep(net, inj), loop_sweep(net, inj))
+
+
+def test_sweep_builds_no_admittance_matrix(monkeypatch):
+    def refuse(net):
+        raise AssertionError("the sweep built an admittance matrix")
+
+    monkeypatch.setattr(powerflow, "build_ybus", refuse)
+    net = small_feeder(6)
+    assert solve_sweep(net, loads_of(net)).converged
+
+
+def test_tree_is_built_once_per_network(monkeypatch):
+    built = []
+    build = sweep._build_tree
+
+    def counted(net, *ends):
+        built.append(net)
+        return build(net, *ends)
+
+    monkeypatch.setattr(sweep, "_build_tree", counted)
+    net = small_feeder(5)
+    inj = loads_of(net)
+    first = solve_sweep(net, inj)
+    solve_sweep(net, inj)
+    assert built == [net]
+    # a replace copy with other impedances builds and reads its own tree
+    doubled = tuple(replace(br, resistance=2.0 * br.resistance) for br in net.branches)
+    copy = replace(net, branches=doubled)
+    loss = solve_sweep(copy, inj).total_losses
+    assert len(built) == 2 and built[1] is copy
+    assert loss == solve_sweep(Network(net.buses, doubled), inj).total_losses
+    assert loss != pytest.approx(first.total_losses, rel=0.1)
 
 
 def test_sweep_agrees_with_newton_on_bus33(bus33):
@@ -77,16 +205,18 @@ def test_sweep_requires_radial():
         (Branch(1, 2, 0.01, 0.02), Branch(2, 3, 0.01, 0.02), Branch(1, 3, 0.01, 0.02)),
         radial=False,
     )
-    with pytest.raises(ValueError, match="radial"):
+    with pytest.raises(ValueError, match="^sweep solver requires a radial network$"):
         solve_sweep(net, InjectionSet(np.zeros(3), np.zeros(3)))
 
 
 def test_sweep_nonconvergence_carries_state():
     net = small_feeder(4)
     p, q = net.load_vectors()
-    with pytest.raises(NonConvergence) as err:
-        solve_sweep(net, InjectionSet.from_loads(p, q), max_iter=1, tol=1e-14)
-    assert not err.value.solution.converged
+    inj = InjectionSet.from_loads(p, q)
+    with pytest.raises(NonConvergence, match=r"^sweep did not settle after 1 iterations "
+                       r"\(last voltage change \d\.\d{3}e[-+]\d+\)$") as err:
+        solve_sweep(net, inj, max_iter=1, tol=1e-14)
+    assert_sweeps_agree(err.value.solution, loop_sweep(net, inj, max_iter=1, tol=1e-14))
 
 
 def test_sweep_zero_load_trivial(feeder4):
