@@ -40,10 +40,12 @@ The JSON gives, per source tree:
   Brent searches and their function calls (``nfev``), so a faster figure
   can be told apart from less work.  A tree whose ``DayStats`` counts the
   lockstep's work is read from it, with the width of every block counted
-  by wrapping ``dispatch._fixed_point_block`` (``width_histogram``: blocks
-  per width over all the mode's placements).  An older tree is counted by
-  wrapping its kernels, Newton and ``dispatch.minimize_scalar``; it solves
-  each dispatch column alone, one step of width 1;
+  by wrapping ``dispatch._fixed_point_block`` while
+  ``objective._dispatch_day`` runs, so the day's base block is no step
+  (``width_histogram``: blocks per width over all the mode's placements).
+  An older tree is counted by wrapping its kernels, Newton and
+  ``dispatch.minimize_scalar``; it solves each dispatch column alone, one
+  step of width 1;
 - ``import_s``: seconds to ``import pevplan``, the median of
   ``IMPORT_REPEATS`` fresh processes;
 - ``stats``: the evaluator's own work counters, where the tree has them.
@@ -130,7 +132,7 @@ def _count_work(pevplan, bundle, mode, placements):
 
     ev = _evaluator(pevplan, bundle, mode)
     if hasattr(ev.stats, "dispatch_steps"):
-        return _lockstep_work(dispatch, ev, placements)
+        return _lockstep_work(dispatch, objective, ev, placements)
     counts = {"block_calls": 0, "block_columns": 0, "block_iterations": 0,
               "dispatch_columns": 0, "dispatch_iterations": 0,
               "newton_solves": 0, "brent_searches": 0, "brent_nfev": 0}
@@ -190,24 +192,37 @@ def _count_work(pevplan, bundle, mode, placements):
     return work
 
 
-def _lockstep_work(dispatch, ev, placements):
-    """The work of a tree that runs a day's dispatch in lockstep."""
+def _lockstep_work(dispatch, objective, ev, placements):
+    """The work of a tree that runs a day's dispatch in lockstep.
+
+    A block counts only while the lockstep (``objective._dispatch_day``)
+    runs: a tree may solve the day's base block through the same kernel.
+    """
     widths: dict[int, int] = {}
     iterations = [0]
-    block = dispatch._fixed_point_block
+    dispatching = [False]
+    block, day = dispatch._fixed_point_block, objective._dispatch_day
 
     def counted_block(factor, s_pq, v, tol):
         out = block(factor, s_pq, v, tol)
-        widths[s_pq.shape[1]] = widths.get(s_pq.shape[1], 0) + 1
-        iterations[0] += int(out[0].sum())
+        if dispatching[0]:
+            widths[s_pq.shape[1]] = widths.get(s_pq.shape[1], 0) + 1
+            iterations[0] += int(out[0].sum())
         return out
 
-    dispatch._fixed_point_block = counted_block
+    def counted_day(*args):
+        dispatching[0] = True
+        try:
+            return day(*args)
+        finally:
+            dispatching[0] = False
+
+    dispatch._fixed_point_block, objective._dispatch_day = counted_block, counted_day
     try:
         for pair in placements:
             ev.evaluate(pair)
     finally:
-        dispatch._fixed_point_block = block
+        dispatch._fixed_point_block, objective._dispatch_day = block, day
     st, days = ev.stats, len(placements)
     return {
         "block_calls": getattr(st, "batches", st.days) / days,

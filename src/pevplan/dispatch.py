@@ -12,21 +12,22 @@ It is a generator that yields each point and receives its score, and
 :func:`minimize_scalar` drives it with a function.
 
 An hour's descent (:func:`_descent`) is written once, as a generator of
-what it needs solved: the base, the capability rechecks, and searches.  Two
-runners answer it.  :func:`dispatch_q` runs one hour alone: every solve
-runs the Z-bus fixed-point kernel and falls back to Newton (:func:`solve`),
-held to the fixed point's target, only if the kernel raises, and every
-search runs through :func:`minimize_scalar`.  A day's runner
-(:func:`_dispatch_day`) runs the descents of all its hours, or of all the
-hours of a batch of days, in lockstep: each step solves the pending point
-of every running hour as one column of the block kernel, sends a column
-the kernel fails alone to Newton, and scores the step's trial states
-together; no hour's solves or scores depend on the others in its step.
-Either way every score is Newton-converged and all scores have one
-accuracy.  A trial starts from a first-order step off the current voltages
-and keeps the voltage vector it solved, so an accepted move takes the
-state and the score the search saw, with no second solve; full solutions
-are built only for the hour's base and final states.  Moves are accepted
+what it needs solved: the base, the capability rechecks, and searches.
+Every solve runs the Z-bus fixed-point kernel and falls back to Newton
+(:func:`solve`), held to the kernel's target, on a column the kernel
+fails: :func:`_solve_block` does both for a block of columns.  Two runners
+answer a descent.  :func:`dispatch_q` runs one hour alone: every solve is
+a one-column block, and every search runs through :func:`minimize_scalar`.
+A day's runner (:func:`_dispatch_day`) runs the descents of all its hours,
+or of all the hours of a batch of days, in lockstep: each step solves the
+pending point of every running hour as one column of a block and scores
+the step's trial states together; no hour's solves or scores depend on the
+others in its step, so an hour runs as :func:`dispatch_q` runs it.  Either
+way every score is Newton-converged and all scores have one accuracy.  A
+trial starts from a first-order step off the current voltages and keeps
+the voltage vector it solved, so an accepted move takes the state and the
+score the search saw, with no second solve; full solutions are built only
+for the hour's base and final states.  Moves are accepted
 only when they improve the hour's partial objective by more than the
 solves' own error, so the dispatched state is never worse than the
 undispatched one and no accept hangs on rounding, and the two runners
@@ -57,7 +58,6 @@ from .powerflow import (
     PowerFlowSolution,
     _currents_and_loss,
     _finish,
-    _fixed_point,
     _fixed_point_block,
     _solver_arrays,
     _start,
@@ -181,6 +181,42 @@ def _newton(net: Network, inj: InjectionSet, tol: float,
         if sol is None or not sol.max_mismatch <= tol:
             raise
         return replace(sol, converged=True)
+
+
+class _Solved(NamedTuple):
+    """What :func:`_solve_block` did, per column and in all."""
+
+    iterations: np.ndarray  # of the solve that ended each column
+    mismatch: np.ndarray  # likewise
+    newton: np.ndarray  # the columns the kernel failed, each sent to Newton
+    failed: dict[int, PowerFlowError]  # Newton's failures, by column
+    kernel_iterations: int  # the kernel's own iterations, summed
+
+
+def _solve_block(net: Network, s_pq: np.ndarray, v: np.ndarray, tol: float) -> _Solved:
+    """Solve every column of ``v`` in place (the columns of
+    :func:`_fixed_point_block`): the kernel on all of them, then
+    :func:`_newton` alone on each column the kernel did not converge, from
+    that column's own start, on the injections of its ``s_pq`` column (whose
+    real and imaginary parts give ``p`` and ``q`` back exactly; Newton reads
+    no slack entry).  A column Newton fails too stays where the kernel left it."""
+    factor = _solver_arrays(net).fixed_point
+    starts = v.copy()
+    iterations, mismatch, converged = _fixed_point_block(factor, s_pq, v, tol)
+    kernel_iterations = int(iterations.sum())
+    newton = np.flatnonzero(~converged)
+    failed: dict[int, PowerFlowError] = {}
+    for j in newton.tolist():
+        p, q = np.zeros(net.n_bus), np.zeros(net.n_bus)
+        p[factor[0]], q[factor[0]] = s_pq[:, j].real, s_pq[:, j].imag
+        try:
+            sol = _newton(net, InjectionSet(p, q), tol, starts[:, j])
+        except PowerFlowError as exc:
+            failed[j] = exc
+            continue
+        v[:, j] = sol.v_complex
+        iterations[j], mismatch[j] = sol.iterations, sol.max_mismatch
+    return _Solved(iterations, mismatch, newton, failed, kernel_iterations)
 
 
 class Minimum(NamedTuple):
@@ -356,24 +392,14 @@ class _Hour:
         return (self.fixed.p + 1j * q_inj)[self.factor[0]]
 
     def solve(self, s_pq: np.ndarray, start: np.ndarray) -> _State:
-        """The state with non-slack injections ``s_pq``, solved from ``start``.
-
-        The fixed-point kernel runs on a copy of ``start``; if it raises,
-        :meth:`newton` runs, and its failure propagates.
-        """
-        try:
-            return _fixed_point(self.factor, s_pq, start.copy(), self.scenario.pf_tol)
-        except PowerFlowError:
-            return self.newton(s_pq, start)
-
-    def newton(self, s_pq: np.ndarray, start: np.ndarray) -> _State:
-        """Newton's state from ``start`` itself, on the full injections,
-        whose reactive part ``imag(p + j·q) == q`` gives back exactly."""
-        q_inj = self.fixed.q.copy()
-        q_inj[self.factor[0]] = s_pq.imag
-        sol = _newton(self.net, InjectionSet(self.fixed.p, q_inj), self.scenario.pf_tol,
-                      start)
-        return sol.v_complex, sol.iterations, sol.max_mismatch
+        """The state with non-slack injections ``s_pq``, solved from a copy
+        of ``start`` as a one-column :func:`_solve_block`; Newton's failure
+        propagates."""
+        v = start.copy()
+        solved = _solve_block(self.net, s_pq[:, None], v[:, None], self.scenario.pf_tol)
+        if solved.failed:
+            raise solved.failed[0]
+        return v, int(solved.iterations[0]), float(solved.mismatch[0])
 
     def score(self, v: np.ndarray) -> float:
         """The hour's dispatch score at voltages ``v``."""
@@ -676,47 +702,40 @@ def _dispatch_day(net: Network, scenario: Scenario,
     day, and entry ``i`` starts from ``v0[:, i]``; the entries may come
     from the days of several placements.  Each step gathers the pending
     solve of every hour still running (its base, a trial point of a
-    search, or a recheck) into one block of the fixed-point kernel, whose
-    columns do not see each other, so an hour runs as it would alone.  A
-    column the kernel fails goes alone to Newton; a trial whose Newton
-    fails too scores ``_TRIAL_PENALTY``, and any other solve's failure is
-    thrown into its hour, which then has no result (None).  The step's
-    trial states are scored together, each from its own row.  Counts the
-    searches, the trials, the steps, their columns and the Newton
-    fallbacks in ``stats``.
+    search, or a recheck) into one :func:`_solve_block`, whose columns do
+    not see each other, so an hour runs as it would alone.  A trial whose
+    column Newton fails too scores ``_TRIAL_PENALTY``, and any other
+    solve's failure is thrown into its hour, which then has no result
+    (None).  The step's trial states are scored together, each from its
+    own row.  Counts the searches, the trials, the steps, their columns and
+    the Newton fallbacks in ``stats``.
     """
     tol = scenario.pf_tol
     lanes = []
     for i, (devices, hour, load_scale) in enumerate(hours):
         hr = _Hour(net, devices, hour, scenario, load_scale)
         lanes.append(_Lane(hr, _start(net, hr.fixed, tol, v0[:, i]), stats))
-    arrays = _solver_arrays(net)
-    factor, branches = arrays.fixed_point, arrays.branches
+    branches = _solver_arrays(net).branches
     running = [lane for lane in lanes if lane.send()]
     while running:
         # one row a column, so that each solved state is a contiguous row
         m = len(running)
-        s = np.empty((m, len(factor[0])), dtype=complex)
+        s = np.empty((m, net.n_bus - 1), dtype=complex)
         v = np.empty((m, net.n_bus), dtype=complex)
         for j, lane in enumerate(running):
             lane.fill(s[j], v[j])
-        starts = v.copy()
-        iterations, mismatch, converged = _fixed_point_block(factor, s.T, v.T, tol)
+        block = _solve_block(net, s.T, v.T, tol)
         stats["dispatch_steps"] += 1
         stats["dispatch_columns"] += m
-        failed: dict[int, PowerFlowError] = {}
-        for j in np.flatnonzero(~converged):
-            stats["newton_fallbacks"] += 1
-            try:
-                v[j], iterations[j], mismatch[j] = running[j].hr.newton(s[j], starts[j])
-            except PowerFlowError as exc:
-                failed[j] = exc
+        stats["newton_fallbacks"] += len(block.newton)
+        failed = block.failed
         trials = [j for j, lane in enumerate(running) if lane.brent is not None]
         stats["trials"] += len(trials)
         solved = [j for j in trials if j not in failed]
         scores = dict(zip(solved, _scores(scenario, branches, v[solved]).tolist()))
         still = []
-        for j, lane, it, mis in zip(range(m), running, iterations.tolist(), mismatch.tolist()):
+        for j, lane, it, mis in zip(range(m), running, block.iterations.tolist(),
+                                    block.mismatch.tolist()):
             state = None if j in failed else (v[j], it, mis)
             if lane.brent is not None:
                 going = lane.scored(state, scores.get(j, _TRIAL_PENALTY))

@@ -36,28 +36,6 @@ class InfeasibleConfigError(ValueError):
     """The search is unsatisfiable as configured (e.g. more lots than buses)."""
 
 
-def dominates(u: Sequence[float], v: Sequence[float]) -> bool:
-    """Pareto dominance for minimization: u no worse everywhere, better once."""
-    at_least_one = False
-    for a, b in zip(u, v):
-        if a > b:
-            return False
-        if a < b:
-            at_least_one = True
-    return at_least_one
-
-
-def constrained_dominates(a: ObjectiveBreakdown, b: ObjectiveBreakdown) -> bool:
-    """Feasible beats infeasible; infeasible compare by violation magnitude."""
-    if a.feasible and not b.feasible:
-        return True
-    if not a.feasible and b.feasible:
-        return False
-    if not a.feasible and not b.feasible:
-        return a.violation_penalty < b.violation_penalty
-    return dominates(a.vector, b.vector)
-
-
 def nondominated_sort(vectors: Sequence[Sequence[float]]) -> list[list[int]]:
     """Pareto fronts of objective vectors (minimization) as lists of indices.
 
@@ -99,7 +77,8 @@ def _columns(breakdowns: Sequence[ObjectiveBreakdown]) -> _Columns:
 def _rank(obj: np.ndarray, feasible: np.ndarray,
           penalty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Front rank (0 = best) and crowding distance within its front, per
-    member, for Deb's sort under :func:`constrained_dominates`.
+    member, for Deb's sort under constraint-domination (see the module
+    docstring).
 
     Every feasible member dominates every infeasible one, so the Pareto
     fronts of the feasible members come first.  Infeasible members compare

@@ -9,12 +9,13 @@ with voltage-band, ampacity, and converter-capability checks folded into a
 separate feasibility flag and violation magnitude so that constraint
 handling never distorts the reported objective values.  Days are computed
 in batches of up to ``_BATCH`` placements: a batch solves the base flows of
-all its days as one block of the fixed-point kernel and dispatches all
-their hours in one lockstep (``dispatch._dispatch_day``), one kernel block
-per step, so it never calls :func:`dispatch_q`, which runs one hour alone.
-The kernel's columns and the lockstep's hours do not see each other, and
-each day is scored from its own columns, so a placement's breakdown is the
-same bit for bit in any batch.
+all its days as one block (``dispatch._solve_block``: the fixed-point
+kernel, and Newton alone on each column it fails) and dispatches all their
+hours in one lockstep (``dispatch._dispatch_day``), one block per step, so
+it never calls :func:`dispatch_q`, which runs one hour alone.  A block's
+columns and the lockstep's hours do not see each other, and each day is
+scored from its own columns, so a placement's breakdown is the same bit
+for bit in any batch.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .dispatch import (
     DispatchResult,
     Scenario,
     _dispatch_day,
-    _newton,
+    _solve_block,
     dispatch_q,  # noqa: F401  (the benchmark's tracer wraps this name)
     partial_objective,
 )
@@ -49,10 +50,8 @@ from .network import (
     build_ybus,  # noqa: F401  (the benchmark's tracer wraps this name)
 )
 from .powerflow import (
-    InjectionSet,
     PowerFlowError,
     _finish,
-    _fixed_point_block,
     _limit_excess,
     _solver_arrays,
     check_limits,  # noqa: F401  (the benchmark's tracer wraps this name)
@@ -280,7 +279,6 @@ class DayEvaluator:
         """
         t0 = perf_counter()
         net, scenario, stats = self.net, self.scenario, self._stats
-        tol = scenario.pf_tol
         arrays, p_base, q_base = self._day_arrays
         k = len(placements)
         p, q_load = np.tile(p_base, k), np.tile(q_base, k)
@@ -288,27 +286,18 @@ class DayEvaluator:
             day = p[:, d * HOURS:(d + 1) * HOURS]
             for dev in devices:
                 day[net.index_of(dev.bus)] += p_injection(dev)
-        factor = arrays.fixed_point
         v = np.full((net.n_bus, k * HOURS), 1.0 + 0.0j)
-        iterations, mismatch, converged = _fixed_point_block(
-            factor, (p + 1j * q_load)[factor[0]], v, tol
-        )
+        solved = _solve_block(net, (p + 1j * q_load)[arrays.fixed_point[0]], v,
+                              scenario.pf_tol)
+        iterations, mismatch = solved.iterations, solved.mismatch
         stats["batches"] += 1
         stats["days"] += k
         stats["block_columns"] += k * HOURS
-        stats["block_iterations"] += int(iterations.sum())
-
+        stats["block_iterations"] += solved.kernel_iterations
+        stats["newton_columns"] += len(solved.newton)
+        stats["divergent_hours"] += len(solved.failed)
         live = np.ones(k * HOURS, dtype=bool)
-        for col in np.flatnonzero(~converged):
-            stats["newton_columns"] += 1
-            try:
-                sol = _newton(net, InjectionSet(p[:, col], q_load[:, col]), tol, None)
-            except PowerFlowError:
-                stats["divergent_hours"] += 1
-                live[col] = False
-                continue
-            v[:, col] = sol.v_complex
-            iterations[col], mismatch[col] = sol.iterations, sol.max_mismatch
+        live[list(solved.failed)] = False
 
         q = np.zeros((k, len(placements[0]), HOURS))
         dispatched: dict[int, DispatchResult] = {}

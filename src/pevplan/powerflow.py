@@ -6,13 +6,13 @@ solver, and the arbiter the others are checked against.  Next to it sits a
 private kernel, the Z-bus fixed point
 ``V[pq] = w·V_slack + Z·conj(S[pq] / V[pq])`` with ``Z = inv(Y[pq, pq])``
 (Teng's direct radial load flow in matrix form; with no shunts its drop
-matrix equals this ``Z``, so meshed feeders work too), in a one-column
-form for one hour's dispatch and a block form, from a start matrix, for
-the base flows and the lockstep dispatch of a batch of days.  Both apply
-the same rules to each column, and the block takes its products one
-column at a time, so a column's result does not depend on the block it
-runs in.  It needs no Jacobian, which makes it the cheaper choice for the
-many near-identical solves of dispatch; Newton is its fallback.
+matrix equals this ``Z``, so meshed feeders work too), written once, in
+block form (:func:`_fixed_point_block`): it solves a start matrix of
+columns, the base flows and the lockstep dispatch of a batch of days or
+one column for one hour's dispatch.  It takes its products one column at
+a time, so a column's result does not depend on the block it runs in.  It
+needs no Jacobian, which makes it the cheaper choice for the many
+near-identical solves of dispatch; Newton is its fallback.
 
 The slack bus holds a fixed phasor; every other bus is constant-PQ (converter
 devices included — their charging/generation enters through the injection
@@ -331,94 +331,40 @@ def _jacobian(y_pp: np.ndarray, v: np.ndarray, vm: np.ndarray,
     return jac
 
 
-def _fixed_point(
-    factor: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    s_pq: np.ndarray,
-    v: np.ndarray,
-    tol: float,
-) -> tuple[np.ndarray, int, float]:
-    """The Z-bus fixed point from ``v``: ``(v, iterations, max mismatch)``.
-
-    ``factor`` is ``(pq, Y[pq, :], Z, w)`` of :class:`_SolverArrays`,
-    ``s_pq`` the non-slack injections and ``v`` a full start vector holding
-    1.0 pu at the slack; ``v`` is updated in place.  After a step
-    ``V' = w + Z·conj(S/V)`` the identity ``Y[pq, :]·V' = conj(S/V)`` holds,
-    so the mismatch at ``V'`` is ``S·(V' − V)/V`` and the loop needs no
-    ``Y·V`` product.  The true ``Y·V`` mismatch is computed at the start,
-    which is returned unchanged if it already meets ``tol / 100``, and once
-    more before convergence is reported: that is Newton's test, ≤ ``tol``.
-    The iteration normally runs on to ``tol / 100``; it stops short of that
-    when the step residual no longer falls or the iterations run out.
-    Otherwise raises :class:`PowerFlowError`, whose message names the
-    failure: a stalled residual above ``tol``, divergence, or iterations
-    exhausted.
-    """
-    pq, y_pq, z, w = factor
-    target = tol * _FIXED_POINT_MARGIN
-    vp = v[pq]
-
-    def true_mismatch() -> float:
-        v[pq] = vp
-        ds = vp * np.conj(y_pq @ v) - s_pq
-        # the float view interleaves ΔP and ΔQ
-        return float(np.abs(ds.view(float)).max(initial=0.0))
-
-    # a zero or overflowing voltage shows up as a non-finite residual
-    with np.errstate(all="ignore"):
-        # a start that already meets the target is returned as it is, so a
-        # trial that lands on the current setpoint scores the current state
-        prev = true_mismatch()
-        if prev <= target:
-            return v, 0, prev
-        for it in range(1, DEFAULT_MAX_ITER + 1):
-            ratio = s_pq / vp
-            v_next = w + z @ np.conj(ratio)
-            res = float(np.abs(((v_next - vp) * ratio).view(float)).max(initial=0.0))
-            vp = v_next
-            if res <= target or (res <= tol and (res >= prev or it == DEFAULT_MAX_ITER)):
-                mis = true_mismatch()
-                if mis <= tol:
-                    return v, it, mis
-                raise PowerFlowError(
-                    f"fixed point stopped at step residual {res:.3e} with "
-                    f"mismatch {mis:.3e} above {tol:.1e} after {it} iterations"
-                )
-            if not math.isfinite(res) or res > _DIVERGENCE_MISMATCH:
-                raise PowerFlowError(
-                    f"fixed point diverged at iteration {it} (residual {res:.3e})"
-                )
-            prev = res
-        mis = true_mismatch()
-    raise PowerFlowError(
-        f"fixed point above mismatch {tol:.1e} after {it} iterations "
-        f"(mismatch {mis:.3e})"
-    )
-
-
 def _fixed_point_block(
     factor: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     s_pq: np.ndarray,
     v: np.ndarray,
     tol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_fixed_point` on every column of ``v`` at once, in place.
+    """The Z-bus fixed point on every column of ``v`` at once, in place.
 
-    ``s_pq`` holds one column of non-slack injections per case and ``v`` one
-    full start column per case, 1.0 pu at the slack.  Each column follows
-    the 1-D rules: a column whose start already meets ``tol / 100`` is
-    returned unchanged after 0 iterations; the others aim for ``tol / 100``
-    and stop on a stalled step residual under ``tol``, on divergence, or
-    after ``DEFAULT_MAX_ITER`` iterations.  The iterating columns are kept
-    compact, one row each, and a column leaves them when it stops, so the
-    rest iterate on without it; each stopped column is written back to
-    ``v`` once.  The true ``Y·V`` mismatch is computed twice, over the
-    start and over the columns that moved, and a column converges only if
-    it stopped as the 1-D kernel returns and that mismatch meets ``tol``.
-    Every product is taken column by column (:func:`_products`), so a
-    column ends bit for bit as it does alone, whatever the block's width
-    and whatever the other columns hold.  Returns ``(iterations, mismatch,
-    converged)``, one entry per column; a column that did not converge is
-    left where it stopped.
+    ``factor`` is ``(pq, Y[pq, :], Z, w)`` of :class:`_SolverArrays`,
+    ``s_pq`` holds one column of non-slack injections per case and ``v``
+    one full start column per case, 1.0 pu at the slack.  Each column
+    steps ``V' = w + Z·conj(S/V)``.  After a step ``Y[pq, :]·V' =
+    conj(S/V)`` holds, so the mismatch at ``V'`` is the step residual
+    ``S·(V' − V)/V`` and the loop needs no ``Y·V`` product.  Per column:
+
+    - a start whose true ``Y·V`` mismatch already meets the target
+      ``tol / 100`` is returned unchanged after 0 iterations, so a trial
+      that lands on the current setpoint scores the current state;
+    - otherwise the column steps until its residual meets the target, or,
+      under ``tol``, until the residual no longer falls or the last of
+      ``DEFAULT_MAX_ITER`` iterations; it stops unconverged on a residual
+      that is not finite or exceeds ``_DIVERGENCE_MISMATCH`` (divergence),
+      or after ``DEFAULT_MAX_ITER`` iterations above ``tol``;
+    - a column that stopped under ``tol`` converges only if its true
+      ``Y·V`` mismatch, taken once more, meets ``tol``: Newton's test.
+
+    The iterating columns are kept compact, one row each, and a column
+    leaves them when it stops, so the rest iterate on without it; each
+    stopped column is written back to ``v`` once.  Every product is taken
+    column by column (:func:`_products`), so a column ends bit for bit as
+    it does alone, whatever the block's width and whatever the other
+    columns hold.  Returns ``(iterations, mismatch, converged)``, one entry
+    per column, the mismatch the true one; a column that did not converge
+    is left where it stopped.
     """
     pq, y_pq, z, w = factor
     target = tol * _FIXED_POINT_MARGIN

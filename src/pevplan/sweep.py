@@ -71,8 +71,11 @@ def solve_sweep(
     """Sweep solution with the same result container as the Newton solver.
 
     ``tol`` bounds the per-iteration voltage change, which tracks the power
-    residual closely on distribution feeders.
+    residual closely on distribution feeders.  Raises ``ValueError`` for a
+    ``max_iter`` below 1.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     n = net.n_bus
     if len(inj.p) != n:
         raise ValueError("injection length does not match bus count")

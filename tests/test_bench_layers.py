@@ -1,0 +1,46 @@
+"""The layer benchmark must read a lockstep day's work as the day counts it.
+
+``bench/layers.py`` reports, per day, the width of every block the lockstep
+dispatch hands the kernel (``width_histogram``), counted by wrapping the
+kernel from outside the package.  Its blocks and their columns must be the
+day's own ``DayStats.dispatch_steps`` and ``dispatch_columns``: a block
+solved outside the lockstep, such as the day's base block, is no step.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import os
+from pathlib import Path
+from unittest import mock
+
+import pevplan
+from pevplan.dispatch import Scenario
+from pevplan.objective import DayEvaluator
+
+LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+
+
+def layers_module():
+    """The bench script, loaded by path; it pins the BLAS threads of the
+    processes it starts in ``os.environ``, which is restored here."""
+    spec = importlib.util.spec_from_file_location("bench_layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ):
+        spec.loader.exec_module(module)
+    return module
+
+
+def test_width_histogram_counts_each_dispatch_step_once(bus33, devices33, profiles33):
+    layers = layers_module()
+    net, key, mode = bus33.network, (7, 29), "dgq+v2gq"
+    work = layers._count_work(pevplan, (net, devices33, profiles33), mode, [key])
+    ev = DayEvaluator(net, devices33, profiles33,
+                      Scenario(mode=mode, load_profile_id=layers.LOAD_PROFILE))
+    ev.evaluate(key)
+    stats = ev.stats
+    widths = {int(w): n for w, n in work["width_histogram"].items()}
+    assert sum(widths.values()) == stats.dispatch_steps
+    assert sum(w * n for w, n in widths.items()) == stats.dispatch_columns
+    assert (work["dispatch_steps"], work["dispatch_columns"]) == (
+        stats.dispatch_steps, stats.dispatch_columns)

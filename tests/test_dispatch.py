@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pevplan import dispatch, powerflow
-from pevplan.devices import HOURS, PevLot, PvUnit, q_capability
+from pevplan import dispatch, objective, powerflow
+from pevplan.devices import HOURS, HourlyProfile, PevLot, PvUnit, q_capability
 from pevplan.dispatch import (
     CAPABILITY_RECHECK_TOL,
     MODES,
@@ -193,6 +193,14 @@ def test_dispatch_propagates_base_divergence(feeder4):
         dispatch_q(feeder4, devs, 0, Scenario(mode="dgq"), load_scale=1e7)
 
 
+def failing(block):
+    """``block`` reporting every column unconverged, left where it stopped."""
+    def failed(*args):
+        iterations, mismatch, converged = block(*args)
+        return iterations, mismatch, np.zeros_like(converged)
+    return failed
+
+
 def test_fixed_point_failure_falls_back_to_newton(bus33, devices33, monkeypatch):
     net = bus33.network
     sc = Scenario(mode="dgq+v2gq")
@@ -200,13 +208,14 @@ def test_fixed_point_failure_falls_back_to_newton(bus33, devices33, monkeypatch)
     inj = hour_injections(net, devices33, PEAK_HOUR)
     ref = solve(net, inj, tol=sc.pf_tol * _FIXED_POINT_MARGIN)
     calls, nfev, rechecks = [], [], []
+    kernel = failing(dispatch._fixed_point_block)
     newton = dispatch.solve
     brent = dispatch.minimize_scalar
     recheck = dispatch._recheck_capability
 
-    def broken(*args, **kwargs):
+    def broken(*args):
         calls.append("kernel")
-        raise PowerFlowError("forced")
+        return kernel(*args)
 
     def counted(*args, **kwargs):
         calls.append("newton")
@@ -224,13 +233,14 @@ def test_fixed_point_failure_falls_back_to_newton(bus33, devices33, monkeypatch)
         rechecks.append((len(calls) - before) // 2)
         return out
 
-    monkeypatch.setattr(dispatch, "_fixed_point", broken)
+    monkeypatch.setattr(dispatch, "_fixed_point_block", broken)
     monkeypatch.setattr(dispatch, "solve", counted)
     monkeypatch.setattr(dispatch, "minimize_scalar", searched)
     monkeypatch.setattr(dispatch, "_recheck_capability", rechecked)
     res = dispatch_q(net, devices33, PEAK_HOUR, sc)
     # every solve of the hour, base, trial point or recheck, failed on the
-    # kernel once and reached Newton once, through the module's ``solve``
+    # kernel once and reached Newton once, through the module's ``solve``,
+    # from the solve's own start
     solves = sum(nfev) + 1 + sum(rechecks)
     assert nfev and len(rechecks) == 1
     assert calls == ["kernel", "newton"] * solves
@@ -252,16 +262,16 @@ def test_trial_kernel_failure_falls_back_to_newton(bus33, devices33, monkeypatch
     honest = dispatch_q(net, devices33, PEAK_HOUR, sc)
     calls, nfev = [], []
     searching = [False]
-    kernel = dispatch._fixed_point
+    kernel = dispatch._fixed_point_block
     newton = dispatch.solve
     brent = dispatch.minimize_scalar
 
-    def flaky(*args, **kwargs):
+    def flaky(*args):
         if not searching[0]:
             calls.append("outside")
-            return kernel(*args, **kwargs)
+            return kernel(*args)
         calls.append("kernel")
-        raise PowerFlowError("forced")
+        return failing(kernel)(*args)
 
     def counted(*args, **kwargs):
         calls.append("newton")
@@ -276,7 +286,7 @@ def test_trial_kernel_failure_falls_back_to_newton(bus33, devices33, monkeypatch
         nfev.append(res.nfev)
         return res
 
-    monkeypatch.setattr(dispatch, "_fixed_point", flaky)
+    monkeypatch.setattr(dispatch, "_fixed_point_block", flaky)
     monkeypatch.setattr(dispatch, "solve", counted)
     monkeypatch.setattr(dispatch, "minimize_scalar", searched)
     res = dispatch_q(net, devices33, PEAK_HOUR, sc)
@@ -298,15 +308,15 @@ def test_trial_absorbs_any_solver_failure(bus33, devices33, monkeypatch):
     # the hour completes at its base score
     net = bus33.network
     sc = Scenario(mode="dgq+v2gq")
-    kernel = dispatch._fixed_point
+    kernel = dispatch._fixed_point_block
     brent = dispatch.minimize_scalar
     kernel_calls, scored = [], []
 
-    def fails_after_base(*args, **kwargs):
+    def fails_after_base(*args):
         kernel_calls.append(1)
         if len(kernel_calls) == 1:
-            return kernel(*args, **kwargs)
-        raise PowerFlowError("forced")
+            return kernel(*args)
+        return failing(kernel)(*args)
 
     def singular(*args, **kwargs):
         raise SingularJacobian(1, 1e18)
@@ -317,7 +327,7 @@ def test_trial_absorbs_any_solver_failure(bus33, devices33, monkeypatch):
             return scored[-1]
         return brent(score, *args, **kwargs)
 
-    monkeypatch.setattr(dispatch, "_fixed_point", fails_after_base)
+    monkeypatch.setattr(dispatch, "_fixed_point_block", fails_after_base)
     monkeypatch.setattr(dispatch, "solve", singular)
     monkeypatch.setattr(dispatch, "minimize_scalar", recorded)
     res = dispatch_q(net, devices33, PEAK_HOUR, sc)
@@ -328,9 +338,9 @@ def test_trial_absorbs_any_solver_failure(bus33, devices33, monkeypatch):
 
 
 def test_hour_solves_each_point_once(bus33, devices33, monkeypatch):
-    # the base, every trial point and every recheck run the kernel once; an
-    # accepted move takes its trial's state, and full solutions are built
-    # for the base and the final state only
+    # the base, every trial point and every recheck run the kernel once, as
+    # a block of one column; an accepted move takes its trial's state, and
+    # full solutions are built for the base and the final state only
     kernel, finished, nfev, rechecks = [], [], [], []
     brent = dispatch.minimize_scalar
     recheck = dispatch._recheck_capability
@@ -355,7 +365,8 @@ def test_hour_solves_each_point_once(bus33, devices33, monkeypatch):
 
     # counted in both modules, so that a full solve through powerflow counts too
     for module in (dispatch, powerflow):
-        monkeypatch.setattr(module, "_fixed_point", counting(kernel, module._fixed_point))
+        monkeypatch.setattr(module, "_fixed_point_block",
+                            counting(kernel, module._fixed_point_block))
         monkeypatch.setattr(module, "_finish", counting(finished, module._finish))
     monkeypatch.setattr(dispatch, "minimize_scalar", searched)
     monkeypatch.setattr(dispatch, "_recheck_capability", rechecked)
@@ -667,13 +678,27 @@ GOLDEN_V2G = ((7, 29), (3, 17), (12, 25), (5, 33), (2, 19), (10, 30), (4, 8), (1
               (18, 33), (6, 26), (9, 11), (20, 28))
 
 
+def assert_same_hour(day, alone, where) -> None:
+    """A lockstep hour's result equals the serial one bit for bit."""
+    assert (day.hour, day.reverted, day.infeasible_devices) == (
+        alone.hour, alone.reverted, alone.infeasible_devices), where
+    assert day.q_settings == alone.q_settings, where
+    assert (day.score, day.base_score) == (alone.score, alone.base_score), where
+    for got, want in ((day.solution, alone.solution),
+                      (day.base_solution, alone.base_solution)):
+        np.testing.assert_array_equal(got.v_complex, want.v_complex, err_msg=str(where))
+        assert (got.iterations, got.max_mismatch) == (want.iterations, want.max_mismatch)
+
+
 def test_lockstep_day_runs_each_hour_as_dispatch_q_does(bus33, devices33, profiles33,
                                                        monkeypatch):
-    # the day drives every hour's descent in lockstep, on block kernel
-    # columns and batched scores; dispatch_q runs one hour alone on the 1-D
-    # kernel.  From the same base column each hour must run the same
-    # searches with the same nfev and accept the same moves, so setpoints
-    # and scores agree to the solves' rounding
+    # the day drives every hour's descent in lockstep, on block columns and
+    # batched scores; dispatch_q runs one hour alone, each solve a block of
+    # one column.  Both solve a column on the same kernel with the same
+    # Newton fallback and search with the same Brent, and a column or a
+    # score does not depend on its block, so from the same base column each
+    # hour runs the same searches to the same points and ends bit for bit
+    # as dispatch_q does
     net = bus33.network
     shape = profiles33["load-weekday"].values
     sc = Scenario(mode="dgq+v2gq", load_profile_id="load-weekday")
@@ -707,20 +732,55 @@ def test_lockstep_day_runs_each_hour_as_dispatch_q_does(bus33, devices33, profil
         for hour in range(HOURS):
             alone = dispatch_q(net, placed, hour, sc, load_scale=shape[hour],
                                v0=bases[hour].solution.v_complex)
-            day = lockstep[hour]
             where = (key, hour)
-            a, b = searches[("lockstep", hour)], searches[("serial", hour)]
-            assert [s[0] for s in a] == [s[0] for s in b], where
-            assert [s[2] for s in a] == [s[2] for s in b], where
-            np.testing.assert_allclose([s[1:] for s in a], [s[1:] for s in b],
-                                       rtol=0, atol=1e-9, err_msg=str(where))
-            assert day.reverted == alone.reverted, where
-            assert day.infeasible_devices == alone.infeasible_devices, where
-            assert day.q_settings.keys() == alone.q_settings.keys()
-            for label, q in alone.q_settings.items():
-                assert day.q_settings[label] == pytest.approx(q, abs=1e-9), where
-            assert day.score == pytest.approx(alone.score, abs=1e-9), where
-            assert day.base_score == pytest.approx(alone.base_score, abs=1e-9), where
+            assert searches[("lockstep", hour)] == searches[("serial", hour)], where
+            assert_same_hour(lockstep[hour], alone, where)
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_generated_feeder_lockstep_hours_equal_dispatch_q(data):
+    # 5–15 buses, a PV unit and 1–3 lots with hourly profiles, and an
+    # hourly load shape: every hour the day's lockstep dispatched from its
+    # base column ends bit for bit as dispatch_q from that column, and an
+    # hour whose base or recheck solve failed in the lockstep (no result)
+    # is an hour in which dispatch_q raises
+    net = data.draw(radial_feeders(5, 15), label="feeder")
+    buses = [b.id for b in net.buses if b.kind != "slack"]
+    n_lots = data.draw(st.integers(1, min(3, len(buses))), label="lots")
+
+    def hourly(peak: float):
+        return data.draw(st.lists(st.floats(0.0, peak), min_size=HOURS, max_size=HOURS))
+
+    devices = [PvUnit(data.draw(st.sampled_from(buses), label="pv bus"), 0.02, hourly(0.02))]
+    devices += [PevLot(bus, 0.03, hourly(0.03)) for bus in buses[:n_lots]]
+    shape = data.draw(st.lists(st.floats(0.2, 1.5), min_size=HOURS, max_size=HOURS),
+                      label="load shape")
+    profiles = {"load-weekday": HourlyProfile("load-weekday", shape)}
+    placements = data.draw(st.lists(st.permutations(buses).map(
+        lambda p: tuple(sorted(p[:n_lots]))), min_size=1, max_size=3), label="placements")
+    sc = Scenario(mode="dgq+v2gq", load_profile_id="load-weekday")
+    runs = []
+    lockstep = objective._dispatch_day
+
+    def recorded(net_, scenario, hours, v0, stats):
+        results = lockstep(net_, scenario, hours, v0, stats)
+        runs.append((hours, v0.copy(), results))
+        return results
+
+    with mock.patch.object(objective, "_dispatch_day", recorded):
+        DayEvaluator(net, devices, profiles, sc).evaluate_many(placements)
+    for hours, v0, results in runs:
+        for i, ((placed, hour, load_scale), day) in enumerate(zip(hours, results)):
+            where = ([d.bus for d in placed], hour)
+            try:
+                alone = dispatch_q(net, placed, hour, sc, load_scale=load_scale,
+                                   v0=v0[:, i])
+            except PowerFlowError:
+                assert day is None, where
+                continue
+            assert day is not None, where
+            assert_same_hour(day, alone, where)
 
 
 def test_a_failed_trial_column_goes_alone_to_newton(bus33, devices33, profiles33,

@@ -15,9 +15,7 @@ from pevplan.nsga import (
     GaParams,
     InfeasibleConfigError,
     PlacementGenome,
-    constrained_dominates,
     crowding_distance,
-    dominates,
     nondominated_sort,
     optimize_placement,
 )
@@ -33,6 +31,28 @@ from pevplan.nsga import (
 from pevplan.objective import DayEvaluator, ObjectiveBreakdown
 
 from conftest import small_feeder
+
+
+def dominates(u, v) -> bool:
+    """Pareto dominance for minimization: u no worse everywhere, better once."""
+    at_least_one = False
+    for a, b in zip(u, v):
+        if a > b:
+            return False
+        if a < b:
+            at_least_one = True
+    return at_least_one
+
+
+def constrained_dominates(a: ObjectiveBreakdown, b: ObjectiveBreakdown) -> bool:
+    """Feasible beats infeasible; infeasible compare by violation magnitude."""
+    if a.feasible and not b.feasible:
+        return True
+    if not a.feasible and b.feasible:
+        return False
+    if not a.feasible and not b.feasible:
+        return a.violation_penalty < b.violation_penalty
+    return dominates(a.vector, b.vector)
 
 
 def brute_force_fronts(items, dom=dominates):

@@ -184,33 +184,39 @@ def test_failed_block_column_goes_alone_to_newton(bus33, devices33, profiles33,
     forced = 19
     sc = Scenario(mode="dgq", load_profile_id="load-weekday")
     honest = DayEvaluator(net, devices33, profiles33, sc).evaluate().breakdown
-    block = objective._fixed_point_block
-    newton = objective._newton
+    block = dispatch._fixed_point_block
+    newton = dispatch._newton
     calls = []
 
     def one_column_fails(factor, s_pq, v, tol):
+        # the base block starts every column flat; the dispatch's do not
+        base = (v == 1.0).all()
         iterations, mismatch, converged = block(factor, s_pq, v, tol)
-        converged[forced] = False
+        if base:
+            converged[forced] = False
         return iterations, mismatch, converged
 
     def counted(net_, inj, tol, v0):
-        calls.append((inj, v0))
+        calls.append((inj, v0.copy()))
         return newton(net_, inj, tol, v0)
 
-    monkeypatch.setattr(objective, "_fixed_point_block", one_column_fails)
-    monkeypatch.setattr(objective, "_newton", counted)
+    monkeypatch.setattr(dispatch, "_fixed_point_block", one_column_fails)
+    monkeypatch.setattr(dispatch, "_newton", counted)
     ev = DayEvaluator(net, devices33, profiles33, sc)
     bd = ev.evaluate().breakdown
     # one Newton solve, from a flat start, of that hour's injections alone
+    # (Newton reads no slack entry)
     assert len(calls) == 1
     inj, v0 = calls[0]
-    assert v0 is None
+    np.testing.assert_array_equal(v0, np.ones(net.n_bus))
     scale = profiles33["load-weekday"].values[forced]
     expect = hour_injections(net, devices33, forced, load_scale=scale)
-    np.testing.assert_array_equal(inj.p, expect.p)
-    np.testing.assert_array_equal(inj.q, expect.q)
+    pq = _solver_arrays(net).fixed_point[0]
+    np.testing.assert_array_equal(inj.p[pq], expect.p[pq])
+    np.testing.assert_array_equal(inj.q[pq], expect.q[pq])
     stats = ev.stats
     assert (stats.newton_columns, stats.divergent_hours) == (1, 0)
+    assert stats.newton_fallbacks == 0
     assert stats.block_columns == HOURS
     assert bd.feasible == honest.feasible
     for field in ("v_dev", "loss", "scalar", "violation_penalty"):
@@ -222,8 +228,8 @@ def test_newton_column_trail_carries_newtons_solve(bus33, devices33, profiles33,
     # an undispatched hour's trail entry is built from the day's voltage,
     # iteration and mismatch columns, into which Newton writes its own
     forced = 19
-    block = objective._fixed_point_block
-    newton = objective._newton
+    block = dispatch._fixed_point_block
+    newton = dispatch._newton
     solved = []
 
     def one_column_fails(factor, s_pq, v, tol):
@@ -235,8 +241,8 @@ def test_newton_column_trail_carries_newtons_solve(bus33, devices33, profiles33,
         solved.append(newton(*args))
         return solved[-1]
 
-    monkeypatch.setattr(objective, "_fixed_point_block", one_column_fails)
-    monkeypatch.setattr(objective, "_newton", recorded)
+    monkeypatch.setattr(dispatch, "_fixed_point_block", one_column_fails)
+    monkeypatch.setattr(dispatch, "_newton", recorded)
     sc = Scenario(mode="none", load_profile_id="load-weekday")
     day = DayEvaluator(bus33.network, devices33, profiles33, sc)._evaluate_with_trail()
     (sol,) = solved
@@ -252,7 +258,8 @@ def test_failed_dispatch_reverts_the_hour_to_its_base_column(bus33, devices33,
     # a dispatch that raises is not retried and its hour is not dropped: the
     # hour keeps its converged base column with every Q at 0, and is counted.
     # Hour 19's base solve fails inside the lockstep, on the kernel and then
-    # on Newton, so the failure is thrown into that hour alone.
+    # on Newton, so the failure is thrown into that hour alone; its column
+    # of the day's base block, which starts every column flat, converges.
     net, bad = bus33.network, 19
     none_day = DayEvaluator(net, devices33, profiles33,
                             Scenario(mode="none", load_profile_id="load-weekday")).evaluate()
@@ -263,12 +270,14 @@ def test_failed_dispatch_reverts_the_hour_to_its_base_column(bus33, devices33,
     failed = []
 
     def bad_hour_fails(factor, s_pq, v, tol):
+        base = (v == 1.0).all()
         iterations, mismatch, converged = block(factor, s_pq, v, tol)
-        converged[(s_pq.real == p_bad[pq][:, None]).all(axis=0)] = False
+        if not base:
+            converged[(s_pq.real == p_bad[pq][:, None]).all(axis=0)] = False
         return iterations, mismatch, converged
 
     def newton_fails_at_bad(net_, inj, tol, v0):
-        if np.array_equal(inj.p, p_bad):
+        if np.array_equal(inj.p[pq], p_bad[pq]):
             failed.append(v0)
             raise PowerFlowError("forced dispatch failure")
         return newton(net_, inj, tol, v0)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pevplan import dispatch, load_builtin, objective, powerflow
+from pevplan import dispatch, load_builtin, powerflow
 from pevplan.dispatch import Scenario
 from pevplan.network import Branch, Bus, Network, build_ybus
 from pevplan.objective import DayEvaluator
@@ -23,7 +23,6 @@ from pevplan.powerflow import (
     PowerFlowSolution,
     SingularJacobian,
     _finish,
-    _fixed_point,
     _fixed_point_block,
     _solver_arrays,
     _start,
@@ -35,6 +34,7 @@ from pevplan.powerflow import (
 from pevplan.sweep import solve_sweep
 
 from conftest import radial_feeders, small_feeder
+from kernel_oracle import _fixed_point
 
 
 def loads_of(net) -> InjectionSet:
@@ -42,10 +42,14 @@ def loads_of(net) -> InjectionSet:
 
 
 def fixed_point(net, inj, tol=DEFAULT_TOL, v0=None) -> PowerFlowSolution:
-    """The fixed-point kernel as a dispatch hour runs it, as a solution."""
+    """The fixed-point kernel on one column, as a solution: the block
+    kernel's column, checked against the 1-D oracle, whose error a column
+    that fails raises."""
     v = _start(net, inj, tol, v0)
     factor = _solver_arrays(net).fixed_point
-    v, it, mis = _fixed_point(factor, (inj.p + 1j * inj.q)[factor[0]], v, tol)
+    s_pq = (inj.p + 1j * inj.q)[factor[0]]
+    block_matches_columns(factor, s_pq[:, None], v[:, None], tol)
+    v, it, mis = _fixed_point(factor, s_pq, v, tol)
     return _finish(net, v, it, mis, converged=True)
 
 
@@ -536,9 +540,9 @@ def test_block_kernel_ends_each_column_as_the_1d_kernel_does(bus33, feeder4, mon
 
 @pytest.fixture(scope="module")
 def dispatch_blocks33(bus33, devices33, profiles33):
-    """Every block a bus33 dgq+v2gq day hands the kernel: bases, Brent
-    trials from their first-order starts, and rechecks, as ``(s_pq, start,
-    tol)``."""
+    """Every block a bus33 dgq+v2gq day hands the kernel: the day's base
+    block, and the lockstep's bases, Brent trials from their first-order
+    starts and rechecks, as ``(s_pq, start, tol)``."""
     recorded = []
     block = dispatch._fixed_point_block
 
@@ -586,13 +590,13 @@ def test_block_columns_do_not_see_each_other(bus33, devices33, profiles33,
         columns_stand_alone(factor, s_pq, v0, tol)
 
     recorded = []
-    block = objective._fixed_point_block
+    block = dispatch._fixed_point_block
 
     def recording(factor, s_pq, v, tol):
         recorded.append((s_pq.copy(), v.copy(), tol))
         return block(factor, s_pq, v, tol)
 
-    monkeypatch.setattr(objective, "_fixed_point_block", recording)
+    monkeypatch.setattr(dispatch, "_fixed_point_block", recording)
     sc = Scenario(mode="none", load_profile_id="load-weekday")
     keys = [(2, 19), (7, 29), (3, 17), (12, 25), (5, 33), (10, 30), (4, 8), (15, 22)]
     DayEvaluator(bus33.network, devices33, profiles33, sc).evaluate_many(keys)

@@ -219,6 +219,15 @@ def test_sweep_nonconvergence_carries_state():
     assert_sweeps_agree(err.value.solution, loop_sweep(net, inj, max_iter=1, tol=1e-14))
 
 
+def test_sweep_rejects_a_budget_below_one_iteration(bus33):
+    # with no iteration to run there is no voltage change to report
+    net = bus33.network
+    inj = InjectionSet.from_loads(*net.load_vectors())
+    for max_iter in (0, -3):
+        with pytest.raises(ValueError, match=f"^max_iter must be at least 1, got {max_iter}$"):
+            solve_sweep(net, inj, max_iter=max_iter)
+
+
 def test_sweep_zero_load_trivial(feeder4):
     sol = solve_sweep(feeder4, InjectionSet(np.zeros(4), np.zeros(4)))
     np.testing.assert_allclose(sol.v_mag, 1.0, atol=1e-15)
