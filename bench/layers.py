@@ -65,9 +65,6 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
 ROOT = Path(__file__).resolve().parent.parent
 LOAD_PROFILE = "load-weekday"
 PLACEMENTS = {
@@ -405,6 +402,9 @@ def main() -> int:
                         help="another checkout's src/ to measure the same way")
     parser.add_argument("--measure", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args()
+    # one BLAS thread, here and in every process started from here
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
     if args.measure:
         json.dump(measure(args.measure), sys.stdout)
         return 0

@@ -88,10 +88,24 @@ class DeviceSpec:
 
 @dataclass(frozen=True)
 class Case:
-    """A parsed case: the bare network plus its device table."""
+    """A parsed case: the bare network plus its device table.
+
+    Every device sits on a bus of the network, and no two devices of one
+    type share a bus: they would share one setpoint label (``pv@7``).
+    """
 
     network: Network
     devices: tuple[DeviceSpec, ...]
+
+    def __post_init__(self) -> None:
+        buses = set(self.network.bus_ids())
+        seen = set()
+        for spec in self.devices:
+            if spec.bus not in buses:
+                raise ValidationError(f"device references nonexistent bus {spec.bus}")
+            if (spec.type, spec.bus) in seen:
+                raise ValidationError(f"two {spec.type} devices at bus {spec.bus}")
+            seen.add((spec.type, spec.bus))
 
 
 class _Scales:
@@ -246,9 +260,6 @@ def _read_grid_text(text: str, source: str) -> Case:
         )
 
     net = Network(buses=buses, branches=branches, base_mva=base_mva, base_kv=base_kv, radial=radial)
-    for spec in devices:
-        if spec.bus not in net.bus_ids():
-            raise ValidationError(f"device references nonexistent bus {spec.bus}")
     return Case(network=net, devices=tuple(devices))
 
 

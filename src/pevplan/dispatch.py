@@ -11,13 +11,17 @@ Brent's ``fmin`` that takes the steps scipy's
 It is a generator that yields each point and receives its score, and
 :func:`minimize_scalar` drives it with a function.
 
-An hour's descent (:func:`_descent`) is written once, as a generator of
-what it needs solved: the base, the capability rechecks, and searches.
-Every solve runs the Z-bus fixed-point kernel and falls back to Newton
-(:func:`solve`), held to the kernel's target, on a column the kernel
-fails: :func:`_solve_block` does both for a block of columns.  Two runners
-answer a descent.  :func:`dispatch_q` runs one hour alone: every solve is
-a one-column block, and every search runs through :func:`minimize_scalar`.
+An hour's kernel injections are assembled once, with every setpoint at 0
+(:func:`_base_injections`, for any hours and device lists), and a
+setpoint map is written into that column (:meth:`_Hour.column`); every
+state is scored by :func:`_scores`.  An hour's descent (:func:`_descent`)
+is written once, as a generator of what it needs solved: the base, the
+capability rechecks, and searches.  Every solve runs the Z-bus
+fixed-point kernel and falls back to Newton (:func:`solve`), held to the
+kernel's target, on a column the kernel fails: :func:`_solve_block` does
+both for a block of columns.  Two runners answer a descent.
+:func:`dispatch_q` runs one hour alone: every solve is a one-column block,
+and every search runs through :func:`minimize_scalar`.
 A day's runner (:func:`_dispatch_day`) runs the descents of all its hours,
 or of all the hours of a batch of days, in lockstep: each step solves the
 pending point of every running hour as one column of a block and scores
@@ -56,7 +60,6 @@ from .powerflow import (
     NonConvergence,
     PowerFlowError,
     PowerFlowSolution,
-    _currents_and_loss,
     _finish,
     _fixed_point_block,
     _solver_arrays,
@@ -122,33 +125,53 @@ class Scenario:
         return list(devices)
 
 
-def hour_injections(
-    net: Network,
-    devices: Sequence[Device],
-    hour: int,
-    q_settings: Mapping[str, float] | None = None,
-    load_scale: float = 1.0,
-) -> InjectionSet:
-    """Net injections for one hour: scaled normal loads plus device powers."""
+def _base_injections(net: Network, placements: Sequence[Sequence[Device]],
+                     hours: Sequence[int], load_scales: Sequence[float]) -> np.ndarray:
+    """The kernel's injections ``(p + j·q)[pq]`` of ``hours`` for each
+    device list of ``placements``, with every device's Q setpoint at 0: one
+    run of columns a device list, one column an hour, each the normal loads
+    scaled by the hour's entry of ``load_scales`` plus the devices' active
+    powers."""
     p_load, q_load = net.load_vectors()
-    p = -p_load * load_scale
-    q = -q_load * load_scale
-    q_settings = q_settings or {}
-    for dev in devices:
-        pos = net.index_of(dev.bus)
-        p[pos] += p_injection(dev)[hour]
-        q[pos] -= q_settings.get(dev.label, 0.0)
+    hours = np.asarray(hours)
+    scale = np.tile(np.asarray(load_scales, dtype=float), len(placements))
+    p, q = -p_load[:, None] * scale, -q_load[:, None] * scale
+    for d, devices in enumerate(placements):
+        run = p[:, d * len(hours):(d + 1) * len(hours)]
+        for dev in devices:
+            run[net.index_of(dev.bus)] += p_injection(dev)[hours]
+    return (p + 1j * q)[_solver_arrays(net).fixed_point[0]]
+
+
+def _injection_set(net: Network, s_pq: np.ndarray) -> InjectionSet:
+    """The injections of the non-slack column ``s_pq``, whose real and
+    imaginary parts give ``p`` and ``q`` back exactly; the slack's are 0."""
+    p, q = np.zeros(net.n_bus), np.zeros(net.n_bus)
+    pq = _solver_arrays(net).fixed_point[0]
+    p[pq], q[pq] = s_pq.real, s_pq.imag
     return InjectionSet(p, q)
 
 
-def _score(scenario: Scenario, v_mag: np.ndarray, loss: float) -> float:
+def _scores(scenario: Scenario, branches: tuple[np.ndarray, ...],
+            v: np.ndarray) -> np.ndarray:
+    """The dispatch score a·Σ|v_ref − |V|| + b·P_Loss of each row of ``v``,
+    one state a row (a 1-d ``v`` is one state and scores as its row would).
+
+    Each sum runs along a contiguous row, so a row scores bit for bit as it
+    does alone.  (The branch ends are gathered with ``np.take``: ``v[:,
+    idx]`` would lay the rows out column-major, and their sums would then
+    run in another order once there are two rows or more.)
+    """
     a, b, _ = scenario.weights
-    return a * float(np.abs(scenario.v_ref - v_mag).sum()) + b * loss
+    f_idx, t_idx, y_series, r = branches
+    drop = np.take(v, f_idx, axis=-1) - np.take(v, t_idx, axis=-1)
+    loss = (np.abs(drop * y_series) ** 2 * r).sum(axis=-1)
+    return a * np.abs(scenario.v_ref - np.abs(v)).sum(axis=-1) + b * loss
 
 
 def partial_objective(net: Network, sol: PowerFlowSolution, scenario: Scenario) -> float:
-    """The hour's dispatch score: a·Σ|v_ref − V| + b·P_Loss."""
-    return _score(scenario, sol.v_mag, sol.total_losses)
+    """The hour's dispatch score at ``sol``'s voltages: :func:`_scores` of one state."""
+    return float(_scores(scenario, _solver_arrays(net).branches, sol.v_complex))
 
 
 @dataclass(frozen=True)
@@ -197,9 +220,9 @@ def _solve_block(net: Network, s_pq: np.ndarray, v: np.ndarray, tol: float) -> _
     """Solve every column of ``v`` in place (the columns of
     :func:`_fixed_point_block`): the kernel on all of them, then
     :func:`_newton` alone on each column the kernel did not converge, from
-    that column's own start, on the injections of its ``s_pq`` column (whose
-    real and imaginary parts give ``p`` and ``q`` back exactly; Newton reads
-    no slack entry).  A column Newton fails too stays where the kernel left it."""
+    that column's own start, on the injections of its ``s_pq`` column
+    (:func:`_injection_set`; Newton reads no slack entry).  A column Newton
+    fails too stays where the kernel left it."""
     factor = _solver_arrays(net).fixed_point
     starts = v.copy()
     iterations, mismatch, converged = _fixed_point_block(factor, s_pq, v, tol)
@@ -207,10 +230,8 @@ def _solve_block(net: Network, s_pq: np.ndarray, v: np.ndarray, tol: float) -> _
     newton = np.flatnonzero(~converged)
     failed: dict[int, PowerFlowError] = {}
     for j in newton.tolist():
-        p, q = np.zeros(net.n_bus), np.zeros(net.n_bus)
-        p[factor[0]], q[factor[0]] = s_pq[:, j].real, s_pq[:, j].imag
         try:
-            sol = _newton(net, InjectionSet(p, q), tol, starts[:, j])
+            sol = _newton(net, _injection_set(net, s_pq[:, j]), tol, starts[:, j])
         except PowerFlowError as exc:
             failed[j] = exc
             continue
@@ -363,33 +384,36 @@ class _Search(NamedTuple):
 class _Hour:
     """One hour's injections and solver for the dispatch of that hour.
 
-    Solves within an hour differ only in device Q, so P and the scaled
-    normal-load Q are assembled once.  Solves yield states; full solutions
-    are built from states only for the hour's result.
+    Solves within an hour differ only in device Q, so the hour's column
+    with every setpoint at 0, ``s_base`` (of :func:`_base_injections`), is
+    taken from the caller, and each setpoint map is written into a copy of
+    it.  Solves yield states; full solutions are built from states only for
+    the hour's result.
     """
 
     def __init__(self, net: Network, devices: Sequence[Device], hour: int,
-                 scenario: Scenario, load_scale: float) -> None:
+                 scenario: Scenario, s_base: np.ndarray) -> None:
         self.net = net
         self.devices = devices
         self.hour = hour
         self.scenario = scenario
-        self.fixed = hour_injections(net, devices, hour, load_scale=load_scale)
-        self.dev_pos = [(dev, net.index_of(dev.bus)) for dev in devices]
+        self.s_base = s_base
         arrays = _solver_arrays(net)
         self.factor = arrays.fixed_point
         self.branches = arrays.branches
         self.pq_row = arrays.pq_row
+        # a device at the slack has no row: its Q enters no solve
+        self.dev_rows = [(dev, self.pq_row[pos]) for dev in devices
+                         if (pos := net.index_of(dev.bus)) in self.pq_row]
 
-    def q_injections(self, settings: Mapping[str, float]) -> np.ndarray:
-        q_inj = self.fixed.q.copy()
-        for dev, pos in self.dev_pos:
-            q_inj[pos] -= settings[dev.label]
-        return q_inj
-
-    def pq_injections(self, q_inj: np.ndarray) -> np.ndarray:
-        """The kernel's complex injections ``(p + j·q_inj)[pq]``."""
-        return (self.fixed.p + 1j * q_inj)[self.factor[0]]
+    def column(self, settings: Mapping[str, float]) -> np.ndarray:
+        """The kernel's injections with the devices at ``settings``: each
+        device's ``j·q`` taken off its row of ``s_base``, as
+        :meth:`_Search.fill` does."""
+        s_pq = self.s_base.copy()
+        for dev, row in self.dev_rows:
+            s_pq[row] -= 1j * settings[dev.label]
+        return s_pq
 
     def solve(self, s_pq: np.ndarray, start: np.ndarray) -> _State:
         """The state with non-slack injections ``s_pq``, solved from a copy
@@ -400,10 +424,6 @@ class _Hour:
         if solved.failed:
             raise solved.failed[0]
         return v, int(solved.iterations[0]), float(solved.mismatch[0])
-
-    def score(self, v: np.ndarray) -> float:
-        """The hour's dispatch score at voltages ``v``."""
-        return _score(self.scenario, np.abs(v), _currents_and_loss(v, self.branches)[1])
 
     def search(self, settings: Mapping[str, float], dev: Device, v: np.ndarray,
                cap: QCapability) -> _Search:
@@ -417,8 +437,7 @@ class _Hour:
         dv_dq[pq] = z[:, row] * (1j / np.conj(v[pos]))
         return _Search(cap.q_min, cap.q_max,
                        max(_SEARCH_MIN_XATOL, _SEARCH_REL_XATOL * cap.width),
-                       self.pq_injections(self.q_injections(rest)), row, v, dv_dq,
-                       settings[dev.label])
+                       self.column(rest), row, v, dv_dq, settings[dev.label])
 
     def searched(self, search: _Search) -> tuple[Minimum, _State | None]:
         """Run ``search`` through :func:`minimize_scalar`, solving each point
@@ -435,7 +454,7 @@ class _Hour:
             except PowerFlowError:
                 return _TRIAL_PENALTY
             solved[qv] = state
-            return self.score(state[0])
+            return float(_scores(self.scenario, self.branches, state[0]))
 
         res = minimize_scalar(score_at, search.a, search.b, search.xatol, _SEARCH_MAXITER)
         return res, solved.get(res.x)
@@ -477,8 +496,10 @@ def dispatch_q(
     a search is absorbed (it scores ``_TRIAL_PENALTY``).  Raises
     ``ValueError`` for non-finite injections or a ``v0`` of the wrong length.
     """
-    hr = _Hour(net, devices, hour, scenario, load_scale)
-    return _serial(hr, _descent(hr, _start(net, hr.fixed, scenario.pf_tol, v0)))
+    s_base = _base_injections(net, [devices], [hour], [load_scale])[:, 0]
+    start = _start(net, _injection_set(net, s_base), scenario.pf_tol, v0)
+    hr = _Hour(net, devices, hour, scenario, s_base)
+    return _serial(hr, _descent(hr, start))
 
 
 def _descent(hr: _Hour,
@@ -493,9 +514,8 @@ def _descent(hr: _Hour,
     """
     net, devices, hour, scenario = hr.net, hr.devices, hr.hour, hr.scenario
     q: dict[str, float] = {dev.label: 0.0 for dev in devices}
-    # with every setpoint at zero the hour's injections are hr.fixed
-    base_state = yield hr.pq_injections(hr.fixed.q), start
-    base_score = hr.score(base_state[0])
+    base_state = yield hr.s_base, start
+    base_score = float(_scores(scenario, hr.branches, base_state[0]))
 
     participants = scenario.participating(devices)
     stages: list[list[Device]]
@@ -617,26 +637,9 @@ def _recheck_capability(
             return state, score
         if solves == _RECHECK_SOLVES:
             break
-        state = yield hr.pq_injections(hr.q_injections(q)), state[0]
-        score = hr.score(state[0])
+        state = yield hr.column(q), state[0]
+        score = float(_scores(hr.scenario, hr.branches, state[0]))
     return None
-
-
-def _scores(scenario: Scenario, branches: tuple[np.ndarray, ...],
-            v: np.ndarray) -> np.ndarray:
-    """:func:`_score` of each row of ``v``, one state a row.
-
-    Each sum runs along a contiguous row, as :meth:`_Hour.score` runs
-    along its vector, so a row scores bit for bit as it does alone.  (The
-    branch ends are gathered with ``np.take``: ``v[:, idx]`` would lay the
-    rows out column-major, and their sums would then run in another order
-    once there are two rows or more.)
-    """
-    a, b, _ = scenario.weights
-    f_idx, t_idx, y_series, r = branches
-    drop = np.take(v, f_idx, axis=1) - np.take(v, t_idx, axis=1)
-    loss = (np.abs(drop * y_series) ** 2 * r).sum(axis=1)
-    return a * np.abs(scenario.v_ref - np.abs(v)).sum(axis=1) + b * loss
 
 
 class _Lane:
@@ -694,14 +697,15 @@ class _Lane:
 
 
 def _dispatch_day(net: Network, scenario: Scenario,
-                  hours: Sequence[tuple[Sequence[Device], int, float]], v0: np.ndarray,
-                  stats: Counter) -> list[DispatchResult | None]:
+                  hours: Sequence[tuple[Sequence[Device], int]], s_pq: np.ndarray,
+                  v0: np.ndarray, stats: Counter) -> list[DispatchResult | None]:
     """The :func:`_descent` of each of ``hours``, run in lockstep.
 
-    An entry ``(devices, hour, load_scale)`` is one hour of one placement's
-    day, and entry ``i`` starts from ``v0[:, i]``; the entries may come
-    from the days of several placements.  Each step gathers the pending
-    solve of every hour still running (its base, a trial point of a
+    An entry ``(devices, hour)`` is one hour of one placement's day, and
+    entry ``i`` has the zero-setpoint injections ``s_pq[:, i]`` (of
+    :func:`_base_injections`) and starts from ``v0[:, i]``; the entries may
+    come from the days of several placements.  Each step gathers the
+    pending solve of every hour still running (its base, a trial point of a
     search, or a recheck) into one :func:`_solve_block`, whose columns do
     not see each other, so an hour runs as it would alone.  A trial whose
     column Newton fails too scores ``_TRIAL_PENALTY``, and any other
@@ -711,10 +715,8 @@ def _dispatch_day(net: Network, scenario: Scenario,
     the Newton fallbacks in ``stats``.
     """
     tol = scenario.pf_tol
-    lanes = []
-    for i, (devices, hour, load_scale) in enumerate(hours):
-        hr = _Hour(net, devices, hour, scenario, load_scale)
-        lanes.append(_Lane(hr, _start(net, hr.fixed, tol, v0[:, i]), stats))
+    lanes = [_Lane(_Hour(net, devices, hour, scenario, s_pq[:, i]), v0[:, i], stats)
+             for i, (devices, hour) in enumerate(hours)]
     branches = _solver_arrays(net).branches
     running = [lane for lane in lanes if lane.send()]
     while running:

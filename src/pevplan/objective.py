@@ -8,11 +8,12 @@ The score of a parking-lot placement over 24 hours is
 with voltage-band, ampacity, and converter-capability checks folded into a
 separate feasibility flag and violation magnitude so that constraint
 handling never distorts the reported objective values.  Days are computed
-in batches of up to ``_BATCH`` placements: a batch solves the base flows of
-all its days as one block (``dispatch._solve_block``: the fixed-point
-kernel, and Newton alone on each column it fails) and dispatches all their
-hours in one lockstep (``dispatch._dispatch_day``), one block per step, so
-it never calls :func:`dispatch_q`, which runs one hour alone.  A block's
+in batches of up to ``_BATCH`` placements: a batch assembles the base
+injections of all its days (``dispatch._base_injections``), solves them as
+one block (``dispatch._solve_block``: the fixed-point kernel, and Newton
+alone on each column it fails) and dispatches all their hours from their
+columns in one lockstep (``dispatch._dispatch_day``), one block per step,
+so it never calls :func:`dispatch_q`, which runs one hour alone.  A block's
 columns and the lockstep's hours do not see each other, and each day is
 scored from its own columns, so a placement's breakdown is the same bit
 for bit in any batch.
@@ -35,11 +36,11 @@ from .devices import (
     PevLot,
     _p_profile,
     capability_violation,
-    p_injection,
 )
 from .dispatch import (
     DispatchResult,
     Scenario,
+    _base_injections,
     _dispatch_day,
     _solve_block,
     dispatch_q,  # noqa: F401  (the benchmark's tracer wraps this name)
@@ -259,15 +260,6 @@ class DayEvaluator:
         ((_, hours),) = self._days([self._placed(key)], trail=True)
         return hours
 
-    @cached_property
-    def _day_arrays(self) -> tuple:
-        """The solver arrays and the scaled normal-load injections, one
-        column per hour (built on the first day, not at construction)."""
-        arrays = _solver_arrays(self.net)
-        p_load, q_load = self.net.load_vectors()
-        scale = np.asarray(self._load_shape, dtype=float)
-        return arrays, -p_load[:, None] * scale, -q_load[:, None] * scale
-
     def _days(
         self, placements: list[list[Device]], trail: bool = False
     ) -> list[tuple[ObjectiveBreakdown, tuple[DispatchResult, ...] | None]]:
@@ -279,16 +271,10 @@ class DayEvaluator:
         """
         t0 = perf_counter()
         net, scenario, stats = self.net, self.scenario, self._stats
-        arrays, p_base, q_base = self._day_arrays
         k = len(placements)
-        p, q_load = np.tile(p_base, k), np.tile(q_base, k)
-        for d, devices in enumerate(placements):
-            day = p[:, d * HOURS:(d + 1) * HOURS]
-            for dev in devices:
-                day[net.index_of(dev.bus)] += p_injection(dev)
+        s_pq = _base_injections(net, placements, range(HOURS), self._load_shape)
         v = np.full((net.n_bus, k * HOURS), 1.0 + 0.0j)
-        solved = _solve_block(net, (p + 1j * q_load)[arrays.fixed_point[0]], v,
-                              scenario.pf_tol)
+        solved = _solve_block(net, s_pq, v, scenario.pf_tol)
         iterations, mismatch = solved.iterations, solved.mismatch
         stats["batches"] += 1
         stats["days"] += k
@@ -306,10 +292,8 @@ class DayEvaluator:
             cols = np.flatnonzero(live).tolist()
             stats["hours_dispatched"] += len(cols)
             results = _dispatch_day(
-                net, scenario,
-                [(placements[col // HOURS], col % HOURS, self._load_shape[col % HOURS])
-                 for col in cols],
-                v[:, cols], stats)
+                net, scenario, [(placements[col // HOURS], col % HOURS) for col in cols],
+                s_pq[:, cols], v[:, cols], stats)
             for col, result in zip(cols, results):
                 if result is None:
                     stats["reverted_hours"] += 1
@@ -325,7 +309,7 @@ class DayEvaluator:
         rows = np.ascontiguousarray(v.T).reshape(k, HOURS, net.n_bus)
         day_live = live.reshape(k, HOURS)
         rows[~day_live] = 1.0  # finite stand-ins for divergent hours, which add no terms
-        out = self._score(placements, rows, q, day_live, arrays)
+        out = self._score(placements, rows, q, day_live)
         stats["day_s"] += perf_counter() - t0
         if not trail:
             return [(breakdown, None) for breakdown in out]
@@ -346,7 +330,7 @@ class DayEvaluator:
         return days
 
     def _score(self, placements: list[list[Device]], v: np.ndarray, q: np.ndarray,
-               live: np.ndarray, arrays) -> list[ObjectiveBreakdown]:
+               live: np.ndarray) -> list[ObjectiveBreakdown]:
         """The breakdown of each day of a batch from its final voltages.
 
         ``v`` holds the voltages as ``(day, hour, bus)`` and ``q`` the
@@ -357,6 +341,7 @@ class DayEvaluator:
         day scores bit for bit as it does alone.
         """
         scenario, net = self.scenario, self.net
+        arrays = _solver_arrays(net)
         f_idx, t_idx, y_series, r = arrays.branches
         dead = ~live
         v_mag = np.abs(v)

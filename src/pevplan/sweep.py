@@ -66,10 +66,10 @@ def solve_sweep(
     inj: InjectionSet,
     tol: float = 1e-10,
     max_iter: int = 200,
-    slack_voltage: complex = 1.0 + 0.0j,
 ) -> PowerFlowSolution:
     """Sweep solution with the same result container as the Newton solver.
 
+    The slack holds 1.0 pu, as in :func:`~pevplan.powerflow.solve`.
     ``tol`` bounds the per-iteration voltage change, which tracks the power
     residual closely on distribution feeders.  Raises ``ValueError`` for a
     ``max_iter`` below 1.
@@ -85,7 +85,7 @@ def solve_sweep(
     arrays = _solver_arrays(net)
     z, _, paths, _ = arrays.tree
 
-    v = np.full(n, slack_voltage, dtype=complex)
+    v = np.full(n, 1.0 + 0.0j)
     neg_s = -s_spec
 
     def backward(voltages: np.ndarray) -> np.ndarray:
@@ -97,7 +97,7 @@ def solve_sweep(
 
     it = 0
     for it in range(1, max_iter + 1):
-        v_new = slack_voltage - paths.T @ (z * backward(v))
+        v_new = 1.0 - paths.T @ (z * backward(v))
         delta = float(np.max(np.abs(v_new - v)))
         v = v_new
         if delta <= tol:

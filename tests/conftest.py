@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+from typing import Mapping, Sequence
+
 import pytest
 from hypothesis import strategies as st
 
 from pevplan import bind_devices, load_builtin
+from pevplan.devices import Device, p_injection
 from pevplan.network import Branch, Bus, Network
+from pevplan.powerflow import InjectionSet
 
 # One PASS/FAIL line per acceptance check, echoed after the run so the
 # verdicts survive pytest's output capture.  Populated by test_acceptance.py.
@@ -39,6 +43,28 @@ def profiles33():
 def devices33():
     case, profiles = load_builtin()
     return bind_devices(case, profiles)
+
+
+def hour_injections(
+    net: Network,
+    devices: Sequence[Device],
+    hour: int,
+    q_settings: Mapping[str, float] | None = None,
+    load_scale: float = 1.0,
+) -> InjectionSet:
+    """Net injections for one hour, bus by bus: scaled normal loads plus
+    device powers, each device's Q setpoint taken off its bus.  The oracle
+    of the dispatch's own assembly (``dispatch._base_injections`` and
+    ``dispatch._Hour.column``)."""
+    p_load, q_load = net.load_vectors()
+    p = -p_load * load_scale
+    q = -q_load * load_scale
+    q_settings = q_settings or {}
+    for dev in devices:
+        pos = net.index_of(dev.bus)
+        p[pos] += p_injection(dev)[hour]
+        q[pos] -= q_settings.get(dev.label, 0.0)
+    return InjectionSet(p, q)
 
 
 def small_feeder(n: int = 4, r: float = 0.01, x: float = 0.02) -> Network:

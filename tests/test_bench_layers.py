@@ -22,13 +22,21 @@ LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 
 
 def layers_module():
-    """The bench script, loaded by path; it pins the BLAS threads of the
-    processes it starts in ``os.environ``, which is restored here."""
+    """The bench script, loaded by path."""
     spec = importlib.util.spec_from_file_location("bench_layers", LAYERS)
     module = importlib.util.module_from_spec(spec)
-    with mock.patch.dict(os.environ):
-        spec.loader.exec_module(module)
+    spec.loader.exec_module(module)
     return module
+
+
+def test_loading_the_script_leaves_the_environment_alone():
+    # the script pins BLAS to one thread in main(), not on import, so a
+    # process that loads it starts its own subprocesses with its own settings
+    before = dict(os.environ)
+    with mock.patch.dict(os.environ):
+        layers_module()
+        after = dict(os.environ)
+    assert after == before
 
 
 def test_width_histogram_counts_each_dispatch_step_once(bus33, devices33, profiles33):

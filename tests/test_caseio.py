@@ -198,6 +198,30 @@ def test_parse_rejects_device_on_missing_bus(tmp_path):
         load_case(write_case(tmp_path, bad))
 
 
+def test_case_from_dict_rejects_device_on_missing_bus():
+    # the JSON reader builds the same Case, so it runs the same check
+    data = copy.deepcopy(CROSS_JSON)
+    data["devices"][0]["bus"] = 7
+    with pytest.raises(ValidationError, match="nonexistent bus 7"):
+        case_from_dict(data)
+
+
+@pytest.mark.parametrize("kind, bus", [("pv", 2), ("pevlot", 3)])
+def test_two_devices_of_one_type_on_one_bus_are_rejected(tmp_path, kind, bus):
+    # they would share one setpoint label (pv@2), so the dispatch could not
+    # tell their setpoints apart; a PV and a lot may share a bus
+    data = copy.deepcopy(CROSS_JSON)
+    twin = next(d for d in data["devices"] if d["type"] == kind)
+    data["devices"].append(dict(twin, s_rated_kva=250.0))
+    with pytest.raises(ValidationError, match=f"two {kind} devices at bus {bus}"):
+        case_from_dict(data)
+    row = next(line for line in CROSS_GRID.splitlines() if f",{kind}," in line)
+    with pytest.raises(ValidationError, match=f"two {kind} devices at bus {bus}"):
+        load_case(write_case(tmp_path, CROSS_GRID + row.replace("500.0", "250.0") + "\n"))
+    data["devices"][-1]["type"] = "pevlot" if kind == "pv" else "pv"
+    assert len(case_from_dict(data).devices) == 3
+
+
 def test_missing_case_file_raises_file_not_found(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_case(tmp_path / "absent.grid")

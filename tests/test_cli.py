@@ -103,6 +103,30 @@ def test_malformed_json_system_is_a_parse_error(capsys, tmp_path, system):
     assert "malformed case object" in err
 
 
+@pytest.mark.parametrize("command", [["validate"], ["simulate", "--mode", "dgq"]])
+@pytest.mark.parametrize("devices, message", [
+    ([(7, "pv")], "nonexistent bus 7"),
+    ([(2, "pv"), (2, "pv")], "two pv devices at bus 2"),
+], ids=["missing-bus", "twin-pv"])
+def test_json_case_device_errors_are_validation_errors(capsys, tmp_path, command,
+                                                        devices, message):
+    # both readers build their Case through the same checks, so a JSON case
+    # fails validation as the grid text does, before any command runs
+    data = {
+        "system": {},
+        "buses": [{"id": 1, "kind": "slack", "p_load": 0.0, "q_load": 0.0},
+                  {"id": 2, "kind": "load", "p_load": 0.01, "q_load": 0.006}],
+        "branches": [{"from": 1, "to": 2, "r": 0.0058, "x": 0.0029, "i_cap": 0.88}],
+        "devices": [{"bus": bus, "type": kind, "s_rated_kva": 100.0,
+                     "profile_id": "pv-south"} for bus, kind in devices],
+    }
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(data))
+    code, out, err = run(capsys, *command, "--case", str(case))
+    assert code == 5
+    assert message in err and out == ""
+
+
 def test_validate_parse_failure(capsys, tmp_path):
     bad = tmp_path / "bad.grid"
     bad.write_text(BAD_GRID)

@@ -16,7 +16,6 @@ from pevplan.dispatch import (
     Scenario,
     canonical_mode,
     dispatch_q,
-    hour_injections,
     partial_objective,
 )
 from pevplan.objective import DayEvaluator, place_lots
@@ -30,13 +29,31 @@ from pevplan.powerflow import (
     solve,
 )
 
-from conftest import radial_feeders, small_feeder
+from conftest import hour_injections, radial_feeders, small_feeder
 
 PEAK_HOUR = 19
 
 
 def flat_profile(level: float) -> tuple[float, ...]:
     return tuple(level for _ in range(HOURS))
+
+
+def hour_of(net, devices, hour, sc, load_scale=1.0):
+    """The dispatch's ``_Hour`` of ``hour``, on its zero-setpoint column."""
+    s_base = dispatch._base_injections(net, [devices], [hour], [load_scale])[:, 0]
+    return dispatch._Hour(net, devices, hour, sc, s_base)
+
+
+def score_of(hr, v):
+    """The dispatch score of one state of ``hr``."""
+    return float(dispatch._scores(hr.scenario, hr.branches, v))
+
+
+def own_score(sc, sol):
+    """The dispatch score of a full solution, from its own ``v_mag`` and
+    ``total_losses``: the oracle of ``dispatch._scores``."""
+    a, b, _ = sc.weights
+    return a * float(np.abs(sc.v_ref - sol.v_mag).sum()) + b * sol.total_losses
 
 
 def support_devices():
@@ -83,23 +100,64 @@ def test_hour_injections_signs(feeder4):
         PvUnit(2, 0.05, flat_profile(0.02)),
         PevLot(3, 0.06, flat_profile(0.03)),
     ]
-    inj = hour_injections(feeder4, devs, 0)
-    p_load, q_load = feeder4.load_vectors()
+    pq = _solver_arrays(feeder4).fixed_point[0]
+    pos = {bus: int(np.flatnonzero(pq == feeder4.index_of(bus))[0]) for bus in (2, 3)}
+    s = dispatch._base_injections(feeder4, [devs], [0], [1.0])[:, 0]
+    p_load, q_load = (x[pq] for x in feeder4.load_vectors())
     # PV generation raises the net injection, lot charging lowers it
-    assert inj.p[1] == pytest.approx(-p_load[1] + 0.02)
-    assert inj.p[2] == pytest.approx(-p_load[2] - 0.03)
-    np.testing.assert_allclose(inj.q, -q_load)
+    assert s.real[pos[2]] == pytest.approx(-p_load[pos[2]] + 0.02)
+    assert s.real[pos[3]] == pytest.approx(-p_load[pos[3]] - 0.03)
+    np.testing.assert_allclose(s.imag, -q_load)
 
-    inj2 = hour_injections(
-        feeder4, devs, 0, q_settings={"pv@2": -0.01}, load_scale=0.5
-    )
-    assert inj2.p[1] == pytest.approx(-p_load[1] * 0.5 + 0.02)
-    assert inj2.q[1] == pytest.approx(-q_load[1] * 0.5 + 0.01)
+    hr = hour_of(feeder4, devs, 0, Scenario(), load_scale=0.5)
+    s2 = hr.column({"pv@2": -0.01, "lot@3": 0.0})
+    assert s2.real[pos[2]] == pytest.approx(-p_load[pos[2]] * 0.5 + 0.02)
+    assert s2.imag[pos[2]] == pytest.approx(-q_load[pos[2]] * 0.5 + 0.01)
 
     # a setpoint for a device that is not there changes nothing
-    inj3 = hour_injections(feeder4, devs, 0, q_settings={"lot@99": 1.0})
-    np.testing.assert_array_equal(inj3.p, inj.p)
-    np.testing.assert_array_equal(inj3.q, inj.q)
+    s3 = hr.column({"pv@2": 0.0, "lot@3": 0.0, "lot@99": 1.0})
+    np.testing.assert_array_equal(s3, hr.s_base)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_assembled_columns_and_scores_equal_their_oracles(data):
+    # 1–3 devices, a PV and a lot sharing a bus (which may be the slack),
+    # at random hours, load scales and setpoints: each hour's column with
+    # its setpoints written in equals the bus-by-bus oracle bit for bit, and
+    # each state's score, alone or as a row, the score of its full solution
+    net = data.draw(radial_feeders(3, 20), label="feeder")
+    buses = net.bus_ids()
+    shared = data.draw(st.sampled_from(buses), label="shared bus")
+
+    def hourly(peak):
+        return data.draw(st.lists(st.floats(0.0, peak), min_size=HOURS, max_size=HOURS))
+
+    devices = [PvUnit(shared, 0.02, hourly(0.02)), PevLot(shared, 0.03, hourly(0.03)),
+               PvUnit(data.draw(st.sampled_from([b for b in buses if b != shared]),
+                                label="third bus"), 0.02, hourly(0.02))]
+    devices = devices[:data.draw(st.integers(1, 3), label="devices")]
+    n = data.draw(st.integers(1, 4), label="hours")
+    hours = data.draw(st.lists(st.integers(0, HOURS - 1), min_size=n, max_size=n))
+    scales = data.draw(st.lists(st.floats(0.2, 1.5), min_size=n, max_size=n))
+    weights = (data.draw(st.floats(0.0, 1.0)), data.draw(st.floats(0.0, 1.0)), 0.3)
+    sc = Scenario(weights=weights, v_ref=data.draw(st.floats(0.95, 1.05)))
+    pq = _solver_arrays(net).fixed_point[0]
+    s_pq = dispatch._base_injections(net, [devices], hours, scales)
+    states, expected = [], []
+    for i, (hour, scale) in enumerate(zip(hours, scales)):
+        q = {dev.label: data.draw(st.floats(-0.02, 0.02), label=dev.label) for dev in devices}
+        hr = dispatch._Hour(net, devices, hour, sc, s_pq[:, i])
+        column = hr.column(q)
+        inj = hour_injections(net, devices, hour, q, scale)
+        np.testing.assert_array_equal(column.real, inj.p[pq])
+        np.testing.assert_array_equal(column.imag, inj.q[pq])
+        sol = solve(net, inj)
+        expected.append(own_score(sc, sol))
+        assert score_of(hr, sol.v_complex) == expected[-1]
+        states.append(sol.v_complex)
+    rows = dispatch._scores(sc, _solver_arrays(net).branches, np.array(states))
+    assert rows.tolist() == expected
 
 
 def test_partial_objective_arithmetic(feeder4):
@@ -427,8 +485,8 @@ def test_accepted_score_is_the_searched_score(bus33, devices33, monkeypatch):
 @given(data=st.data())
 def test_trial_score_matches_newton_objective(bus33, devices33, data):
     # a trial solves one device's setpoint on the bare kernel from its
-    # search's first-order start; its score must agree with
-    # partial_objective of Newton's full solution of the same injections
+    # search's first-order start; its score must agree with the score of
+    # Newton's full solution of the same injections
     # (solved to 1e-12: at pf_tol Newton's own stopping error reaches 4e-8)
     net = bus33.network
     sc = Scenario(mode="dgq+v2gq")
@@ -441,7 +499,7 @@ def test_trial_score_matches_newton_objective(bus33, devices33, data):
 
     settings_now = {dev.label: setpoint(dev) for dev in devices33}
     now = solve(net, hour_injections(net, devices33, PEAK_HOUR, settings_now))
-    hr = dispatch._Hour(net, devices33, PEAK_HOUR, sc, 1.0)
+    hr = hour_of(net, devices33, PEAK_HOUR, sc)
     for dev in sc.participating(devices33):
         qv = setpoint(dev)
         moved = dict(settings_now)
@@ -451,24 +509,22 @@ def test_trial_score_matches_newton_objective(bus33, devices33, data):
                            float(now.v_mag[net.index_of(dev.bus)]))
         search = hr.search(settings_now, dev, now.v_complex, cap)
         state = hr.solve(*search.column(qv))
-        assert hr.score(state[0]) == pytest.approx(partial_objective(net, ref, sc),
-                                                   abs=1e-8)
+        assert score_of(hr, state[0]) == pytest.approx(own_score(sc, ref), abs=1e-8)
 
 
 def test_a_step_scores_each_state_as_it_scores_alone(bus33):
     # a lockstep step scores its trial states together; each row's score
-    # must equal the hour's own score of that state bit for bit, whatever
-    # the step's width, or an hour's searches would depend on its batch
+    # must equal the score of that state alone bit for bit, whatever the
+    # step's width, or an hour's searches would depend on its batch
     net = bus33.network
     sc = Scenario(mode="dgq+v2gq")
-    hr = dispatch._Hour(net, [], PEAK_HOUR, sc, 1.0)
     branches = _solver_arrays(net).branches
     rng = np.random.default_rng(7)
     for width in (1, 2, 5, 13, 40):
         v = rng.uniform(0.9, 1.05, (width, net.n_bus)) * np.exp(
             1j * rng.uniform(-0.05, 0.05, (width, net.n_bus)))
         scores = dispatch._scores(sc, branches, v)
-        assert scores.tolist() == [hr.score(row) for row in v]
+        assert scores.tolist() == [float(dispatch._scores(sc, branches, row)) for row in v]
 
 
 @settings(max_examples=50, deadline=None)
@@ -551,21 +607,21 @@ def test_recheck_returns_setpoints_inside_the_final_intervals(data):
         devices.append(kind(bus, s_rated, flat_profile(s_rated * level),
                             x_coupling=data.draw(x_coupling), vc_max=data.draw(vc_max)))
     sc = Scenario(mode="dgq+v2gq")
-    hr = dispatch._Hour(net, devices, 0, sc, 1.0)
-    base_v = hr.solve(hr.pq_injections(hr.fixed.q), np.ones(net.n_bus, dtype=complex))[0]
+    hr = hour_of(net, devices, 0, sc)
+    base_v = hr.solve(hr.s_base, np.ones(net.n_bus, dtype=complex))[0]
     q, infeasible = {}, []
     for dev in devices:
         cap = q_capability(dev, dev.p_at(0), float(abs(base_v[net.index_of(dev.bus)])))
         inside = st.sampled_from([cap.q_min, cap.q_max]) | st.floats(cap.q_min, cap.q_max)
         q[dev.label] = data.draw(inside, label=dev.label) if cap.feasible else 0.0
-    state = hr.solve(hr.pq_injections(hr.q_injections(q)), base_v)
+    state = hr.solve(hr.column(q), base_v)
     rechecked = dispatch._serial(hr, dispatch._recheck_capability(
-        hr, devices, 0, q, state, hr.score(state[0]), infeasible))
+        hr, devices, 0, q, state, score_of(hr, state[0]), infeasible))
     if rechecked is None:
         return
     state, score = rechecked
-    assert score == hr.score(state[0])
-    ref = solve(net, InjectionSet(hr.fixed.p, hr.q_injections(q)), tol=1e-10)
+    assert score == score_of(hr, state[0])
+    ref = solve(net, hour_injections(net, devices, 0, q), tol=1e-10)
     np.testing.assert_allclose(state[0], ref.v_complex, rtol=0.0, atol=1e-7)
     for dev in devices:
         cap = q_capability(dev, dev.p_at(0), float(abs(state[0][net.index_of(dev.bus)])))
@@ -662,10 +718,13 @@ def test_score_noise_changes_no_accepted_setpoint(bus33, devices33, profiles33,
     clean = setpoints()
     rng = np.random.default_rng(1)
 
-    def noisy(score):
-        return lambda *args: score(*args) * (1.0 + 1e-15 * rng.choice((-1.0, 1.0)))
+    def noisy(scores):
+        def perturbed(*args):
+            out = scores(*args)
+            return out * (1.0 + 1e-15 * rng.choice((-1.0, 1.0), size=np.shape(out)))
+        return perturbed
 
-    monkeypatch.setattr(dispatch, "_score", noisy(dispatch._score))
+    monkeypatch.setattr(dispatch, "_scores", noisy(dispatch._scores))
     for hour, (q_clean, q_noisy) in enumerate(zip(clean, setpoints())):
         for label, q in q_clean.items():
             assert q_noisy[label] == pytest.approx(q, abs=1e-12), (hour, label)
@@ -763,18 +822,18 @@ def test_generated_feeder_lockstep_hours_equal_dispatch_q(data):
     runs = []
     lockstep = objective._dispatch_day
 
-    def recorded(net_, scenario, hours, v0, stats):
-        results = lockstep(net_, scenario, hours, v0, stats)
+    def recorded(net_, scenario, hours, s_pq, v0, stats):
+        results = lockstep(net_, scenario, hours, s_pq, v0, stats)
         runs.append((hours, v0.copy(), results))
         return results
 
     with mock.patch.object(objective, "_dispatch_day", recorded):
         DayEvaluator(net, devices, profiles, sc).evaluate_many(placements)
     for hours, v0, results in runs:
-        for i, ((placed, hour, load_scale), day) in enumerate(zip(hours, results)):
+        for i, ((placed, hour), day) in enumerate(zip(hours, results)):
             where = ([d.bus for d in placed], hour)
             try:
-                alone = dispatch_q(net, placed, hour, sc, load_scale=load_scale,
+                alone = dispatch_q(net, placed, hour, sc, load_scale=shape[hour],
                                    v0=v0[:, i])
             except PowerFlowError:
                 assert day is None, where

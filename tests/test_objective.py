@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pevplan import dispatch, objective
 from pevplan.devices import HOURS, HourlyProfile, PevLot, PvUnit, capability_violation
-from pevplan.dispatch import MODES, Scenario, dispatch_q, hour_injections
+from pevplan.dispatch import MODES, Scenario, dispatch_q
 from pevplan.nsga import GaParams, optimize_placement
 from pevplan.powerflow import PowerFlowError, _solver_arrays, check_limits, solve
 from pevplan.objective import (
@@ -19,7 +19,7 @@ from pevplan.objective import (
     place_lots,
 )
 
-from conftest import radial_feeders
+from conftest import hour_injections, radial_feeders
 
 
 @pytest.fixture(scope="module")
