@@ -26,8 +26,9 @@ The JSON gives, per source tree:
   generations, 2 lots) sharing one fresh evaluator, the repeat of median
   wall time: ``wall_ms``, the evaluator's ``day_ms`` (``DayStats.day_s``),
   the GA's own ``ga_ms`` (wall minus days), the days computed, the
-  batches they were computed in, and the searches' summed distinct
-  evaluations;
+  batches they were computed in, the searches' summed distinct
+  evaluations, and ``rank_calls``, the population rankings per search
+  (``nsga._rank`` calls, counted by wrapping it during a warm-up batch);
 - ``search_v2g``: fixed-seed ``dgq+v2gq`` searches (population 40, a few
   generations, 2 lots) sharing one fresh evaluator, run once: ``wall_ms``,
   ``day_ms``, the days computed, the distinct evaluations, and
@@ -105,14 +106,24 @@ def _populations(pevplan, size: int, count: int = 20):
     return pops
 
 
+def _columns(pop):
+    """The objective, feasibility and penalty arrays of a population of
+    breakdowns, as a tree that ranks arrays reads them."""
+    import numpy as np
+
+    return (np.array([b.vector for b in pop], dtype=float).reshape(-1, 3),
+            np.array([b.feasible for b in pop], dtype=bool),
+            np.array([b.violation_penalty for b in pop], dtype=float))
+
+
 def _ranker(nsga):
     """Selection ranking in the tree's own API: front ranks and crowding."""
     import numpy as np
 
-    if hasattr(nsga, "_columns"):  # ranks the objective, feasibility and penalty arrays
-        return lambda pop: nsga._rank(*nsga._columns(pop))
-    if hasattr(nsga, "constrained_fronts"):
+    if hasattr(nsga, "constrained_fronts"):  # ranks a list of breakdowns
         return nsga._rank
+    if hasattr(nsga, "_rank"):  # ranks the objective, feasibility and penalty arrays
+        return lambda pop: nsga._rank(*_columns(pop))
 
     def rank(pop):  # before the feasible-first sort
         ranks = nsga.front_ranks(pop, nsga.constrained_dominates)
@@ -260,6 +271,27 @@ def _search_batch(pevplan, bundle) -> dict:
             "distinct_evals": distinct}
 
 
+def _count_calls(owner, name: str, run):
+    """Calls of ``owner.name`` while ``run()`` runs, or None if the tree
+    has no such name."""
+    fn = getattr(owner, name, None)
+    if fn is None:
+        run()
+        return None
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    setattr(owner, name, counted)
+    try:
+        run()
+    finally:
+        setattr(owner, name, fn)
+    return calls[0]
+
+
 def _v2g_searches(pevplan, bundle) -> dict:
     """The fixed-seed ``dgq+v2gq`` searches on one fresh evaluator."""
     net, devices, profiles = bundle
@@ -366,10 +398,13 @@ def measure(src: Path) -> dict:
         for k in range(RANK_REPEATS):
             rank(pops[k % len(pops)])
         out["rank_ms"][str(size)] = (perf_counter() - t0) / RANK_REPEATS * 1e3
-    _search_batch(pevplan, bundle)  # warm-up
+    # the warm-up batch also counts the rankings
+    rank_calls = _count_calls(nsga, "_rank", lambda: _search_batch(pevplan, bundle))
     batches = sorted((_search_batch(pevplan, bundle) for _ in range(SEARCH_REPEATS)),
                      key=lambda b: b["wall_ms"])
     out["search"] = batches[len(batches) // 2]
+    out["search"]["rank_calls"] = (None if rank_calls is None
+                                   else rank_calls / len(SEARCH_SEEDS))
     out["search_v2g"] = _v2g_searches(pevplan, bundle)
     return out
 

@@ -15,7 +15,11 @@ Inside the loop the population is an int array of sorted candidate-index
 rows, and each operator draws its randomness for the whole generation in a
 few array calls.  A placement is evaluated once per search, and a
 generation's new placements are evaluated together, as one
-``DayEvaluator.evaluate_many`` call; repeats are a dictionary lookup.
+``DayEvaluator.evaluate_many`` call; each scored placement keeps a row of
+objective, feasibility and penalty arrays, which a generation gathers.  A
+generation ranks once, its merged population: the survivors are whole fronts
+and part of one more, so they keep their ranks for the next tournaments, and
+only the part-kept front is crowded again.
 """
 
 from __future__ import annotations
@@ -61,19 +65,6 @@ def nondominated_sort(vectors: Sequence[Sequence[float]]) -> list[list[int]]:
     return fronts
 
 
-_Columns = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _columns(breakdowns: Sequence[ObjectiveBreakdown]) -> _Columns:
-    """What ranking reads of each member: its objective vector (one row
-    each), its feasibility and its violation penalty."""
-    return (
-        np.array([b.vector for b in breakdowns], dtype=float).reshape(-1, 3),
-        np.array([b.feasible for b in breakdowns], dtype=bool),
-        np.array([b.violation_penalty for b in breakdowns], dtype=float),
-    )
-
-
 def _rank(obj: np.ndarray, feasible: np.ndarray,
           penalty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Front rank (0 = best) and crowding distance within its front, per
@@ -107,8 +98,9 @@ def crowding_distance(vectors: Sequence[Sequence[float]]) -> np.ndarray:
     if m == 0:
         return np.empty(0)
     dist = np.zeros(m)
-    if m <= 2:
-        dist[:] = math.inf
+    # equal vectors: every stable sort leaves them in order, so only the ends count
+    if m <= 2 or (arr == arr[0]).all():
+        dist[[0, -1]] = math.inf
         return dist
     for col in arr.T:
         order = np.argsort(col, kind="stable")
@@ -292,6 +284,18 @@ def _survivors(ranks: np.ndarray, crowd: np.ndarray, size: int) -> np.ndarray:
     return np.sort(np.lexsort((-crowd, ranks))[:size])
 
 
+def _kept_ranking(ranks: np.ndarray, crowd: np.ndarray, obj: np.ndarray,
+                  keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What :func:`_rank` gives the survivors ``keep`` of a ranked population
+    with objective rows ``obj``.  They are whole fronts and part of one more,
+    so each keeps its rank and a whole front its distances; only the last
+    front is crowded again, on the survivors' own rows."""
+    ranks, crowd, obj = ranks[keep], crowd[keep], obj[keep]
+    last = np.flatnonzero(ranks == ranks.max())
+    crowd[last] = crowding_distance(obj[last])
+    return ranks, crowd
+
+
 def optimize_placement(
     net: Network,
     devices: Sequence[Device],
@@ -303,7 +307,8 @@ def optimize_placement(
     """Search lot placements; deterministic for a given seed and params.
 
     ``evaluator`` may be shared across calls to reuse its placement cache
-    (the search itself never mutates it beyond adding evaluations).
+    (the search itself never mutates it beyond adding evaluations); it must
+    carry the search's network, scenario and lot count.
     """
     params = params or GaParams()
     n_lots = params.n_lots
@@ -322,73 +327,77 @@ def optimize_placement(
             f"shared evaluator carries {evaluator.lot_count} lots "
             f"but the search places {n_lots}"
         )
+    elif evaluator.scenario != scenario or evaluator.net != net:
+        raise ValueError("shared evaluator was built for another scenario or network")
 
-    seen: dict[tuple[int, ...], ObjectiveBreakdown] = {}
+    size = params.population
+    # each placement the search scored has a row: its breakdown and what
+    # ranking reads of it (objective vector, feasibility, violation penalty)
+    index: dict[tuple[int, ...], int] = {}
+    found: list[ObjectiveBreakdown] = []
+    rows = min(size * (params.generations + 1), math.comb(len(candidates), n_lots))
+    obj, feasible, penalty = np.empty((rows, 3)), np.empty(rows, dtype=bool), np.empty(rows)
     best_key: tuple[bool, float] = (True, math.inf)  # (infeasible?, scalar)
     best_lots: tuple[int, ...] = ()
     best_breakdown: ObjectiveBreakdown | None = None
 
-    def score(rows: np.ndarray) -> _Columns:
-        """The rows' placements in :func:`_columns` form; each placement new
-        to the search also bids for the feasible-first best."""
+    def score(members: np.ndarray) -> np.ndarray:
+        """The members' rows; the placements new to the search are evaluated
+        as one batch and bid, in the order first seen, for the feasible-first
+        best."""
         nonlocal best_key, best_lots, best_breakdown
-        placements = list(map(tuple, candidates[rows].tolist()))
-        # the generation's new placements are computed as batches; each is
-        # then read through evaluate, a cache hit, in the rows' order
-        evaluator.evaluate_many([lots for lots in placements if lots not in seen])
-        breakdowns = []
-        for lots in placements:
-            bd = seen.get(lots)
-            if bd is None:
-                bd = seen[lots] = evaluator.evaluate(lots).breakdown
-                key = (not bd.feasible, bd.scalar)
-                if key < best_key or best_breakdown is None:
-                    best_key, best_lots, best_breakdown = key, lots, bd
-            breakdowns.append(bd)
-        return _columns(breakdowns)
+        placements = list(map(tuple, candidates[members].tolist()))
+        new = [lots for lots in dict.fromkeys(placements) if lots not in index]
+        for lots, result in zip(new, evaluator.evaluate_many(new)):
+            bd = result.breakdown
+            row = index[lots] = len(found)
+            found.append(bd)
+            obj[row], feasible[row], penalty[row] = bd.vector, bd.feasible, bd.violation_penalty
+            key = (not bd.feasible, bd.scalar)
+            if key < best_key or best_breakdown is None:
+                best_key, best_lots, best_breakdown = key, lots, bd
+        return np.array([index[lots] for lots in placements])
 
-    size = params.population
     population = _sample(rng, len(candidates), size, n_lots)
-    columns = score(population)
+    at = score(population)
+    ranks, crowd = _rank(obj[at], feasible[at], penalty[at])
     history = [best_breakdown.scalar]
 
     for _ in range(params.generations):
-        parents = _tournament(rng, *_rank(*columns), size)
+        parents = _tournament(rng, ranks, crowd, size)
         children = _crossover(rng, population[parents[:, 0]], population[parents[:, 1]])
         children = _mutate(rng, children, params.mutation_rate, len(candidates))
-        merged = [np.concatenate(pair) for pair in zip(columns, score(children))]
-        keep = _survivors(*_rank(*merged), size)
+        merged = np.concatenate((at, score(children)))
+        ranks, crowd = _rank(obj[merged], feasible[merged], penalty[merged])
+        keep = _survivors(ranks, crowd, size)
+        ranks, crowd = _kept_ranking(ranks, crowd, obj[merged], keep)
         population = np.concatenate((population, children))[keep]
-        columns = tuple(col[keep] for col in merged)
+        at = merged[keep]
         history.append(best_breakdown.scalar)
 
+    placements = sorted(index)  # the archive ranks them in placement order
+    at = np.array([index[lots] for lots in placements])
     return OptimizeResult(
-        archive=_build_archive(seen),
+        archive=_build_archive(placements, [found[row] for row in at],
+                               *_rank(obj[at], feasible[at], penalty[at])),
         best_genome=PlacementGenome(best_lots),
         best_breakdown=best_breakdown,
         history=tuple(history),
-        evaluations=len(seen),
+        evaluations=len(found),
         params=params,
     )
 
 
-def _build_archive(seen: dict[tuple[int, ...], ObjectiveBreakdown]) -> ParetoArchive:
-    """Nondominated set over every placement this search scored."""
-    items = sorted(seen.items())
-    ranks, crowd = _rank(*_columns([bd for _, bd in items]))
+def _build_archive(placements: Sequence[tuple[int, ...]],
+                   breakdowns: Sequence[ObjectiveBreakdown],
+                   ranks: np.ndarray, crowd: np.ndarray) -> ParetoArchive:
+    """Nondominated set over every placement this search scored, given with
+    their breakdowns and their :func:`_rank` ranking."""
     entries = []
     for i in np.flatnonzero(ranks == 0).tolist():
-        key, bd = items[i]
-        entries.append(
-            ArchiveEntry(
-                genome=PlacementGenome(key),
-                v_dev=bd.v_dev,
-                loss=bd.loss,
-                cost=bd.cost,
-                scalar=bd.scalar,
-                feasible=bd.feasible,
-                crowding=float(crowd[i]),
-            )
-        )
+        bd = breakdowns[i]
+        entries.append(ArchiveEntry(
+            genome=PlacementGenome(placements[i]), v_dev=bd.v_dev, loss=bd.loss,
+            cost=bd.cost, scalar=bd.scalar, feasible=bd.feasible, crowding=float(crowd[i])))
     entries.sort(key=lambda e: (e.scalar, e.genome.lot_buses))
     return ParetoArchive(tuple(entries))

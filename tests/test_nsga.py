@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pevplan.caseio import load_builtin
@@ -20,8 +20,8 @@ from pevplan.nsga import (
     optimize_placement,
 )
 from pevplan.nsga import (
-    _columns,
     _crossover,
+    _kept_ranking,
     _mutate,
     _rank,
     _sample,
@@ -30,7 +30,9 @@ from pevplan.nsga import (
 )
 from pevplan.objective import DayEvaluator, ObjectiveBreakdown
 
+import ga_oracle
 from conftest import small_feeder
+from ga_oracle import _columns
 
 
 def dominates(u, v) -> bool:
@@ -184,6 +186,57 @@ def test_survivors_keep_whole_fronts_then_the_most_crowded_apart():
             break
         kept = _survivors(*_rank(*_columns(items)), size)
         assert kept.tolist() == sorted(expect)
+
+
+@st.composite
+def merged_populations(draw):
+    """``(obj, feasible, penalty, size)``: a population as ranking reads it
+    and a survivor count.  The vectors lie on a small grid, so they tie and
+    repeat; the cost column may be constant, as a placement's cost is; the
+    penalties tie too, and every member may be feasible, so that a Pareto
+    front is cut in the middle."""
+    n = draw(st.integers(1, 40))
+    top = draw(st.sampled_from([1, 3, 9]))
+    obj = np.array(draw(st.lists(st.lists(st.integers(0, top), min_size=3, max_size=3),
+                                 min_size=n, max_size=n)), dtype=float)
+    obj *= draw(st.sampled_from([1.0, 0.1]))
+    if draw(st.booleans()):
+        obj[:, 2] = 0.6
+    if draw(st.booleans()):
+        feasible = np.ones(n, dtype=bool)
+    else:
+        feasible = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    penalty = np.array(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)), dtype=float)
+    penalty[feasible] = 0.0
+    return obj, feasible, penalty, draw(st.integers(1, n))
+
+
+def assert_same_arrays(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+# a feasible front of five, cut to three by crowding, whose kept members are
+# not the merged population's first three
+@example((np.array([[0, 10, 1], [1, 6, 1], [2, 5, 1], [6, 1, 1], [10, 0, 1], [9, 9, 1]],
+                   dtype=float), np.ones(6, dtype=bool), np.zeros(6), 3))
+@settings(max_examples=300, deadline=None)
+@given(merged_populations())
+def test_survivors_keep_the_ranking_they_get_alone(pop):
+    obj, feasible, penalty, size = pop
+    ranks, crowd = _rank(obj, feasible, penalty)
+    keep = _survivors(ranks, crowd, size)
+    assert_same_arrays(_kept_ranking(ranks, crowd, obj, keep),
+                       _rank(obj[keep], feasible[keep], penalty[keep]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[st.sampled_from([0.0, 0.5, 1.0, 2.5])] * 3), max_size=12),
+       st.booleans())
+def test_crowding_equals_the_sort_on_fronts_with_ties(vectors, equal):
+    if equal:  # a front of equal vectors takes the path with no sort
+        vectors = vectors[:1] * len(vectors)
+    assert_same_arrays([crowding_distance(vectors)], [ga_oracle.crowding_distance(vectors)])
 
 
 def test_crowding_boundaries_are_infinite():
@@ -370,8 +423,9 @@ class TableEvaluator:
 
     lot_count = 1
 
-    def __init__(self, table):
+    def __init__(self, table, net, scenario):
         self.table = table
+        self.net, self.scenario = net, scenario
         self.asked = set()
 
     def evaluate(self, lots):
@@ -394,9 +448,9 @@ def test_history_follows_the_feasible_first_best():
     for bus, scalar in zip(range(4, 9), (5.0, 4.0, 3.0, 2.0, 1.0)):
         table[bus] = ObjectiveBreakdown(scalar, 0.0, 0.0, scalar, feasible=True)
     for seed in range(5):
-        evaluator = TableEvaluator(table)
+        evaluator = TableEvaluator(table, net, Scenario(mode="none"))
         params = GaParams(population=4, generations=10, mutation_rate=0.5, seed=seed, n_lots=1)
-        res = optimize_placement(net, [], None, Scenario(mode="none"), params, evaluator=evaluator)
+        res = optimize_placement(net, [], None, evaluator.scenario, params, evaluator=evaluator)
         assert {2, 3} & evaluator.asked  # a lower infeasible scalar was seen
         assert res.best_breakdown.feasible
         assert res.history[-1] == res.best_breakdown.scalar
@@ -531,6 +585,62 @@ def test_shared_evaluator_must_match_lot_count():
             GaParams(population=4, generations=1, n_lots=2),
             evaluator=evaluator,
         )
+
+
+def test_shared_evaluator_must_match_scenario():
+    # a mode-none search on a dgq evaluator would rank dgq days
+    net, devices, sc = tiny_setup()
+    evaluator = DayEvaluator(net, devices, None, Scenario(mode="dgq"))
+    with pytest.raises(ValueError, match="another scenario or network"):
+        optimize_placement(net, devices, None, sc,
+                           GaParams(population=4, generations=1, n_lots=1),
+                           evaluator=evaluator)
+
+
+def test_shared_evaluator_must_match_network():
+    net, devices, sc = tiny_setup()
+    evaluator = DayEvaluator(small_feeder(7), devices, None, sc)
+    with pytest.raises(ValueError, match="another scenario or network"):
+        optimize_placement(net, devices, None, sc,
+                           GaParams(population=4, generations=1, n_lots=1),
+                           evaluator=evaluator)
+
+
+@pytest.mark.parametrize("mode, seeds, generations, population", [
+    pytest.param("none", (0, 1, 2, 3, 4, 5), 60, 40, id="none"),
+    # a short search whose fronts cut in the middle hold distinct vectors;
+    # mode none's hold equal ones, so they cannot tell the members apart
+    pytest.param("dgq+v2gq", (0,), 4, 12, id="dgq+v2gq"),
+])
+def test_search_equals_the_two_ranking_oracle(bus33, devices33, profiles33,
+                                              mode, seeds, generations, population):
+    # each run on its own evaluator, so each computes its own days
+    net = bus33.network
+    sc = Scenario(mode=mode, load_profile_id="load-weekday")
+    ours, theirs = (DayEvaluator(net, devices33, profiles33, sc) for _ in range(2))
+    for seed in seeds:
+        params = GaParams(population=population, generations=generations, seed=seed,
+                          n_lots=2)
+        want = ga_oracle.optimize_placement(net, devices33, sc, params, theirs)
+        got = optimize_placement(net, devices33, profiles33, sc, params, evaluator=ours)
+        assert got == want  # the archive's entries compare their crowding too
+
+
+def test_a_search_ranks_once_a_generation(monkeypatch):
+    # the initial population, each generation's merged one, and the archive
+    from pevplan import nsga
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _rank(*args)
+
+    monkeypatch.setattr(nsga, "_rank", counted)
+    net, devices, sc = tiny_setup()
+    optimize_placement(net, devices, None, sc,
+                       GaParams(population=4, generations=7, seed=0, n_lots=1))
+    assert len(calls) == 7 + 2
 
 
 def test_zero_generations_still_reports_initial_best():
