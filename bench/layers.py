@@ -300,9 +300,9 @@ def _v2g_searches(pevplan, bundle) -> dict:
     days = getattr(cls, "_days", None)
     sizes: dict[int, int] = {}
 
-    def counted(self, placements, trail=False):
+    def counted(self, placements):
         sizes[len(placements)] = sizes.get(len(placements), 0) + 1
-        return days(self, placements, trail)
+        return days(self, placements)
 
     if days is not None:
         cls._days = counted

@@ -24,7 +24,7 @@ from .devices import (
     QCapability,
     q_capability,
 )
-from .dispatch import DispatchResult, Scenario, dispatch_q, partial_objective
+from .dispatch import DispatchResult, Scenario, dispatch_q
 from .network import (
     Branch,
     Bus,
@@ -42,7 +42,7 @@ from .nsga import (
     nondominated_sort,
     optimize_placement,
 )
-from .objective import DayEvaluator, DayResult, ObjectiveBreakdown
+from .objective import DayEvaluator, DayHours, DayResult, ObjectiveBreakdown
 from .powerflow import (
     InjectionSet,
     LimitReport,
@@ -68,6 +68,7 @@ __all__ = [
     "Case",
     "CaseParseError",
     "DayEvaluator",
+    "DayHours",
     "DayResult",
     "DeviceSpec",
     "DispatchResult",
@@ -104,7 +105,6 @@ __all__ = [
     "load_profiles",
     "nondominated_sort",
     "optimize_placement",
-    "partial_objective",
     "q_capability",
     "solve",
     "solve_sweep",

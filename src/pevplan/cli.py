@@ -221,26 +221,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ValidationError("simulate requires --mode")
     devices = bind_devices(case, profiles)
     evaluator = DayEvaluator(case.network, devices, profiles, scenario)
-    day = evaluator._evaluate_with_trail()
-    min_v = day.min_voltage
+    day = evaluator.hours()
+    live = np.flatnonzero(day.live).tolist()
+    if not live:
+        raise PowerFlowError("no hour of the day converged")
 
     volt_lines = ["hour,bus,scenario,v_pu"]
     disp_lines = ["hour,device,bus,p_pu,q_pu"]
-    max_v = -math.inf
-    for hour_result in day.hours:
-        sol = hour_result.solution
-        max_v = max(max_v, float(sol.v_mag.max()))
+    min_v, max_v = math.inf, -math.inf
+    for hour in live:
+        v_mag = np.abs(day.v[hour])
+        min_v, max_v = min(min_v, float(v_mag.min())), max(max_v, float(v_mag.max()))
         for pos, bus in enumerate(case.network.buses):
-            volt_lines.append(
-                f"{hour_result.hour},{bus.id},{scenario.mode},{_fmt(sol.v_mag[pos])}"
-            )
-        for dev in devices:
+            volt_lines.append(f"{hour},{bus.id},{scenario.mode},{_fmt(v_mag[pos])}")
+        for dev, q in zip(evaluator.devices, day.q[:, hour].tolist()):
             # load-style sign: lot charging positive, PV generation negative
-            p = -p_injection(dev)[hour_result.hour]
-            q = hour_result.q_settings.get(dev.label, 0.0)
-            disp_lines.append(
-                f"{hour_result.hour},{dev.label},{dev.bus},{_fmt(p)},{_fmt(q)}"
-            )
+            p = -p_injection(dev)[hour]
+            disp_lines.append(f"{hour},{dev.label},{dev.bus},{_fmt(p)},{_fmt(q)}")
 
     if args.out:
         out = Path(args.out)

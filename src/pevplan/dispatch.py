@@ -32,7 +32,7 @@ trial starts from a first-order step off the current voltages and keeps
 the voltage vector it solved, so an accepted move takes the state and the
 score the search saw, with no second solve; full solutions are built only
 for the hour's base and final states.  Moves are accepted
-only when they improve the hour's partial objective by more than the
+only when they improve the hour's dispatch score by more than the
 solves' own error, so the dispatched state is never worse than the
 undispatched one and no accept hangs on rounding, and the two runners
 accept the same moves.  The one exception is an hour whose
@@ -167,11 +167,6 @@ def _scores(scenario: Scenario, branches: tuple[np.ndarray, ...],
     drop = np.take(v, f_idx, axis=-1) - np.take(v, t_idx, axis=-1)
     loss = (np.abs(drop * y_series) ** 2 * r).sum(axis=-1)
     return a * np.abs(scenario.v_ref - np.abs(v)).sum(axis=-1) + b * loss
-
-
-def partial_objective(net: Network, sol: PowerFlowSolution, scenario: Scenario) -> float:
-    """The hour's dispatch score at ``sol``'s voltages: :func:`_scores` of one state."""
-    return float(_scores(scenario, _solver_arrays(net).branches, sol.v_complex))
 
 
 @dataclass(frozen=True)
@@ -525,6 +520,9 @@ def _descent(hr: _Hour,
         stages = [participants]
 
     state, score = base_state, base_score
+    # whether a setpoint moved since ``state`` was solved (a device parked
+    # or pinned without a solve), so that the recheck solves it again
+    stale = False
     infeasible: list[str] = []
     # A move must gain more than the solves' own error.  Each solve stops at
     # a mismatch of at most pf_tol·_FIXED_POINT_MARGIN (1e-10 at the default
@@ -558,10 +556,13 @@ def _descent(hr: _Hour,
                 if not cap.feasible:
                     if dev.label not in infeasible:
                         infeasible.append(dev.label)
+                    stale |= q[dev.label] != 0.0
                     q[dev.label] = 0.0
                     continue
                 if cap.width <= 1e-12:
-                    q[dev.label] = cap.clamp(0.0) if cap.contains(0.0) else cap.q_min
+                    pinned = cap.clamp(0.0) if cap.contains(0.0) else cap.q_min
+                    stale |= pinned != q[dev.label]
+                    q[dev.label] = pinned
                     continue
                 if net.index_of(dev.bus) not in hr.pq_row:
                     continue  # Q at the slack bus enters no solve
@@ -571,14 +572,14 @@ def _descent(hr: _Hour,
                 # penalty; its state and score are the accepted ones
                 if res.fun < _TRIAL_PENALTY and res.fun < score - min_gain:
                     q[dev.label] = float(res.x)
-                    state, score = trial_state, float(res.fun)
+                    state, score, stale = trial_state, float(res.fun), False
                     dirty.update(d.label for d in stage if d.label != dev.label)
                     clean.intersection_update({dev.label})
             if not dirty or score_at_sweep_start - score < SWEEP_IMPROVEMENT_TOL:
                 break
 
     rechecked = yield from _recheck_capability(hr, participants, hour, q, state, score,
-                                               infeasible)
+                                               infeasible, stale)
     # revert if the setpoints did not settle in their intervals, or if the
     # clamped state scores worse than the undispatched one while Q = 0 lies
     # in every interval at the base voltages; where it does not, the base
@@ -608,18 +609,19 @@ def _zero_fits(hr: _Hour, participants: Sequence[Device], hour: int,
 
 def _recheck_capability(
     hr: _Hour, participants: Sequence[Device], hour: int, q: dict[str, float],
-    state: _State, score: float, infeasible: list[str],
+    state: _State, score: float, infeasible: list[str], stale: bool,
 ) -> Generator[_Request, _Reply, tuple[_State, float] | None]:
     """Clamp setpoints into the capability interval at the final voltages.
 
     The interval depends on the device's own bus voltage, which moved during
     the search, so the check iterates clamp-and-resolve until a check of the
     solved state adjusts nothing.  Yields each resolve as a solve request.
-    Returns that state and its score, or None if the setpoints have not
-    settled after ``_RECHECK_SOLVES`` solves.
+    A ``stale`` state, solved at other setpoints than ``q``, is solved
+    again before it can be returned.  Returns that state and its score, or
+    None if the setpoints have not settled after ``_RECHECK_SOLVES`` solves.
     """
+    adjusted = stale
     for solves in range(_RECHECK_SOLVES + 1):
-        adjusted = False
         for dev in participants:
             v_bus = float(np.abs(state[0][hr.net.index_of(dev.bus)]))
             cap = q_capability(dev, dev.p_at(hour), v_bus)
@@ -639,6 +641,7 @@ def _recheck_capability(
             break
         state = yield hr.column(q), state[0]
         score = float(_scores(hr.scenario, hr.branches, state[0]))
+        adjusted = False
     return None
 
 

@@ -183,6 +183,10 @@ class Network:
         except KeyError:
             raise KeyError(f"no bus with id {bus_id}") from None
 
+    def __contains__(self, bus_id: object) -> bool:
+        """Whether the network has a bus with id ``bus_id``."""
+        return bus_id in self._index
+
     def bus_ids(self) -> tuple[int, ...]:
         return tuple(b.id for b in self.buses)
 

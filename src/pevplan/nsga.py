@@ -188,7 +188,7 @@ def _resolve_candidates(net: Network, params: GaParams, n_lots: int) -> tuple[in
     else:
         candidates = tuple(sorted(set(params.candidates)))
         for c in candidates:
-            if c not in net.bus_ids():
+            if c not in net:
                 raise ValueError(f"candidate bus {c} not in network")
             if c == net.slack_id:
                 raise ValueError("slack bus cannot host a parking lot")

@@ -16,14 +16,14 @@ columns in one lockstep (``dispatch._dispatch_day``), one block per step,
 so it never calls :func:`dispatch_q`, which runs one hour alone.  A block's
 columns and the lockstep's hours do not see each other, and each day is
 scored from its own columns, so a placement's breakdown is the same bit
-for bit in any batch.
+for bit in any batch.  A day's hours are read from the arrays its batch
+holds, through :meth:`DayEvaluator.hours`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Sequence
 
@@ -38,21 +38,18 @@ from .devices import (
     capability_violation,
 )
 from .dispatch import (
-    DispatchResult,
     Scenario,
     _base_injections,
     _dispatch_day,
+    _scores,
     _solve_block,
     dispatch_q,  # noqa: F401  (the benchmark's tracer wraps this name)
-    partial_objective,
 )
 from .network import (
     Network,
     build_ybus,  # noqa: F401  (the benchmark's tracer wraps this name)
 )
 from .powerflow import (
-    PowerFlowError,
-    _finish,
     _limit_excess,
     _solver_arrays,
     check_limits,  # noqa: F401  (the benchmark's tracer wraps this name)
@@ -91,7 +88,7 @@ def combine(v_dev: float, loss: float, cost: float,
 class DayStats:
     """Work counters of one :class:`DayEvaluator` since it was built.
 
-    ``days`` counts day computations (cache misses and trail recomputes),
+    ``days`` counts day computations (cache misses and ``hours`` calls),
     made in ``batches`` batches, so ``days / batches`` is the mean batch
     size; ``block_columns`` the hours solved in the batches' base blocks
     (24 columns a day), and
@@ -127,22 +124,37 @@ class DayStats:
 
 @dataclass(frozen=True)
 class DayResult:
-    """A placement's breakdown; the per-hour dispatch trail behind it is
-    recomputed by the evaluator the first time it is read."""
+    """A placement's breakdown."""
 
     lot_buses: tuple[int, ...]
     breakdown: ObjectiveBreakdown
-    _evaluator: "DayEvaluator" = field(repr=False, compare=False)
 
-    @cached_property
-    def hours(self) -> tuple[DispatchResult, ...]:
-        return self._evaluator._trail(self.lot_buses)
 
-    @property
-    def min_voltage(self) -> float:
-        if not self.hours:
-            raise PowerFlowError("no hour of the day converged")
-        return min(h.solution.v_min for h in self.hours)
+@dataclass(frozen=True, eq=False)
+class DayHours:
+    """A placement's day hour by hour, from :meth:`DayEvaluator.hours`.
+
+    Each array holds one entry an hour.  ``live`` marks the hours that
+    converged; an hour that did not adds no terms, and its entries are
+    stand-ins (voltages of 1.0).  ``v`` holds the final voltages as
+    ``(hour, bus)`` and ``q`` the setpoints as ``(device, hour)``, in the
+    order of the evaluator's devices, every Q 0 in an hour not dispatched
+    or ``reverted`` to its undispatched base column.  ``iterations`` and
+    ``mismatch`` are those of the solve that ended each hour; ``score`` and
+    ``base_score`` are the hour's dispatch score at its final and at its
+    undispatched state, equal where the hour kept its base column.
+    """
+
+    lot_buses: tuple[int, ...]
+    breakdown: ObjectiveBreakdown
+    live: np.ndarray
+    v: np.ndarray
+    q: np.ndarray
+    iterations: np.ndarray
+    mismatch: np.ndarray
+    score: np.ndarray
+    base_score: np.ndarray
+    reverted: np.ndarray
 
 
 def place_lots(devices: Sequence[Device], lot_buses: Sequence[int],
@@ -157,7 +169,7 @@ def place_lots(devices: Sequence[Device], lot_buses: Sequence[int],
     for b in buses:
         if b == net.slack_id:
             raise ValueError("cannot place a lot at the slack bus")
-        if b not in net.bus_ids():
+        if b not in net:
             raise ValueError(f"lot bus {b} not in network")
     it = iter(buses)
     return [d.moved_to(next(it)) if isinstance(d, PevLot) else d for d in devices]
@@ -169,8 +181,10 @@ class DayEvaluator:
     The network, PV fleet, lot templates, profiles, and scenario are fixed at
     construction; :meth:`evaluate_many` and :meth:`evaluate` vary only the
     lot buses, so repeated genomes during a search cost one dictionary
-    lookup.  Only breakdowns are cached; a result's per-hour trail is
-    recomputed when read.
+    lookup.  Only breakdowns are cached; :meth:`hours` computes a day again
+    and returns it hour by hour.  The lots are kept in the order of their
+    own buses (PVs in place), so the default placement puts each lot on its
+    own bus whatever order the fleet lists them in.
 
     A batch of days starts from their undispatched base flows, 24 a day,
     solved together as the columns of one fixed-point block from a flat
@@ -191,7 +205,9 @@ class DayEvaluator:
         scenario: Scenario,
     ) -> None:
         self.net = net
-        self.devices = list(devices)
+        lots = iter(sorted((d for d in devices if isinstance(d, PevLot)),
+                           key=lambda d: d.bus))
+        self.devices = [next(lots) if isinstance(d, PevLot) else d for d in devices]
         self.scenario = scenario
         if scenario.load_profile_id is not None:
             if not profiles or scenario.load_profile_id not in profiles:
@@ -240,31 +256,27 @@ class DayEvaluator:
         new = list(dict.fromkeys(key for key in keys if key not in self._cache))
         for first in range(0, len(new), _BATCH):
             batch = new[first:first + _BATCH]
-            days = self._days([self._placed(key) for key in batch])
-            for key, (breakdown, _) in zip(batch, days):
-                self._cache[key] = breakdown
-        return [DayResult(key, self._cache[key], self) for key in keys]
+            breakdowns, _ = self._days([self._placed(key) for key in batch])
+            self._cache.update(zip(batch, breakdowns))
+        return [DayResult(key, self._cache[key]) for key in keys]
 
-    def _evaluate_with_trail(self) -> DayResult:
-        """``evaluate()`` with the per-hour trail filled in from the same
-        day computation, so reading ``hours`` computes no second day."""
-        key = self._key(None)
-        ((breakdown, hours),) = self._days([self._placed(key)], trail=True)
+    def hours(self, lot_buses: Sequence[int] | None = None) -> DayHours:
+        """The day of one placement (the devices' own by default) hour by
+        hour, computed as a batch of one; its breakdown is cached."""
+        key = self._key(lot_buses)
+        (breakdown,), batch = self._days([self._placed(key)])
         self._cache[key] = breakdown
-        day = DayResult(key, breakdown, self)
-        day.__dict__["hours"] = hours  # the cached value of DayResult.hours
-        return day
+        v, q, live, iterations, mismatch, base_score, reverted = (a[0] for a in batch)
+        score = _scores(self.scenario, _solver_arrays(self.net).branches, v)
+        return DayHours(key, breakdown, live, v, q, iterations, mismatch, score,
+                        np.where(np.isnan(base_score), score, base_score), reverted)
 
-    def _trail(self, key: tuple[int, ...]) -> tuple[DispatchResult, ...]:
-        """The dispatch results of every non-divergent hour of ``key``'s day."""
-        ((_, hours),) = self._days([self._placed(key)], trail=True)
-        return hours
-
-    def _days(
-        self, placements: list[list[Device]], trail: bool = False
-    ) -> list[tuple[ObjectiveBreakdown, tuple[DispatchResult, ...] | None]]:
-        """Each placement's breakdown and, with ``trail``, its per-hour
-        results, computed together.
+    def _days(self, placements: list[list[Device]]
+              ) -> tuple[list[ObjectiveBreakdown], tuple[np.ndarray, ...]]:
+        """Each placement's breakdown and, day first, the arrays of its
+        hours: the fields of :class:`DayHours` but the scores, in the order
+        ``v``, ``q``, ``live``, ``iterations``, ``mismatch``, ``base_score``
+        (NaN in an hour that kept its base column) and ``reverted``.
 
         Column ``d·HOURS + h`` of the day arrays is hour ``h`` of placement
         ``d``, so each placement's hours are one contiguous run of columns.
@@ -286,8 +298,8 @@ class DayEvaluator:
         live[list(solved.failed)] = False
 
         q = np.zeros((k, len(placements[0]), HOURS))
-        dispatched: dict[int, DispatchResult] = {}
-        reverted: set[int] = set()
+        base_score = np.full(k * HOURS, np.nan)
+        reverted = np.zeros(k * HOURS, dtype=bool)
         if scenario.participating(placements[0]):
             cols = np.flatnonzero(live).tolist()
             stats["hours_dispatched"] += len(cols)
@@ -297,10 +309,12 @@ class DayEvaluator:
             for col, result in zip(cols, results):
                 if result is None:
                     stats["reverted_hours"] += 1
-                    reverted.add(col)
+                    reverted[col] = True
                     continue
-                dispatched[col] = result
-                v[:, col] = result.solution.v_complex
+                sol = result.solution
+                v[:, col] = sol.v_complex
+                iterations[col], mismatch[col] = sol.iterations, sol.max_mismatch
+                base_score[col], reverted[col] = result.base_score, result.reverted
                 q[col // HOURS, :, col % HOURS] = [
                     result.q_settings[dev.label] for dev in placements[col // HOURS]]
 
@@ -311,23 +325,8 @@ class DayEvaluator:
         rows[~day_live] = 1.0  # finite stand-ins for divergent hours, which add no terms
         out = self._score(placements, rows, q, day_live)
         stats["day_s"] += perf_counter() - t0
-        if not trail:
-            return [(breakdown, None) for breakdown in out]
-        days = []
-        for d, (devices, breakdown) in enumerate(zip(placements, out)):
-            hours = []
-            for col in range(d * HOURS, (d + 1) * HOURS):
-                if not live[col]:
-                    continue
-                if col in dispatched:
-                    hours.append(dispatched[col])
-                    continue
-                sol = _finish(net, v[:, col], int(iterations[col]), float(mismatch[col]), True)
-                score = partial_objective(net, sol, scenario)
-                hours.append(DispatchResult(col % HOURS, {dev.label: 0.0 for dev in devices},
-                                            sol, sol, score, score, reverted=col in reverted))
-            days.append((breakdown, tuple(hours)))
-        return days
+        return out, (rows, q, day_live, *(a.reshape(k, HOURS) for a in
+                                          (iterations, mismatch, base_score, reverted)))
 
     def _score(self, placements: list[list[Device]], v: np.ndarray, q: np.ndarray,
                live: np.ndarray) -> list[ObjectiveBreakdown]:

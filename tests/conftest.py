@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -65,6 +66,18 @@ def hour_injections(
         p[pos] += p_injection(dev)[hour]
         q[pos] -= q_settings.get(dev.label, 0.0)
     return InjectionSet(p, q)
+
+
+def assert_row_is_hour(day, hour: int, placed: Sequence[Device], result, where) -> None:
+    """Row ``hour`` of a day's hours (``DayEvaluator.hours``) equals the
+    lockstep's result for that hour (a ``DispatchResult``) bit for bit."""
+    sol = result.solution
+    np.testing.assert_array_equal(day.v[hour], sol.v_complex, err_msg=str(where))
+    assert day.q[:, hour].tolist() == [result.q_settings[d.label] for d in placed], where
+    assert (day.iterations[hour], day.mismatch[hour]) == (sol.iterations,
+                                                          sol.max_mismatch), where
+    assert (day.score[hour], day.base_score[hour], day.reverted[hour]) == (
+        result.score, result.base_score, result.reverted), where
 
 
 def small_feeder(n: int = 4, r: float = 0.01, x: float = 0.02) -> Network:

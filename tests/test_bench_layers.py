@@ -52,3 +52,17 @@ def test_width_histogram_counts_each_dispatch_step_once(bus33, devices33, profil
     assert sum(w * n for w, n in widths.items()) == stats.dispatch_columns
     assert (work["dispatch_steps"], work["dispatch_columns"]) == (
         stats.dispatch_steps, stats.dispatch_columns)
+
+
+def test_v2g_search_batch_sizes_add_up_to_its_days(bus33, devices33, profiles33,
+                                                   monkeypatch):
+    # the search layer's histogram of batch sizes comes from wrapping
+    # DayEvaluator._days; its batches must hold the evaluator's own days
+    layers = layers_module()
+    monkeypatch.setattr(layers, "V2G_SEARCH_SEEDS", (0,))
+    monkeypatch.setattr(layers, "V2G_SEARCH_PARAMS",
+                        {"population": 4, "generations": 1, "n_lots": 2})
+    out = layers._v2g_searches(pevplan, (bus33.network, devices33, profiles33))
+    sizes = {int(size): n for size, n in out["batch_sizes"].items()}
+    assert max(sizes) > 1  # the wrapper counted the batches
+    assert sum(size * n for size, n in sizes.items()) == out["days"] > 0

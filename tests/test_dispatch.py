@@ -16,8 +16,8 @@ from pevplan.dispatch import (
     Scenario,
     canonical_mode,
     dispatch_q,
-    partial_objective,
 )
+from pevplan.network import Branch, Bus, Network
 from pevplan.objective import DayEvaluator, place_lots
 from pevplan.powerflow import (
     _FIXED_POINT_MARGIN,
@@ -29,7 +29,7 @@ from pevplan.powerflow import (
     solve,
 )
 
-from conftest import hour_injections, radial_feeders, small_feeder
+from conftest import assert_row_is_hour, hour_injections, radial_feeders, small_feeder
 
 PEAK_HOUR = 19
 
@@ -160,11 +160,12 @@ def test_assembled_columns_and_scores_equal_their_oracles(data):
     assert rows.tolist() == expected
 
 
-def test_partial_objective_arithmetic(feeder4):
+def test_scores_arithmetic(feeder4):
     sol = solve(feeder4, InjectionSet.from_loads(*feeder4.load_vectors()))
     sc = Scenario(weights=(2.0, 5.0, 0.3))
     expect = 2.0 * np.sum(np.abs(1.0 - sol.v_mag)) + 5.0 * sol.total_losses
-    assert partial_objective(feeder4, sol, sc) == pytest.approx(expect, abs=1e-15)
+    score = dispatch._scores(sc, _solver_arrays(feeder4).branches, sol.v_complex)
+    assert float(score) == pytest.approx(expect, abs=1e-15)
 
 
 # -- dispatch behaviour ------------------------------------------------------
@@ -585,6 +586,34 @@ def test_recheck_clamps_a_setpoint_the_search_left_outside(monkeypatch):
         assert cap.contains(res.q_settings[dev.label], tol=CAPABILITY_RECHECK_TOL)
 
 
+def test_a_device_parked_after_a_solve_is_solved_again(monkeypatch):
+    # the PV stage moves the PV off 0; the lot's move then lifts the PV's
+    # bus past its dc-link limit (vc_max 1.0), and the next sweep parks the
+    # PV at 0 without a solve.  The hour must not end on the state solved
+    # with the PV's old setpoint: the recheck solves it again (and, as that
+    # state scores worse than the undispatched one, the hour reverts)
+    r = 0.00390625
+    net = Network((Bus(1, kind="slack"), Bus(2), Bus(3), Bus(4)),
+                  (Branch(2, 1, r, r), Branch(3, 2, r, r), Branch(4, 2, r, r)))
+    pv = PvUnit(3, 0.02, flat_profile(0.01996118400300857), vc_max=1.0)
+    lot = PevLot(2, 0.25, flat_profile(0.125), vc_max=1.0)
+    rechecked = []
+    recheck = dispatch._recheck_capability
+
+    def spied(hr, participants, hour, q, state, score, infeasible, stale):
+        rechecked.append((dict(q), stale))
+        return recheck(hr, participants, hour, q, state, score, infeasible, stale)
+
+    monkeypatch.setattr(dispatch, "_recheck_capability", spied)
+    res = dispatch_q(net, [pv, lot], 0, Scenario(mode="dgq+v2gq"))
+    ((q_searched, stale),) = rechecked
+    assert stale and q_searched[pv.label] == 0.0 and q_searched[lot.label] < 0.0
+    assert pv.label in res.infeasible_devices and res.reverted
+    sol = solve(net, hour_injections(net, [pv, lot], 0, res.q_settings), tol=1e-10)
+    assert np.abs(sol.v_complex - res.solution.v_complex).max() <= 1e-9
+    assert res.score == pytest.approx(own_score(Scenario(mode="dgq+v2gq"), sol), abs=1e-9)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_recheck_returns_setpoints_inside_the_final_intervals(data):
@@ -616,7 +645,7 @@ def test_recheck_returns_setpoints_inside_the_final_intervals(data):
         q[dev.label] = data.draw(inside, label=dev.label) if cap.feasible else 0.0
     state = hr.solve(hr.column(q), base_v)
     rechecked = dispatch._serial(hr, dispatch._recheck_capability(
-        hr, devices, 0, q, state, score_of(hr, state[0]), infeasible))
+        hr, devices, 0, q, state, score_of(hr, state[0]), infeasible, False))
     if rechecked is None:
         return
     state, score = rechecked
@@ -779,21 +808,36 @@ def test_lockstep_day_runs_each_hour_as_dispatch_q_does(bus33, devices33, profil
                 res = reply[0]
                 log.append((request.row, request.q_now, res.nfev, res.x, res.fun))
 
+    runs = []
+    lockstep = objective._dispatch_day
+
+    def recorded(net_, scenario, hours, s_pq, v0, stats):
+        results = lockstep(net_, scenario, hours, s_pq, v0, stats)
+        runs.append((hours, v0.copy(), results))
+        return results
+
     monkeypatch.setattr(dispatch, "_descent", logged)
+    monkeypatch.setattr(objective, "_dispatch_day", recorded)
     for key in GOLDEN_V2G:
         searches.clear()
+        runs.clear()
         path[0] = "lockstep"
-        lockstep = DayEvaluator(net, devices33, profiles33, sc)._trail(key)
-        bases = DayEvaluator(net, devices33, profiles33,
-                             replace(sc, mode="none"))._trail(key)
+        day = DayEvaluator(net, devices33, profiles33, sc).hours(key)
+        bases = DayEvaluator(net, devices33, profiles33, replace(sc, mode="none")).hours(key)
+        ((hours, v0, results),) = runs
+        assert [hour for _, hour in hours] == list(range(HOURS))
+        # mode none's rows are the base-block columns the lockstep started from
+        np.testing.assert_array_equal(bases.v, v0.T)
+        assert not bases.q.any() and not bases.reverted.any()
+        np.testing.assert_array_equal(bases.score, bases.base_score)
         path[0] = "serial"
-        placed = place_lots(devices33, key, net)
-        for hour in range(HOURS):
+        for (placed, hour), result in zip(hours, results):
             alone = dispatch_q(net, placed, hour, sc, load_scale=shape[hour],
-                               v0=bases[hour].solution.v_complex)
+                               v0=v0[:, hour])
             where = (key, hour)
             assert searches[("lockstep", hour)] == searches[("serial", hour)], where
-            assert_same_hour(lockstep[hour], alone, where)
+            assert_same_hour(result, alone, where)
+            assert_row_is_hour(day, hour, placed, result, where)
 
 
 @settings(max_examples=10, deadline=None)

@@ -111,6 +111,7 @@ def test_index_lookup_and_bus_access(feeder4):
     assert feeder4.buses[feeder4.index_of(4)].id == 4
     with pytest.raises(KeyError, match="no bus with id 42"):
         feeder4.index_of(42)
+    assert [b in feeder4 for b in (1, 4, 42)] == [True, True, False]
 
 
 def test_base_conversions():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,10 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pevplan import dispatch, objective
-from pevplan.devices import HOURS, HourlyProfile, PevLot, PvUnit, capability_violation
+from pevplan.devices import (
+    HOURS,
+    HourlyProfile,
+    PevLot,
+    PvUnit,
+    capability_violation,
+    q_capability,
+)
 from pevplan.dispatch import MODES, Scenario, dispatch_q
 from pevplan.nsga import GaParams, optimize_placement
-from pevplan.powerflow import PowerFlowError, _solver_arrays, check_limits, solve
+from pevplan.powerflow import PowerFlowError, _finish, _solver_arrays, check_limits, solve
+from pevplan.sweep import solve_sweep
 from pevplan.objective import (
     DayEvaluator,
     ObjectiveBreakdown,
@@ -19,7 +28,7 @@ from pevplan.objective import (
     place_lots,
 )
 
-from conftest import hour_injections, radial_feeders
+from conftest import assert_row_is_hour, hour_injections, radial_feeders
 
 
 @pytest.fixture(scope="module")
@@ -76,15 +85,22 @@ def test_scalar_recomputes_from_parts(day_eval):
 
 
 def test_terms_recompute_from_hourly_trail(day_eval):
-    day = day_eval.evaluate()
-    assert len(day.hours) == 24
-    v_dev = sum(
-        float(np.sum(np.abs(1.0 - h.solution.v_mag))) for h in day.hours
-    )
-    loss = sum(h.solution.total_losses for h in day.hours)
+    # the day's terms and each hour's score, from full solutions at the
+    # hours' final voltages
+    day = day_eval.hours()
+    assert day.live.all() and day.v.shape == (HOURS, day_eval.net.n_bus)
+    sols = [_finish(day_eval.net, day.v[h], int(day.iterations[h]), float(day.mismatch[h]),
+                    True) for h in range(HOURS)]
+    v_dev = sum(float(np.sum(np.abs(1.0 - sol.v_mag))) for sol in sols)
+    loss = sum(sol.total_losses for sol in sols)
     assert day.breakdown.v_dev == pytest.approx(v_dev, abs=1e-12)
     assert day.breakdown.loss == pytest.approx(loss, abs=1e-12)
-    assert day.min_voltage == min(h.solution.v_min for h in day.hours)
+    a, b, _ = day_eval.scenario.weights
+    for score, sol in zip(day.score.tolist(), sols):
+        assert score == pytest.approx(a * float(np.sum(np.abs(1.0 - sol.v_mag)))
+                                      + b * sol.total_losses, abs=1e-12)
+    assert (day.score <= day.base_score).all()
+    assert day_eval.evaluate().breakdown is day.breakdown  # hours() filled the cache
 
 
 def test_cost_term_is_placement_independent(day_eval, devices33):
@@ -110,6 +126,22 @@ def test_evaluator_memoizes(bus33, devices33, profiles33):
     assert ev.cache_size == 1
 
 
+def test_default_placement_does_not_depend_on_the_order_of_the_lots(bus33, devices33,
+                                                                    profiles33):
+    # a commuter lot at bus 19 and a lot of a fifth its charge at bus 7,
+    # listed either way round: the default placement keeps each on its own
+    # bus (listed as [19, 7], the lots' templates used to swap buses)
+    pvs = [d for d in devices33 if not isinstance(d, PevLot)]
+    commuter = next(d for d in devices33 if isinstance(d, PevLot) and d.bus == 19)
+    small = PevLot(7, commuter.s_rated, tuple(0.2 * p for p in commuter.charge_profile))
+    sc = Scenario(mode="none", load_profile_id="load-weekday")
+    evs = [DayEvaluator(bus33.network, fleet, profiles33, sc)
+           for fleet in (pvs + [commuter, small], pvs + [small, commuter])]
+    for ev in evs:
+        assert ev.devices == pvs + [small, commuter]
+    assert evs[0].evaluate().breakdown == evs[1].evaluate().breakdown
+
+
 def test_missing_load_profile_is_an_error(bus33, devices33, profiles33):
     sc = Scenario(mode="none", load_profile_id="no-such-shape")
     with pytest.raises(ValueError, match="no-such-shape"):
@@ -119,9 +151,9 @@ def test_missing_load_profile_is_an_error(bus33, devices33, profiles33):
 def test_constant_load_when_no_profile_named(bus33, devices33):
     sc = Scenario(mode="none")
     ev = DayEvaluator(bus33.network, devices33, None, sc)
-    day = ev.evaluate()
+    day = ev.hours()
     # every hour sees the same load, so only device profiles vary the state
-    assert len(day.hours) == 24
+    assert day.live.all()
     assert day.breakdown.scalar > 0
 
 
@@ -151,7 +183,7 @@ def test_divergent_hour_is_penalised_and_the_rest_still_count(bus33, devices33,
     day = ev.evaluate()
     stats = ev.stats
     assert (stats.newton_columns, stats.divergent_hours) == (1, 1)
-    assert [h.hour for h in day.hours] == [h for h in range(HOURS) if h != bad]
+    assert np.flatnonzero(ev.hours().live).tolist() == [h for h in range(HOURS) if h != bad]
 
     # the other 23 hours, each solved by Newton and checked on its own
     v_dev = loss = penalty = 0.0
@@ -244,13 +276,14 @@ def test_newton_column_trail_carries_newtons_solve(bus33, devices33, profiles33,
     monkeypatch.setattr(dispatch, "_fixed_point_block", one_column_fails)
     monkeypatch.setattr(dispatch, "_newton", recorded)
     sc = Scenario(mode="none", load_profile_id="load-weekday")
-    day = DayEvaluator(bus33.network, devices33, profiles33, sc)._evaluate_with_trail()
+    day = DayEvaluator(bus33.network, devices33, profiles33, sc).hours()
     (sol,) = solved
-    entry = day.hours[forced].solution
-    np.testing.assert_array_equal(entry.v_complex, sol.v_complex)
-    assert (entry.iterations, entry.max_mismatch, entry.converged) == (
-        sol.iterations, sol.max_mismatch, True)
-    assert entry.total_losses == sol.total_losses
+    assert sol.converged and day.live[forced]
+    np.testing.assert_array_equal(day.v[forced], sol.v_complex)
+    assert (day.iterations[forced], day.mismatch[forced]) == (sol.iterations,
+                                                              sol.max_mismatch)
+    score = float(dispatch._scores(sc, _solver_arrays(bus33.network).branches, sol.v_complex))
+    assert day.score[forced] == day.base_score[forced] == score
 
 
 def test_failed_dispatch_reverts_the_hour_to_its_base_column(bus33, devices33,
@@ -262,7 +295,7 @@ def test_failed_dispatch_reverts_the_hour_to_its_base_column(bus33, devices33,
     # of the day's base block, which starts every column flat, converges.
     net, bad = bus33.network, 19
     none_day = DayEvaluator(net, devices33, profiles33,
-                            Scenario(mode="none", load_profile_id="load-weekday")).evaluate()
+                            Scenario(mode="none", load_profile_id="load-weekday")).hours()
     p_bad = hour_injections(net, devices33, bad,
                             load_scale=profiles33["load-weekday"].values[bad]).p
     pq = _solver_arrays(net).fixed_point[0]
@@ -289,21 +322,21 @@ def test_failed_dispatch_reverts_the_hour_to_its_base_column(bus33, devices33,
     day = ev.evaluate()
     # the hour's base solve, from its base column, was its only solve
     (start,) = failed
-    np.testing.assert_array_equal(start, none_day.hours[bad].solution.v_complex)
+    np.testing.assert_array_equal(start, none_day.v[bad])
     stats = ev.stats
     assert (stats.reverted_hours, stats.divergent_hours) == (1, 0)
     assert stats.hours_dispatched == HOURS and stats.newton_fallbacks == 1
     assert day.breakdown.violation_penalty < objective._DIVERGENT_HOUR_PENALTY
 
-    hours = day.hours
-    assert [h.hour for h in hours] == list(range(HOURS))
-    assert len(failed) == 2  # reading the trail computed the day again
-    entry = hours[bad]
-    assert entry.reverted and set(entry.q_settings.values()) == {0.0}
-    assert entry.solution is entry.base_solution and entry.score == entry.base_score
-    np.testing.assert_array_equal(entry.solution.v_complex,
-                                  none_day.hours[bad].solution.v_complex)
-    assert not any(h.reverted for h in hours if h.hour != bad)
+    hours = ev.hours()
+    assert hours.live.all()
+    assert len(failed) == 2  # hours() computed the day again
+    assert hours.reverted[bad] and set(hours.q[:, bad].tolist()) == {0.0}
+    assert hours.score[bad] == hours.base_score[bad] == none_day.score[bad]
+    np.testing.assert_array_equal(hours.v[bad], none_day.v[bad])
+    assert (hours.iterations[bad], hours.mismatch[bad]) == (none_day.iterations[bad],
+                                                            none_day.mismatch[bad])
+    assert np.flatnonzero(hours.reverted).tolist() == [bad]
 
 
 # -- the day's work counters -------------------------------------------------
@@ -336,8 +369,7 @@ def test_day_searches_equal_those_of_its_hours_run_serially(bus33, devices33, pr
     sc = Scenario(mode="dgq+v2gq", load_profile_id="load-weekday")
     ev = DayEvaluator(net, devices33, profiles33, sc)
     ev.evaluate(key)
-    bases = DayEvaluator(net, devices33, profiles33,
-                         replace(sc, mode="none")).evaluate(key).hours
+    bases = DayEvaluator(net, devices33, profiles33, replace(sc, mode="none")).hours(key).v
     nfev = []
     brent = dispatch.minimize_scalar
 
@@ -350,7 +382,7 @@ def test_day_searches_equal_those_of_its_hours_run_serially(bus33, devices33, pr
     placed = place_lots(devices33, key, net)
     for hour in range(HOURS):
         dispatch_q(net, placed, hour, sc, load_scale=shape[hour],
-                   v0=bases[hour].solution.v_complex)
+                   v0=bases[hour])
     assert (ev.stats.searches, ev.stats.trials) == (len(nfev), sum(nfev))
 
 
@@ -435,3 +467,124 @@ def test_generated_feeder_days_do_not_depend_on_their_batch(data):
     placements = data.draw(placements_of(buses, n_lots, 12), label="placements")
     batch_independent(net, devices, profiles, placements,
                       data.draw(st.integers(0, 2**31 - 1), label="seed"))
+
+
+# -- a day's hours on generated feeders ---------------------------------------
+
+
+def converter_excess(dev, p: float, q: float, v: float) -> float:
+    """The converter's squared overshoot of its rating circle p² + q² ≤ S²
+    and its dc-link circle (q + V²/X)² + p² ≤ (Vc·V/X)², 0 inside both."""
+    center, radius = v * v / dev.x_coupling, dev.vc_max * v / dev.x_coupling
+    return max(p * p + q * q - dev.s_rated**2, (q + center) ** 2 + p * p - radius**2, 0.0)
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_generated_feeder_hours_solve_their_network(data):
+    # 5–15 buses, a PV unit and 1–3 lots with hourly profiles, and an
+    # hourly load shape, perhaps with one hour that diverges, in every mode.
+    # Each live hour's voltages solve the network at that hour's setpoints
+    # (Newton from a flat start and the sweep agree with them), the
+    # breakdown recomputes from those solutions, check_limits and the
+    # converters' circles (checked against q_capability), and every row is
+    # its hour as the day computed it: a dispatched hour the lockstep's
+    # result, any other hour its base-block column with every Q at 0
+    net = data.draw(radial_feeders(5, 15), label="feeder")
+    buses = [b.id for b in net.buses if b.kind != "slack"]
+    n_lots = data.draw(st.integers(1, min(3, len(buses))), label="lots")
+
+    def hourly(peak: float):
+        return data.draw(st.lists(st.floats(0.0, peak), min_size=HOURS, max_size=HOURS))
+
+    size = data.draw(st.floats(0.03, 0.3), label="lot size")
+    # a dc-link limit near 1 pu leaves Q = 0 outside some hours' intervals
+    vc = data.draw(st.floats(0.95, 1.1), label="vc_max")
+    devices = [PvUnit(data.draw(st.sampled_from(buses), label="pv bus"), 0.02, hourly(0.02),
+                      vc_max=vc)]
+    devices += [PevLot(bus, size, hourly(size), vc_max=vc) for bus in buses[:n_lots]]
+    shape = data.draw(st.lists(st.floats(0.2, 3.0), min_size=HOURS, max_size=HOURS),
+                      label="load shape")
+    # perhaps one hour whose load no solver can carry
+    shape[data.draw(st.integers(0, HOURS - 1), label="spike hour")] *= data.draw(
+        st.sampled_from((1.0, 1e3)), label="spike")
+    profiles = {"load-weekday": HourlyProfile("load-weekday", shape)}
+    key = data.draw(st.permutations(buses).map(lambda p: tuple(sorted(p[:n_lots]))),
+                    label="placement")
+    lockstep, base_block = objective._dispatch_day, objective._solve_block
+    for mode in MODES:
+        sc = Scenario(mode=mode, load_profile_id="load-weekday")
+        a, b, _ = sc.weights
+        runs, blocks = [], []
+
+        def recorded(net_, scenario, hours, s_pq, v0, stats):
+            results = lockstep(net_, scenario, hours, s_pq, v0, stats)
+            runs.append(dict(zip((hour for _, hour in hours), results)))
+            return results
+
+        def recorded_block(net_, s_pq, v, tol):
+            solved = base_block(net_, s_pq, v, tol)
+            blocks.append((v.copy(), solved.iterations.copy(), solved.mismatch.copy()))
+            return solved
+
+        ev = DayEvaluator(net, devices, profiles, sc)
+        with mock.patch.object(objective, "_dispatch_day", recorded), \
+                mock.patch.object(objective, "_solve_block", recorded_block):
+            day = ev.hours(key)
+        placed = place_lots(ev.devices, key, net)
+        live = np.flatnonzero(day.live).tolist()
+        results = runs[0] if runs else {}
+        assert ev.stats.hours_dispatched == (len(live) if mode != "none" else 0), mode
+        assert sorted(results) == (live if mode != "none" else []), mode
+
+        ((base_v, base_iterations, base_mismatch),) = blocks
+        v_dev = loss = penalty = 0.0
+        feasible = len(live) == HOURS
+        for hour in live:
+            where = (mode, hour)
+            result = results.get(hour)
+            if result is None:  # not dispatched, or its dispatch raised
+                np.testing.assert_array_equal(day.v[hour], base_v[:, hour], err_msg=str(where))
+                assert (day.iterations[hour], day.mismatch[hour]) == (
+                    base_iterations[hour], base_mismatch[hour]), where
+                assert not day.q[:, hour].any(), where
+                assert day.score[hour] == day.base_score[hour], where
+                assert day.reverted[hour] == (mode != "none"), where
+            else:
+                assert_row_is_hour(day, hour, placed, result, where)
+
+            setpoints = dict(zip((dev.label for dev in placed), day.q[:, hour].tolist()))
+            inj = hour_injections(net, placed, hour, setpoints, load_scale=shape[hour])
+            sol = solve(net, inj, tol=1e-10)
+            for other in (sol, solve_sweep(net, inj, tol=1e-11)):
+                assert np.abs(other.v_complex - day.v[hour]).max() <= 1e-8, where
+            v_mag = sol.v_mag
+            v_dev += float(np.abs(sc.v_ref - v_mag).sum())
+            loss += sol.total_losses
+            assert day.score[hour] == pytest.approx(
+                a * float(np.abs(sc.v_ref - v_mag).sum()) + b * sol.total_losses,
+                abs=1e-8), where
+            report = check_limits(net, sol)
+            feasible &= report.ok
+            penalty += sum(abs(vv.v - vv.bound) for vv in report.voltage_violations)
+            penalty += sum(tv.i - tv.i_cap for tv in report.thermal_violations)
+            for dev in placed:
+                p, q = dev.p_at(hour), setpoints[dev.label]
+                v_bus = float(v_mag[net.index_of(dev.bus)])
+                excess = converter_excess(dev, p, q, v_bus)
+                cap = q_capability(dev, p, v_bus)
+                if cap.contains(q):
+                    assert excess <= 1e-12, where
+                elif not cap.contains(q, tol=1e-6):
+                    assert excess > 0.0, where
+                feasible &= excess <= 1e-9
+                penalty += excess if excess > 1e-9 else 0.0
+        penalty += objective._DIVERGENT_HOUR_PENALTY * (HOURS - len(live))
+        # the day's solves stop at a mismatch of 1e-10, which moves a day's
+        # sums by about 1e-8
+        bd = day.breakdown
+        assert bd.v_dev == pytest.approx(v_dev, abs=1e-7), mode
+        assert bd.loss == pytest.approx(loss, abs=1e-7), mode
+        assert bd.violation_penalty == pytest.approx(penalty, abs=1e-7), mode
+        assert bd.feasible == feasible, mode
+        assert ev.evaluate(key).breakdown is bd
