@@ -40,10 +40,12 @@ The JSON gives, per source tree:
   solved them (``mean_width`` is columns per step), Newton solves, and
   Brent searches and their function calls (``nfev``), so a faster figure
   can be told apart from less work.  A tree whose ``DayStats`` counts the
-  lockstep's work is read from it, with the width of every block counted
-  by wrapping ``dispatch._fixed_point_block`` while
-  ``objective._dispatch_day`` runs, so the day's base block is no step
-  (``width_histogram``: blocks per width over all the mode's placements).
+  lockstep's work is read from it (its kernel iterations too, where it
+  has ``dispatch_iterations``), with the width of every block, and an
+  older tree's kernel iterations, counted by wrapping
+  ``dispatch._fixed_point_block`` while ``objective._dispatch_day`` runs,
+  so the day's base block is no step (``width_histogram``: blocks per
+  width over all the mode's placements).
   An older tree is counted by wrapping its kernels, Newton and
   ``dispatch.minimize_scalar``; it solves each dispatch column alone, one
   step of width 1;
@@ -205,6 +207,8 @@ def _lockstep_work(dispatch, objective, ev, placements):
 
     A block counts only while the lockstep (``objective._dispatch_day``)
     runs: a tree may solve the day's base block through the same kernel.
+    The wrapper's iterations stand in for a ``DayStats`` without
+    ``dispatch_iterations``.
     """
     widths: dict[int, int] = {}
     iterations = [0]
@@ -237,7 +241,7 @@ def _lockstep_work(dispatch, objective, ev, placements):
         "block_columns": st.block_columns / days,
         "block_iterations": st.block_iterations / days,
         "dispatch_columns": st.dispatch_columns / days,
-        "dispatch_iterations": iterations[0] / days,
+        "dispatch_iterations": getattr(st, "dispatch_iterations", iterations[0]) / days,
         "newton_solves": (st.newton_columns + st.newton_fallbacks) / days,
         "brent_searches": st.searches / days,
         "brent_nfev": st.trials / days,

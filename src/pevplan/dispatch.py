@@ -13,33 +13,35 @@ It is a generator that yields each point and receives its score, and
 
 An hour's kernel injections are assembled once, with every setpoint at 0
 (:func:`_base_injections`, for any hours and device lists), and a
-setpoint map is written into that column (:meth:`_Hour.column`); every
-state is scored by :func:`_scores`.  An hour's descent (:func:`_descent`)
-is written once, as a generator of what it needs solved: the base, the
-capability rechecks, and searches.  Every solve runs the Z-bus
-fixed-point kernel and falls back to Newton (:func:`solve`), held to the
-kernel's target, on a column the kernel fails: :func:`_solve_block` does
-both for a block of columns.  Two runners answer a descent.
-:func:`dispatch_q` runs one hour alone: every solve is a one-column block,
-and every search runs through :func:`minimize_scalar`.
-A day's runner (:func:`_dispatch_day`) runs the descents of all its hours,
-or of all the hours of a batch of days, in lockstep: each step solves the
-pending point of every running hour as one column of a block and scores
-the step's trial states together; no hour's solves or scores depend on the
-others in its step, so an hour runs as :func:`dispatch_q` runs it.  Either
-way every score is Newton-converged and all scores have one accuracy.  A
-trial starts from a first-order step off the current voltages and keeps
-the voltage vector it solved, so an accepted move takes the state and the
-score the search saw, with no second solve; full solutions are built only
-for the hour's base and final states.  Moves are accepted
-only when they improve the hour's dispatch score by more than the
-solves' own error, so the dispatched state is never worse than the
-undispatched one and no accept hangs on rounding, and the two runners
-accept the same moves.  The one exception is an hour whose
-undispatched state breaks a converter's interval (Q = 0 lies outside it):
-there the setpoints clamped into their intervals stand even when they score
-worse.  The ``dgq+v2gq`` mode runs the PV-only stage first and adds the
-lots afterwards, which makes the three modes monotone by construction.
+setpoint map is written into that column (:meth:`_Hour.column`); a
+search's trial columns are gathered from its hour's row of
+:class:`_Trials`, and every state is scored by :func:`_scores`.  An
+hour's descent (:func:`_descent`) is written once, as a generator of what
+it needs solved: the base, the capability rechecks, and searches.  Every
+solve runs the Z-bus fixed-point kernel and falls back to Newton
+(:func:`solve`), held to the kernel's target, on a column the kernel
+fails: :func:`_solve_block` does both for a block of columns.  Two
+runners answer a descent.  :func:`dispatch_q` runs one hour alone: every
+solve is a one-column block, and every search runs through
+:func:`minimize_scalar`.  A day's runner (:func:`_dispatch_day`) runs the
+descents of all the hours of a batch of days in lockstep: each step
+solves the pending point of every running hour as one column of a block
+and scores the step's trial states together; no hour's solves or scores
+depend on the others, so an hour runs as :func:`dispatch_q` runs it.
+Either way every score is Newton-converged and all scores have one
+accuracy.  A trial starts from a first-order step off the current
+voltages and keeps the voltage vector it solved, so an accepted move
+takes the state and the score the search saw, with no second solve; full
+solutions are built only for the hour's base and final states.  Moves are
+accepted only when they improve the hour's dispatch score by more than
+the solves' own error, so no accept hangs on rounding and the two runners
+accept the same moves.  A dispatched hour never scores worse than its
+undispatched state unless that state breaks a converter's interval (Q = 0
+lies outside it); then the setpoints clamped into the intervals stand.
+The ``dgq+v2gq`` mode runs the PV-only stage first and adds the lots
+afterwards, yet an hour can score worse than in ``dgq``: the lots' moves
+can push a PV's bus past its limit so that the capability recheck
+reverts the hour (seen on a 4-bus feeder).
 """
 
 from __future__ import annotations
@@ -344,36 +346,40 @@ def minimize_scalar(func: Callable[[float], float], a: float, b: float,
 
 
 class _Search(NamedTuple):
-    """A search request: one device's bounds, and each setpoint's solve.
-
-    The other devices stay at their setpoints.  A point ``qv`` is solved
-    from the first-order step off the current voltages ``v``:
-    ``V + Z[:, k]·(j·Δq / conj(V[k]))``.  The injections of the other
-    devices, ``s_rest``, are built once; a point writes only its own
-    device's row.
-    """
+    """A search request: one device's bounds, row and setpoint at the
+    start; its hour's row of :class:`_Trials` turns each point into a solve."""
 
     a: float
     b: float
     xatol: float
-    s_rest: np.ndarray
     row: int
-    v: np.ndarray
-    dv_dq: np.ndarray
     q_now: float
 
-    def column(self, qv: float) -> _Solve:
-        """The solve request of setpoint ``qv``."""
-        s_pq, start = np.empty_like(self.s_rest), np.empty_like(self.v)
-        self.fill(qv, s_pq, start)
-        return s_pq, start
 
-    def fill(self, qv: float, s_pq: np.ndarray, start: np.ndarray) -> None:
-        """Write the solve request of setpoint ``qv`` into ``s_pq`` and ``start``."""
-        s_pq[:] = self.s_rest
-        s_pq[self.row] -= 1j * qv
-        np.multiply(self.dv_dq, qv - self.q_now, out=start)
-        start += self.v
+class _Trials:
+    """The running search of each hour (lane) of a call, one row a lane:
+    the other devices' injections ``s_rest``, the searched device's row
+    ``dev_row`` and setpoint ``q_now``, and the voltages ``v`` it starts
+    from.  A point ``x`` writes only ``dev_row`` and is solved from the
+    first-order step ``V + dv_dq·(x − q_now)``, ``dv_dq = Z[:, k]·(j /
+    conj(V[k]))``."""
+
+    def __init__(self, lanes: int, n_bus: int) -> None:
+        self.s_rest = np.empty((lanes, n_bus - 1), dtype=complex)
+        self.dev_row = np.zeros(lanes, dtype=int)
+        self.v = np.empty((lanes, n_bus), dtype=complex)
+        self.dv_dq = np.zeros((lanes, n_bus), dtype=complex)
+        self.q_now = np.zeros(lanes)
+
+    def columns(self, lanes: Sequence[int], x: Sequence[float]) -> tuple[np.ndarray, ...]:
+        """The solve requests ``(s_pq, start)`` of points ``x`` of
+        ``lanes``' searches, one row a point."""
+        lanes, x = np.asarray(lanes, dtype=np.intp), np.asarray(x, dtype=float)
+        s_pq = self.s_rest[lanes]
+        s_pq[np.arange(len(x)), self.dev_row[lanes]] -= 1j * x
+        start = self.dv_dq[lanes] * (x - self.q_now[lanes])[:, None]
+        start += self.v[lanes]
+        return s_pq, start
 
 
 class _Hour:
@@ -382,17 +388,20 @@ class _Hour:
     Solves within an hour differ only in device Q, so the hour's column
     with every setpoint at 0, ``s_base`` (of :func:`_base_injections`), is
     taken from the caller, and each setpoint map is written into a copy of
-    it.  Solves yield states; full solutions are built from states only for
-    the hour's result.
+    it.  A search is written into row ``lane`` of ``trials``: a lockstep's
+    :class:`_Trials`, or the hour's own.  Solves yield states; full
+    solutions are built from states only for the hour's result.
     """
 
     def __init__(self, net: Network, devices: Sequence[Device], hour: int,
-                 scenario: Scenario, s_base: np.ndarray) -> None:
+                 scenario: Scenario, s_base: np.ndarray,
+                 trials: _Trials | None = None, lane: int = 0) -> None:
         self.net = net
         self.devices = devices
         self.hour = hour
         self.scenario = scenario
         self.s_base = s_base
+        self.trials, self.lane = trials or _Trials(1, net.n_bus), lane
         arrays = _solver_arrays(net)
         self.factor = arrays.fixed_point
         self.branches = arrays.branches
@@ -401,11 +410,13 @@ class _Hour:
         self.dev_rows = [(dev, self.pq_row[pos]) for dev in devices
                          if (pos := net.index_of(dev.bus)) in self.pq_row]
 
-    def column(self, settings: Mapping[str, float]) -> np.ndarray:
-        """The kernel's injections with the devices at ``settings``: each
-        device's ``j·q`` taken off its row of ``s_base``, as
-        :meth:`_Search.fill` does."""
-        s_pq = self.s_base.copy()
+    def column(self, settings: Mapping[str, float],
+               out: np.ndarray | None = None) -> np.ndarray:
+        """The kernel's injections with the devices at ``settings``, in
+        ``out`` or a new column: each device's ``j·q`` taken off its row of
+        ``s_base``, in the order of the devices."""
+        s_pq = np.empty_like(self.s_base) if out is None else out
+        s_pq[:] = self.s_base
         for dev, row in self.dev_rows:
             s_pq[row] -= 1j * settings[dev.label]
         return s_pq
@@ -422,17 +433,17 @@ class _Hour:
 
     def search(self, settings: Mapping[str, float], dev: Device, v: np.ndarray,
                cap: QCapability) -> _Search:
-        """The search of ``dev`` over ``cap`` from the state at voltages ``v``."""
+        """The search of ``dev`` over ``cap`` from the state at voltages
+        ``v``, its columns written into the hour's row of :attr:`trials`."""
         pos = self.net.index_of(dev.bus)
         row = self.pq_row[pos]
         pq, _, z, _ = self.factor
-        rest = dict(settings)
-        rest[dev.label] = 0.0
-        dv_dq = np.zeros_like(v)
-        dv_dq[pq] = z[:, row] * (1j / np.conj(v[pos]))
+        trials, lane, q_now = self.trials, self.lane, settings[dev.label]
+        self.column({**settings, dev.label: 0.0}, out=trials.s_rest[lane])
+        trials.dev_row[lane], trials.q_now[lane], trials.v[lane] = row, q_now, v
+        trials.dv_dq[lane, pq] = z[:, row] * (1j / np.conj(v[pos]))
         return _Search(cap.q_min, cap.q_max,
-                       max(_SEARCH_MIN_XATOL, _SEARCH_REL_XATOL * cap.width),
-                       self.column(rest), row, v, dv_dq, settings[dev.label])
+                       max(_SEARCH_MIN_XATOL, _SEARCH_REL_XATOL * cap.width), row, q_now)
 
     def searched(self, search: _Search) -> tuple[Minimum, _State | None]:
         """Run ``search`` through :func:`minimize_scalar`, solving each point
@@ -444,8 +455,9 @@ class _Hour:
         solved: dict[float, _State] = {}
 
         def score_at(qv: float) -> float:
+            s_pq, start = self.trials.columns([self.lane], [qv])
             try:
-                state = self.solve(*search.column(qv))
+                state = self.solve(s_pq[0], start[0])
             except PowerFlowError:
                 return _TRIAL_PENALTY
             solved[qv] = state
@@ -660,13 +672,6 @@ class _Lane:
         self.result: DispatchResult | None = None
         self.brent: Generator[float, float, Minimum] | None = None
 
-    def fill(self, s_pq: np.ndarray, start: np.ndarray) -> None:
-        """Write the pending solve request into ``s_pq`` and ``start``."""
-        if self.brent is None:
-            s_pq[:], start[:] = self.request
-        else:
-            self.search.fill(self.x, s_pq, start)
-
     def send(self, reply: _Reply = None, error: PowerFlowError | None = None) -> bool:
         """Hand the descent its reply, or throw in a failed solve; False
         once the hour is over, with its result or, where a solve failed,
@@ -680,7 +685,7 @@ class _Lane:
             return False
         if isinstance(request, _Search):
             self.stats["searches"] += 1
-            self.search, self.solved = request, {}
+            self.solved = {}
             self.brent = _brent(request.a, request.b, request.xatol, _SEARCH_MAXITER)
             self.x = next(self.brent)
         else:
@@ -708,41 +713,43 @@ def _dispatch_day(net: Network, scenario: Scenario,
     entry ``i`` has the zero-setpoint injections ``s_pq[:, i]`` (of
     :func:`_base_injections`) and starts from ``v0[:, i]``; the entries may
     come from the days of several placements.  Each step gathers the
-    pending solve of every hour still running (its base, a trial point of a
-    search, or a recheck) into one :func:`_solve_block`, whose columns do
-    not see each other, so an hour runs as it would alone.  A trial whose
-    column Newton fails too scores ``_TRIAL_PENALTY``, and any other
-    solve's failure is thrown into its hour, which then has no result
-    (None).  The step's trial states are scored together, each from its
-    own row.  Counts the searches, the trials, the steps, their columns and
-    the Newton fallbacks in ``stats``.
+    pending solve of every hour still running into one :func:`_solve_block`:
+    its search's trial point, all of them as one :meth:`_Trials.columns`,
+    then its base or recheck.  The block's columns do not see each other,
+    so an hour runs as it would alone.  A trial whose column Newton fails
+    too scores ``_TRIAL_PENALTY``, and any other solve's failure is thrown
+    into its hour, which then has no result (None).  The step's trial
+    states are scored together, each from its own row.  Counts the
+    searches, the trials, the steps, their columns, the kernel's
+    iterations on them and the Newton fallbacks in ``stats``.
     """
     tol = scenario.pf_tol
-    lanes = [_Lane(_Hour(net, devices, hour, scenario, s_pq[:, i]), v0[:, i], stats)
+    trials = _Trials(len(hours), net.n_bus)
+    lanes = [_Lane(_Hour(net, devices, hour, scenario, s_pq[:, i], trials, i), v0[:, i], stats)
              for i, (devices, hour) in enumerate(hours)]
     branches = _solver_arrays(net).branches
     running = [lane for lane in lanes if lane.send()]
     while running:
+        searching = [lane for lane in running if lane.brent is not None]
+        waiting = [lane for lane in running if lane.brent is None]
+        k, running = len(searching), searching + waiting
         # one row a column, so that each solved state is a contiguous row
-        m = len(running)
-        s = np.empty((m, net.n_bus - 1), dtype=complex)
-        v = np.empty((m, net.n_bus), dtype=complex)
-        for j, lane in enumerate(running):
-            lane.fill(s[j], v[j])
+        s, v = trials.columns([lane.hr.lane for lane in searching], [lane.x for lane in searching])
+        if waiting:
+            s_more, v_more = zip(*(lane.request for lane in waiting))
+            s, v = np.concatenate((s, s_more)), np.concatenate((v, v_more))
         block = _solve_block(net, s.T, v.T, tol)
-        stats["dispatch_steps"] += 1
-        stats["dispatch_columns"] += m
-        stats["newton_fallbacks"] += len(block.newton)
+        stats.update(dispatch_steps=1, dispatch_columns=len(running), trials=k,
+                     dispatch_iterations=block.kernel_iterations,
+                     newton_fallbacks=len(block.newton))
         failed = block.failed
-        trials = [j for j, lane in enumerate(running) if lane.brent is not None]
-        stats["trials"] += len(trials)
-        solved = [j for j in trials if j not in failed]
+        solved = [j for j in range(k) if j not in failed]
         scores = dict(zip(solved, _scores(scenario, branches, v[solved]).tolist()))
         still = []
-        for j, lane, it, mis in zip(range(m), running, block.iterations.tolist(),
-                                    block.mismatch.tolist()):
+        for j, (lane, it, mis) in enumerate(zip(running, block.iterations.tolist(),
+                                                block.mismatch.tolist())):
             state = None if j in failed else (v[j], it, mis)
-            if lane.brent is not None:
+            if j < k:
                 going = lane.scored(state, scores.get(j, _TRIAL_PENALTY))
             elif state is None:
                 going = lane.send(error=failed[j])

@@ -101,7 +101,8 @@ class DayStats:
     (their summed ``nfev``), in ``dispatch_steps`` lockstep steps of
     ``dispatch_columns`` kernel columns in all (bases, trials and
     rechecks), so ``dispatch_columns / dispatch_steps`` is the mean block
-    width; ``newton_fallbacks`` counts the dispatch columns the kernel
+    width, and ``dispatch_iterations`` counts the kernel's iterations on
+    those columns; ``newton_fallbacks`` counts the dispatch columns the kernel
     failed, each sent alone to Newton.  ``day_s`` is the wall time spent
     computing days.
     """
@@ -118,6 +119,7 @@ class DayStats:
     trials: int = 0
     dispatch_steps: int = 0
     dispatch_columns: int = 0
+    dispatch_iterations: int = 0
     newton_fallbacks: int = 0
     day_s: float = 0.0
 

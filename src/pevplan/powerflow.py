@@ -357,14 +357,14 @@ def _fixed_point_block(
     - a column that stopped under ``tol`` converges only if its true
       ``Y·V`` mismatch, taken once more, meets ``tol``: Newton's test.
 
-    The iterating columns are kept compact, one row each, and a column
-    leaves them when it stops, so the rest iterate on without it; each
-    stopped column is written back to ``v`` once.  Every product is taken
-    column by column (:func:`_products`), so a column ends bit for bit as
-    it does alone, whatever the block's width and whatever the other
-    columns hold.  Returns ``(iterations, mismatch, converged)``, one entry
-    per column, the mismatch the true one; a column that did not converge
-    is left where it stopped.
+    The iterating columns are held as rows.  A column that stops is
+    written back to ``v`` once and masked out; the held rows are gathered
+    again only once half or fewer of them are live.  Every product is
+    taken column by column (:func:`_products`), so a column ends bit for
+    bit as it does alone, whatever the block's width and the other rows
+    hold.  Returns ``(iterations, mismatch, converged)``, one entry per
+    column, the mismatch the true one; a column that did not converge is
+    left where it stopped.
     """
     pq, y_pq, z, w = factor
     target = tol * _FIXED_POINT_MARGIN
@@ -375,37 +375,38 @@ def _fixed_point_block(
         vp_all = np.ascontiguousarray(v[pq].T)
         mismatch = _max_abs(vp_all * np.conj(_products(y_pq, v.T)) - s_rows)
         moved = np.flatnonzero(~(mismatch <= target))
+        if not moved.size:
+            return iterations, mismatch, mismatch <= tol
         accepted = np.ones(len(mismatch), dtype=bool)
         cols, s, vp, prev = moved, s_rows[moved], vp_all[moved], mismatch[moved]
+        live = np.ones(len(cols), dtype=bool)
         for it in range(1, DEFAULT_MAX_ITER + 1):
-            if not cols.size:
-                break
             ratio = s / vp
             v_next = _products(z, np.conj(ratio))
             v_next += w
             res = _max_abs((v_next - vp) * ratio)
-            # under tol a column stops once its residual stalls or on the
-            # last iteration, and otherwise only on the target
-            limit = tol if it == DEFAULT_MAX_ITER else np.where(res >= prev, tol, target)
+            # under tol a column stops once its residual stalls, and otherwise
+            # only on the target; after the last iteration none goes on
+            last = it == DEFAULT_MAX_ITER
+            limit = tol if last else np.where(res >= prev, tol, target)
             stop = res <= limit
-            going = ~stop & (res <= _DIVERGENCE_MISMATCH)
-            if going.all():
-                vp, prev = v_next, res
+            going = np.zeros_like(stop) if last else ~stop & (res <= _DIVERGENCE_MISMATCH)
+            vp, prev = v_next, res
+            ended = live > going  # the live columns that stop here
+            if not ended.any():
                 continue
-            ended = ~going
             done = cols[ended]
             vp_all[done] = v_next[ended]
             iterations[done] = it
             accepted[done] = stop[ended]
-            cols, s, vp, prev = cols[going], s[going], v_next[going], res[going]
-        # a column still going ran out of iterations
-        vp_all[cols] = vp
-        iterations[cols] = DEFAULT_MAX_ITER
-        accepted[cols] = False
-        if moved.size:
-            v[pq] = vp_all.T
-            mismatch[moved] = _max_abs(
-                vp_all[moved] * np.conj(_products(y_pq, v.T[moved])) - s_rows[moved])
+            live &= going
+            if not (held := np.count_nonzero(live)):
+                break
+            if 2 * held <= len(cols):
+                cols, s, vp, prev, live = cols[live], s[live], vp[live], prev[live], live[live]
+        v[pq] = vp_all.T
+        mismatch[moved] = _max_abs(
+            vp_all[moved] * np.conj(_products(y_pq, v.T[moved])) - s_rows[moved])
     return iterations, mismatch, accepted & (mismatch <= tol)
 
 
@@ -420,8 +421,8 @@ def _products(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _max_abs(ds: np.ndarray) -> np.ndarray:
-    """Max |real|, |imag| of each row: the row's max |ΔP|, |ΔQ|."""
-    return np.maximum(np.abs(ds.real), np.abs(ds.imag)).max(axis=1, initial=0.0)
+    """Max |real|, |imag| of each C-contiguous row: its max |ΔP|, |ΔQ|."""
+    return np.abs(ds.view(float)).max(axis=1, initial=0.0)
 
 
 @dataclass(frozen=True)

@@ -68,6 +68,20 @@ def hour_injections(
     return InjectionSet(p, q)
 
 
+def search_column(s_rest: np.ndarray, row: int, v: np.ndarray, dv_dq: np.ndarray,
+                  q_now: float, qv: float) -> tuple[np.ndarray, np.ndarray]:
+    """The solve request ``(s_pq, start)`` of point ``qv`` of one search,
+    built for that search alone: ``j·qv`` taken off its device's ``row`` of
+    the other devices' injections ``s_rest``, and the first-order start
+    ``V + dv_dq·(qv − q_now)``.  The oracle of the lockstep's gathered trial
+    columns (``dispatch._Trials.columns``)."""
+    s_pq = s_rest.copy()
+    s_pq[row] -= 1j * qv
+    start = np.multiply(dv_dq, qv - q_now)
+    start += v
+    return s_pq, start
+
+
 def assert_row_is_hour(day, hour: int, placed: Sequence[Device], result, where) -> None:
     """Row ``hour`` of a day's hours (``DayEvaluator.hours``) equals the
     lockstep's result for that hour (a ``DispatchResult``) bit for bit."""

@@ -4,7 +4,8 @@
 dispatch hands the kernel (``width_histogram``), counted by wrapping the
 kernel from outside the package.  Its blocks and their columns must be the
 day's own ``DayStats.dispatch_steps`` and ``dispatch_columns``: a block
-solved outside the lockstep, such as the day's base block, is no step.
+solved outside the lockstep, such as the day's base block, is no step.  Its
+kernel iterations are the day's ``dispatch_iterations``.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ def test_width_histogram_counts_each_dispatch_step_once(bus33, devices33, profil
     assert sum(w * n for w, n in widths.items()) == stats.dispatch_columns
     assert (work["dispatch_steps"], work["dispatch_columns"]) == (
         stats.dispatch_steps, stats.dispatch_columns)
+    assert work["dispatch_iterations"] == stats.dispatch_iterations > 0
 
 
 def test_v2g_search_batch_sizes_add_up_to_its_days(bus33, devices33, profiles33,

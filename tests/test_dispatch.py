@@ -29,7 +29,13 @@ from pevplan.powerflow import (
     solve,
 )
 
-from conftest import assert_row_is_hour, hour_injections, radial_feeders, small_feeder
+from conftest import (
+    assert_row_is_hour,
+    hour_injections,
+    radial_feeders,
+    search_column,
+    small_feeder,
+)
 
 PEAK_HOUR = 19
 
@@ -508,9 +514,56 @@ def test_trial_score_matches_newton_objective(bus33, devices33, data):
         ref = solve(net, hour_injections(net, devices33, PEAK_HOUR, moved), tol=1e-12)
         cap = q_capability(dev, dev.p_at(PEAK_HOUR),
                            float(now.v_mag[net.index_of(dev.bus)]))
-        search = hr.search(settings_now, dev, now.v_complex, cap)
-        state = hr.solve(*search.column(qv))
+        hr.search(settings_now, dev, now.v_complex, cap)
+        s_pq, start = hr.trials.columns([hr.lane], [qv])
+        state = hr.solve(s_pq[0], start[0])
         assert score_of(hr, state[0]) == pytest.approx(own_score(sc, ref), abs=1e-8)
+
+
+def test_gathered_trial_columns_equal_each_search_built_alone(bus33, devices33, profiles33,
+                                                           monkeypatch):
+    # each lockstep step gathers its trial columns from the hours' search
+    # rows; every column must equal the one its search builds alone
+    # (conftest.search_column, from the bus-by-bus injections) bit for bit.
+    # On (7, 29) the lot on bus 7 shares its row with a PV unit, so the
+    # order of that row's subtractions is checked too
+    net, key = bus33.network, (7, 29)
+    pq, _, z, _ = _solver_arrays(net).fixed_point
+    shape = profiles33["load-weekday"].values
+    sc = Scenario(mode="dgq+v2gq", load_profile_id="load-weekday")
+    search, columns = dispatch._Hour.search, dispatch._Trials.columns
+    running: dict[int, tuple] = {}
+    checked, shared = [0], [0]
+
+    def recorded_search(hr, settings, dev, v, cap):
+        rest = dict(settings)
+        rest[dev.label] = 0.0
+        inj = hour_injections(net, hr.devices, hr.hour, rest, load_scale=shape[hr.hour])
+        pos = net.index_of(dev.bus)
+        row = int(np.flatnonzero(pq == pos)[0])
+        dv_dq = np.zeros_like(v)
+        dv_dq[pq] = z[:, row] * (1j / np.conj(v[pos]))
+        running[hr.lane] = ((inj.p + 1j * inj.q)[pq], row, v.copy(), dv_dq,
+                            settings[dev.label])
+        shared[0] += any(d is not dev and d.bus == dev.bus and rest[d.label] != 0.0
+                         for d in hr.devices)
+        return search(hr, settings, dev, v, cap)
+
+    def checked_columns(trials, lanes, x):
+        s_pq, start = columns(trials, lanes, x)
+        for r, (lane, qv) in enumerate(zip(lanes, x)):
+            s_alone, start_alone = search_column(*running[lane], qv)
+            # as integers, so that even the sign of a zero must agree
+            np.testing.assert_array_equal(s_pq[r].view(np.int64), s_alone.view(np.int64))
+            np.testing.assert_array_equal(start[r].view(np.int64), start_alone.view(np.int64))
+            checked[0] += 1
+        return s_pq, start
+
+    monkeypatch.setattr(dispatch._Hour, "search", recorded_search)
+    monkeypatch.setattr(dispatch._Trials, "columns", checked_columns)
+    ev = DayEvaluator(net, devices33, profiles33, sc)
+    ev.evaluate(key)
+    assert checked[0] == ev.stats.trials > 1000 and shared[0] > 0
 
 
 def test_a_step_scores_each_state_as_it_scores_alone(bus33):
@@ -894,16 +947,22 @@ def test_a_failed_trial_column_goes_alone_to_newton(bus33, devices33, profiles33
     net, key = bus33.network, (3, 17)
     sc = Scenario(mode="dgq+v2gq", load_profile_id="load-weekday")
     honest = DayEvaluator(net, devices33, profiles33, sc).evaluate(key).breakdown
-    block, fill, newton = dispatch._fixed_point_block, dispatch._Lane.fill, dispatch._newton
-    kinds, forced, calls = [], [], []
+    block, columns, newton = (dispatch._fixed_point_block, dispatch._Trials.columns,
+                              dispatch._newton)
+    gathered, forced, calls = [], [], []
 
-    def recorded_fill(lane, s_pq, start):
-        kinds.append(lane.brent is not None)
-        fill(lane, s_pq, start)
+    def recorded_columns(trials, lanes, x):
+        gathered.append(columns(trials, lanes, x))
+        return gathered[-1]
 
     def one_trial_fails(factor, s_pq, v, tol):
-        trials = [j for j, trial in enumerate(kinds) if trial]
-        kinds.clear()
+        # a lockstep step's trial points are its block's first columns
+        trials = []
+        if gathered:
+            s_trials, starts = gathered.pop()
+            trials = list(range(len(s_trials)))
+            np.testing.assert_array_equal(s_pq[:, trials], s_trials.T)
+            np.testing.assert_array_equal(v[:, trials], starts.T)
         starts = v.copy()
         iterations, mismatch, converged = block(factor, s_pq, v, tol)
         if not forced and len(trials) > 4:
@@ -916,7 +975,7 @@ def test_a_failed_trial_column_goes_alone_to_newton(bus33, devices33, profiles33
         calls.append((inj, v0.copy()))
         return newton(net_, inj, tol, v0)
 
-    monkeypatch.setattr(dispatch._Lane, "fill", recorded_fill)
+    monkeypatch.setattr(dispatch._Trials, "columns", recorded_columns)
     monkeypatch.setattr(dispatch, "_fixed_point_block", one_trial_fails)
     monkeypatch.setattr(dispatch, "_newton", counted)
     ev = DayEvaluator(net, devices33, profiles33, sc)

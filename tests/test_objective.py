@@ -360,6 +360,39 @@ def test_day_counters_repeat_exactly(bus33, devices33, profiles33):
     assert first.dispatch_steps < first.dispatch_columns
 
 
+def test_dispatch_iterations_are_the_kernels_on_the_lockstep_blocks(bus33, devices33,
+                                                                   profiles33, monkeypatch):
+    # DayStats.dispatch_iterations sums the kernel's iterations over the
+    # blocks the lockstep hands it (not the day's base block), as a wrapper
+    # of the kernel counts them, and repeats exactly on a fresh evaluator
+    sc = Scenario(mode="dgq+v2gq", load_profile_id="load-weekday")
+    block, day = dispatch._fixed_point_block, objective._dispatch_day
+    wrapped, dispatching = [0], [False]
+
+    def counted_block(factor, s_pq, v, tol):
+        out = block(factor, s_pq, v, tol)
+        wrapped[0] += int(out[0].sum()) if dispatching[0] else 0
+        return out
+
+    def counted_day(*args):
+        dispatching[0] = True
+        try:
+            return day(*args)
+        finally:
+            dispatching[0] = False
+
+    monkeypatch.setattr(dispatch, "_fixed_point_block", counted_block)
+    monkeypatch.setattr(objective, "_dispatch_day", counted_day)
+    counts = []
+    for _ in range(2):
+        wrapped[0] = 0
+        ev = DayEvaluator(bus33.network, devices33, profiles33, sc)
+        ev.evaluate((7, 29))
+        counts.append((ev.stats.dispatch_iterations, wrapped[0]))
+    assert counts[0] == counts[1] and counts[0][0] == counts[0][1]
+    assert ev.stats.dispatch_iterations > ev.stats.dispatch_columns > 0
+
+
 def test_day_searches_equal_those_of_its_hours_run_serially(bus33, devices33, profiles33,
                                                              monkeypatch):
     # the lockstep runs each hour's searches as dispatch_q runs them alone,

@@ -624,6 +624,111 @@ def test_a_failing_column_leaves_its_neighbours_unchanged(feeder4):
         np.testing.assert_allclose(v_mixed[:, keep], v, rtol=0, atol=1e-12)
 
 
+def _stop_rule(factor, s_pq, v0, tol) -> str:
+    """The rule that stops the one-column iteration from ``v0``, recomputed
+    from its step residuals: ``"target"`` (``tol / 100`` met), ``"stall"``
+    (under ``tol``, the residual no longer falls or the iterations end),
+    ``"diverged"`` or ``"ran out"``."""
+    pq, _, z, w = factor
+    vp, prev = v0[pq], math.inf
+    with np.errstate(all="ignore"):
+        for it in range(1, DEFAULT_MAX_ITER + 1):
+            ratio = s_pq / vp
+            v_next = w + z @ np.conj(ratio)
+            res = float(np.abs(((v_next - vp) * ratio).view(float)).max())
+            vp = v_next
+            if res <= tol / 100:
+                return "target"
+            if res <= tol and (res >= prev or it == DEFAULT_MAX_ITER):
+                return "stall"
+            if not res <= 1e6:
+                return "diverged"
+            prev = res
+    return "ran out"
+
+
+def _regathers(stops: list[int]) -> int:
+    """How often the block kernel gathers its live rows again when its
+    iterating columns stop at iterations ``stops``: each time half or fewer
+    of the rows it holds are still live, and some are."""
+    held = live = len(stops)
+    count = 0
+    for it in sorted(set(stops)):
+        live -= stops.count(it)
+        if live and 2 * live <= held:
+            held, count = live, count + 1
+    return count
+
+
+def assert_block_is_the_oracle(factor, s_pq, v0, tol) -> None:
+    """Every column of the block kernel from ``v0`` equals the one-column
+    oracle's solve bit for bit: voltages, iterations, mismatch and verdict
+    (a failed column: its iterations, and where the oracle leaves its
+    voltages, at the stop, those too)."""
+    v = v0.copy()
+    iterations, mismatch, converged = _fixed_point_block(factor, s_pq, v, tol)
+    for col in range(s_pq.shape[1]):
+        alone = v0[:, col].copy()
+        try:
+            single, it, mis = _fixed_point(factor, s_pq[:, col].copy(), alone, tol)
+        except PowerFlowError as exc:
+            assert not converged[col] and iterations[col] == _failed_at(exc), col
+            if "diverged" not in str(exc):
+                np.testing.assert_array_equal(v[:, col], alone)
+            continue
+        assert converged[col] and (iterations[col], mismatch[col]) == (it, mis), col
+        np.testing.assert_array_equal(v[:, col], single)
+
+
+def test_block_kernel_ends_every_column_as_the_oracle_bit_for_bit(bus33):
+    # bus33 columns from flat, perturbed and converged starts at load scales
+    # from light to far past the nose, at a tol loose enough that some
+    # residuals stall under it: they stop at many iterations, by every
+    # rule.  Whether a stopped column is masked out or its rows are
+    # gathered again, each column must end as the oracle ends it, in
+    # blocks of 1 (no re-gather), 13 (one) and 192 (several)
+    net, tol = bus33.network, 0.1
+    factor = _solver_arrays(net).fixed_point
+    pq = factor[0]
+    s = (loads_of(net).p + 1j * loads_of(net).q)[pq]
+    rng = np.random.default_rng(22)
+    scales = np.exp(np.concatenate([rng.uniform(np.log(0.05), np.log(5.0), 140),
+                                    rng.uniform(np.log(3.5), np.log(4.8), 28),
+                                    rng.uniform(np.log(6.0), np.log(60.0), 12),
+                                    rng.uniform(np.log(1e4), np.log(1e6), 12)]))
+    s_pq = s[:, None] * scales
+    v0 = np.ones((net.n_bus, len(scales)), dtype=complex)
+    for col in range(len(scales)):
+        amp = rng.choice([0.0, 1e-5, 1e-3, 3e-2, 1e-1])
+        v0[pq, col] += amp * (rng.standard_normal(len(pq)) + 1j * rng.standard_normal(len(pq)))
+    for col in range(0, 140, 20):  # these start converged
+        try:
+            v0[:, col] = _fixed_point(factor, s_pq[:, col].copy(), v0[:, col].copy(), tol)[0]
+        except PowerFlowError:
+            pass
+    stops, rules = [], Counter()
+    for col in range(len(scales)):
+        try:
+            stops.append(_fixed_point(factor, s_pq[:, col].copy(), v0[:, col].copy(), tol)[1])
+        except PowerFlowError as exc:
+            stops.append(_failed_at(exc))
+        rules[_stop_rule(factor, s_pq[:, col], v0[:, col], tol) if stops[-1] else "start"] += 1
+    assert set(rules) >= {"start", "target", "stall", "diverged", "ran out"}, rules
+    assert len(set(stops)) >= 10
+
+    for col in range(len(scales)):
+        assert_block_is_the_oracle(factor, s_pq[:, col:col + 1], v0[:, col:col + 1], tol)
+    # six columns that run out, and seven that stop earlier by other rules
+    order = sorted(range(len(scales)), key=lambda c: stops[c])
+    early = [c for c in order if 0 < stops[c] < DEFAULT_MAX_ITER]
+    early = early[::len(early) // 7][:7]
+    thirteen = early + [c for c in order if stops[c] == DEFAULT_MAX_ITER][:6]
+    assert _regathers([stops[c] for c in thirteen]) == 1
+    assert_block_is_the_oracle(factor, s_pq[:, thirteen], v0[:, thirteen], tol)
+    assert _regathers([it for it in stops if it]) >= 2
+    assert_block_is_the_oracle(factor, s_pq, v0, tol)
+
+
 # -- limit checking ----------------------------------------------------------
 
 
