@@ -4,15 +4,16 @@ ranking and a batch of placement searches, timed and counted.
     python bench/layers.py --out BENCH.json [--baseline-src OTHER/src]
 
 Measures the pevplan source in ``src/`` beside this directory and, with
-``--baseline-src``, another checkout's source the same way, each in its own
-process with BLAS pinned to one thread.  The trees are measured ``ROUNDS``
-times, alternating which goes first, so that a drift of the host's speed
-shows as spread rather than as a difference between trees: a figure that
-differs between rounds is reported as ``{"median", "min", "max"}`` over
-them, and one that every round repeats (a work counter) as its value.  The
-inputs are fixed: the bundled bus33 case with the ``load-weekday`` profile,
-fixed load scales, fixed two-lot placements, and seeded random populations.
-The JSON gives, per source tree:
+``--baseline-src``, the parent commit's source the same way, each in its own
+process with BLAS pinned to one thread.  It measures trees from commit
+8ef1e9b on, whose ``DayStats`` count their own work.  The trees are measured
+``ROUNDS`` times, alternating which goes first, so that a drift of the
+host's speed shows as spread rather than as a difference between trees: a
+figure that differs between rounds is reported as ``{"median", "min",
+"max"}`` over them, and one that every round repeats (a work counter) as its
+value.  The inputs are fixed: the bundled bus33 case with the
+``load-weekday`` profile, fixed load scales, fixed two-lot placements, and
+seeded random populations.  The JSON gives, per source tree:
 
 - ``solve_us``: µs per cold (flat-start) Newton and sweep solve on bus33 at
   ``SOLVE_SCALES`` of its normal load, the median of ``SOLVE_REPEATS``
@@ -20,8 +21,8 @@ The JSON gives, per source tree:
 - ``day_ms``: wall ms per day evaluation in modes ``none`` and ``dgq+v2gq``
   (median of repeats, each on a fresh evaluator, so nothing is cached);
 - ``rank_ms``: wall ms to rank a 40- and an 80-member population for
-  tournament selection (front ranks and crowding distances), from the
-  breakdowns, so a tree that ranks arrays pays for building them here;
+  tournament selection (``nsga._rank``: front ranks and crowding
+  distances) from its objective, feasibility and penalty arrays;
 - ``search``: 8 fixed-seed mode-``none`` searches (population 40, 60
   generations, 2 lots) sharing one fresh evaluator, the repeat of median
   wall time: ``wall_ms``, the evaluator's ``day_ms`` (``DayStats.day_s``),
@@ -33,27 +34,19 @@ The JSON gives, per source tree:
   generations, 2 lots) sharing one fresh evaluator, run once: ``wall_ms``,
   ``day_ms``, the days computed, the distinct evaluations, and
   ``batch_sizes``, the batches of days the evaluator computed per batch
-  size (counted by wrapping ``DayEvaluator._days``; a tree without it
-  computes each day alone, a batch of one);
-- ``work``: per day, the base block's calls, columns and iterations, the
-  dispatch's kernel columns, their iterations and the kernel steps that
-  solved them (``mean_width`` is columns per step), Newton solves, and
-  Brent searches and their function calls (``nfev``), so a faster figure
-  can be told apart from less work.  A tree whose ``DayStats`` counts the
-  lockstep's work is read from it (its kernel iterations too, where it
-  has ``dispatch_iterations``), with the width of every block, and an
-  older tree's kernel iterations, counted by wrapping
-  ``dispatch._fixed_point_block`` while ``objective._dispatch_day`` runs,
-  so the day's base block is no step (``width_histogram``: blocks per
-  width over all the mode's placements).
-  An older tree is counted by wrapping its kernels, Newton and
-  ``dispatch.minimize_scalar``; it solves each dispatch column alone, one
-  step of width 1;
+  size (counted by wrapping ``DayEvaluator._days``);
+- ``work``: per day, read from the evaluator's ``DayStats``: the base
+  block's calls (batches), columns and iterations, the dispatch's kernel
+  columns, their iterations and the lockstep steps that solved them
+  (``mean_width`` is columns per step), Newton solves (base and dispatch
+  columns sent to Newton), and Brent searches and their function calls
+  (``nfev``), so a faster figure can be told apart from less work; and
+  ``width_histogram``, blocks per width over all the mode's placements,
+  counted by wrapping ``dispatch._fixed_point_block`` while
+  ``objective._dispatch_day`` runs, so the day's base block is no step;
 - ``import_s``: seconds to ``import pevplan``, the median of
   ``IMPORT_REPEATS`` fresh processes;
-- ``stats``: the evaluator's own work counters, where the tree has them.
-
-A figure the measured tree cannot produce is null.
+- ``stats``: the evaluator's own work counters.
 """
 
 from __future__ import annotations
@@ -65,6 +58,7 @@ import platform
 import statistics
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from time import perf_counter
 
@@ -89,159 +83,65 @@ SOLVE_REPEATS = 300
 ROUNDS = 5
 
 
-def _populations(pevplan, size: int, count: int = 20):
-    """Seeded populations of breakdowns, about 30% feasible, with ties."""
+def _populations(size: int, count: int = 20):
+    """Seeded populations as ranking reads them, the objective rows,
+    feasibility and violation penalties: about 30% feasible, with ties."""
     import numpy as np
 
     rng = np.random.default_rng(size)
     pops = []
     for _ in range(count):
-        pop = []
-        for _ in range(size):
-            v_dev, loss = rng.uniform(1.0, 20.0), rng.uniform(0.05, 0.2)
-            ok = bool(rng.random() < FEASIBLE_SHARE)
-            penalty = 0.0 if ok else float(rng.integers(1, 200)) / 100.0
-            pop.append(pevplan.ObjectiveBreakdown(
-                v_dev, loss, 6.0, 0.6 * v_dev + 0.1 * loss + 1.8,
-                feasible=ok, violation_penalty=penalty))
-        pops.append(pop)
+        obj, feasible, penalty = np.full((size, 3), 6.0), np.empty(size, bool), np.zeros(size)
+        for i in range(size):
+            obj[i, :2] = rng.uniform(1.0, 20.0), rng.uniform(0.05, 0.2)
+            feasible[i] = rng.random() < FEASIBLE_SHARE
+            if not feasible[i]:
+                penalty[i] = float(rng.integers(1, 200)) / 100.0
+        pops.append((obj, feasible, penalty))
     return pops
 
 
-def _columns(pop):
-    """The objective, feasibility and penalty arrays of a population of
-    breakdowns, as a tree that ranks arrays reads them."""
-    import numpy as np
-
-    return (np.array([b.vector for b in pop], dtype=float).reshape(-1, 3),
-            np.array([b.feasible for b in pop], dtype=bool),
-            np.array([b.violation_penalty for b in pop], dtype=float))
-
-
-def _ranker(nsga):
-    """Selection ranking in the tree's own API: front ranks and crowding."""
-    import numpy as np
-
-    if hasattr(nsga, "constrained_fronts"):  # ranks a list of breakdowns
-        return nsga._rank
-    if hasattr(nsga, "_rank"):  # ranks the objective, feasibility and penalty arrays
-        return lambda pop: nsga._rank(*_columns(pop))
-
-    def rank(pop):  # before the feasible-first sort
-        ranks = nsga.front_ranks(pop, nsga.constrained_dominates)
-        crowd = np.zeros(len(pop))
-        for front in nsga.nondominated_sort(pop, nsga.constrained_dominates):
-            crowd[front] = nsga.crowding_distance([pop[i].vector for i in front])
-        return ranks, crowd
-    return rank
+@contextmanager
+def _patched(owner, name: str, fn):
+    """``owner.name`` replaced by ``fn`` while the block runs."""
+    original = vars(owner)[name]
+    setattr(owner, name, fn)
+    try:
+        yield
+    finally:
+        setattr(owner, name, original)
 
 
 def _count_work(pevplan, bundle, mode, placements):
-    """The work of a day (see ``work`` above), averaged over ``placements``."""
-    from pevplan import dispatch, objective, powerflow
-
-    ev = _evaluator(pevplan, bundle, mode)
-    if hasattr(ev.stats, "dispatch_steps"):
-        return _lockstep_work(dispatch, objective, ev, placements)
-    counts = {"block_calls": 0, "block_columns": 0, "block_iterations": 0,
-              "dispatch_columns": 0, "dispatch_iterations": 0,
-              "newton_solves": 0, "brent_searches": 0, "brent_nfev": 0}
-    undo = []
-
-    def patch(owner, name, fn):
-        undo.append((owner, name, getattr(owner, name)))
-        setattr(owner, name, fn)
-
-    kernel = powerflow._fixed_point
-
-    def counted_kernel(*args, **kwargs):
-        v, it, mis = kernel(*args, **kwargs)
-        counts["dispatch_columns"] += 1
-        counts["dispatch_iterations"] += it
-        return v, it, mis
-
-    newton = dispatch.solve
-
-    def counted_newton(*args, **kwargs):
-        counts["newton_solves"] += 1
-        return newton(*args, **kwargs)
-
-    brent = dispatch.minimize_scalar
-
-    def counted_brent(*args, **kwargs):
-        res = brent(*args, **kwargs)
-        counts["brent_searches"] += 1
-        counts["brent_nfev"] += int(res.nfev)
-        return res
-
-    patch(powerflow, "_fixed_point", counted_kernel)
-    patch(dispatch, "minimize_scalar", counted_brent)
-    patch(dispatch, "_fixed_point", counted_kernel)
-    patch(dispatch, "solve", counted_newton)
-    if hasattr(objective, "_fixed_point_block"):
-        block = objective._fixed_point_block
-
-        def counted_block(*args, **kwargs):
-            out = block(*args, **kwargs)
-            counts["block_calls"] += 1
-            counts["block_columns"] += len(out[1])
-            counts["block_iterations"] += int(out[1].sum())
-            return out
-
-        patch(objective, "_fixed_point_block", counted_block)
-    try:
-        for pair in placements:
-            ev.evaluate(pair)
-    finally:
-        for owner, name, fn in reversed(undo):
-            setattr(owner, name, fn)
-    work = {k: v / len(placements) for k, v in counts.items()}
-    calls = counts["dispatch_columns"]
-    work.update(dispatch_steps=work["dispatch_columns"], mean_width=1.0 if calls else None,
-                width_histogram={"1": calls} if calls else {})
-    return work
-
-
-def _lockstep_work(dispatch, objective, ev, placements):
-    """The work of a tree that runs a day's dispatch in lockstep.
+    """The work of a day (see ``work`` above), averaged over ``placements``.
 
     A block counts only while the lockstep (``objective._dispatch_day``)
-    runs: a tree may solve the day's base block through the same kernel.
-    The wrapper's iterations stand in for a ``DayStats`` without
-    ``dispatch_iterations``.
+    runs: the day's base block passes through the same kernel.
     """
+    from pevplan import dispatch, objective
+
+    ev = _evaluator(pevplan, bundle, mode)
     widths: dict[int, int] = {}
-    iterations = [0]
-    dispatching = [False]
     block, day = dispatch._fixed_point_block, objective._dispatch_day
 
     def counted_block(factor, s_pq, v, tol):
-        out = block(factor, s_pq, v, tol)
-        if dispatching[0]:
-            widths[s_pq.shape[1]] = widths.get(s_pq.shape[1], 0) + 1
-            iterations[0] += int(out[0].sum())
-        return out
+        widths[s_pq.shape[1]] = widths.get(s_pq.shape[1], 0) + 1
+        return block(factor, s_pq, v, tol)
 
     def counted_day(*args):
-        dispatching[0] = True
-        try:
+        with _patched(dispatch, "_fixed_point_block", counted_block):
             return day(*args)
-        finally:
-            dispatching[0] = False
 
-    dispatch._fixed_point_block, objective._dispatch_day = counted_block, counted_day
-    try:
+    with _patched(objective, "_dispatch_day", counted_day):
         for pair in placements:
             ev.evaluate(pair)
-    finally:
-        dispatch._fixed_point_block, objective._dispatch_day = block, day
     st, days = ev.stats, len(placements)
     return {
-        "block_calls": getattr(st, "batches", st.days) / days,
+        "block_calls": st.batches / days,
         "block_columns": st.block_columns / days,
         "block_iterations": st.block_iterations / days,
         "dispatch_columns": st.dispatch_columns / days,
-        "dispatch_iterations": getattr(st, "dispatch_iterations", iterations[0]) / days,
+        "dispatch_iterations": st.dispatch_iterations / days,
         "newton_solves": (st.newton_columns + st.newton_fallbacks) / days,
         "brent_searches": st.searches / days,
         "brent_nfev": st.trials / days,
@@ -270,30 +170,7 @@ def _search_batch(pevplan, bundle) -> dict:
     wall_s = perf_counter() - t0
     return {"wall_ms": wall_s * 1e3, "day_ms": ev.stats.day_s * 1e3,
             "ga_ms": (wall_s - ev.stats.day_s) * 1e3, "days": ev.stats.days,
-            # a tree without the counter computes each day alone
-            "batches": getattr(ev.stats, "batches", ev.stats.days),
-            "distinct_evals": distinct}
-
-
-def _count_calls(owner, name: str, run):
-    """Calls of ``owner.name`` while ``run()`` runs, or None if the tree
-    has no such name."""
-    fn = getattr(owner, name, None)
-    if fn is None:
-        run()
-        return None
-    calls = [0]
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return fn(*args, **kwargs)
-
-    setattr(owner, name, counted)
-    try:
-        run()
-    finally:
-        setattr(owner, name, fn)
-    return calls[0]
+            "batches": ev.stats.batches, "distinct_evals": distinct}
 
 
 def _v2g_searches(pevplan, bundle) -> dict:
@@ -301,28 +178,21 @@ def _v2g_searches(pevplan, bundle) -> dict:
     net, devices, profiles = bundle
     ev = _evaluator(pevplan, bundle, "dgq+v2gq")
     cls = type(ev)
-    days = getattr(cls, "_days", None)
+    days = cls._days
     sizes: dict[int, int] = {}
 
     def counted(self, placements):
         sizes[len(placements)] = sizes.get(len(placements), 0) + 1
         return days(self, placements)
 
-    if days is not None:
-        cls._days = counted
     distinct = 0
     t0 = perf_counter()
-    try:
+    with _patched(cls, "_days", counted):
         for seed in V2G_SEARCH_SEEDS:
             params = pevplan.GaParams(seed=seed, **V2G_SEARCH_PARAMS)
             distinct += pevplan.optimize_placement(
                 net, devices, profiles, ev.scenario, params, evaluator=ev).evaluations
-    finally:
-        if days is not None:
-            cls._days = days
     wall_s = perf_counter() - t0
-    if days is None:
-        sizes = {1: ev.stats.days}
     return {"wall_ms": wall_s * 1e3, "day_ms": ev.stats.day_s * 1e3,
             "days": ev.stats.days, "distinct_evals": distinct,
             "batch_sizes": {str(k): sizes[k] for k in sorted(sizes)}}
@@ -377,38 +247,38 @@ def measure(src: Path) -> dict:
                 ev.evaluate(pair)
             samples.append((perf_counter() - t0) / len(placements) * 1e3)
         out["day_ms"][mode] = statistics.median(samples)
-        stats = getattr(ev, "stats", None)
-        if stats is None:
-            out["stats"][mode] = None
-        else:
-            days = stats.days
-            out["stats"][mode] = {
-                "days": days,
-                "block_iterations_per_column": stats.block_iterations
-                / max(stats.block_columns, 1),
-                "newton_columns": stats.newton_columns,
-                "divergent_hours": stats.divergent_hours,
-                "hours_dispatched_per_day": stats.hours_dispatched / days,
-                # a tree whose DayStats predates reverted_hours counts cold_retries
-                "reverted_hours": getattr(stats, "reverted_hours", None),
-            }
+        stats = ev.stats
+        out["stats"][mode] = {
+            "days": stats.days,
+            "block_iterations_per_column": stats.block_iterations
+            / max(stats.block_columns, 1),
+            "newton_columns": stats.newton_columns,
+            "divergent_hours": stats.divergent_hours,
+            "hours_dispatched_per_day": stats.hours_dispatched / stats.days,
+            "reverted_hours": stats.reverted_hours,
+        }
         out["work"][mode] = _count_work(pevplan, bundle, mode, placements)
-    rank = _ranker(nsga)
     for size in POPULATIONS:
-        pops = _populations(pevplan, size)
+        pops = _populations(size)
         for pop in pops:
-            rank(pop)
+            nsga._rank(*pop)
         t0 = perf_counter()
         for k in range(RANK_REPEATS):
-            rank(pops[k % len(pops)])
+            nsga._rank(*pops[k % len(pops)])
         out["rank_ms"][str(size)] = (perf_counter() - t0) / RANK_REPEATS * 1e3
     # the warm-up batch also counts the rankings
-    rank_calls = _count_calls(nsga, "_rank", lambda: _search_batch(pevplan, bundle))
+    rank, rank_calls = nsga._rank, [0]
+
+    def counted_rank(*args):
+        rank_calls[0] += 1
+        return rank(*args)
+
+    with _patched(nsga, "_rank", counted_rank):
+        _search_batch(pevplan, bundle)
     batches = sorted((_search_batch(pevplan, bundle) for _ in range(SEARCH_REPEATS)),
                      key=lambda b: b["wall_ms"])
     out["search"] = batches[len(batches) // 2]
-    out["search"]["rank_calls"] = (None if rank_calls is None
-                                   else rank_calls / len(SEARCH_SEEDS))
+    out["search"]["rank_calls"] = rank_calls[0] / len(SEARCH_SEEDS)
     out["search_v2g"] = _v2g_searches(pevplan, bundle)
     return out
 

@@ -27,7 +27,7 @@ from .caseio import (
     load_profiles,
 )
 from .devices import p_injection
-from .dispatch import MODES, Scenario, canonical_mode
+from .dispatch import _MODE_ALIASES, MODES, Scenario
 from .network import ValidationError, build_ybus
 from .nsga import GaParams, InfeasibleConfigError, optimize_placement
 from .objective import DayEvaluator
@@ -153,7 +153,7 @@ def _scenario(args: argparse.Namespace, default_mode: str = "none") -> Scenario:
     return Scenario(
         mode=args.mode or default_mode,
         weights=_parse_weights(args.weights) if args.weights else Scenario.weights,
-        load_profile_id=getattr(args, "load_profile", None),
+        load_profile_id=args.load_profile,
         pf_tol=args.tol if args.tol is not None else DEFAULT_TOL,
     )
 
@@ -324,6 +324,13 @@ def _add_common(p: argparse.ArgumentParser, *, profiles: bool = True) -> None:
     p.add_argument("--config", help="key=value config file; command-line flags win")
 
 
+def _add_scenario(p: argparse.ArgumentParser, mode_help: str) -> None:
+    p.add_argument("--mode", choices=[*MODES, *_MODE_ALIASES], help=mode_help)
+    p.add_argument("--weights", help="objective weights a,b,c (default 0.6,0.1,0.3)")
+    p.add_argument("--load-profile", dest="load_profile",
+                   help="profile id scaling normal loads per hour")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pevplan",
@@ -353,20 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="24-hour run of one scenario mode")
     _add_common(p)
-    p.add_argument("--mode", choices=["none", "dgq", "dgq-v2gq", "dgq+v2gq"],
-                   help="reactive-support participation")
-    p.add_argument("--weights", help="objective weights a,b,c (default 0.6,0.1,0.3)")
-    p.add_argument("--load-profile", dest="load_profile",
-                   help="profile id scaling normal loads per hour")
+    _add_scenario(p, "reactive-support participation")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("optimize", help="search parking-lot buses with the GA")
     _add_common(p)
-    p.add_argument("--mode", choices=["none", "dgq", "dgq-v2gq", "dgq+v2gq"],
-                   help="scenario during evaluation (default dgq+v2gq)")
-    p.add_argument("--weights", help="objective weights a,b,c (default 0.6,0.1,0.3)")
-    p.add_argument("--load-profile", dest="load_profile",
-                   help="profile id scaling normal loads per hour")
+    _add_scenario(p, "scenario during evaluation (default dgq+v2gq)")
     p.add_argument("--lots", type=int,
                    help="number of lots to place (default: lot rows in the case; "
                    "the fleet is truncated or extended by cloning to match)")

@@ -4,8 +4,8 @@
 dispatch hands the kernel (``width_histogram``), counted by wrapping the
 kernel from outside the package.  Its blocks and their columns must be the
 day's own ``DayStats.dispatch_steps`` and ``dispatch_columns``: a block
-solved outside the lockstep, such as the day's base block, is no step.  Its
-kernel iterations are the day's ``dispatch_iterations``.
+solved outside the lockstep, such as the day's base block, is no step.
+Every other work figure is the day's ``DayStats`` counter, per day.
 """
 
 from __future__ import annotations
@@ -20,6 +20,18 @@ from pevplan.dispatch import Scenario
 from pevplan.objective import DayEvaluator
 
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+
+# each per-day work figure of the script and the DayStats counter it reads
+WORK_COUNTERS = {
+    "block_calls": "batches",
+    "block_columns": "block_columns",
+    "block_iterations": "block_iterations",
+    "dispatch_columns": "dispatch_columns",
+    "dispatch_iterations": "dispatch_iterations",
+    "brent_searches": "searches",
+    "brent_nfev": "trials",
+    "dispatch_steps": "dispatch_steps",
+}
 
 
 def layers_module():
@@ -54,6 +66,13 @@ def test_width_histogram_counts_each_dispatch_step_once(bus33, devices33, profil
     assert (work["dispatch_steps"], work["dispatch_columns"]) == (
         stats.dispatch_steps, stats.dispatch_columns)
     assert work["dispatch_iterations"] == stats.dispatch_iterations > 0
+    # every other work figure is its DayStats counter per day
+    days = stats.days
+    for field, counter in WORK_COUNTERS.items():
+        assert work[field] == getattr(stats, counter) / days, field
+    assert work["newton_solves"] == (stats.newton_columns + stats.newton_fallbacks) / days
+    assert work["mean_width"] == stats.dispatch_columns / stats.dispatch_steps
+    assert set(work) == {*WORK_COUNTERS, "newton_solves", "mean_width", "width_histogram"}
 
 
 def test_v2g_search_batch_sizes_add_up_to_its_days(bus33, devices33, profiles33,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import re
@@ -16,7 +17,7 @@ import pevplan
 from pevplan import cli
 from pevplan.caseio import bind_devices, builtin_path, load_builtin
 from pevplan.cli import main
-from pevplan.dispatch import Scenario
+from pevplan.dispatch import _MODE_ALIASES, MODES, Scenario, canonical_mode
 from pevplan.objective import DayEvaluator
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -425,6 +426,31 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def accepts(mode: str) -> bool:
+    try:
+        canonical_mode(mode)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimize"])
+def test_mode_choices_are_the_spellings_canonical_mode_accepts(capsys, command):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    (mode,) = [a for a in sub.choices[command]._actions if a.dest == "mode"]
+    # canonical_mode strips and lower-cases; the parser takes the clean spellings
+    near_misses = ["", "None", "dgq v2gq", "dgq_v2gq", "v2gq", "dgq+v2g", "dgq+v2gq+"]
+    spellings = {*MODES, *_MODE_ALIASES, *mode.choices, *near_misses}
+    assert sorted(mode.choices) == sorted(
+        s for s in spellings if accepts(s) and s == s.strip().lower())
+    assert {canonical_mode(m) for m in mode.choices} == set(MODES)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--mode", "dgq_v2gq"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_help_documents_exit_codes():

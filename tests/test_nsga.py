@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import itertools
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from pevplan.caseio import load_builtin
-from pevplan.devices import HOURS, PevLot
+from pevplan.devices import HOURS, HourlyProfile, PevLot, PvUnit
 from pevplan.dispatch import Scenario
+from pevplan.network import Network
 from pevplan.nsga import (
     GaParams,
     InfeasibleConfigError,
@@ -31,7 +34,7 @@ from pevplan.nsga import (
 from pevplan.objective import DayEvaluator, ObjectiveBreakdown
 
 import ga_oracle
-from conftest import small_feeder
+from conftest import radial_feeders, small_feeder
 from ga_oracle import _columns
 
 
@@ -513,6 +516,65 @@ def test_archive_is_mutually_nondominated():
     assert scalars == sorted(scalars)
     if res.best_breakdown.feasible:
         assert scalars[0] == pytest.approx(res.best_breakdown.scalar, abs=1e-15)
+
+
+def feasible_first(bd: ObjectiveBreakdown) -> tuple[bool, float]:
+    return (not bd.feasible, bd.scalar)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_generated_feeder_searches_match_enumeration(data):
+    # 5–9 buses (4–8 candidates), one PV and 2 lots with hourly profiles,
+    # and an hourly load shape, in mode none.  The archive is the brute-force
+    # front 0 (this file's own constraint domination) over the placements
+    # the search scored, and its best is the feasible-first best of those;
+    # a search that scored every placement returns the enumerated best
+    net = data.draw(radial_feeders(5, 9), label="feeder")
+    # a voltage floor near 1 pu leaves some placements infeasible
+    v_min = data.draw(st.floats(0.98, 0.9999), label="v_min")
+    net = Network(tuple(replace(b, v_min=v_min) for b in net.buses), net.branches)
+    buses = sorted(b.id for b in net.buses if b.kind != "slack")
+
+    def hourly(peak: float):
+        return data.draw(st.lists(st.floats(0.0, peak), min_size=HOURS, max_size=HOURS))
+
+    devices = [PvUnit(data.draw(st.sampled_from(buses), label="pv bus"), 0.02, hourly(0.02))]
+    size = data.draw(st.floats(0.03, 0.3), label="lot size")
+    devices += [PevLot(bus, size, hourly(size)) for bus in buses[:2]]
+    profiles = {"load-weekday": HourlyProfile("load-weekday", data.draw(
+        st.lists(st.floats(0.2, 3.0), min_size=HOURS, max_size=HOURS), label="load shape"))}
+    sc = Scenario(mode="none", load_profile_id="load-weekday")
+    params = GaParams(population=2 * data.draw(st.integers(2, 5), label="half population"),
+                      generations=data.draw(st.integers(0, 40), label="generations"),
+                      mutation_rate=data.draw(st.floats(0.2, 1.0), label="mutation"),
+                      seed=data.draw(st.integers(0, 2**32 - 1), label="seed"), n_lots=2)
+    ev = DayEvaluator(net, devices, profiles, sc)
+    res = optimize_placement(net, devices, profiles, sc, params, evaluator=ev)
+
+    scored = dict(ev._cache)  # a fresh evaluator holds the search's days alone
+    assert res.evaluations == len(scored)
+    front = {lots: bd for lots, bd in scored.items()
+             if not any(constrained_dominates(other, bd) for other in scored.values())}
+    entries = res.archive.entries
+    assert {e.genome.lot_buses: (e.v_dev, e.loss, e.cost, e.scalar, e.feasible)
+            for e in entries} == {lots: (bd.v_dev, bd.loss, bd.cost, bd.scalar, bd.feasible)
+                                  for lots, bd in front.items()}
+    assert len(entries) == len(front)
+    assert [e.scalar for e in entries] == sorted(e.scalar for e in entries)
+    best = res.best_genome.lot_buses
+    assert scored[best] == res.best_breakdown
+    assert feasible_first(res.best_breakdown) == min(map(feasible_first, scored.values()))
+
+    every = list(itertools.combinations(buses, 2))
+    if len(scored) == len(every):
+        truth = {day.lot_buses: day.breakdown
+                 for day in DayEvaluator(net, devices, profiles, sc).evaluate_many(every)}
+        assert truth == scored
+        assert truth[best] == res.best_breakdown
+        assert feasible_first(truth[best]) == min(map(feasible_first, truth.values()))
+    event(f"scored every placement: {len(scored) == len(every)}")
+    event(f"feasibility of the scored: {sorted({bd.feasible for bd in scored.values()})}")
 
 
 def test_single_candidate_pool_collapses_to_one_genome():

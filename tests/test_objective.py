@@ -621,3 +621,39 @@ def test_generated_feeder_hours_solve_their_network(data):
         assert bd.violation_penalty == pytest.approx(penalty, abs=1e-7), mode
         assert bd.feasible == feasible, mode
         assert ev.evaluate(key).breakdown is bd
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_generated_feeder_day_counters_add_up(data):
+    # 5–15 buses, a PV unit and 1–3 lots, perhaps one hour that diverges;
+    # in both dispatch modes, over a few placements on one evaluator, every
+    # live hour is dispatched, each dispatched hour solves its base column
+    # and each Brent trial, and a Brent search asks for 1 to maxiter points
+    net = data.draw(radial_feeders(5, 15), label="feeder")
+    buses = [b.id for b in net.buses if b.kind != "slack"]
+    n_lots = data.draw(st.integers(1, min(3, len(buses))), label="lots")
+
+    def hourly(peak: float):
+        return data.draw(st.lists(st.floats(0.0, peak), min_size=HOURS, max_size=HOURS))
+
+    size = data.draw(st.floats(0.03, 0.3), label="lot size")
+    devices = [PvUnit(data.draw(st.sampled_from(buses), label="pv bus"), 0.02, hourly(0.02))]
+    devices += [PevLot(bus, size, hourly(size)) for bus in buses[:n_lots]]
+    shape = data.draw(st.lists(st.floats(0.2, 3.0), min_size=HOURS, max_size=HOURS),
+                      label="load shape")
+    shape[data.draw(st.integers(0, HOURS - 1), label="spike hour")] *= data.draw(
+        st.sampled_from((1.0, 1e3)), label="spike")
+    profiles = {"load-weekday": HourlyProfile("load-weekday", shape)}
+    placements = data.draw(placements_of(buses, n_lots, 3), label="placements")
+    for mode in ("dgq", "dgq+v2gq"):
+        ev = DayEvaluator(net, devices, profiles,
+                          Scenario(mode=mode, load_profile_id="load-weekday"))
+        live = sum(int(ev.hours(key).live.sum()) for key in placements)
+        stats = ev.stats
+        assert stats.days == len(placements), mode
+        assert stats.hours_dispatched == live, mode
+        assert stats.dispatch_columns >= stats.trials + stats.hours_dispatched, mode
+        maxiter = dispatch._SEARCH_MAXITER
+        assert stats.searches <= stats.trials <= stats.searches * maxiter, mode
+        assert stats.reverted_hours <= stats.hours_dispatched, mode
