@@ -30,7 +30,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 from .devices import (
@@ -420,8 +419,7 @@ def bind_devices(
 
 def builtin_path(name: str) -> Path:
     """Filesystem path of a bundled data file (case or profile CSV)."""
-    candidate = resources.files("pevplan.data").joinpath(name)
-    path = Path(str(candidate))
+    path = Path(__file__).with_name("data") / name
     if not path.exists():
         raise FileNotFoundError(f"no bundled data file named {name!r}")
     return path

@@ -98,31 +98,25 @@ def _read_config(path: str | None) -> dict[str, str]:
     return config
 
 
-_CONFIG_CONVERTERS = {
-    "case": str,
-    "profiles": str,
-    "mode": str,
-    "weights": str,
-    "lots": int,
-    "candidates": str,
-    "pop": int,
-    "gens": int,
-    "seed": int,
-    "tol": float,
-    "out": str,
-    "load_profile": str,
-}
+# the flags a config file may set, by destination
+_CONFIG_KEYS = frozenset({
+    "case", "profiles", "mode", "weights", "lots", "candidates", "pop", "gens",
+    "seed", "tol", "out", "load_profile",
+})
 
 
-def _apply_config(args: argparse.Namespace) -> None:
+def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     config = _read_config(getattr(args, "config", None))
     for key, value in config.items():
         dest = key.replace("-", "_")
-        conv = _CONFIG_CONVERTERS.get(dest)
-        if conv is None:
+        if dest not in _CONFIG_KEYS:
             raise CaseParseError(f"unknown config key {key!r}")
         if hasattr(args, dest) and getattr(args, dest) is None:
-            setattr(args, dest, conv(value))
+            # parsed as its flag is: the flag's type and choices, and on a
+            # bad value the command line's message and exit code 2
+            flag = "--" + dest.replace("_", "-")
+            parsed = parser.parse_args([args.command, f"{flag}={value}"])
+            setattr(args, dest, getattr(parsed, dest))
 
 
 def _parse_weights(text: str) -> tuple[float, float, float]:
@@ -386,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        _apply_config(args, parser)
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

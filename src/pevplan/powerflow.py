@@ -1,9 +1,9 @@
 """Numeric AC power flow on the full network.
 
 :func:`solve` is Newton-Raphson in polar coordinates with the full complex
-Jacobian, formed over the non-slack block ``Y[pq, pq]`` alone: the general
-solver, and the arbiter the others are checked against.  Next to it sits a
-private kernel, the Z-bus fixed point
+Jacobian, formed at the nonzeros of the non-slack block ``Y[pq, pq]``
+alone: the general solver, and the arbiter the others are checked against.
+Next to it sits a private kernel, the Z-bus fixed point
 ``V[pq] = w·V_slack + Z·conj(S[pq] / V[pq])`` with ``Z = inv(Y[pq, pq])``
 (Teng's direct radial load flow in matrix form; with no shunts its drop
 matrix equals this ``Z``, so meshed feeders work too), written once, in
@@ -140,9 +140,10 @@ class _SolverArrays:
     ``branches`` holds the per-branch (from-index, to-index, series
     admittance, resistance) arrays behind every solution's branch
     quantities.  Everything else is computed on first use, so a solver
-    builds only what it reads: Newton the admittance matrix ``y`` and its
-    non-slack blocks, the fixed point its factor, the sweep its tree (which
-    needs no ``y``), and the limit checks the limit arrays.
+    builds only what it reads: Newton the admittance matrix ``y``, its
+    non-slack blocks and its Jacobian plan, the fixed point its factor, the
+    sweep its tree (which needs no ``y``), and the limit checks the limit
+    arrays.
     """
 
     def __init__(self, net: Network) -> None:
@@ -164,6 +165,20 @@ class _SolverArrays:
         pq = np.delete(np.arange(self._net.n_bus), self._net.slack_index)
         y_pq = self.y[pq]
         return pq, y_pq, np.ascontiguousarray(y_pq[:, pq])
+
+    @cached_property
+    def jacobian_plan(self) -> tuple[np.ndarray, ...]:
+        """``(rows, cols, values, diagonal slots, flat)`` of ``Y[pq, pq]``'s
+        nonzeros and every diagonal; ``flat`` holds their places in the
+        flattened Jacobian, each entry's ∂P and ∂Q by θ, then by ``|V|``."""
+        y_pp = self.blocks[2]
+        npq = len(y_pp)
+        mask = y_pp != 0
+        np.fill_diagonal(mask, True)
+        rows, cols = np.nonzero(mask)
+        by_theta = (rows[:, None] + [0, npq]) * (2 * npq) + cols[:, None]
+        flat = np.concatenate((by_theta, by_theta + npq)).ravel()
+        return rows, cols, y_pp[rows, cols], np.flatnonzero(rows == cols), flat
 
     @cached_property
     def fixed_point(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -257,18 +272,20 @@ def solve(
     """
     v = _start(net, inj, tol, v0)
     arrays = _solver_arrays(net)
-    y, (pq, _, y_pp) = arrays.y, arrays.blocks
-    s_spec = inj.p + 1j * inj.q
+    (pq, y_pq, _), plan = arrays.blocks, arrays.jacobian_plan
+    s_spec = (inj.p + 1j * inj.q)[pq]
     npq = len(pq)
     vm = np.abs(v)
     va = np.angle(v)
+    f = np.empty(2 * npq)
 
-    def mismatch_vec(vv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ibus = y @ vv
-        ds = vv * np.conj(ibus) - s_spec
-        return ibus, np.concatenate([ds.real[pq], ds.imag[pq]])
+    def mismatch_vec(vv: np.ndarray) -> np.ndarray:  # (Y·V)[pq]; [ΔP; ΔQ] into f
+        ibus = y_pq @ vv
+        ds = vv[pq] * np.conj(ibus) - s_spec
+        f[:npq], f[npq:] = ds.real, ds.imag
+        return ibus
 
-    ibus, f = mismatch_vec(v)
+    ibus = mismatch_vec(v)
     mis = float(np.max(np.abs(f))) if npq else 0.0
 
     for it in range(DEFAULT_MAX_ITER):
@@ -279,7 +296,7 @@ def solve(
             raise NonConvergence(
                 f"diverged at iteration {it} (mismatch {mis:.3e})", sol
             )
-        jac = _jacobian(y_pp, v[pq], vm[pq], ibus[pq])
+        jac = _jacobian(plan, v[pq], vm[pq], ibus)
         try:
             dx = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:
@@ -290,7 +307,7 @@ def solve(
         va[pq] += dx[:npq]
         vm[pq] += dx[npq:]
         v = vm * np.exp(1j * va)
-        ibus, f = mismatch_vec(v)
+        ibus = mismatch_vec(v)
         mis = float(np.max(np.abs(f))) if npq else 0.0
 
     if mis <= tol:
@@ -302,32 +319,32 @@ def solve(
     )
 
 
-def _jacobian(y_pp: np.ndarray, v: np.ndarray, vm: np.ndarray,
+def _jacobian(plan: tuple[np.ndarray, ...], v: np.ndarray, vm: np.ndarray,
               ibus: np.ndarray) -> np.ndarray:
     """Newton's real Jacobian over the non-slack buses, ``[[dP/dθ, dP/d|V|],
-    [dQ/dθ, dQ/d|V|]]``, from ``Y[pq, pq]`` and the non-slack ``V``, ``|V|``
-    and ``I = (Y·V)[pq]``.
+    [dQ/dθ, dQ/d|V|]]``, at the entries of :attr:`_SolverArrays.jacobian_plan`,
+    from the non-slack ``V``, ``|V|`` and ``I = (Y·V)[pq]``.  The rest is 0, but
+    for the d/d|V| column of a bus at |V| = 0: NaN, as ``0·NaN`` made it.
 
-    The complex blocks are written with row/column scaling instead of
+    The complex entries are written with row/column scaling instead of
     diagonal-matrix products: dS/dθ = j·diag(V)·conj(diag(I) − Y·diag(V))
     and dS/d|V| = diag(V)·conj(Y·diag(V/|V|)) + conj(diag(I))·diag(V/|V|).
     """
+    rows, cols, y, diag, flat = plan
     npq = len(v)
-    diag = np.arange(npq)
-    m = -(y_pp * v[None, :])
-    m[diag, diag] += ibus
-    ds_dva = (1j * v)[:, None] * np.conj(m)
+    m = -(y * v[cols])
+    m[diag] += ibus
+    ds_dva = (1j * v)[rows] * np.conj(m)
     # a degenerate |V| = 0 state turns vnorm into NaN, which the
     # singular-Jacobian check of the solve converts into a clear error
     with np.errstate(invalid="ignore", divide="ignore"):
         vnorm = v / vm
-    ds_dvm = v[:, None] * np.conj(y_pp * vnorm[None, :])
-    ds_dvm[diag, diag] += np.conj(ibus) * vnorm
-    jac = np.empty((2 * npq, 2 * npq))
-    jac[:npq, :npq] = ds_dva.real
-    jac[:npq, npq:] = ds_dvm.real
-    jac[npq:, :npq] = ds_dva.imag
-    jac[npq:, npq:] = ds_dvm.imag
+    ds_dvm = v[rows] * np.conj(y * vnorm[cols])
+    ds_dvm[diag] += np.conj(ibus) * vnorm
+    jac = np.zeros((2 * npq, 2 * npq))
+    jac.ravel()[flat] = np.concatenate((ds_dva, ds_dvm)).view(float)
+    if not vm.all():
+        jac[:, npq + np.flatnonzero(vm == 0)] = np.nan
     return jac
 
 

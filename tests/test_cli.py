@@ -419,6 +419,26 @@ def test_config_missing_file(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("simulate", "mode", "dgq_v2gq"),
+    ("optimize", "mode", "dgq_v2gq"),
+    ("optimize", "lots", "two"),
+    ("simulate", "tol", "tight"),
+])
+def test_config_value_is_checked_as_its_flag_is(capsys, tmp_path, command, key, value):
+    # a bad value exits 2 with the message the same flag gets on the command line
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    errors = []
+    for argv in (["--config", str(cfg)], [f"--{key}", value]):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *argv])
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert f"argument --{key}: invalid" in errors[0]
+
+
 # -- parser plumbing ---------------------------------------------------------
 
 

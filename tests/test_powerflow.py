@@ -288,15 +288,84 @@ def full_newton(net, inj, tol=DEFAULT_TOL):
 @given(net=radial_feeders(), seed=st.integers(0, 2**32 - 1))
 def test_block_jacobian_equals_the_full_construction(net, seed):
     arrays = _solver_arrays(net)
-    y, (pq, _, y_pp) = arrays.y, arrays.blocks
+    y, (pq, _, _) = arrays.y, arrays.blocks
     rng = np.random.default_rng(seed)
     v = 1.0 + 0.1 * (rng.standard_normal(net.n_bus) + 1j * rng.standard_normal(net.n_bus))
     v[net.slack_index] = 1.0
     # a degenerate |V| = 0 entry turns both into the same NaNs
     v[pq[rng.integers(len(pq))]] *= rng.integers(2)
     with np.errstate(invalid="ignore"):
-        got = powerflow._jacobian(y_pp, v[pq], np.abs(v)[pq], (y @ v)[pq])
+        got = powerflow._jacobian(arrays.jacobian_plan, v[pq], np.abs(v)[pq], (y @ v)[pq])
     np.testing.assert_array_equal(got, full_jacobian(y, v, np.abs(v), pq))
+
+
+def meshed_network() -> Network:
+    """A ring with a chord, and a spur."""
+    buses = (
+        Bus(1, kind="slack"),
+        Bus(2, normal_load_p=0.30, normal_load_q=0.10),
+        Bus(3, normal_load_p=0.20, normal_load_q=0.15),
+        Bus(4, normal_load_p=0.25, normal_load_q=0.05),
+        Bus(5, normal_load_p=0.10, normal_load_q=0.08),
+    )
+    branches = (
+        Branch(1, 2, 0.02, 0.06), Branch(2, 3, 0.03, 0.07), Branch(3, 4, 0.01, 0.05),
+        Branch(4, 1, 0.02, 0.04), Branch(2, 4, 0.04, 0.08), Branch(4, 5, 0.05, 0.09),
+    )
+    return Network(buses, branches, radial=False)
+
+
+def assert_plan_is_the_pattern(arrays):
+    """The Jacobian plan holds each off-diagonal nonzero of ``Y[pq, pq]``
+    and every diagonal once, with its value, its diagonal slots and its
+    places in the four blocks of the flattened Jacobian."""
+    rows, cols, values, diag, flat = arrays.jacobian_plan
+    y_pp = arrays.blocks[2]
+    npq = len(y_pp)
+    pattern = {(i, j) for i, j in zip(*np.nonzero(y_pp)) if i != j}
+    pattern |= {(i, i) for i in range(npq)}
+    assert sorted(zip(rows.tolist(), cols.tolist())) == sorted(pattern)
+    assert np.array_equal(values, y_pp[rows, cols])
+    assert np.array_equal(rows[diag], np.arange(npq))
+    assert np.array_equal(cols[diag], np.arange(npq))
+    # per entry: dP/dθ, dQ/dθ, then, after every dθ entry, dP/d|V|, dQ/d|V|
+    down, right = rows + npq, cols + npq
+    want = np.concatenate([
+        np.stack([rows, cols, down, cols], axis=1).reshape(-1, 2),
+        np.stack([rows, right, down, right], axis=1).reshape(-1, 2),
+    ])
+    got = np.stack(np.unravel_index(flat, (2 * npq, 2 * npq)), axis=1)
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(net=radial_feeders())
+def test_jacobian_plan_holds_the_nonzeros_and_every_diagonal(net):
+    assert_plan_is_the_pattern(_solver_arrays(net))
+
+
+def test_jacobian_plan_on_bus33_and_a_meshed_network(bus33):
+    for net in (bus33.network, meshed_network()):
+        assert_plan_is_the_pattern(_solver_arrays(net))
+
+
+def test_jacobian_plan_keeps_a_zero_diagonal():
+    # no valid network has one (every branch reactance is positive and
+    # every bus reaches the slack), so a bus's diagonal is zeroed by hand
+    net = meshed_network()
+    arrays = powerflow._SolverArrays(net)
+    y = build_ybus(net).copy()
+    k = net.index_of(3)
+    y[k, k] = 0.0
+    arrays.__dict__["y"] = y
+    assert_plan_is_the_pattern(arrays)
+    pq = arrays.blocks[0]
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        v = 1.0 + 0.1 * (rng.standard_normal(net.n_bus) + 1j * rng.standard_normal(net.n_bus))
+        v[net.slack_index] = 1.0
+        got = powerflow._jacobian(arrays.jacobian_plan, v[pq], np.abs(v)[pq], (y @ v)[pq])
+        np.testing.assert_array_equal(got, full_jacobian(y, v, np.abs(v), pq))
 
 
 def assert_newton_matches_full(net, inj):
@@ -328,6 +397,14 @@ def test_newton_is_bit_identical_to_the_full_construction_on_bus33(bus33):
     # Newton fails at the last two scales, and so must the oracle
     for scale in [*np.linspace(0.0, 2.0, 21), 50.0, 1e4]:
         assert_newton_matches_full(net, InjectionSet.from_loads(p * scale, q * scale))
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 50.0])
+def test_newton_is_bit_identical_to_the_full_construction_on_a_meshed_network(scale):
+    # Newton fails at 50, past the nose point, and so must the oracle
+    net = meshed_network()
+    p, q = net.load_vectors()
+    assert_newton_matches_full(net, InjectionSet.from_loads(p * scale, q * scale))
 
 
 # -- Z-bus fixed point ------------------------------------------------------
@@ -377,19 +454,8 @@ def test_fixed_point_below_rounding_floor_meets_newtons_test(bus33):
 
 
 def test_fixed_point_matches_newton_on_meshed_network():
-    # a ring with a chord: no radial tree, so the sweep cannot solve it
-    buses = (
-        Bus(1, kind="slack"),
-        Bus(2, normal_load_p=0.30, normal_load_q=0.10),
-        Bus(3, normal_load_p=0.20, normal_load_q=0.15),
-        Bus(4, normal_load_p=0.25, normal_load_q=0.05),
-        Bus(5, normal_load_p=0.10, normal_load_q=0.08),
-    )
-    branches = (
-        Branch(1, 2, 0.02, 0.06), Branch(2, 3, 0.03, 0.07), Branch(3, 4, 0.01, 0.05),
-        Branch(4, 1, 0.02, 0.04), Branch(2, 4, 0.04, 0.08), Branch(4, 5, 0.05, 0.09),
-    )
-    net = Network(buses, branches, radial=False)
+    # no radial tree, so the sweep cannot solve it
+    net = meshed_network()
     inj = loads_of(net)
     ref = solve(net, inj, tol=1e-12)
     sol = fixed_point(net, inj)
