@@ -22,6 +22,12 @@ seeded random populations.  The JSON gives, per source tree:
   gives other processes does not count) per day evaluation in modes ``none`` and
   ``dgq+v2gq``, the median of ``REPEATS`` passes over the mode's
   placements, each on a fresh evaluator, so nothing is cached;
+- ``day_rel``: each such pass's ms per day over the CPU ms of a fixed
+  reference kernel timed right after it (``REFERENCE_RUNS`` runs of
+  :func:`_reference_kernel`, which mixes a day's kinds of work as
+  ``perfbench/run.py``'s ``Yardstick`` does), the median over the passes:
+  the day's time relative to the host's speed at that moment, so that two
+  trees measured on a drifting shared host can be compared by it;
 - ``rank_ms``: wall ms to rank a 40- and an 80-member population for
   tournament selection (``nsga._rank``: front ranks and crowding
   distances) from its objective, feasibility and penalty arrays;
@@ -82,6 +88,7 @@ V2G_SEARCH_PARAMS = {"population": 40, "generations": 3, "n_lots": 2}
 IMPORT_REPEATS = 5
 SOLVE_SCALES = (0.3, 0.55, 0.8, 1.0)
 SOLVE_REPEATS = 300
+REFERENCE_RUNS = 40
 ROUNDS = 5
 
 
@@ -151,6 +158,47 @@ def _count_work(pevplan, bundle, mode, placements):
         "mean_width": st.dispatch_columns / st.dispatch_steps if st.dispatch_steps else None,
         "width_histogram": {str(w): widths[w] for w in sorted(widths)},
     }
+
+
+def _reference_kernel():
+    """A function that runs a fixed reference kernel ``REFERENCE_RUNS``
+    times and returns the CPU ms it took.
+
+    The kernel does a day's kinds of work on fixed inputs: small dense
+    complex products on a bus vector, a 64 x 64 linear solve and a Python
+    loop over the buses, then tuple-keyed dict updates and a sort.  Its
+    work never changes, so its time tracks only the host's speed.
+    """
+    import numpy as np
+
+    rng = np.random.default_rng(0)
+    n = 33
+    y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 8 * np.eye(n)
+    jac = rng.standard_normal((2 * n, 2 * n)) + 8 * np.eye(2 * n)
+    rhs = rng.standard_normal(2 * n)
+
+    def kernel() -> float:
+        v = np.ones(n, dtype=complex)
+        acc = 0.0
+        for _ in range(4):
+            s = v * np.conj(y @ v)
+            dx = np.linalg.solve(jac, rhs + s.real.repeat(2))
+            v = v + 1e-3 * (dx[:n] + 1j * dx[n:])
+            for k in range(n):
+                acc += abs(v[k])
+        table: dict[tuple[int, int], float] = {}
+        for k in range(600):
+            key = (k % 31, k * 7 % 29)
+            table[key] = table.get(key, 0.0) + k * 0.5
+        return acc + sorted(table.items(), key=lambda kv: (kv[1], kv[0]))[0][1]
+
+    def timed() -> float:
+        t0 = process_time()
+        for _ in range(REFERENCE_RUNS):
+            kernel()
+        return (process_time() - t0) * 1e3
+
+    return timed
 
 
 def _evaluator(pevplan, bundle, mode):
@@ -237,18 +285,22 @@ def measure(src: Path) -> dict:
     case, profiles = pevplan.load_builtin("bus33.grid", "profiles33.csv")
     bundle = (case.network, pevplan.bind_devices(case, profiles), profiles)
     out: dict = {"import_s": _import_s(src), "solve_us": _solve_us(pevplan, case.network),
-                 "day_ms": {}, "work": {}, "stats": {}, "rank_ms": {}}
+                 "day_ms": {}, "day_rel": {}, "work": {}, "stats": {}, "rank_ms": {}}
+    reference = _reference_kernel()
+    reference()  # warm-up
     for mode, placements in PLACEMENTS.items():
         ev = _evaluator(pevplan, bundle, mode)
         ev.evaluate(placements[0])  # warm-up: lazy arrays, imports
-        samples = []
+        samples, relative = [], []
         for _ in range(REPEATS[mode]):
             ev = _evaluator(pevplan, bundle, mode)
             t0 = process_time()
             for pair in placements:
                 ev.evaluate(pair)
             samples.append((process_time() - t0) / len(placements) * 1e3)
+            relative.append(samples[-1] / reference())
         out["day_ms"][mode] = statistics.median(samples)
+        out["day_rel"][mode] = statistics.median(relative)
         stats = ev.stats
         out["stats"][mode] = {
             "days": stats.days,
@@ -333,7 +385,7 @@ def main() -> int:
                               **SEARCH_PARAMS, "repeats": SEARCH_REPEATS},
                    "search_v2g": {"mode": "dgq+v2gq", "seeds": list(V2G_SEARCH_SEEDS),
                                   **V2G_SEARCH_PARAMS, "repeats": 1},
-                   "import_repeats": IMPORT_REPEATS,
+                   "import_repeats": IMPORT_REPEATS, "reference_runs": REFERENCE_RUNS,
                    "solve": {"scales": list(SOLVE_SCALES), "repeats": SOLVE_REPEATS},
                    "rounds": ROUNDS},
     }

@@ -16,20 +16,21 @@ An hour's kernel injections are assembled once, with every setpoint at 0
 setpoint map is written into that column (:meth:`_Hour.column`); a
 search's trial columns are gathered from its hour's row of
 :class:`_Trials`, and every state is scored by :func:`_scores`.  An
-hour's descent (:func:`_descent`) is written once, as a generator of what
-it needs solved: the base, the capability rechecks, and searches.  Every
-solve runs the Z-bus fixed-point kernel and falls back to Newton
-(:func:`solve`), held to the kernel's target, on a column the kernel
-fails: :func:`_solve_block` does both for a block of columns.  Two
-runners answer a descent.  :func:`dispatch_q` runs one hour alone: every
-solve is a one-column block, and every search runs through
-:func:`minimize_scalar`.  A day's runner (:func:`_dispatch_day`) runs the
-descents of all the hours of a batch of days in lockstep: each step
-solves the pending point of every running hour as one column of a block
-and scores the step's trial states together; no hour's solves or scores
-depend on the others, so an hour runs as :func:`dispatch_q` runs it.
-Either way every score is Newton-converged and all scores have one
-accuracy.  A trial starts from a first-order step off the current
+hour's descent (:func:`_descent`) is written once, as a generator that
+starts from the hour's solved base state and yields what it needs solved:
+searches and capability rechecks.  Every solve runs the Z-bus fixed-point
+kernel and falls back to Newton (:func:`solve`), held to the kernel's
+target, on a column the kernel fails (:func:`_solve_block`); a column
+Newton fails too is answered with None, and the descent still returns a
+result.  Two runners answer a descent.  :func:`dispatch_q` runs one hour
+alone from a flat start: every solve is a one-column block, and every
+search runs through :func:`minimize_scalar`.  A day's runner
+(:func:`_dispatch_day`) runs the hours of a batch of days in lockstep
+from their base-block columns, one block a step, scoring the step's
+trial states together; no hour's solves or scores depend on the others,
+so an hour ends bit for bit as :func:`dispatch_q` ends it.  Either way
+every score is Newton-converged and all scores have one accuracy.  A
+trial starts from a first-order step off the current
 voltages and keeps the voltage vector it solved, so an accepted move
 takes the state and the score the search saw, with no second solve; full
 solutions are built only for the hour's base and final states.  Moves are
@@ -65,7 +66,6 @@ from .powerflow import (
     _finish,
     _fixed_point_block,
     _solver_arrays,
-    _start,
     solve,
 )
 
@@ -346,14 +346,12 @@ def minimize_scalar(func: Callable[[float], float], a: float, b: float,
 
 
 class _Search(NamedTuple):
-    """A search request: one device's bounds, row and setpoint at the
-    start; its hour's row of :class:`_Trials` turns each point into a solve."""
+    """A search request: one device's bounds and tolerance; its hour's row
+    of :class:`_Trials` turns each point into a solve."""
 
     a: float
     b: float
     xatol: float
-    row: int
-    q_now: float
 
 
 class _Trials:
@@ -421,14 +419,14 @@ class _Hour:
             s_pq[row] -= 1j * settings[dev.label]
         return s_pq
 
-    def solve(self, s_pq: np.ndarray, start: np.ndarray) -> _State:
+    def solve(self, s_pq: np.ndarray, start: np.ndarray) -> _State | None:
         """The state with non-slack injections ``s_pq``, solved from a copy
-        of ``start`` as a one-column :func:`_solve_block`; Newton's failure
-        propagates."""
+        of ``start`` as a one-column :func:`_solve_block`, or None where
+        Newton fails too."""
         v = start.copy()
         solved = _solve_block(self.net, s_pq[:, None], v[:, None], self.scenario.pf_tol)
         if solved.failed:
-            raise solved.failed[0]
+            return None
         return v, int(solved.iterations[0]), float(solved.mismatch[0])
 
     def search(self, settings: Mapping[str, float], dev: Device, v: np.ndarray,
@@ -443,7 +441,7 @@ class _Hour:
         trials.dev_row[lane], trials.q_now[lane], trials.v[lane] = row, q_now, v
         trials.dv_dq[lane, pq] = z[:, row] * (1j / np.conj(v[pos]))
         return _Search(cap.q_min, cap.q_max,
-                       max(_SEARCH_MIN_XATOL, _SEARCH_REL_XATOL * cap.width), row, q_now)
+                       max(_SEARCH_MIN_XATOL, _SEARCH_REL_XATOL * cap.width))
 
     def searched(self, search: _Search) -> tuple[Minimum, _State | None]:
         """Run ``search`` through :func:`minimize_scalar`, solving each point
@@ -456,9 +454,8 @@ class _Hour:
 
         def score_at(qv: float) -> float:
             s_pq, start = self.trials.columns([self.lane], [qv])
-            try:
-                state = self.solve(s_pq[0], start[0])
-            except PowerFlowError:
+            state = self.solve(s_pq[0], start[0])
+            if state is None:
                 return _TRIAL_PENALTY
             solved[qv] = state
             return float(_scores(self.scenario, self.branches, state[0]))
@@ -469,13 +466,13 @@ class _Hour:
 
 # the requests of an hour's descent, and the replies they receive
 _Request = _Solve | _Search
-_Reply = Any  # the _State of a _Solve, (Minimum, _State | None) of a _Search
+_Reply = Any  # the _State | None of a _Solve, (Minimum, _State | None) of a _Search
 
 
 def _serial(hr: _Hour, steps: Generator[_Request, _Reply, Any]) -> Any:
     """Run ``steps`` of hour ``hr`` one request at a time and return its
-    result: each solve through :meth:`_Hour.solve`, whose failure
-    propagates, and each search through :meth:`_Hour.searched`."""
+    result: each solve through :meth:`_Hour.solve` and each search through
+    :meth:`_Hour.searched`."""
     reply = None
     while True:
         try:
@@ -491,37 +488,40 @@ def dispatch_q(
     hour: int,
     scenario: Scenario,
     load_scale: float = 1.0,
-    v0: np.ndarray | None = None,
 ) -> DispatchResult:
     """Choose reactive setpoints for one hour under the scenario's mode.
 
-    The hour's :func:`_descent`, run one request at a time.  Raises any
-    :class:`PowerFlowError` of the undispatched (base) solve or of a
-    capability-recheck solve: the one the Newton fallback raises after the
-    kernel failed, a :class:`NonConvergence` or a
-    :class:`~pevplan.powerflow.SingularJacobian`.  A trial that fails inside
-    a search is absorbed (it scores ``_TRIAL_PENALTY``).  Raises
-    ``ValueError`` for non-finite injections or a ``v0`` of the wrong length.
+    The hour's base state is solved from a flat start as a one-column
+    :func:`_solve_block`, as a day's base block solves it, and its
+    :func:`_descent` runs from there one request at a time.  Raises only if
+    the base solve fails, with the :class:`PowerFlowError` the Newton
+    fallback raised (a :class:`NonConvergence` or a
+    :class:`~pevplan.powerflow.SingularJacobian`), or ``ValueError`` for
+    non-finite injections; a failed trial scores ``_TRIAL_PENALTY`` and a
+    failed recheck reverts the hour.
     """
     s_base = _base_injections(net, [devices], [hour], [load_scale])[:, 0]
-    start = _start(net, _injection_set(net, s_base), scenario.pf_tol, v0)
+    v = np.ones((net.n_bus, 1), dtype=complex)
+    solved = _solve_block(net, s_base[:, None], v, scenario.pf_tol)
+    if solved.failed:
+        raise solved.failed[0]
     hr = _Hour(net, devices, hour, scenario, s_base)
-    return _serial(hr, _descent(hr, start))
+    base = v[:, 0], int(solved.iterations[0]), float(solved.mismatch[0])
+    return _serial(hr, _descent(hr, base))
 
 
 def _descent(hr: _Hour,
-             start: np.ndarray) -> Generator[_Request, _Reply, DispatchResult]:
-    """One hour's coordinate descent, from its base solve to its result.
+             base_state: _State) -> Generator[_Request, _Reply, DispatchResult]:
+    """One hour's coordinate descent, from its solved base state (every Q
+    at 0) to its result.
 
     Yields requests and receives their replies: a solve request ``(s_pq,
-    start)`` receives the solved state, or has the solve's
-    :class:`PowerFlowError` thrown in, which ends the hour; a
-    :class:`_Search` receives ``(minimum, state at its x)``.  The base
-    solve starts from ``start``.
+    start)`` receives the solved state, or None where the solve failed,
+    which reverts the hour to its base state; a :class:`_Search` receives
+    ``(minimum, state at its x)``.
     """
     net, devices, hour, scenario = hr.net, hr.devices, hr.hour, hr.scenario
     q: dict[str, float] = {dev.label: 0.0 for dev in devices}
-    base_state = yield hr.s_base, start
     base_score = float(_scores(scenario, hr.branches, base_state[0]))
 
     participants = scenario.participating(devices)
@@ -630,7 +630,8 @@ def _recheck_capability(
     solved state adjusts nothing.  Yields each resolve as a solve request.
     A ``stale`` state, solved at other setpoints than ``q``, is solved
     again before it can be returned.  Returns that state and its score, or
-    None if the setpoints have not settled after ``_RECHECK_SOLVES`` solves.
+    None if a resolve fails or the setpoints have not settled after
+    ``_RECHECK_SOLVES`` solves.
     """
     adjusted = stale
     for solves in range(_RECHECK_SOLVES + 1):
@@ -652,6 +653,8 @@ def _recheck_capability(
         if solves == _RECHECK_SOLVES:
             break
         state = yield hr.column(q), state[0]
+        if state is None:
+            return None
         score = float(_scores(hr.scenario, hr.branches, state[0]))
         adjusted = False
     return None
@@ -665,23 +668,19 @@ class _Lane:
     otherwise ``request`` is the pending solve request.
     """
 
-    def __init__(self, hr: _Hour, start: np.ndarray, stats: Counter) -> None:
+    def __init__(self, hr: _Hour, base_state: _State, stats: Counter) -> None:
         self.hr = hr
-        self.steps = _descent(hr, start)
+        self.steps = _descent(hr, base_state)
         self.stats = stats
         self.result: DispatchResult | None = None
         self.brent: Generator[float, float, Minimum] | None = None
 
-    def send(self, reply: _Reply = None, error: PowerFlowError | None = None) -> bool:
-        """Hand the descent its reply, or throw in a failed solve; False
-        once the hour is over, with its result or, where a solve failed,
-        None."""
+    def send(self, reply: _Reply = None) -> bool:
+        """Hand the descent its reply; False once the hour is over (with its result)."""
         try:
-            request = self.steps.send(reply) if error is None else self.steps.throw(error)
+            request = self.steps.send(reply)
         except StopIteration as done:
             self.result = done.value
-            return False
-        except PowerFlowError:
             return False
         if isinstance(request, _Search):
             self.stats["searches"] += 1
@@ -706,26 +705,29 @@ class _Lane:
 
 def _dispatch_day(net: Network, scenario: Scenario,
                   hours: Sequence[tuple[Sequence[Device], int]], s_pq: np.ndarray,
-                  v0: np.ndarray, stats: Counter) -> list[DispatchResult | None]:
+                  base: tuple[np.ndarray, np.ndarray, np.ndarray],
+                  stats: Counter) -> list[DispatchResult]:
     """The :func:`_descent` of each of ``hours``, run in lockstep.
 
     An entry ``(devices, hour)`` is one hour of one placement's day, and
     entry ``i`` has the zero-setpoint injections ``s_pq[:, i]`` (of
-    :func:`_base_injections`) and starts from ``v0[:, i]``; the entries may
-    come from the days of several placements.  Each step gathers the
-    pending solve of every hour still running into one :func:`_solve_block`:
-    its search's trial point, all of them as one :meth:`_Trials.columns`,
-    then its base or recheck.  The block's columns do not see each other,
-    so an hour runs as it would alone.  A trial whose column Newton fails
-    too scores ``_TRIAL_PENALTY``, and any other solve's failure is thrown
-    into its hour, which then has no result (None).  The step's trial
+    :func:`_base_injections`) and starts from the solved base state
+    ``(v[i], iterations[i], mismatch[i])`` of ``base = (v, iterations,
+    mismatch)``; the entries may come from the days of several placements.
+    Each step gathers the pending solve of every hour still running into
+    one :func:`_solve_block`: its search's trial point, all of them as one
+    :meth:`_Trials.columns`, then its recheck.  The block's columns do not
+    see each other, so an hour runs as :func:`dispatch_q` runs it.  A
+    column Newton fails too is answered with None, and the step's trial
     states are scored together, each from its own row.  Counts the
-    searches, the trials, the steps, their columns, the kernel's
-    iterations on them and the Newton fallbacks in ``stats``.
+    searches, the trials, the rechecks, the steps, their columns, the
+    kernel's iterations on them and the Newton fallbacks in ``stats``.
     """
     tol = scenario.pf_tol
     trials = _Trials(len(hours), net.n_bus)
-    lanes = [_Lane(_Hour(net, devices, hour, scenario, s_pq[:, i], trials, i), v0[:, i], stats)
+    v_base, iterations, mismatch = base
+    lanes = [_Lane(_Hour(net, devices, hour, scenario, s_pq[:, i], trials, i),
+                   (v_base[i], int(iterations[i]), float(mismatch[i])), stats)
              for i, (devices, hour) in enumerate(hours)]
     branches = _solver_arrays(net).branches
     running = [lane for lane in lanes if lane.send()]
@@ -740,7 +742,7 @@ def _dispatch_day(net: Network, scenario: Scenario,
             s, v = np.concatenate((s, s_more)), np.concatenate((v, v_more))
         block = _solve_block(net, s.T, v.T, tol)
         stats.update(dispatch_steps=1, dispatch_columns=len(running), trials=k,
-                     dispatch_iterations=block.kernel_iterations,
+                     recheck_solves=len(waiting), dispatch_iterations=block.kernel_iterations,
                      newton_fallbacks=len(block.newton))
         failed = block.failed
         solved = [j for j in range(k) if j not in failed]
@@ -751,8 +753,6 @@ def _dispatch_day(net: Network, scenario: Scenario,
             state = None if j in failed else (v[j], it, mis)
             if j < k:
                 going = lane.scored(state, scores.get(j, _TRIAL_PENALTY))
-            elif state is None:
-                going = lane.send(error=failed[j])
             else:
                 going = lane.send(state)
             if going:

@@ -91,20 +91,20 @@ class DayStats:
     ``days`` counts day computations (cache misses and ``hours`` calls),
     made in ``batches`` batches, so ``days / batches`` is the mean batch
     size; ``block_columns`` the hours solved in the batches' base blocks
-    (24 columns a day), and
-    ``block_iterations`` their summed fixed-point iterations;
-    ``newton_columns`` the block columns that did not converge and went to
-    Newton alone; ``divergent_hours`` the hours dropped because Newton failed
-    too; ``hours_dispatched`` the hours dispatched, of which
-    ``reverted_hours`` failed and kept their undispatched base column.  The
-    dispatched hours ran ``searches`` Brent searches with ``trials`` points
-    (their summed ``nfev``), in ``dispatch_steps`` lockstep steps of
-    ``dispatch_columns`` kernel columns in all (bases, trials and
-    rechecks), so ``dispatch_columns / dispatch_steps`` is the mean block
-    width, and ``dispatch_iterations`` counts the kernel's iterations on
-    those columns; ``newton_fallbacks`` counts the dispatch columns the kernel
-    failed, each sent alone to Newton.  ``day_s`` is the wall time spent
-    computing days.
+    (24 columns a day), and ``block_iterations`` their summed fixed-point
+    iterations; ``newton_columns`` the block columns that did not converge
+    and went to Newton alone; ``divergent_hours`` the hours dropped because
+    Newton failed too; ``hours_dispatched`` the hours dispatched from their
+    base-block columns, of which ``reverted_hours`` kept that column, every
+    Q at 0 (as :attr:`DayHours.reverted` marks them).  The dispatched hours
+    ran ``searches`` Brent searches with ``trials`` points (their summed
+    ``nfev``) and ``recheck_solves`` capability-recheck solves, in
+    ``dispatch_steps`` lockstep steps of ``dispatch_columns`` kernel
+    columns in all (trials and rechecks, no bases), so ``dispatch_columns
+    / dispatch_steps`` is the mean block width, and ``dispatch_iterations``
+    counts the kernel's iterations on those columns; ``newton_fallbacks``
+    counts the dispatch columns the kernel failed, each sent alone to
+    Newton.  ``day_s`` is the wall time spent computing days.
     """
 
     days: int = 0
@@ -117,6 +117,7 @@ class DayStats:
     reverted_hours: int = 0
     searches: int = 0
     trials: int = 0
+    recheck_solves: int = 0
     dispatch_steps: int = 0
     dispatch_columns: int = 0
     dispatch_iterations: int = 0
@@ -194,8 +195,10 @@ class DayEvaluator:
     goes alone to Newton; if that fails too, the hour is divergent: the day
     is infeasible, carries ``_DIVERGENT_HOUR_PENALTY``, and the hour adds no
     objective terms.  Hours with participating devices are dispatched from
-    their base column, the hours of every day in the batch in one lockstep;
-    an hour whose dispatch fails reverts to that column with every Q at 0.
+    their solved base column, the hours of every day in the batch in one
+    lockstep, each ending as :func:`dispatch_q` ends it; an hour that
+    reverts (its recheck failed, did not settle or scored worse) keeps that
+    column with every Q at 0.
     Each day is then scored from its own stacked final voltages.
     """
 
@@ -278,7 +281,7 @@ class DayEvaluator:
         """Each placement's breakdown and, day first, the arrays of its
         hours: the fields of :class:`DayHours` but the scores, in the order
         ``v``, ``q``, ``live``, ``iterations``, ``mismatch``, ``base_score``
-        (NaN in an hour that kept its base column) and ``reverted``.
+        (NaN in an hour not dispatched) and ``reverted``.
 
         Column ``d·HOURS + h`` of the day arrays is hour ``h`` of placement
         ``d``, so each placement's hours are one contiguous run of columns.
@@ -305,20 +308,18 @@ class DayEvaluator:
         if scenario.participating(placements[0]):
             cols = np.flatnonzero(live).tolist()
             stats["hours_dispatched"] += len(cols)
+            base = np.ascontiguousarray(v[:, cols].T), iterations[cols], mismatch[cols]
             results = _dispatch_day(
                 net, scenario, [(placements[col // HOURS], col % HOURS) for col in cols],
-                s_pq[:, cols], v[:, cols], stats)
+                s_pq[:, cols], base, stats)
             for col, result in zip(cols, results):
-                if result is None:
-                    stats["reverted_hours"] += 1
-                    reverted[col] = True
-                    continue
                 sol = result.solution
                 v[:, col] = sol.v_complex
                 iterations[col], mismatch[col] = sol.iterations, sol.max_mismatch
                 base_score[col], reverted[col] = result.base_score, result.reverted
                 q[col // HOURS, :, col % HOURS] = [
                     result.q_settings[dev.label] for dev in placements[col // HOURS]]
+            stats["reverted_hours"] += int(reverted.sum())
 
         # placement-major rows, one a day's hour, so that each day's sums run
         # over the same contiguous data however many days the batch holds

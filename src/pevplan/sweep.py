@@ -18,7 +18,7 @@ import numpy as np
 
 from .network import Network
 from .powerflow import (InjectionSet, NonConvergence, PowerFlowSolution, _solver_arrays,
-                        _SolverArrays)
+                        _SolverArrays, _start)
 
 
 def _build_tree(
@@ -72,20 +72,18 @@ def solve_sweep(
     The slack holds 1.0 pu, as in :func:`~pevplan.powerflow.solve`.
     ``tol`` bounds the per-iteration voltage change, which tracks the power
     residual closely on distribution feeders.  Raises ``ValueError`` for a
-    ``max_iter`` below 1.
+    ``max_iter`` below 1 and, as :func:`~pevplan.powerflow.solve` does, for
+    a ``tol`` that is not positive and finite or for injections of the
+    wrong length or not finite.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    n = net.n_bus
-    if len(inj.p) != n:
-        raise ValueError("injection length does not match bus count")
+    v = _start(net, inj, tol, None)
     s_spec = inj.p + 1j * inj.q
     slack = net.slack_index
-    inj.check_finite(slack)
     arrays = _solver_arrays(net)
     z, _, paths, _ = arrays.tree
 
-    v = np.full(n, 1.0 + 0.0j)
     neg_s = -s_spec
 
     def backward(voltages: np.ndarray) -> np.ndarray:

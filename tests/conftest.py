@@ -94,6 +94,18 @@ def assert_row_is_hour(day, hour: int, placed: Sequence[Device], result, where) 
         result.score, result.base_score, result.reverted), where
 
 
+def assert_same_hour(day, alone, where) -> None:
+    """A lockstep hour's result equals the serial one bit for bit."""
+    assert (day.hour, day.reverted, day.infeasible_devices) == (
+        alone.hour, alone.reverted, alone.infeasible_devices), where
+    assert day.q_settings == alone.q_settings, where
+    assert (day.score, day.base_score) == (alone.score, alone.base_score), where
+    for got, want in ((day.solution, alone.solution),
+                      (day.base_solution, alone.base_solution)):
+        np.testing.assert_array_equal(got.v_complex, want.v_complex, err_msg=str(where))
+        assert (got.iterations, got.max_mismatch) == (want.iterations, want.max_mismatch)
+
+
 def small_feeder(n: int = 4, r: float = 0.01, x: float = 0.02) -> Network:
     """Chain of n buses hanging off a slack, light uniform load."""
     buses = [Bus(1, kind="slack")]

@@ -23,7 +23,6 @@ from pevplan.powerflow import (
     _FIXED_POINT_MARGIN,
     InjectionSet,
     NonConvergence,
-    PowerFlowError,
     SingularJacobian,
     _solver_arrays,
     solve,
@@ -31,6 +30,7 @@ from pevplan.powerflow import (
 
 from conftest import (
     assert_row_is_hour,
+    assert_same_hour,
     hour_injections,
     radial_feeders,
     search_column,
@@ -819,27 +819,15 @@ GOLDEN_V2G = ((7, 29), (3, 17), (12, 25), (5, 33), (2, 19), (10, 30), (4, 8), (1
               (18, 33), (6, 26), (9, 11), (20, 28))
 
 
-def assert_same_hour(day, alone, where) -> None:
-    """A lockstep hour's result equals the serial one bit for bit."""
-    assert (day.hour, day.reverted, day.infeasible_devices) == (
-        alone.hour, alone.reverted, alone.infeasible_devices), where
-    assert day.q_settings == alone.q_settings, where
-    assert (day.score, day.base_score) == (alone.score, alone.base_score), where
-    for got, want in ((day.solution, alone.solution),
-                      (day.base_solution, alone.base_solution)):
-        np.testing.assert_array_equal(got.v_complex, want.v_complex, err_msg=str(where))
-        assert (got.iterations, got.max_mismatch) == (want.iterations, want.max_mismatch)
-
-
 def test_lockstep_day_runs_each_hour_as_dispatch_q_does(bus33, devices33, profiles33,
                                                        monkeypatch):
     # the day drives every hour's descent in lockstep, on block columns and
     # batched scores; dispatch_q runs one hour alone, each solve a block of
     # one column.  Both solve a column on the same kernel with the same
     # Newton fallback and search with the same Brent, and a column or a
-    # score does not depend on its block, so from the same base column each
+    # score does not depend on its block, so from its base-block row each
     # hour runs the same searches to the same points and ends bit for bit
-    # as dispatch_q does
+    # as dispatch_q does from a flat start, base solution included
     net = bus33.network
     shape = profiles33["load-weekday"].values
     sc = Scenario(mode="dgq+v2gq", load_profile_id="load-weekday")
@@ -847,26 +835,29 @@ def test_lockstep_day_runs_each_hour_as_dispatch_q_does(bus33, devices33, profil
     path = ["lockstep"]
     descent = dispatch._descent
 
-    def logged(hr, start):
+    def logged(hr, base):
         log = searches.setdefault((path[0], hr.hour), [])
-        steps = descent(hr, start)
+        steps = descent(hr, base)
         reply = None
         while True:
             try:
                 request = steps.send(reply)
             except StopIteration as done:
                 return done.value
+            # a search's device row and start setpoint, from its hour's row
+            # of the trials, which holds them until the search returns
+            start = hr.trials.dev_row[hr.lane], hr.trials.q_now[hr.lane]
             reply = yield request
             if isinstance(request, dispatch._Search):
                 res = reply[0]
-                log.append((request.row, request.q_now, res.nfev, res.x, res.fun))
+                log.append((*start, res.nfev, res.x, res.fun))
 
     runs = []
     lockstep = objective._dispatch_day
 
-    def recorded(net_, scenario, hours, s_pq, v0, stats):
-        results = lockstep(net_, scenario, hours, s_pq, v0, stats)
-        runs.append((hours, v0.copy(), results))
+    def recorded(net_, scenario, hours, s_pq, base, stats):
+        results = lockstep(net_, scenario, hours, s_pq, base, stats)
+        runs.append((hours, tuple(a.copy() for a in base), results))
         return results
 
     monkeypatch.setattr(dispatch, "_descent", logged)
@@ -877,16 +868,17 @@ def test_lockstep_day_runs_each_hour_as_dispatch_q_does(bus33, devices33, profil
         path[0] = "lockstep"
         day = DayEvaluator(net, devices33, profiles33, sc).hours(key)
         bases = DayEvaluator(net, devices33, profiles33, replace(sc, mode="none")).hours(key)
-        ((hours, v0, results),) = runs
+        ((hours, (base_v, base_iterations, base_mismatch), results),) = runs
         assert [hour for _, hour in hours] == list(range(HOURS))
-        # mode none's rows are the base-block columns the lockstep started from
-        np.testing.assert_array_equal(bases.v, v0.T)
+        # mode none's rows are the base-block states the lockstep started from
+        np.testing.assert_array_equal(bases.v, base_v)
+        np.testing.assert_array_equal(bases.iterations, base_iterations)
+        np.testing.assert_array_equal(bases.mismatch, base_mismatch)
         assert not bases.q.any() and not bases.reverted.any()
         np.testing.assert_array_equal(bases.score, bases.base_score)
         path[0] = "serial"
         for (placed, hour), result in zip(hours, results):
-            alone = dispatch_q(net, placed, hour, sc, load_scale=shape[hour],
-                               v0=v0[:, hour])
+            alone = dispatch_q(net, placed, hour, sc, load_scale=shape[hour])
             where = (key, hour)
             assert searches[("lockstep", hour)] == searches[("serial", hour)], where
             assert_same_hour(result, alone, where)
@@ -898,9 +890,8 @@ def test_lockstep_day_runs_each_hour_as_dispatch_q_does(bus33, devices33, profil
 def test_generated_feeder_lockstep_hours_equal_dispatch_q(data):
     # 5–15 buses, a PV unit and 1–3 lots with hourly profiles, and an
     # hourly load shape: every hour the day's lockstep dispatched from its
-    # base column ends bit for bit as dispatch_q from that column, and an
-    # hour whose base or recheck solve failed in the lockstep (no result)
-    # is an hour in which dispatch_q raises
+    # base-block row ends bit for bit as dispatch_q ends it from a flat
+    # start, base solution included, and dispatch_q raises on no such hour
     net = data.draw(radial_feeders(5, 15), label="feeder")
     buses = [b.id for b in net.buses if b.kind != "slack"]
     n_lots = data.draw(st.integers(1, min(3, len(buses))), label="lots")
@@ -919,23 +910,17 @@ def test_generated_feeder_lockstep_hours_equal_dispatch_q(data):
     runs = []
     lockstep = objective._dispatch_day
 
-    def recorded(net_, scenario, hours, s_pq, v0, stats):
-        results = lockstep(net_, scenario, hours, s_pq, v0, stats)
-        runs.append((hours, v0.copy(), results))
+    def recorded(net_, scenario, hours, s_pq, base, stats):
+        results = lockstep(net_, scenario, hours, s_pq, base, stats)
+        runs.append((hours, results))
         return results
 
     with mock.patch.object(objective, "_dispatch_day", recorded):
         DayEvaluator(net, devices, profiles, sc).evaluate_many(placements)
-    for hours, v0, results in runs:
-        for i, ((placed, hour), day) in enumerate(zip(hours, results)):
+    for hours, results in runs:
+        for (placed, hour), day in zip(hours, results):
             where = ([d.bus for d in placed], hour)
-            try:
-                alone = dispatch_q(net, placed, hour, sc, load_scale=shape[hour],
-                                   v0=v0[:, i])
-            except PowerFlowError:
-                assert day is None, where
-                continue
-            assert day is not None, where
+            alone = dispatch_q(net, placed, hour, sc, load_scale=shape[hour])
             assert_same_hour(day, alone, where)
 
 

@@ -28,7 +28,7 @@ from pevplan.objective import (
     place_lots,
 )
 
-from conftest import assert_row_is_hour, hour_injections, radial_feeders
+from conftest import assert_row_is_hour, assert_same_hour, hour_injections, radial_feeders
 
 
 @pytest.fixture(scope="module")
@@ -286,43 +286,71 @@ def test_newton_column_trail_carries_newtons_solve(bus33, devices33, profiles33,
     assert day.score[forced] == day.base_score[forced] == score
 
 
+def fail_the_recheck_at(hour_to_fail, monkeypatch):
+    """Make the capability recheck of hour ``hour_to_fail`` solve (it enters
+    with a stale state) and fail that solve: its column fails the kernel and
+    then Newton.  Returns the recheck requests ``(s_pq, start)`` of that hour
+    and the starts of the Newton solves made to fail, as two lists.  Only a
+    pending request fails: a trial at the setpoint the search started from
+    is the same column as the recheck that follows it."""
+    recheck, block = dispatch._recheck_capability, dispatch._fixed_point_block
+    newton = dispatch._newton
+    requests, failed, pending = [], [], []
+
+    def stale_at_hour(hr, participants, hour, q, state, score, infeasible, stale):
+        steps = recheck(hr, participants, hour, q, state, score, infeasible,
+                        stale or hour == hour_to_fail)
+        reply = None
+        while True:
+            try:
+                request = steps.send(reply)
+            except StopIteration as done:
+                return done.value
+            if hour == hour_to_fail:
+                requests.append(tuple(a.copy() for a in request))
+                pending.append(requests[-1])
+            reply = yield request
+            pending.clear()
+
+    def is_request(s_pq, start):
+        return any(np.array_equal(s_pq, s) and np.array_equal(start, v) for s, v in pending)
+
+    def recheck_fails(factor, s_pq, v, tol):
+        starts = v.copy()
+        iterations, mismatch, converged = block(factor, s_pq, v, tol)
+        for j in range(s_pq.shape[1]):
+            converged[j] &= not is_request(s_pq[:, j], starts[:, j])
+        return iterations, mismatch, converged
+
+    def newton_fails(net_, inj, tol, v0):
+        pq = _solver_arrays(net_).fixed_point[0]
+        if is_request(inj.p[pq] + 1j * inj.q[pq], v0):
+            failed.append(v0.copy())
+            raise PowerFlowError("forced recheck failure")
+        return newton(net_, inj, tol, v0)
+
+    monkeypatch.setattr(dispatch, "_recheck_capability", stale_at_hour)
+    monkeypatch.setattr(dispatch, "_fixed_point_block", recheck_fails)
+    monkeypatch.setattr(dispatch, "_newton", newton_fails)
+    return requests, failed
+
+
 def test_failed_dispatch_reverts_the_hour_to_its_base_column(bus33, devices33,
                                                              profiles33, monkeypatch):
-    # a dispatch that raises is not retried and its hour is not dropped: the
-    # hour keeps its converged base column with every Q at 0, and is counted.
-    # Hour 19's base solve fails inside the lockstep, on the kernel and then
-    # on Newton, so the failure is thrown into that hour alone; its column
-    # of the day's base block, which starts every column flat, converges.
+    # a failed recheck solve is not retried and its hour is not dropped: the
+    # hour keeps its converged base column with every Q at 0, and is
+    # counted.  Hour 19's recheck solve fails inside the lockstep, on the
+    # kernel and then on Newton, so that hour alone reverts.
     net, bad = bus33.network, 19
     none_day = DayEvaluator(net, devices33, profiles33,
                             Scenario(mode="none", load_profile_id="load-weekday")).hours()
-    p_bad = hour_injections(net, devices33, bad,
-                            load_scale=profiles33["load-weekday"].values[bad]).p
-    pq = _solver_arrays(net).fixed_point[0]
-    block, newton = dispatch._fixed_point_block, dispatch._newton
-    failed = []
-
-    def bad_hour_fails(factor, s_pq, v, tol):
-        base = (v == 1.0).all()
-        iterations, mismatch, converged = block(factor, s_pq, v, tol)
-        if not base:
-            converged[(s_pq.real == p_bad[pq][:, None]).all(axis=0)] = False
-        return iterations, mismatch, converged
-
-    def newton_fails_at_bad(net_, inj, tol, v0):
-        if np.array_equal(inj.p[pq], p_bad[pq]):
-            failed.append(v0)
-            raise PowerFlowError("forced dispatch failure")
-        return newton(net_, inj, tol, v0)
-
-    monkeypatch.setattr(dispatch, "_fixed_point_block", bad_hour_fails)
-    monkeypatch.setattr(dispatch, "_newton", newton_fails_at_bad)
+    requests, failed = fail_the_recheck_at(bad, monkeypatch)
     sc = Scenario(mode="dgq+v2gq", load_profile_id="load-weekday")
     ev = DayEvaluator(net, devices33, profiles33, sc)
     day = ev.evaluate()
-    # the hour's base solve, from its base column, was its only solve
-    (start,) = failed
-    np.testing.assert_array_equal(start, none_day.v[bad])
+    # the hour's one recheck solve failed, from the recheck's own start
+    ((_, start),) = requests
+    np.testing.assert_array_equal(failed, [start])
     stats = ev.stats
     assert (stats.reverted_hours, stats.divergent_hours) == (1, 0)
     assert stats.hours_dispatched == HOURS and stats.newton_fallbacks == 1
@@ -339,23 +367,62 @@ def test_failed_dispatch_reverts_the_hour_to_its_base_column(bus33, devices33,
     assert np.flatnonzero(hours.reverted).tolist() == [bad]
 
 
+def test_dispatch_q_reverts_on_a_failed_recheck_as_the_lockstep_does(
+        bus33, devices33, profiles33, monkeypatch):
+    # the same forced failure of hour 19's recheck solve: dispatch_q does
+    # not raise but answers the hour with its base state, every Q at 0, as
+    # the lockstep answered it, field for field
+    net, bad = bus33.network, 19
+    none_day = DayEvaluator(net, devices33, profiles33,
+                            Scenario(mode="none", load_profile_id="load-weekday")).hours()
+    _, failed = fail_the_recheck_at(bad, monkeypatch)
+    sc = Scenario(mode="dgq+v2gq", load_profile_id="load-weekday")
+    runs, lockstep = [], objective._dispatch_day
+
+    def recorded(*args):
+        runs.append((args[2], lockstep(*args)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(objective, "_dispatch_day", recorded)
+    DayEvaluator(net, devices33, profiles33, sc).evaluate()
+    ((hours, results),) = runs
+    placed, hour = hours[bad]
+    assert hour == bad and results[bad].reverted
+    alone = dispatch_q(net, placed, bad, sc,
+                       load_scale=profiles33["load-weekday"].values[bad])
+    assert len(failed) == 2  # the lockstep's recheck, then dispatch_q's
+    assert alone.reverted and set(alone.q_settings.values()) == {0.0}
+    np.testing.assert_array_equal(alone.solution.v_complex, none_day.v[bad])
+    assert (alone.solution.iterations, alone.solution.max_mismatch) == (
+        none_day.iterations[bad], none_day.mismatch[bad])
+    assert alone.score == alone.base_score == none_day.score[bad]
+    assert_same_hour(results[bad], alone, bad)
+
+
 # -- the day's work counters -------------------------------------------------
 
 
 def test_day_counters_repeat_exactly(bus33, devices33, profiles33):
     sc = Scenario(mode="dgq+v2gq", load_profile_id="load-weekday")
 
+    keys = ((7, 29), (3, 17))
+
     def counters():
         ev = DayEvaluator(bus33.network, devices33, profiles33, sc)
-        for key in ((7, 29), (3, 17)):
+        for key in keys:
             ev.evaluate(key)
         return replace(ev.stats, day_s=0.0)
 
     first = counters()
     assert first == counters()
     assert first.days == 2 and first.hours_dispatched == 2 * HOURS
-    # every dispatch column is a base, a trial or a recheck solve
-    assert first.dispatch_columns >= first.trials + first.hours_dispatched
+    # every dispatch column is a trial or a recheck solve (an hour starts
+    # from its solved base column), and an hour makes at most
+    # _RECHECK_SOLVES recheck solves
+    assert first.dispatch_columns == first.trials + first.recheck_solves
+    assert first.recheck_solves <= first.hours_dispatched * dispatch._RECHECK_SOLVES
+    ev = DayEvaluator(bus33.network, devices33, profiles33, sc)
+    assert first.reverted_hours == sum(int(ev.hours(key).reverted.sum()) for key in keys)
     assert first.searches < first.trials and first.newton_fallbacks == 0
     assert first.dispatch_steps < first.dispatch_columns
 
@@ -395,14 +462,13 @@ def test_dispatch_iterations_are_the_kernels_on_the_lockstep_blocks(bus33, devic
 
 def test_day_searches_equal_those_of_its_hours_run_serially(bus33, devices33, profiles33,
                                                              monkeypatch):
-    # the lockstep runs each hour's searches as dispatch_q runs them alone,
-    # from the same base column, counted by wrapping the serial Brent
+    # the lockstep runs each hour's searches as dispatch_q runs them alone
+    # from a flat start, counted by wrapping the serial Brent
     net, key = bus33.network, (3, 17)
     shape = profiles33["load-weekday"].values
     sc = Scenario(mode="dgq+v2gq", load_profile_id="load-weekday")
     ev = DayEvaluator(net, devices33, profiles33, sc)
     ev.evaluate(key)
-    bases = DayEvaluator(net, devices33, profiles33, replace(sc, mode="none")).hours(key).v
     nfev = []
     brent = dispatch.minimize_scalar
 
@@ -414,8 +480,7 @@ def test_day_searches_equal_those_of_its_hours_run_serially(bus33, devices33, pr
     monkeypatch.setattr(dispatch, "minimize_scalar", counted)
     placed = place_lots(devices33, key, net)
     for hour in range(HOURS):
-        dispatch_q(net, placed, hour, sc, load_scale=shape[hour],
-                   v0=bases[hour])
+        dispatch_q(net, placed, hour, sc, load_scale=shape[hour])
     assert (ev.stats.searches, ev.stats.trials) == (len(nfev), sum(nfev))
 
 
@@ -550,8 +615,8 @@ def test_generated_feeder_hours_solve_their_network(data):
         a, b, _ = sc.weights
         runs, blocks = [], []
 
-        def recorded(net_, scenario, hours, s_pq, v0, stats):
-            results = lockstep(net_, scenario, hours, s_pq, v0, stats)
+        def recorded(net_, scenario, hours, s_pq, base, stats):
+            results = lockstep(net_, scenario, hours, s_pq, base, stats)
             runs.append(dict(zip((hour for _, hour in hours), results)))
             return results
 
@@ -576,7 +641,7 @@ def test_generated_feeder_hours_solve_their_network(data):
         for hour in live:
             where = (mode, hour)
             result = results.get(hour)
-            if result is None:  # not dispatched, or its dispatch raised
+            if result is None:  # not dispatched (mode none)
                 np.testing.assert_array_equal(day.v[hour], base_v[:, hour], err_msg=str(where))
                 assert (day.iterations[hour], day.mismatch[hour]) == (
                     base_iterations[hour], base_mismatch[hour]), where
@@ -628,8 +693,9 @@ def test_generated_feeder_hours_solve_their_network(data):
 def test_generated_feeder_day_counters_add_up(data):
     # 5–15 buses, a PV unit and 1–3 lots, perhaps one hour that diverges;
     # in both dispatch modes, over a few placements on one evaluator, every
-    # live hour is dispatched, each dispatched hour solves its base column
-    # and each Brent trial, and a Brent search asks for 1 to maxiter points
+    # live hour is dispatched, the lockstep solves each Brent trial and
+    # each recheck and nothing else, a Brent search asks for 1 to maxiter
+    # points, and the reverted hours are those the days' hours report
     net = data.draw(radial_feeders(5, 15), label="feeder")
     buses = [b.id for b in net.buses if b.kind != "slack"]
     n_lots = data.draw(st.integers(1, min(3, len(buses))), label="lots")
@@ -649,11 +715,13 @@ def test_generated_feeder_day_counters_add_up(data):
     for mode in ("dgq", "dgq+v2gq"):
         ev = DayEvaluator(net, devices, profiles,
                           Scenario(mode=mode, load_profile_id="load-weekday"))
-        live = sum(int(ev.hours(key).live.sum()) for key in placements)
+        days = [ev.hours(key) for key in placements]
         stats = ev.stats
         assert stats.days == len(placements), mode
-        assert stats.hours_dispatched == live, mode
-        assert stats.dispatch_columns >= stats.trials + stats.hours_dispatched, mode
+        assert stats.hours_dispatched == sum(int(day.live.sum()) for day in days), mode
+        assert stats.dispatch_columns == stats.trials + stats.recheck_solves, mode
+        assert stats.recheck_solves <= stats.hours_dispatched * dispatch._RECHECK_SOLVES, mode
         maxiter = dispatch._SEARCH_MAXITER
         assert stats.searches <= stats.trials <= stats.searches * maxiter, mode
+        assert stats.reverted_hours == sum(int(day.reverted.sum()) for day in days), mode
         assert stats.reverted_hours <= stats.hours_dispatched, mode

@@ -607,8 +607,9 @@ def test_block_kernel_ends_each_column_as_the_1d_kernel_does(bus33, feeder4, mon
 @pytest.fixture(scope="module")
 def dispatch_blocks33(bus33, devices33, profiles33):
     """Every block a bus33 dgq+v2gq day hands the kernel: the day's base
-    block, and the lockstep's bases, Brent trials from their first-order
-    starts and rechecks, as ``(s_pq, start, tol)``."""
+    block, and the lockstep's Brent trials from their first-order starts
+    and rechecks (the hours start from their base-block columns), as
+    ``(s_pq, start, tol)``."""
     recorded = []
     block = dispatch._fixed_point_block
 

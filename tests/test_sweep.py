@@ -228,6 +228,17 @@ def test_sweep_rejects_a_budget_below_one_iteration(bus33):
             solve_sweep(net, inj, max_iter=max_iter)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_sweep_rejects_the_tolerances_newton_rejects(bus33, tol):
+    # an infinite tol would stop after one iteration and call it converged;
+    # a NaN or negative one would run out the iterations at a change of 0
+    net = bus33.network
+    inj = InjectionSet.from_loads(*net.load_vectors())
+    for solver in (solve, solve_sweep):
+        with pytest.raises(ValueError, match="^tolerance tol must be positive and finite"):
+            solver(net, inj, tol=tol)
+
+
 def test_sweep_zero_load_trivial(feeder4):
     sol = solve_sweep(feeder4, InjectionSet(np.zeros(4), np.zeros(4)))
     np.testing.assert_allclose(sol.v_mag, 1.0, atol=1e-15)
