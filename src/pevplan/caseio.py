@@ -29,6 +29,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -142,6 +143,23 @@ def _parse_int(token: str, where: str) -> int:
         raise CaseParseError(f"{where}: expected integer, got {token!r}") from None
 
 
+def _content_lines(text: str, source: str) -> Iterator[tuple[str, str]]:
+    """Each line of ``text`` that holds more than a ``#`` comment, stripped
+    of its comment, with its place ``source:lineno``."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line, f"{source}:{lineno}"
+
+
+def _key_value(line: str, where: str) -> tuple[str, str]:
+    """The lower-cased key and the value of a ``key = value`` line."""
+    if "=" not in line:
+        raise CaseParseError(f"{where}: expected 'key = value'")
+    key, _, value = line.partition("=")
+    return key.strip().lower(), value.strip()
+
+
 def _read_grid_text(text: str, source: str) -> Case:
     system: dict[str, str] = {}
     bus_rows: list[tuple[list[str], str]] = []
@@ -151,11 +169,7 @@ def _read_grid_text(text: str, source: str) -> Case:
 
     section: str | None = None
     header_done = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        where = f"{source}:{lineno}"
+    for line, where in _content_lines(text, source):
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().upper()
             if section not in ("SYSTEM", "BUS", "BRANCH", "DEVICE"):
@@ -166,13 +180,10 @@ def _read_grid_text(text: str, source: str) -> Case:
             raise CaseParseError(f"{where}: content before any section header")
 
         if section == "SYSTEM":
-            if "=" not in line:
-                raise CaseParseError(f"{where}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip().lower()
+            key, value = _key_value(line, where)
             if key not in _SYSTEM_KEYS:
                 raise CaseParseError(f"{where}: unknown system key {key!r}")
-            system[key] = value.strip()
+            system[key] = value
             continue
 
         cells = [c.strip() for c in line.split(",")]

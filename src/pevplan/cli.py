@@ -5,6 +5,9 @@ check), ``simulate`` (24-hour scenario run), ``optimize`` (parking-lot
 placement search), ``validate`` (case-file linting).  All angles entered
 on the command line are degrees; all file contents are per-unit or
 engineering units as documented in the case-format description.
+
+Each exit code is stated once, in ``_EXITS``, with its meaning, which the
+``--help`` epilog lists, and the error classes ``main`` maps to it.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ import numpy as np
 from . import __version__
 from .caseio import (
     CaseParseError,
+    _content_lines,
+    _key_value,
     bind_devices,
     builtin_path,
     load_case,
@@ -28,7 +33,7 @@ from .caseio import (
 )
 from .devices import p_injection
 from .dispatch import _MODE_ALIASES, MODES, Scenario
-from .network import ValidationError, build_ybus
+from .network import Network, ValidationError, build_ybus
 from .nsga import GaParams, InfeasibleConfigError, optimize_placement
 from .objective import DayEvaluator
 from .powerflow import (
@@ -36,8 +41,7 @@ from .powerflow import (
     InjectionSet,
     NonConvergence,
     PowerFlowError,
-    branch_table,
-    bus_table,
+    PowerFlowSolution,
     check_limits,
     solve,
 )
@@ -45,23 +49,19 @@ from .twobus import TwoBusState, classify_direction, transfer_power_general
 from .sweep import solve_sweep
 
 EXIT_OK = 0
-EXIT_USAGE = 2  # argparse's own convention
-EXIT_MISSING_FILE = 3
-EXIT_PARSE = 4
-EXIT_VALIDATION = 5
-EXIT_NO_CONVERGENCE = 6
-EXIT_INFEASIBLE = 7
 
-_EXIT_CODE_DOC = """\
-exit codes:
-  0  success
-  2  command-line usage error
-  3  referenced file does not exist
-  4  case or profile file failed to parse
-  5  case data failed validation
-  6  power flow failed to converge
-  7  requested optimization is infeasible (e.g. more lots than candidate buses)
-"""
+# (code, meaning, error classes); 2 is argparse's own usage exit
+_EXITS = (
+    (EXIT_OK, "success", ()),
+    (2, "command-line usage error", ()),
+    (3, "a referenced file is missing or cannot be read or written", (OSError,)),
+    (4, "case or profile file failed to parse", (CaseParseError,)),
+    (5, "case data failed validation", (ValueError,)),
+    (6, "power flow failed to converge", (PowerFlowError,)),
+    (7, "requested optimization is infeasible (e.g. more lots than candidate buses)",
+     (InfeasibleConfigError,)),
+)
+_EXIT_OF = {cls: code for code, _, classes in _EXITS for cls in classes}
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -80,22 +80,20 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+def _save(args: argparse.Namespace, files: dict[str, list[str]]) -> None:
+    """Write each CSV, given as its lines by file name, into ``--out`` if set."""
+    if args.out:
+        for name, lines in files.items():
+            _atomic_write(Path(args.out) / name, "\n".join(lines) + "\n")
+
+
 def _read_config(path: str | None) -> dict[str, str]:
     if path is None:
         return {}
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"config file not found: {p}")
-    config: dict[str, str] = {}
-    for lineno, raw in enumerate(p.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise CaseParseError(f"{p}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        config[key.strip().lower()] = value.strip()
-    return config
+    return dict(_key_value(line, where) for line, where in _content_lines(p.read_text(), str(p)))
 
 
 # the flags a config file may set, by destination
@@ -156,6 +154,31 @@ def _fmt(x: float) -> str:
     return f"{x:.9f}"
 
 
+def _bus_table(net: Network, sol: PowerFlowSolution) -> list[str]:
+    """CSV lines of per-bus results: ``bus,v_pu,angle_deg``."""
+    return ["bus,v_pu,angle_deg"] + [
+        f"{bus.id},{sol.v_mag[pos]:.9f},{math.degrees(sol.v_ang[pos]):.6f}"
+        for pos, bus in enumerate(net.buses)
+    ]
+
+
+def _branch_table(net: Network, sol: PowerFlowSolution) -> list[str]:
+    """CSV lines of per-branch results.
+
+    Columns: ``branch,from,to,i_pu,p_from_pu,q_from_pu,loss_pu``.
+    """
+    lines = ["branch,from,to,i_pu,p_from_pu,q_from_pu,loss_pu"]
+    for k, br in enumerate(net.branches):
+        i = abs(sol.branch_current[k])
+        flow = sol.branch_flow_from[k]
+        loss = (i**2) * br.resistance
+        lines.append(
+            f"{k + 1},{br.from_bus},{br.to_bus},"
+            f"{i:.9f},{flow.real:.9f},{flow.imag:.9f},{loss:.9f}"
+        )
+    return lines
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -168,9 +191,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     p_load, q_load = net.load_vectors()
     inj = InjectionSet.from_loads(p_load, q_load)
     sol = solve(net, inj, tol=tol)
-    bus_text = bus_table(net, sol)
-    branch_text = branch_table(net, sol)
-    sys.stdout.write(bus_text)
+    bus_lines = _bus_table(net, sol)
+    print("\n".join(bus_lines))
     report = check_limits(net, sol)
     print(
         f"# converged in {sol.iterations} iterations, mismatch {sol.max_mismatch:.3e}, "
@@ -181,10 +203,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         ref = solve_sweep(net, inj)
         gap = float(np.max(np.abs(ref.v_complex - sol.v_complex)))
         print(f"# sweep cross-check: max voltage gap {gap:.3e} pu")
-    if args.out:
-        out = Path(args.out)
-        _atomic_write(out / "solution.csv", bus_text)
-        _atomic_write(out / "branches.csv", branch_text)
+    _save(args, {"solution.csv": bus_lines, "branches.csv": _branch_table(net, sol)})
     return EXIT_OK
 
 
@@ -233,10 +252,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             p = -p_injection(dev)[hour]
             disp_lines.append(f"{hour},{dev.label},{dev.bus},{_fmt(p)},{_fmt(q)}")
 
-    if args.out:
-        out = Path(args.out)
-        _atomic_write(out / "voltages.csv", "\n".join(volt_lines) + "\n")
-        _atomic_write(out / "dispatch.csv", "\n".join(disp_lines) + "\n")
+    _save(args, {"voltages.csv": volt_lines, "dispatch.csv": disp_lines})
     bd = day.breakdown
     print(
         f"mode={scenario.mode} min_v={min_v:.6f} max_v={max_v:.6f} "
@@ -268,9 +284,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             f"{rank},{buses},{_fmt(entry.v_dev)},{_fmt(entry.loss)},"
             f"{_fmt(entry.cost)},{_fmt(entry.scalar)},{str(entry.feasible).lower()}"
         )
-    if args.out:
-        out = Path(args.out)
-        _atomic_write(out / "placements.csv", "\n".join(lines) + "\n")
+    _save(args, {"placements.csv": lines})
 
     best = result.best_genome.lot_buses
     bd = result.best_breakdown
@@ -330,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pevplan",
         description="Radial-feeder planning toolkit: power flow, converter "
         "reactive dispatch, and parking-lot placement search.",
-        epilog=_EXIT_CODE_DOC,
+        epilog="exit codes:\n" + "".join(f"  {code}  {meaning}\n" for code, meaning, _ in _EXITS),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -382,31 +396,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config(args, parser)
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING_FILE
-    except CaseParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except InfeasibleConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except NonConvergence as exc:
-        sol = exc.solution
-        print(
-            f"error: {exc} (diverged={str(sol.diverged).lower()})",
-            file=sys.stderr,
-        )
-        return EXIT_NO_CONVERGENCE
-    except PowerFlowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    except Exception as exc:
+        # the nearest class in the MRO, so a subclass's row wins over its base's
+        code = next((_EXIT_OF[cls] for cls in type(exc).__mro__ if cls in _EXIT_OF), None)
+        if code is None:
+            raise
+        diverged = (f" (diverged={str(exc.solution.diverged).lower()})"
+                    if isinstance(exc, NonConvergence) else "")
+        print(f"error: {exc}{diverged}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

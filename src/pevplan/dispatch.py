@@ -63,6 +63,7 @@ from .powerflow import (
     NonConvergence,
     PowerFlowError,
     PowerFlowSolution,
+    _branch_currents,
     _finish,
     _fixed_point_block,
     _solver_arrays,
@@ -160,14 +161,10 @@ def _scores(scenario: Scenario, branches: tuple[np.ndarray, ...],
     one state a row (a 1-d ``v`` is one state and scores as its row would).
 
     Each sum runs along a contiguous row, so a row scores bit for bit as it
-    does alone.  (The branch ends are gathered with ``np.take``: ``v[:,
-    idx]`` would lay the rows out column-major, and their sums would then
-    run in another order once there are two rows or more.)
+    does alone.
     """
     a, b, _ = scenario.weights
-    f_idx, t_idx, y_series, r = branches
-    drop = np.take(v, f_idx, axis=-1) - np.take(v, t_idx, axis=-1)
-    loss = (np.abs(drop * y_series) ** 2 * r).sum(axis=-1)
+    loss = (np.abs(_branch_currents(v, branches)) ** 2 * branches[3]).sum(axis=-1)
     return a * np.abs(scenario.v_ref - np.abs(v)).sum(axis=-1) + b * loss
 
 

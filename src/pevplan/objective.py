@@ -50,6 +50,7 @@ from .network import (
     build_ybus,  # noqa: F401  (the benchmark's tracer wraps this name)
 )
 from .powerflow import (
+    _branch_currents,
     _limit_excess,
     _solver_arrays,
     check_limits,  # noqa: F401  (the benchmark's tracer wraps this name)
@@ -344,13 +345,12 @@ class DayEvaluator:
         """
         scenario, net = self.scenario, self.net
         arrays = _solver_arrays(net)
-        f_idx, t_idx, y_series, r = arrays.branches
         dead = ~live
         v_mag = np.abs(v)
-        i_mag = np.abs((np.take(v, f_idx, axis=2) - np.take(v, t_idx, axis=2)) * y_series)
+        i_mag = np.abs(_branch_currents(v, arrays.branches))
         band, amp = _limit_excess(v_mag, i_mag, arrays.limits)
         dev_terms = np.abs(scenario.v_ref - v_mag)
-        loss_terms = i_mag**2 * r
+        loss_terms = i_mag**2 * arrays.branches[3]
         for terms in (band, amp, dev_terms, loss_terms):
             terms[dead] = 0.0
         violation = band.sum(axis=(1, 2)) + amp.sum(axis=(1, 2))

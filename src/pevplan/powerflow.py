@@ -20,7 +20,10 @@ vector).  A previously solved voltage profile can seed either iteration,
 which cuts repeated solves during dispatch search to a few iterations.
 Each network keeps the arrays its solvers derive from it (the admittance
 matrix and its non-slack blocks, the Z factor, the sweep's tree, the limit
-arrays), each built by the first solve that reads it.
+arrays), each built by the first solve that reads it.  Every branch current
+the package reports or scores is formed by :func:`_branch_currents`, save
+the sweep's own, and every solution of either solver is built by
+:func:`_solution`.  The CSV report tables live in :mod:`pevplan.cli`.
 """
 
 from __future__ import annotations
@@ -213,31 +216,40 @@ def _solver_arrays(net: Network) -> _SolverArrays:
     return net._arrays
 
 
-def _currents_and_loss(
-    v: np.ndarray, branches: tuple[np.ndarray, ...]
-) -> tuple[np.ndarray, float]:
-    """Branch currents (from → to) and total series I²R loss at voltages ``v``."""
-    f_idx, t_idx, y_series, r = branches
-    currents = (v[f_idx] - v[t_idx]) * y_series
-    return currents, float((np.abs(currents) ** 2 * r).sum())
+def _branch_currents(v: np.ndarray, branches: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Branch currents ``(V_from − V_to)·y`` (from → to) at voltages ``v``,
+    along its last axis, for any leading shape of ``v`` (a state a row).
+
+    The branch ends are gathered with ``take``: ``v[:, idx]`` would lay
+    the rows out column-major, and their sums would then run in another
+    order once there are two rows or more.
+    """
+    f_idx, t_idx, y_series, _ = branches
+    return (v.take(f_idx, axis=-1) - v.take(t_idx, axis=-1)) * y_series
 
 
-def _finish(net: Network, v: np.ndarray, iterations: int, mismatch: float,
-            converged: bool, diverged: bool = False) -> PowerFlowSolution:
-    """The solution at ``v``, with its branch currents, sending-end flows
-    and total series I²R loss."""
-    branches = _solver_arrays(net).branches
-    currents, loss = _currents_and_loss(v, branches)
+def _solution(net: Network, v: np.ndarray, currents: np.ndarray, iterations: int,
+              mismatch: float, converged: bool, diverged: bool = False) -> PowerFlowSolution:
+    """The solution at ``v`` with branch currents ``currents``, its
+    sending-end flows and its total series I²R loss."""
+    f_idx, _, _, r = _solver_arrays(net).branches
     return PowerFlowSolution(
         v_complex=v,
         branch_current=currents,
-        branch_flow_from=v[branches[0]] * np.conj(currents),
-        total_losses=loss,
+        branch_flow_from=v[f_idx] * np.conj(currents),
+        total_losses=float((np.abs(currents) ** 2 * r).sum()),
         iterations=iterations,
         max_mismatch=float(mismatch),
         converged=converged,
         diverged=diverged,
     )
+
+
+def _finish(net: Network, v: np.ndarray, iterations: int, mismatch: float,
+            converged: bool, diverged: bool = False) -> PowerFlowSolution:
+    """The solution at ``v``, with the branch currents of its voltage drops."""
+    currents = _branch_currents(v, _solver_arrays(net).branches)
+    return _solution(net, v, currents, iterations, mismatch, converged, diverged)
 
 
 def _start(net: Network, inj: InjectionSet, tol: float,
@@ -288,14 +300,12 @@ def solve(
     ibus = mismatch_vec(v)
     mis = float(np.max(np.abs(f))) if npq else 0.0
 
-    for it in range(DEFAULT_MAX_ITER):
+    for it in range(DEFAULT_MAX_ITER + 1):
         if mis <= tol:
             return _finish(net, v, it, mis, converged=True)
-        if not math.isfinite(mis) or mis > _DIVERGENCE_MISMATCH:
-            sol = _finish(net, v, it, mis, converged=False, diverged=True)
-            raise NonConvergence(
-                f"diverged at iteration {it} (mismatch {mis:.3e})", sol
-            )
+        diverged = not math.isfinite(mis) or mis > _DIVERGENCE_MISMATCH
+        if diverged or it == DEFAULT_MAX_ITER:
+            break
         jac = _jacobian(plan, v[pq], vm[pq], ibus)
         try:
             dx = np.linalg.solve(jac, -f)
@@ -310,13 +320,10 @@ def solve(
         ibus = mismatch_vec(v)
         mis = float(np.max(np.abs(f))) if npq else 0.0
 
-    if mis <= tol:
-        return _finish(net, v, DEFAULT_MAX_ITER, mis, converged=True)
-    sol = _finish(net, v, DEFAULT_MAX_ITER, mis, converged=False,
-                  diverged=not math.isfinite(mis) or mis > _DIVERGENCE_MISMATCH)
-    raise NonConvergence(
-        f"no convergence after {DEFAULT_MAX_ITER} iterations (mismatch {mis:.3e})", sol
-    )
+    reason = (f"diverged at iteration {it}" if it < DEFAULT_MAX_ITER
+              else f"no convergence after {DEFAULT_MAX_ITER} iterations")
+    raise NonConvergence(f"{reason} (mismatch {mis:.3e})",
+                         _finish(net, v, it, mis, converged=False, diverged=diverged))
 
 
 def _jacobian(plan: tuple[np.ndarray, ...], v: np.ndarray, vm: np.ndarray,
@@ -509,30 +516,3 @@ def check_limits(net: Network, sol: PowerFlowSolution) -> LimitReport:
         float(np.minimum(v - lo, hi - v).min(initial=math.inf)),
         float((cap - i)[finite].min(initial=math.inf)),
     )
-
-
-def bus_table(net: Network, sol: PowerFlowSolution) -> str:
-    """CSV text of per-bus results: ``bus,v_pu,angle_deg``."""
-    lines = ["bus,v_pu,angle_deg"]
-    for pos, bus in enumerate(net.buses):
-        lines.append(
-            f"{bus.id},{sol.v_mag[pos]:.9f},{math.degrees(sol.v_ang[pos]):.6f}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def branch_table(net: Network, sol: PowerFlowSolution) -> str:
-    """CSV text of per-branch results.
-
-    Columns: ``branch,from,to,i_pu,p_from_pu,q_from_pu,loss_pu``.
-    """
-    lines = ["branch,from,to,i_pu,p_from_pu,q_from_pu,loss_pu"]
-    for k, br in enumerate(net.branches):
-        i = abs(sol.branch_current[k])
-        flow = sol.branch_flow_from[k]
-        loss = (i**2) * br.resistance
-        lines.append(
-            f"{k + 1},{br.from_bus},{br.to_bus},"
-            f"{i:.9f},{flow.real:.9f},{flow.imag:.9f},{loss:.9f}"
-        )
-    return "\n".join(lines) + "\n"

@@ -7,7 +7,9 @@ from the slack outward through its transpose (his BCBV with the branch
 impedances).  The tree is built from the branch rows alone, once per
 network.  No admittance matrix and no Jacobian — deliberately disjoint
 machinery so this solver can arbitrate the Newton-Raphson implementation on
-radial cases.
+radial cases.  Only the solution container is shared: its flows and loss
+come from the sweep's own currents through
+:func:`~pevplan.powerflow._solution`.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from collections import deque
 import numpy as np
 
 from .network import Network
-from .powerflow import (InjectionSet, NonConvergence, PowerFlowSolution, _solver_arrays,
-                        _SolverArrays, _start)
+from .powerflow import (InjectionSet, NonConvergence, PowerFlowSolution, _solution,
+                        _solver_arrays, _SolverArrays, _start)
 
 
 def _build_tree(
@@ -113,21 +115,13 @@ def solve_sweep(
 
 def _finish(net: Network, arrays: _SolverArrays, v: np.ndarray, branch_i_tree: np.ndarray,
             s_spec: np.ndarray, iterations: int, converged: bool) -> PowerFlowSolution:
-    f_idx, _, _, r = arrays.branches
+    """The solution at ``v`` through :func:`~pevplan.powerflow._solution`,
+    from the sweep's own tree currents and with its KCL residual as the
+    mismatch, so that neither reads the voltage drops or an admittance
+    matrix."""
     _, sign, _, incidence = arrays.tree
     # Convert tree-oriented currents to the branch rows' own orientation.
     currents = sign * branch_i_tree
-
-    # KCL residual straight from branch currents — no admittance matrix.
     resid = v * np.conj(incidence @ currents) - s_spec
     resid[net.slack_index] = 0.0
-
-    return PowerFlowSolution(
-        v_complex=v,
-        branch_current=currents,
-        branch_flow_from=v[f_idx] * np.conj(currents),
-        total_losses=float((np.abs(currents) ** 2 * r).sum()),
-        iterations=iterations,
-        max_mismatch=float(np.max(np.abs(resid))),
-        converged=converged,
-    )
+    return _solution(net, v, currents, iterations, np.max(np.abs(resid)), converged)

@@ -15,10 +15,14 @@ import pytest
 
 import pevplan
 from pevplan import cli
-from pevplan.caseio import bind_devices, builtin_path, load_builtin
+from pevplan.caseio import CaseParseError, bind_devices, builtin_path, load_builtin
 from pevplan.cli import main
 from pevplan.dispatch import _MODE_ALIASES, MODES, Scenario, canonical_mode
+from pevplan.network import ValidationError
+from pevplan.nsga import InfeasibleConfigError
 from pevplan.objective import DayEvaluator
+from pevplan.powerflow import (InjectionSet, NonConvergence, PowerFlowSolution,
+                               SingularJacobian, solve)
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 # Well above the fraction of a second that importing pevplan takes, so that
@@ -146,6 +150,31 @@ def test_solve_prints_bus_table(capsys):
     assert lines[0] == "bus,v_pu,angle_deg"
     assert len([l for l in lines if not l.startswith("#")]) == 34
     assert any(l.startswith("# converged in") for l in lines)
+
+
+@pytest.fixture(scope="module")
+def solved33(bus33):
+    net = bus33.network
+    return net, solve(net, InjectionSet.from_loads(*net.load_vectors()))
+
+
+def test_bus_table_shape(solved33):
+    net, sol = solved33
+    lines = cli._bus_table(net, sol)
+    assert lines[0] == "bus,v_pu,angle_deg"
+    assert len(lines) == net.n_bus + 1
+    first = lines[1].split(",")
+    assert first[0] == "1"
+    assert float(first[1]) == pytest.approx(1.0)
+
+
+def test_branch_table_parses_back(solved33):
+    net, sol = solved33
+    lines = cli._branch_table(net, sol)
+    assert lines[0] == "branch,from,to,i_pu,p_from_pu,q_from_pu,loss_pu"
+    assert len(lines) == len(net.branches) + 1
+    total = sum(float(row.split(",")[6]) for row in lines[1:])
+    assert total == pytest.approx(sol.total_losses, abs=1e-6)
 
 
 def test_solve_sweep_cross_check(capsys):
@@ -480,7 +509,58 @@ def test_help_documents_exit_codes():
     )
     assert proc.returncode == 0
     assert "exit codes:" in proc.stdout
+    assert "3  a referenced file is missing or cannot be read or written" in proc.stdout
     assert "7  requested optimization is infeasible" in proc.stdout
+    rows = proc.stdout.split("exit codes:\n", 1)[1].splitlines()
+    assert [int(row.split()[0]) for row in rows] == [0, 2, 3, 4, 5, 6, 7]
+
+
+_STUCK = PowerFlowSolution(np.ones(2, dtype=complex), np.zeros(1, dtype=complex),
+                           np.zeros(1, dtype=complex), 0.0, 50, 1.0, False, diverged=True)
+
+
+@pytest.mark.parametrize("error, code, suffix", [
+    (FileNotFoundError("case file not found: gone.grid"), 3, ""),
+    (CaseParseError("bad.grid:3: expected number"), 4, ""),
+    (ValidationError("bus 7 repeats"), 5, ""),
+    (ValueError("tolerance out of range"), 5, ""),
+    (NonConvergence("no convergence after 50 iterations", _STUCK), 6, " (diverged=true)"),
+    (SingularJacobian(2, 1e17), 6, ""),
+    (InfeasibleConfigError("3 lots but only 2 candidate buses"), 7, ""),
+], ids=["FileNotFoundError", "CaseParseError", "ValidationError", "ValueError",
+        "NonConvergence", "SingularJacobian", "InfeasibleConfigError"])
+def test_each_error_exits_with_the_code_of_its_nearest_class(capsys, monkeypatch, error,
+                                                              code, suffix):
+    # a subclass takes its own row (4, 7) over its base's (ValueError's 5)
+    def failing(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_validate", failing)
+    assert run(capsys, "validate") == (code, "", f"error: {error}{suffix}\n")
+
+
+def test_an_error_without_a_code_propagates(monkeypatch):
+    def failing(args):
+        raise KeyError("lot")
+
+    monkeypatch.setattr(cli, "cmd_validate", failing)
+    with pytest.raises(KeyError):
+        main(["validate"])
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["validate", "--case", "{dir}"], "Is a directory"),
+    (["validate", "--profiles", "{dir}"], "Is a directory"),
+    (["simulate", "--config", "{dir}"], "Is a directory"),
+    (["solve", "--out", "{file}"], "File exists"),
+    (["solve", "--out", "{file}/sub"], "Not a directory"),
+], ids=["validate-case", "validate-profiles", "simulate-config", "solve-out", "solve-out-sub"])
+def test_a_path_of_the_wrong_kind_exits_3(capsys, tmp_path, argv, reason):
+    (tmp_path / "file").write_text("")
+    argv = [a.format(dir=tmp_path, file=tmp_path / "file") for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert err.startswith("error: [Errno ") and reason in err
 
 
 def test_no_scipy_module_is_loaded():

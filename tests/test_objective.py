@@ -92,9 +92,9 @@ def test_terms_recompute_from_hourly_trail(day_eval):
     sols = [_finish(day_eval.net, day.v[h], int(day.iterations[h]), float(day.mismatch[h]),
                     True) for h in range(HOURS)]
     v_dev = sum(float(np.sum(np.abs(1.0 - sol.v_mag))) for sol in sols)
-    loss = sum(sol.total_losses for sol in sols)
     assert day.breakdown.v_dev == pytest.approx(v_dev, abs=1e-12)
-    assert day.breakdown.loss == pytest.approx(loss, abs=1e-12)
+    # one branch-current formula, summed in the same order: exact
+    assert day.breakdown.loss == np.sum([sol.total_losses for sol in sols])
     a, b, _ = day_eval.scenario.weights
     for score, sol in zip(day.score.tolist(), sols):
         assert score == pytest.approx(a * float(np.sum(np.abs(1.0 - sol.v_mag)))

@@ -26,8 +26,6 @@ from pevplan.powerflow import (
     _fixed_point_block,
     _solver_arrays,
     _start,
-    branch_table,
-    bus_table,
     check_limits,
     solve,
 )
@@ -850,25 +848,3 @@ def test_check_limits_reads_each_networks_own_limits(solved33):
                                          for br in net.branches))
     assert check_limits(capped, sol).thermal_violations and not report.thermal_violations
     assert check_limits(net, sol) == report
-
-
-# -- report tables -----------------------------------------------------------
-
-
-def test_bus_table_shape(solved33):
-    net, sol = solved33
-    lines = bus_table(net, sol).strip().splitlines()
-    assert lines[0] == "bus,v_pu,angle_deg"
-    assert len(lines) == net.n_bus + 1
-    first = lines[1].split(",")
-    assert first[0] == "1"
-    assert float(first[1]) == pytest.approx(1.0)
-
-
-def test_branch_table_parses_back(solved33):
-    net, sol = solved33
-    lines = branch_table(net, sol).strip().splitlines()
-    assert lines[0] == "branch,from,to,i_pu,p_from_pu,q_from_pu,loss_pu"
-    assert len(lines) == len(net.branches) + 1
-    total = sum(float(row.split(",")[6]) for row in lines[1:])
-    assert total == pytest.approx(sol.total_losses, abs=1e-6)
