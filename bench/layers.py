@@ -15,9 +15,15 @@ value.  The inputs are fixed: the bundled bus33 case with the
 ``load-weekday`` profile, fixed load scales, fixed two-lot placements, and
 seeded random populations.  The JSON gives, per source tree:
 
-- ``solve_us``: µs per cold (flat-start) Newton and sweep solve on bus33 at
-  ``SOLVE_SCALES`` of its normal load, the median of ``SOLVE_REPEATS``
-  passes over the scales, with each solver's iterations per scale;
+- ``solve_us``: CPU µs per cold (flat-start) Newton solve, sweep solve and
+  checked solve on bus33 at ``SOLVE_SCALES`` of its normal load, the median
+  of ``SOLVE_PASSES`` passes of ``SOLVE_REPEATS`` runs over the scales, with
+  each solver's iterations per scale.  A checked solve (``checked_us``) is
+  perfbench's ``snapshot`` operation, as ``pevplan solve --check-sweep``
+  does it: Newton, then the sweep, then the largest phasor gap between them;
+- ``solve_rel``: each such pass's µs per solve over the CPU ms of the
+  reference kernel timed right after it, the median over the passes, as
+  ``day_rel`` below;
 - ``day_ms``: CPU ms (``time.process_time``, so that time a shared host
   gives other processes does not count) per day evaluation in modes ``none`` and
   ``dgq+v2gq``, the median of ``REPEATS`` passes over the mode's
@@ -87,7 +93,8 @@ V2G_SEARCH_SEEDS = (0, 1)
 V2G_SEARCH_PARAMS = {"population": 40, "generations": 3, "n_lots": 2}
 IMPORT_REPEATS = 5
 SOLVE_SCALES = (0.3, 0.55, 0.8, 1.0)
-SOLVE_REPEATS = 300
+SOLVE_PASSES = 10
+SOLVE_REPEATS = 30
 REFERENCE_RUNS = 40
 ROUNDS = 5
 
@@ -248,22 +255,38 @@ def _v2g_searches(pevplan, bundle) -> dict:
             "batch_sizes": {str(k): sizes[k] for k in sorted(sizes)}}
 
 
-def _solve_us(pevplan, net) -> dict:
-    """Cold Newton and sweep solves at ``SOLVE_SCALES`` (see ``solve_us``)."""
+def _solve_us(pevplan, net, reference) -> tuple[dict, dict]:
+    """Cold solves at ``SOLVE_SCALES``: ``solve_us`` and ``solve_rel``
+    (see above), the passes of the three kinds alternating."""
+    import numpy as np
+
     p, q = net.load_vectors()
     injections = [pevplan.InjectionSet.from_loads(p * s, q * s) for s in SOLVE_SCALES]
+
+    def checked(net, inj):
+        sol, ref = pevplan.solve(net, inj), pevplan.solve_sweep(net, inj)
+        return float(np.max(np.abs(sol.v_complex - ref.v_complex)))
+
+    solvers = {"newton": pevplan.solve, "sweep": pevplan.solve_sweep, "checked": checked}
     out = {}
-    for name, solver in (("newton", pevplan.solve), ("sweep", pevplan.solve_sweep)):
+    for name in ("newton", "sweep"):
         # the first pass also builds the network's solver arrays
-        out[f"{name}_iterations"] = [solver(net, inj).iterations for inj in injections]
-        samples = []
-        for _ in range(SOLVE_REPEATS):
-            t0 = perf_counter()
-            for inj in injections:
-                solver(net, inj)
-            samples.append((perf_counter() - t0) / len(injections) * 1e6)
-        out[f"{name}_us"] = statistics.median(samples)
-    return out
+        out[f"{name}_iterations"] = [solvers[name](net, inj).iterations
+                                     for inj in injections]
+    samples = {name: [] for name in solvers}
+    relative = {name: [] for name in solvers}
+    for _ in range(SOLVE_PASSES):
+        for name, solver in solvers.items():
+            t0 = process_time()
+            for _ in range(SOLVE_REPEATS):
+                for inj in injections:
+                    solver(net, inj)
+            samples[name].append(
+                (process_time() - t0) / (SOLVE_REPEATS * len(injections)) * 1e6)
+            relative[name].append(samples[name][-1] / reference())
+    for name in solvers:
+        out[f"{name}_us"] = statistics.median(samples[name])
+    return out, {name: statistics.median(relative[name]) for name in solvers}
 
 
 def _import_s(src: Path) -> float:
@@ -284,10 +307,11 @@ def measure(src: Path) -> dict:
 
     case, profiles = pevplan.load_builtin("bus33.grid", "profiles33.csv")
     bundle = (case.network, pevplan.bind_devices(case, profiles), profiles)
-    out: dict = {"import_s": _import_s(src), "solve_us": _solve_us(pevplan, case.network),
-                 "day_ms": {}, "day_rel": {}, "work": {}, "stats": {}, "rank_ms": {}}
     reference = _reference_kernel()
     reference()  # warm-up
+    solve_us, solve_rel = _solve_us(pevplan, case.network, reference)
+    out: dict = {"import_s": _import_s(src), "solve_us": solve_us, "solve_rel": solve_rel,
+                 "day_ms": {}, "day_rel": {}, "work": {}, "stats": {}, "rank_ms": {}}
     for mode, placements in PLACEMENTS.items():
         ev = _evaluator(pevplan, bundle, mode)
         ev.evaluate(placements[0])  # warm-up: lazy arrays, imports
@@ -386,7 +410,8 @@ def main() -> int:
                    "search_v2g": {"mode": "dgq+v2gq", "seeds": list(V2G_SEARCH_SEEDS),
                                   **V2G_SEARCH_PARAMS, "repeats": 1},
                    "import_repeats": IMPORT_REPEATS, "reference_runs": REFERENCE_RUNS,
-                   "solve": {"scales": list(SOLVE_SCALES), "repeats": SOLVE_REPEATS},
+                   "solve": {"scales": list(SOLVE_SCALES), "passes": SOLVE_PASSES,
+                             "repeats": SOLVE_REPEATS},
                    "rounds": ROUNDS},
     }
     trees = {"current": ROOT / "src"}

@@ -19,11 +19,11 @@ devices included — their charging/generation enters through the injection
 vector).  A previously solved voltage profile can seed either iteration,
 which cuts repeated solves during dispatch search to a few iterations.
 Each network keeps the arrays its solvers derive from it (the admittance
-matrix and its non-slack blocks, the Z factor, the sweep's tree, the limit
-arrays), each built by the first solve that reads it.  Every branch current
-the package reports or scores is formed by :func:`_branch_currents`, save
-the sweep's own, and every solution of either solver is built by
-:func:`_solution`.  The CSV report tables live in :mod:`pevplan.cli`.
+matrix and its non-slack blocks, the Z factor, the sweep's tree and its
+DLF matrix, the limit arrays), each built by the first solve that reads
+it.  Every branch current the package reports or scores is formed by
+:func:`_branch_currents`, save the sweep's own, and every solution of
+either solver is built by :func:`_solution`.  The CSV report tables live in :mod:`pevplan.cli`.
 """
 
 from __future__ import annotations
@@ -96,9 +96,9 @@ class InjectionSet:
         return cls(-np.asarray(p_load, dtype=float), -np.asarray(q_load, dtype=float))
 
     def check_finite(self, slack_index: int) -> None:
-        mask = np.ones(len(self.p), dtype=bool)
-        mask[slack_index] = False
-        if not (np.isfinite(self.p[mask]).all() and np.isfinite(self.q[mask]).all()):
+        ok = np.isfinite(self.p) & np.isfinite(self.q)
+        ok[slack_index] = True
+        if not ok.all():
             raise ValueError("non-finite injection at a non-slack bus")
 
 
@@ -145,8 +145,8 @@ class _SolverArrays:
     quantities.  Everything else is computed on first use, so a solver
     builds only what it reads: Newton the admittance matrix ``y``, its
     non-slack blocks and its Jacobian plan, the fixed point its factor, the
-    sweep its tree (which needs no ``y``), and the limit checks the limit
-    arrays.
+    sweep its tree with the tree's DLF matrix (neither needs ``y``), and the
+    limit checks the limit arrays.
     """
 
     def __init__(self, net: Network) -> None:
@@ -197,7 +197,7 @@ class _SolverArrays:
 
     @cached_property
     def tree(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The sweep's radial tree (:func:`pevplan.sweep._build_tree`)."""
+        """The sweep's radial tree and DLF matrix (:func:`pevplan.sweep._build_tree`)."""
         from .sweep import _build_tree  # the sweep imports this module
 
         return _build_tree(self._net, *self.branches[:2])
@@ -287,18 +287,19 @@ def solve(
     (pq, y_pq, _), plan = arrays.blocks, arrays.jacobian_plan
     s_spec = (inj.p + 1j * inj.q)[pq]
     npq = len(pq)
-    vm = np.abs(v)
-    va = np.angle(v)
+    # the state lives in the non-slack vectors; v holds them and the slack's 1.0
+    v_pq = v[pq]
+    vm = np.abs(v_pq)
+    va = np.angle(v_pq)
     f = np.empty(2 * npq)
 
-    def mismatch_vec(vv: np.ndarray) -> np.ndarray:  # (Y·V)[pq]; [ΔP; ΔQ] into f
-        ibus = y_pq @ vv
-        ds = vv[pq] * np.conj(ibus) - s_spec
+    def mismatch() -> tuple[np.ndarray, float]:  # (Y·V)[pq], max |f|; [ΔP; ΔQ] into f
+        ibus = y_pq @ v
+        ds = v_pq * np.conj(ibus) - s_spec
         f[:npq], f[npq:] = ds.real, ds.imag
-        return ibus
+        return ibus, float(np.abs(f).max(initial=0.0))
 
-    ibus = mismatch_vec(v)
-    mis = float(np.max(np.abs(f))) if npq else 0.0
+    ibus, mis = mismatch()
 
     for it in range(DEFAULT_MAX_ITER + 1):
         if mis <= tol:
@@ -306,19 +307,19 @@ def solve(
         diverged = not math.isfinite(mis) or mis > _DIVERGENCE_MISMATCH
         if diverged or it == DEFAULT_MAX_ITER:
             break
-        jac = _jacobian(plan, v[pq], vm[pq], ibus)
+        jac = _jacobian(plan, v_pq, vm, ibus)
         try:
             dx = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:
             raise SingularJacobian(it, _cond_estimate(jac)) from None
-        if not np.all(np.isfinite(dx)):
+        if not np.isfinite(dx).all():
             raise SingularJacobian(it, _cond_estimate(jac))
 
-        va[pq] += dx[:npq]
-        vm[pq] += dx[npq:]
-        v = vm * np.exp(1j * va)
-        ibus = mismatch_vec(v)
-        mis = float(np.max(np.abs(f))) if npq else 0.0
+        va += dx[:npq]
+        vm += dx[npq:]
+        v_pq = vm * np.exp(1j * va)
+        v[pq] = v_pq
+        ibus, mis = mismatch()
 
     reason = (f"diverged at iteration {it}" if it < DEFAULT_MAX_ITER
               else f"no convergence after {DEFAULT_MAX_ITER} iterations")
@@ -342,15 +343,19 @@ def _jacobian(plan: tuple[np.ndarray, ...], v: np.ndarray, vm: np.ndarray,
     m = -(y * v[cols])
     m[diag] += ibus
     ds_dva = (1j * v)[rows] * np.conj(m)
-    # a degenerate |V| = 0 state turns vnorm into NaN, which the
-    # singular-Jacobian check of the solve converts into a clear error
-    with np.errstate(invalid="ignore", divide="ignore"):
+    degenerate = not vm.all()
+    if degenerate:
+        # a |V| = 0 state turns vnorm into NaN, which the singular-Jacobian
+        # check of the solve converts into a clear error
+        with np.errstate(invalid="ignore", divide="ignore"):
+            vnorm = v / vm
+    else:
         vnorm = v / vm
     ds_dvm = v[rows] * np.conj(y * vnorm[cols])
     ds_dvm[diag] += np.conj(ibus) * vnorm
     jac = np.zeros((2 * npq, 2 * npq))
     jac.ravel()[flat] = np.concatenate((ds_dva, ds_dvm)).view(float)
-    if not vm.all():
+    if degenerate:
         jac[:, npq + np.flatnonzero(vm == 0)] = np.nan
     return jac
 

@@ -1,15 +1,18 @@
 """Backward/forward sweep power flow for radial feeders.
 
-Current-summation variant in the matrix form of Teng's direct load flow
-(IEEE TPD, 2003): the backward pass sums bus draws into branch currents
-through the 0/1 path matrix (his BIBC), the forward pass drops voltages
-from the slack outward through its transpose (his BCBV with the branch
-impedances).  The tree is built from the branch rows alone, once per
-network.  No admittance matrix and no Jacobian — deliberately disjoint
-machinery so this solver can arbitrate the Newton-Raphson implementation on
-radial cases.  Only the solution container is shared: its flows and loss
-come from the sweep's own currents through
-:func:`~pevplan.powerflow._solution`.
+Teng's direct load flow (IEEE TPD, 2003) in matrix form.  His BIBC is the
+0/1 path matrix ``T`` (``T[k, b] = 1`` when bus ``b`` lies below branch
+``k``): it sums the bus draws below each branch into its current.  His BCBV
+is ``Tᵀ·diag(z)``: it drops the voltages from the slack outward through the
+branch impedances ``z``.  Their product, the DLF matrix ``Tᵀ·diag(z)·T``,
+maps bus draws straight to voltage drops, so an iteration is one
+matrix-vector product, ``V = V_slack − DLF·conj(−S/V)``.  The tree and its
+DLF are built from the branch rows alone, once per network.  No admittance
+matrix, no inverse and no Jacobian — deliberately disjoint machinery so
+this solver can arbitrate the Newton-Raphson implementation on radial
+cases.  Only the solution container is shared: its flows and loss come
+from the sweep's own tree currents ``T·conj(−S/V)``, formed once at the
+end, through :func:`~pevplan.powerflow._solution`.
 """
 
 from __future__ import annotations
@@ -26,13 +29,15 @@ from .powerflow import (InjectionSet, NonConvergence, PowerFlowSolution, _soluti
 def _build_tree(
     net: Network, f_idx: np.ndarray, t_idx: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The breadth-first tree from the slack, as ``(z, sign, paths,
+    """The breadth-first tree from the slack, as ``(dlf, sign, paths,
     incidence)`` over the branch rows ``f_idx → t_idx``.
 
-    ``z`` holds each row's impedance and ``sign`` is +1 where the row reads
-    away from the slack and −1 where it reads towards it.  ``paths[k, b]``
-    is 1 when bus ``b`` lies below branch ``k`` (Teng's BIBC), and
-    ``incidence[b, k]`` is +1 at the row's from bus and −1 at its to bus.
+    ``paths[k, b]`` is 1 when bus ``b`` lies below branch ``k`` (Teng's
+    BIBC), and ``dlf = pathsᵀ·diag(z)·paths`` with ``z`` the rows'
+    impedances (his DLF matrix; its slack row and column are 0).  ``sign``
+    is +1 where the row reads away from the slack and −1 where it reads
+    towards it, and ``incidence[b, k]`` is +1 at the row's from bus and −1
+    at its to bus.
     """
     if not net.radial or len(net.branches) != net.n_bus - 1:
         raise ValueError("sweep solver requires a radial network")
@@ -60,7 +65,7 @@ def _build_tree(
     incidence[f_idx, rows] = 1.0
     incidence[t_idx, rows] = -1.0
     z = np.array([br.impedance for br in net.branches], dtype=complex)
-    return z, sign, paths, incidence
+    return paths.T @ (z[:, None] * paths), sign, paths, incidence
 
 
 def solve_sweep(
@@ -82,46 +87,43 @@ def solve_sweep(
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     v = _start(net, inj, tol, None)
     s_spec = inj.p + 1j * inj.q
+    neg_s = -s_spec
     slack = net.slack_index
     arrays = _solver_arrays(net)
-    z, _, paths, _ = arrays.tree
+    dlf = arrays.tree[0]
 
-    neg_s = -s_spec
-
-    def backward(voltages: np.ndarray) -> np.ndarray:
-        # Current drawn at each bus, summed over the buses below each branch
-        # (in the tree's orientation, away from the slack).
-        draw = np.conj(neg_s / voltages)
-        draw[slack] = 0.0
-        return paths @ draw
+    def draw(voltages: np.ndarray) -> np.ndarray:
+        # the current drawn at each bus; the slack's is free
+        d = np.conj(neg_s / voltages)
+        d[slack] = 0.0
+        return d
 
     it = 0
     for it in range(1, max_iter + 1):
-        v_new = 1.0 - paths.T @ (z * backward(v))
-        delta = float(np.max(np.abs(v_new - v)))
+        v_new = 1.0 - dlf @ draw(v)
+        delta = float(np.abs(v_new - v).max())
         v = v_new
         if delta <= tol:
             break
     else:
-        sol = _finish(net, arrays, v, backward(v), s_spec, it, converged=False)
         raise NonConvergence(
             f"sweep did not settle after {max_iter} iterations "
             f"(last voltage change {delta:.3e})",
-            sol,
+            _finish(net, arrays, v, draw(v), s_spec, it, converged=False),
         )
 
-    return _finish(net, arrays, v, backward(v), s_spec, it, converged=True)
+    return _finish(net, arrays, v, draw(v), s_spec, it, converged=True)
 
 
-def _finish(net: Network, arrays: _SolverArrays, v: np.ndarray, branch_i_tree: np.ndarray,
+def _finish(net: Network, arrays: _SolverArrays, v: np.ndarray, draw: np.ndarray,
             s_spec: np.ndarray, iterations: int, converged: bool) -> PowerFlowSolution:
     """The solution at ``v`` through :func:`~pevplan.powerflow._solution`,
-    from the sweep's own tree currents and with its KCL residual as the
-    mismatch, so that neither reads the voltage drops or an admittance
-    matrix."""
-    _, sign, _, incidence = arrays.tree
+    from the sweep's own tree currents, the bus draws ``draw`` summed below
+    each branch, and with its KCL residual as the mismatch, so that neither
+    reads the voltage drops or an admittance matrix."""
+    _, sign, paths, incidence = arrays.tree
     # Convert tree-oriented currents to the branch rows' own orientation.
-    currents = sign * branch_i_tree
+    currents = sign * (paths @ draw)
     resid = v * np.conj(incidence @ currents) - s_spec
     resid[net.slack_index] = 0.0
     return _solution(net, v, currents, iterations, np.max(np.abs(resid)), converged)

@@ -87,3 +87,24 @@ def test_v2g_search_batch_sizes_add_up_to_its_days(bus33, devices33, profiles33,
     sizes = {int(size): n for size, n in out["batch_sizes"].items()}
     assert max(sizes) > 1  # the wrapper counted the batches
     assert sum(size * n for size, n in sizes.items()) == out["days"] > 0
+
+
+def test_solver_layer_reports_each_kind_with_its_iterations(bus33, monkeypatch):
+    # solve_us and solve_rel time the same three kinds of solve, in CPU time,
+    # and the iteration lists are the solvers' own at the bench's scales
+    layers = layers_module()
+    monkeypatch.setattr(layers, "SOLVE_PASSES", 2)
+    monkeypatch.setattr(layers, "SOLVE_REPEATS", 1)
+    monkeypatch.setattr(layers, "REFERENCE_RUNS", 1)
+    net = bus33.network
+    times, relative = layers._solve_us(pevplan, net, layers._reference_kernel())
+    kinds = ("newton", "sweep", "checked")
+    assert set(times) == {f"{k}_us" for k in kinds} | {"newton_iterations",
+                                                       "sweep_iterations"}
+    assert set(relative) == set(kinds)
+    assert all(times[f"{k}_us"] > 0 and relative[k] > 0 for k in kinds)
+    p, q = net.load_vectors()
+    injections = [pevplan.InjectionSet.from_loads(p * s, q * s) for s in layers.SOLVE_SCALES]
+    assert times["newton_iterations"] == [pevplan.solve(net, i).iterations for i in injections]
+    assert times["sweep_iterations"] == [
+        pevplan.solve_sweep(net, i).iterations for i in injections]

@@ -250,12 +250,13 @@ def full_jacobian(y, v, vm, pq):
     return jac
 
 
-def full_newton(net, inj, tol=DEFAULT_TOL):
-    """Newton's iteration on :func:`full_jacobian`: ``(v, iterations,
-    mismatch)``, or the message of the error it stops with."""
+def full_newton(net, inj, tol=DEFAULT_TOL, v0=None):
+    """Newton's iteration on :func:`full_jacobian` from a flat start or
+    ``v0``: ``(v, iterations, mismatch)``, or the message of the error it
+    stops with."""
     y, s = build_ybus(net), net.slack_index
     pq = np.array([i for i in range(net.n_bus) if i != s])
-    v = _start(net, inj, tol, None)
+    v = _start(net, inj, tol, v0)
     s_spec = inj.p + 1j * inj.q
     vm, va = np.abs(v), np.angle(v)
 
@@ -366,10 +367,10 @@ def test_jacobian_plan_keeps_a_zero_diagonal():
         np.testing.assert_array_equal(got, full_jacobian(y, v, np.abs(v), pq))
 
 
-def assert_newton_matches_full(net, inj):
-    want = full_newton(net, inj)
+def assert_newton_matches_full(net, inj, tol=DEFAULT_TOL, v0=None):
+    want = full_newton(net, inj, tol, v0)
     try:
-        sol = solve(net, inj)
+        sol = solve(net, inj, tol, v0)
     except SingularJacobian:
         assert want == "singular"
         return
@@ -403,6 +404,32 @@ def test_newton_is_bit_identical_to_the_full_construction_on_a_meshed_network(sc
     net = meshed_network()
     p, q = net.load_vectors()
     assert_newton_matches_full(net, InjectionSet.from_loads(p * scale, q * scale))
+
+
+@settings(max_examples=40, deadline=None)
+@given(net=radial_feeders(), scale=st.floats(0.0, 30.0), seed=st.integers(0, 2**32 - 1))
+def test_newton_is_bit_identical_to_the_full_construction_from_warm_starts(net, scale, seed):
+    # dispatch warm-starts Newton from a column's start; a start's slack entry
+    # is overwritten with 1.0, so this one's is not 1
+    rng = np.random.default_rng(seed)
+    v0 = 1.0 + 0.05 * (rng.standard_normal(net.n_bus) + 1j * rng.standard_normal(net.n_bus))
+    v0[net.slack_index] = 0.97 + 0.02j
+    p, q = net.load_vectors()
+    inj = InjectionSet.from_loads(p * scale, q * scale)
+    assert_newton_matches_full(net, inj, v0=v0)
+    assert_newton_matches_full(net, inj, tol=DEFAULT_TOL * 1e-2, v0=v0)
+
+
+def test_newton_is_bit_identical_to_the_full_construction_from_a_neighbouring_load(bus33):
+    # each solve starts from the solution at a load 5% lighter, at Newton's
+    # tolerance and at the tighter one dispatch's fallback asks for
+    net = bus33.network
+    p, q = net.load_vectors()
+    for scale in np.linspace(0.35, 2.0, 12):
+        v0 = solve(net, InjectionSet.from_loads(p * (scale - 0.05), q * (scale - 0.05))).v_complex
+        inj = InjectionSet.from_loads(p * scale, q * scale)
+        for tol in (DEFAULT_TOL, DEFAULT_TOL * 1e-2):
+            assert_newton_matches_full(net, inj, tol, v0)
 
 
 # -- Z-bus fixed point ------------------------------------------------------

@@ -243,3 +243,45 @@ def test_sweep_zero_load_trivial(feeder4):
     sol = solve_sweep(feeder4, InjectionSet(np.zeros(4), np.zeros(4)))
     np.testing.assert_allclose(sol.v_mag, 1.0, atol=1e-15)
     assert sol.total_losses == 0.0
+
+
+def assert_dlf_is_the_kernels_factor(net, monkeypatch):
+    """Teng's DLF from the tree is the kernel's ``Z = inv(Y[pq, pq])`` from
+    Ybus, with ``w = 1``: one matrix, two disjoint constructions."""
+    with monkeypatch.context() as m:
+        def refuse(net):
+            raise AssertionError("the DLF was built from an admittance matrix")
+
+        m.setattr(powerflow, "build_ybus", refuse)
+        dlf = powerflow._solver_arrays(net).tree[0]
+    pq, _, z, w = powerflow._solver_arrays(net).fixed_point
+    slack = net.slack_index
+    assert not dlf[slack].any() and not dlf[:, slack].any()
+    np.testing.assert_allclose(dlf[np.ix_(pq, pq)], z, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(w, 1.0, rtol=0, atol=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(net=radial_feeders())
+def test_dlf_equals_the_inverse_of_the_admittance_block(net):
+    # radial_feeders draws some branch rows reversed and shuffles the buses
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_dlf_is_the_kernels_factor(net, monkeypatch)
+
+
+def test_dlf_equals_the_inverse_of_the_admittance_block_on_bus33(bus33, monkeypatch):
+    assert_dlf_is_the_kernels_factor(replace(bus33.network), monkeypatch)
+
+
+def test_sweep_iterations_and_gap_on_bus33_at_the_bench_scales(bus33):
+    # the counts bench/layers.py and the snapshot benchmark run at; the
+    # benchmark checks the Newton–sweep gap against 1e-6
+    net = bus33.network
+    p, q = net.load_vectors()
+    iterations = []
+    for scale in (0.3, 0.55, 0.8, 1.0):
+        inj = InjectionSet.from_loads(p * scale, q * scale)
+        sol, ref = solve(net, inj), solve_sweep(net, inj)
+        iterations.append(ref.iterations)
+        assert np.max(np.abs(sol.v_complex - ref.v_complex)) < 1e-8
+    assert iterations == [6, 8, 9, 9]
