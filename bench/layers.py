@@ -15,7 +15,8 @@ value.  The inputs are fixed: the bundled bus33 case with the
 ``load-weekday`` profile, fixed load scales, fixed two-lot placements, and
 seeded random populations.  The JSON gives, per source tree:
 
-- ``solve_us``: CPU µs per cold (flat-start) Newton solve, sweep solve and
+- ``solve_us``: CPU µs per cold Newton solve (one given no start ``v0``),
+  sweep solve and
   checked solve on bus33 at ``SOLVE_SCALES`` of its normal load, the median
   of ``SOLVE_PASSES`` passes of ``SOLVE_REPEATS`` runs over the scales, with
   each solver's iterations per scale.  A checked solve (``checked_us``) is
@@ -24,6 +25,12 @@ seeded random populations.  The JSON gives, per source tree:
 - ``solve_rel``: each such pass's µs per solve over the CPU ms of the
   reference kernel timed right after it, the median over the passes, as
   ``day_rel`` below;
+- ``size``: per feeder size in ``SIZE_BUSES``, a seeded chain-like radial
+  feeder of that many buses (:func:`_sized_feeder`) at the load that puts
+  the sweep's lowest voltage at ``SIZE_V_MIN``: CPU ms per cold Newton
+  solve and per sweep solve, the median of ``SIZE_PASSES`` passes of
+  ``SIZE_REPEATS`` solves, with each solver's iterations and the lowest
+  voltage;
 - ``day_ms``: CPU ms (``time.process_time``, so that time a shared host
   gives other processes does not count) per day evaluation in modes ``none`` and
   ``dgq+v2gq``, the median of ``REPEATS`` passes over the mode's
@@ -61,6 +68,12 @@ seeded random populations.  The JSON gives, per source tree:
 - ``import_s``: seconds to ``import pevplan``, the median of
   ``IMPORT_REPEATS`` fresh processes;
 - ``stats``: the evaluator's own work counters.
+
+With ``--baseline-src``, ``change`` holds each ``solve_rel`` and
+``day_rel`` figure of this tree over the baseline's from the same round,
+summarised over the rounds like every other figure: the raw CPU times of
+one process can land in either of two speeds on a shared host, and a ratio
+taken within a round divides that out twice over.
 """
 
 from __future__ import annotations
@@ -96,7 +109,13 @@ SOLVE_SCALES = (0.3, 0.55, 0.8, 1.0)
 SOLVE_PASSES = 10
 SOLVE_REPEATS = 30
 REFERENCE_RUNS = 40
+SIZE_BUSES = (100, 300)
+SIZE_V_MIN = 0.92
+SIZE_PASSES = 5
+SIZE_REPEATS = 3
 ROUNDS = 5
+# the figures the change block compares between trees
+RELATIVE = ("solve_rel", "day_rel")
 
 
 def _populations(size: int, count: int = 20):
@@ -289,6 +308,68 @@ def _solve_us(pevplan, net, reference) -> tuple[dict, dict]:
     return out, {name: statistics.median(relative[name]) for name in solvers}
 
 
+def _sized_feeder(pevplan, n: int):
+    """A feeder of ``n`` buses, seeded by ``n``, and its injections at
+    ``SIZE_V_MIN``: ``(net, inj, v_min)``.
+
+    Bus k hangs off one of the three buses before it, so the tree is a
+    chain with short laterals; the branch and load values are drawn around
+    1e-3 pu.  The load is scaled by bisection on the sweep's lowest
+    voltage, not Newton's, so that a change to Newton leaves the inputs
+    alone.
+    """
+    import random
+
+    rng = random.Random(n)
+    Bus, Branch = pevplan.Bus, pevplan.Branch
+    buses, branches = [Bus(1, kind="slack")], []
+    for k in range(2, n + 1):
+        p = rng.uniform(0.5e-3, 1.5e-3)
+        buses.append(Bus(k, normal_load_p=p, normal_load_q=p * rng.uniform(0.3, 0.8)))
+        r = rng.uniform(0.5e-3, 1.5e-3)
+        branches.append(Branch(rng.randint(max(1, k - 3), k - 1), k, r,
+                               r * rng.uniform(0.6, 1.2)))
+    net = pevplan.Network(tuple(buses), tuple(branches))
+    p, q = net.load_vectors()
+
+    def v_min(scale: float) -> float:
+        inj = pevplan.InjectionSet.from_loads(p * scale, q * scale)
+        try:
+            return pevplan.solve_sweep(net, inj).v_min
+        except pevplan.PowerFlowError:
+            return 0.0
+
+    lo, hi = 0.0, 1.0
+    while v_min(hi) > SIZE_V_MIN:
+        lo, hi = hi, 2 * hi
+    for _ in range(40):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if v_min(mid) > SIZE_V_MIN else (lo, mid)
+    return net, pevplan.InjectionSet.from_loads(p * lo, q * lo), v_min(lo)
+
+
+def _solve_at_size(pevplan) -> dict:
+    """The ``size`` figures (see above), the solvers' passes alternating."""
+    out = {}
+    for n in SIZE_BUSES:
+        net, inj, v_min = _sized_feeder(pevplan, n)
+        solvers = {"newton": pevplan.solve, "sweep": pevplan.solve_sweep}
+        fig = {"v_min": v_min}
+        for name, solver in solvers.items():
+            # the first solve also builds the network's solver arrays
+            fig[f"{name}_iterations"] = solver(net, inj).iterations
+        samples = {name: [] for name in solvers}
+        for _ in range(SIZE_PASSES):
+            for name, solver in solvers.items():
+                t0 = process_time()
+                for _ in range(SIZE_REPEATS):
+                    solver(net, inj)
+                samples[name].append((process_time() - t0) / SIZE_REPEATS * 1e3)
+        fig.update((f"{name}_ms", statistics.median(samples[name])) for name in solvers)
+        out[str(n)] = fig
+    return out
+
+
 def _import_s(src: Path) -> float:
     """Median seconds to ``import pevplan`` from ``src`` in a fresh process."""
     code = ("import time; t0 = time.perf_counter(); import pevplan; "
@@ -311,6 +392,7 @@ def measure(src: Path) -> dict:
     reference()  # warm-up
     solve_us, solve_rel = _solve_us(pevplan, case.network, reference)
     out: dict = {"import_s": _import_s(src), "solve_us": solve_us, "solve_rel": solve_rel,
+                 "size": _solve_at_size(pevplan),
                  "day_ms": {}, "day_rel": {}, "work": {}, "stats": {}, "rank_ms": {}}
     for mode, placements in PLACEMENTS.items():
         ev = _evaluator(pevplan, bundle, mode)
@@ -382,6 +464,14 @@ def _over_rounds(values: list):
     return {"rounds": values}
 
 
+def _change(current: list[dict], baseline: list[dict]) -> dict:
+    """The ``change`` block: each ``RELATIVE`` figure of ``current`` over
+    the ``baseline``'s from the same round, summarised over the rounds."""
+    return _over_rounds([
+        {block: {k: cur[block][k] / base[block][k] for k in cur[block]} for block in RELATIVE}
+        for cur, base in zip(current, baseline)])
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, help="JSON file to write")
@@ -412,6 +502,8 @@ def main() -> int:
                    "import_repeats": IMPORT_REPEATS, "reference_runs": REFERENCE_RUNS,
                    "solve": {"scales": list(SOLVE_SCALES), "passes": SOLVE_PASSES,
                              "repeats": SOLVE_REPEATS},
+                   "size": {"buses": list(SIZE_BUSES), "v_min": SIZE_V_MIN,
+                            "passes": SIZE_PASSES, "repeats": SIZE_REPEATS},
                    "rounds": ROUNDS},
     }
     trees = {"current": ROOT / "src"}
@@ -422,6 +514,8 @@ def main() -> int:
         for name in list(trees)[:: 1 if r % 2 == 0 else -1]:
             runs[name].append(_measure_in_child(trees[name]))
     result.update((name, _over_rounds(rounds)) for name, rounds in runs.items())
+    if args.baseline_src:
+        result["change"] = _change(runs["current"], runs["baseline"])
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 

@@ -17,7 +17,9 @@ near-identical solves of dispatch; Newton is its fallback.
 The slack bus holds a fixed phasor; every other bus is constant-PQ (converter
 devices included — their charging/generation enters through the injection
 vector).  A previously solved voltage profile can seed either iteration,
-which cuts repeated solves during dispatch search to a few iterations.
+which cuts repeated solves during dispatch search to a few iterations; a
+cold Newton solve starts from the fixed point's first step instead of the
+flat profile.
 Each network keeps the arrays its solvers derive from it (the admittance
 matrix and its non-slack blocks, the Z factor, the sweep's tree and its
 DLF matrix, the limit arrays), each built by the first solve that reads
@@ -144,7 +146,8 @@ class _SolverArrays:
     admittance, resistance) arrays behind every solution's branch
     quantities.  Everything else is computed on first use, so a solver
     builds only what it reads: Newton the admittance matrix ``y``, its
-    non-slack blocks and its Jacobian plan, the fixed point its factor, the
+    non-slack blocks and its Jacobian plan, and for a cold start the
+    fixed point's factor ``Z``; the fixed point that factor, the
     sweep its tree with the tree's DLF matrix (neither needs ``y``), and the
     limit checks the limit arrays.
     """
@@ -280,13 +283,21 @@ def solve(
     """Newton-Raphson power flow; raises on failure, never returns silently bad.
 
     The slack holds 1.0 pu.  ``v0`` warm-starts the iteration with a complex
-    voltage vector (its slack entry is overwritten).
+    voltage vector (its slack entry is overwritten).  Without it the solve
+    starts cold, from the linear estimate ``V[pq] = 1 + Z·conj(S[pq])``
+    (the fixed point's first step from a flat profile, on the network's
+    cached ``Z = inv(Y[pq, pq])``), which saves bus33 a Jacobian and an LU
+    against a flat start.
     """
     v = _start(net, inj, tol, v0)
     arrays = _solver_arrays(net)
     (pq, y_pq, _), plan = arrays.blocks, arrays.jacobian_plan
     s_spec = (inj.p + 1j * inj.q)[pq]
     npq = len(pq)
+    if v0 is None:
+        # the fixed point's first step from flat; 1, not w, which is 1 but
+        # for rounding, so zero injections keep the exact flat profile
+        v[pq] = 1.0 + arrays.fixed_point[2] @ np.conj(s_spec)
     # the state lives in the non-slack vectors; v holds them and the slack's 1.0
     v_pq = v[pq]
     vm = np.abs(v_pq)

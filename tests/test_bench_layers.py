@@ -11,6 +11,7 @@ Every other work figure is the day's ``DayStats`` counter, per day.
 from __future__ import annotations
 
 import importlib.util
+import json
 import os
 from pathlib import Path
 from unittest import mock
@@ -108,3 +109,44 @@ def test_solver_layer_reports_each_kind_with_its_iterations(bus33, monkeypatch):
     assert times["newton_iterations"] == [pevplan.solve(net, i).iterations for i in injections]
     assert times["sweep_iterations"] == [
         pevplan.solve_sweep(net, i).iterations for i in injections]
+
+
+def test_size_layer_loads_each_feeder_to_its_lowest_voltage(monkeypatch):
+    layers = layers_module()
+    monkeypatch.setattr(layers, "SIZE_BUSES", (12, 40))
+    monkeypatch.setattr(layers, "SIZE_PASSES", 1)
+    monkeypatch.setattr(layers, "SIZE_REPEATS", 1)
+    out = layers._solve_at_size(pevplan)
+    assert set(out) == {"12", "40"}
+    for n in layers.SIZE_BUSES:
+        net, inj, v_min = layers._sized_feeder(pevplan, n)
+        assert net.n_bus == n
+        assert abs(v_min - layers.SIZE_V_MIN) < 1e-9
+        fig = out[str(n)]
+        assert fig["v_min"] == v_min
+        assert fig["newton_iterations"] == pevplan.solve(net, inj).iterations
+        assert fig["sweep_iterations"] == pevplan.solve_sweep(net, inj).iterations
+        assert fig["newton_ms"] > 0 and fig["sweep_ms"] > 0
+
+
+def test_change_block_divides_each_round_by_the_baselines(tmp_path, monkeypatch):
+    # main() with --baseline-src writes each relative figure of the current
+    # tree over the baseline's of the same round, summarised over the rounds
+    layers = layers_module()
+    monkeypatch.setattr(layers, "ROUNDS", 3)
+    rounds = {"current": iter([2.0, 3.0, 4.0]), "baseline": iter([1.0, 2.0, 2.0])}
+
+    def measured(src):
+        x = next(rounds["baseline" if src.name == "base" else "current"])
+        return {"solve_rel": {"newton": x, "sweep": 1.0}, "day_rel": {"none": 3 * x}}
+
+    monkeypatch.setattr(layers, "_measure_in_child", measured)
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr("sys.argv", ["layers.py", "--out", str(out),
+                                     "--baseline-src", str(tmp_path / "base")])
+    with mock.patch.dict(os.environ):
+        assert layers.main() == 0
+    change = json.loads(out.read_text())["change"]
+    ratios = {"median": 2.0, "min": 1.5, "max": 2.0}
+    assert change == {"solve_rel": {"newton": ratios, "sweep": 1.0},
+                      "day_rel": {"none": ratios}}

@@ -89,7 +89,7 @@ def test_bus33_reference_full_load(solved33):
     assert loss_kw == pytest.approx(202.68, abs=0.05)
     assert sol.v_min == pytest.approx(0.91309, abs=5e-5)
     assert net.buses[int(np.argmin(sol.v_mag))].id == 18
-    assert sol.iterations <= 5  # quadratic convergence from flat start
+    assert sol.iterations <= 5  # quadratic convergence from the cold start
 
 
 def test_power_balance(solved33):
@@ -250,6 +250,16 @@ def full_jacobian(y, v, vm, pq):
     return jac
 
 
+def linear_estimate(net, inj) -> np.ndarray:
+    """The Z-bus linear estimate ``V[pq] = 1 + Z·conj(S[pq])``, 1.0 at the
+    slack, with ``Z = inv(Y[pq, pq])`` formed here from ``build_ybus``."""
+    pq = np.delete(np.arange(net.n_bus), net.slack_index)
+    z = np.linalg.inv(build_ybus(net)[np.ix_(pq, pq)])
+    v = np.ones(net.n_bus, dtype=complex)
+    v[pq] = 1.0 + z @ np.conj((inj.p + 1j * inj.q)[pq])
+    return v
+
+
 def full_newton(net, inj, tol=DEFAULT_TOL, v0=None):
     """Newton's iteration on :func:`full_jacobian` from a flat start or
     ``v0``: ``(v, iterations, mismatch)``, or the message of the error it
@@ -368,7 +378,8 @@ def test_jacobian_plan_keeps_a_zero_diagonal():
 
 
 def assert_newton_matches_full(net, inj, tol=DEFAULT_TOL, v0=None):
-    want = full_newton(net, inj, tol, v0)
+    # a cold solve starts from the linear estimate, so the oracle does too
+    want = full_newton(net, inj, tol, linear_estimate(net, inj) if v0 is None else v0)
     try:
         sol = solve(net, inj, tol, v0)
     except SingularJacobian:
@@ -404,6 +415,33 @@ def test_newton_is_bit_identical_to_the_full_construction_on_a_meshed_network(sc
     net = meshed_network()
     p, q = net.load_vectors()
     assert_newton_matches_full(net, InjectionSet.from_loads(p * scale, q * scale))
+
+
+def test_cold_newton_starts_from_the_linear_estimate_on_bus33(bus33):
+    net = bus33.network
+    p, q = net.load_vectors()
+    for scale in (0.0, 0.3, 1.0, 3.0):
+        inj = InjectionSet.from_loads(p * scale, q * scale)
+        cold, warm = solve(net, inj), solve(net, inj, v0=linear_estimate(net, inj))
+        assert np.array_equal(cold.v_complex, warm.v_complex)
+        assert (cold.iterations, cold.max_mismatch, cold.total_losses) == (
+            warm.iterations, warm.max_mismatch, warm.total_losses)
+
+
+@settings(max_examples=60, deadline=None)
+@given(net=radial_feeders(), scale=st.floats(0.1, 600.0))
+def test_cold_newton_needs_no_more_iterations_than_a_flat_start(net, scale):
+    # loads up to 600 times radial_feeders' own take some feeders past their
+    # nose point; wherever the flat start converges, the cold start must too
+    p, q = net.load_vectors()
+    inj = InjectionSet.from_loads(p * scale, q * scale)
+    try:
+        flat = solve(net, inj, v0=np.ones(net.n_bus))
+    except PowerFlowError:
+        return
+    cold = solve(net, inj)
+    assert cold.iterations <= flat.iterations
+    assert np.max(np.abs(cold.v_complex - flat.v_complex)) <= 1e-8
 
 
 @settings(max_examples=40, deadline=None)

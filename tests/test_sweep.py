@@ -278,10 +278,12 @@ def test_sweep_iterations_and_gap_on_bus33_at_the_bench_scales(bus33):
     # benchmark checks the Newton–sweep gap against 1e-6
     net = bus33.network
     p, q = net.load_vectors()
-    iterations = []
+    newton, sweep = [], []
     for scale in (0.3, 0.55, 0.8, 1.0):
         inj = InjectionSet.from_loads(p * scale, q * scale)
         sol, ref = solve(net, inj), solve_sweep(net, inj)
-        iterations.append(ref.iterations)
+        newton.append(sol.iterations)
+        sweep.append(ref.iterations)
         assert np.max(np.abs(sol.v_complex - ref.v_complex)) < 1e-8
-    assert iterations == [6, 8, 9, 9]
+    assert newton == [2, 2, 2, 2]
+    assert sweep == [6, 8, 9, 9]
