@@ -13,67 +13,67 @@ figure that differs between rounds is reported as ``{"median", "min",
 "max"}`` over them, and one that every round repeats (a work counter) as its
 value.  The inputs are fixed: the bundled bus33 case with the
 ``load-weekday`` profile, fixed load scales, fixed two-lot placements, and
-seeded random populations.  The JSON gives, per source tree:
+seeded random populations.
 
-- ``solve_us``: CPU µs per cold Newton solve (one given no start ``v0``),
-  sweep solve and
-  checked solve on bus33 at ``SOLVE_SCALES`` of its normal load, the median
-  of ``SOLVE_PASSES`` passes of ``SOLVE_REPEATS`` runs over the scales, with
+Each timed layer but the searches and the import is timed one way
+(:func:`_passes`): ``PASSES`` passes over the layer's kinds, alternating
+between them, each pass in CPU time (``time.process_time``, so that time a
+shared host gives other processes does not count) and followed by a fixed
+reference kernel (``REFERENCE_RUNS`` runs of :func:`_reference_kernel`,
+which mixes a day's kinds of work as ``perfbench/run.py``'s ``Yardstick``
+does).  The layer reports per kind the median over the passes of the CPU
+time per operation, and in its ``_rel`` block the median of each pass's
+time per operation over the reference's CPU ms right after it: the time
+relative to the host's speed at that moment, so that two trees measured on
+a drifting shared host can be compared by it.  The JSON gives, per source
+tree:
+
+- ``solve_us`` and ``solve_rel``: µs per cold Newton solve (one given no
+  start ``v0``), sweep solve and checked solve on bus33, a pass being
+  ``SOLVE_REPEATS`` runs over ``SOLVE_SCALES`` of its normal load, with
   each solver's iterations per scale.  A checked solve (``checked_us``) is
   perfbench's ``snapshot`` operation, as ``pevplan solve --check-sweep``
   does it: Newton, then the sweep, then the largest phasor gap between them;
-- ``solve_rel``: each such pass's µs per solve over the CPU ms of the
-  reference kernel timed right after it, the median over the passes, as
-  ``day_rel`` below;
-- ``size``: per feeder size in ``SIZE_BUSES``, a seeded chain-like radial
-  feeder of that many buses (:func:`_sized_feeder`) at the load that puts
-  the sweep's lowest voltage at ``SIZE_V_MIN``: CPU ms per cold Newton
-  solve and per sweep solve, the median of ``SIZE_PASSES`` passes of
-  ``SIZE_REPEATS`` solves, with each solver's iterations and the lowest
-  voltage;
-- ``day_ms``: CPU ms (``time.process_time``, so that time a shared host
-  gives other processes does not count) per day evaluation in modes ``none`` and
-  ``dgq+v2gq``, the median of ``REPEATS`` passes over the mode's
-  placements, each on a fresh evaluator, so nothing is cached;
-- ``day_rel``: each such pass's ms per day over the CPU ms of a fixed
-  reference kernel timed right after it (``REFERENCE_RUNS`` runs of
-  :func:`_reference_kernel`, which mixes a day's kinds of work as
-  ``perfbench/run.py``'s ``Yardstick`` does), the median over the passes:
-  the day's time relative to the host's speed at that moment, so that two
-  trees measured on a drifting shared host can be compared by it;
-- ``rank_ms``: wall ms to rank a 40- and an 80-member population for
-  tournament selection (``nsga._rank``: front ranks and crowding
-  distances) from its objective, feasibility and penalty arrays;
-- ``search``: 8 fixed-seed mode-``none`` searches (population 40, 60
-  generations, 2 lots) sharing one fresh evaluator, the repeat of median
-  wall time: ``wall_ms``, the evaluator's ``day_ms`` (``DayStats.day_s``),
-  the GA's own ``ga_ms`` (wall minus days), the days computed, the
-  batches they were computed in, the searches' summed distinct
-  evaluations, and ``rank_calls``, the population rankings per search
-  (``nsga._rank`` calls, counted by wrapping it during a warm-up batch);
-- ``search_v2g``: fixed-seed ``dgq+v2gq`` searches (population 40, a few
-  generations, 2 lots) sharing one fresh evaluator, run once: ``wall_ms``,
-  ``day_ms``, the days computed, the distinct evaluations, and
-  ``batch_sizes``, the batches of days the evaluator computed per batch
-  size (counted by wrapping ``DayEvaluator._days``);
+- ``size`` and ``size_rel``: the same per feeder size in ``SIZE_BUSES``, a
+  pass being ``SIZE_REPEATS`` solves of a seeded chain-like radial feeder
+  of that many buses (:func:`_sized_feeder`) at the load that puts the
+  sweep's lowest voltage at ``SIZE_V_MIN`` (``v_min``);
+- ``day_ms`` and ``day_rel``: ms per day evaluation in modes ``none`` and
+  ``dgq+v2gq``, a pass evaluating the mode's placements on a fresh
+  evaluator, so nothing is cached;
+- ``rank_ms`` and ``rank_rel``: ms to rank a 40- and an 80-member
+  population for tournament selection (``nsga._rank``: front ranks and
+  crowding distances) from its objective, feasibility and penalty arrays,
+  a pass being ``RANK_REPEATS`` rankings;
+- ``search`` and ``search_v2g``: fixed-seed searches (population 40, 2
+  lots) sharing one fresh evaluator (:func:`_search_batch`), in wall time:
+  8 in mode ``none`` over 60 generations, the batch of median wall time of
+  ``SEARCH_REPEATS`` after one untimed warm-up batch, and 2 in mode
+  ``dgq+v2gq`` over 3 generations, run once.  Each reports ``wall_ms``,
+  the evaluator's ``day_ms`` (``DayStats.day_s``), the GA's own ``ga_ms``
+  (wall minus days), the days computed, the batches they were computed in
+  and ``batch_sizes``, the batches per size (counted by wrapping
+  ``DayEvaluator._days``), the searches' summed distinct evaluations, and
+  ``rank_calls``, the population rankings per search (counted by wrapping
+  ``nsga._rank``);
 - ``work``: per day, read from the evaluator's ``DayStats``: the base
   block's calls (batches), columns and iterations, the dispatch's kernel
   columns, their iterations and the lockstep steps that solved them
   (``mean_width`` is columns per step), Newton solves (base and dispatch
-  columns sent to Newton), and Brent searches and their function calls
-  (``nfev``), so a faster figure can be told apart from less work; and
-  ``width_histogram``, blocks per width over all the mode's placements,
-  counted by wrapping ``dispatch._fixed_point_block`` while
-  ``objective._dispatch_day`` runs, so the day's base block is no step;
+  columns sent to Newton), Brent searches and their function calls
+  (``nfev``), and the divergent, dispatched and reverted hours, so a faster
+  figure can be told apart from less work; and ``width_histogram``, blocks
+  per width over all the mode's placements, counted by wrapping
+  ``dispatch._fixed_point_block`` while ``objective._dispatch_day`` runs,
+  so the day's base block is no step;
 - ``import_s``: seconds to ``import pevplan``, the median of
-  ``IMPORT_REPEATS`` fresh processes;
-- ``stats``: the evaluator's own work counters.
+  ``IMPORT_REPEATS`` fresh processes.
 
-With ``--baseline-src``, ``change`` holds each ``solve_rel`` and
-``day_rel`` figure of this tree over the baseline's from the same round,
-summarised over the rounds like every other figure: the raw CPU times of
-one process can land in either of two speeds on a shared host, and a ratio
-taken within a round divides that out twice over.
+With ``--baseline-src``, ``change`` holds each ``RELATIVE`` figure of this
+tree over the baseline's from the same round, leaf by leaf, summarised over
+the rounds like every other figure: the raw CPU times of one process can
+land in either of two speeds on a shared host, and a ratio taken within a
+round divides that out twice over.
 """
 
 from __future__ import annotations
@@ -95,9 +95,7 @@ PLACEMENTS = {
     "none": [(2, 19), (7, 29), (3, 17), (12, 25), (5, 33), (10, 30), (4, 8), (15, 22)],
     "dgq+v2gq": [(7, 29), (3, 17), (12, 25)],
 }
-REPEATS = {"none": 15, "dgq+v2gq": 8}
 POPULATIONS = (40, 80)
-RANK_REPEATS = 200
 FEASIBLE_SHARE = 0.3
 SEARCH_SEEDS = tuple(range(8))
 SEARCH_PARAMS = {"population": 40, "generations": 60, "n_lots": 2}
@@ -106,16 +104,17 @@ V2G_SEARCH_SEEDS = (0, 1)
 V2G_SEARCH_PARAMS = {"population": 40, "generations": 3, "n_lots": 2}
 IMPORT_REPEATS = 5
 SOLVE_SCALES = (0.3, 0.55, 0.8, 1.0)
-SOLVE_PASSES = 10
-SOLVE_REPEATS = 30
-REFERENCE_RUNS = 40
 SIZE_BUSES = (100, 300)
 SIZE_V_MIN = 0.92
-SIZE_PASSES = 5
+# the timed passes (see above)
+PASSES = 10
+SOLVE_REPEATS = 30
 SIZE_REPEATS = 3
+RANK_REPEATS = 20
+REFERENCE_RUNS = 40
 ROUNDS = 5
 # the figures the change block compares between trees
-RELATIVE = ("solve_rel", "day_rel")
+RELATIVE = ("solve_rel", "size_rel", "day_rel", "rank_rel")
 
 
 def _populations(size: int, count: int = 20):
@@ -180,6 +179,9 @@ def _count_work(pevplan, bundle, mode, placements):
         "newton_solves": (st.newton_columns + st.newton_fallbacks) / days,
         "brent_searches": st.searches / days,
         "brent_nfev": st.trials / days,
+        "divergent_hours": st.divergent_hours / days,
+        "hours_dispatched": st.hours_dispatched / days,
+        "reverted_hours": st.reverted_hours / days,
         "dispatch_steps": st.dispatch_steps / days,
         "mean_width": st.dispatch_columns / st.dispatch_steps if st.dispatch_steps else None,
         "width_histogram": {str(w): widths[w] for w in sorted(widths)},
@@ -233,79 +235,83 @@ def _evaluator(pevplan, bundle, mode):
     return pevplan.DayEvaluator(net, devices, profiles, scenario)
 
 
-def _search_batch(pevplan, bundle) -> dict:
-    """One batch of the fixed-seed searches on a fresh evaluator."""
+def _passes(reference, runs: dict, scale: float) -> tuple[dict, dict]:
+    """``PASSES`` passes of each of ``runs`` (name: ``(run, ops)``, where
+    ``run()`` does ``ops`` operations), the names alternating, each timed in
+    CPU time and followed by ``reference``: per name, the median time per
+    operation in seconds times ``scale``, and the median of each pass's
+    time per operation over the reference's CPU ms."""
+    times = {name: [] for name in runs}
+    relative = {name: [] for name in runs}
+    for _ in range(PASSES):
+        for name, (run, ops) in runs.items():
+            t0 = process_time()
+            run()
+            times[name].append((process_time() - t0) / ops * scale)
+            relative[name].append(times[name][-1] / reference())
+    return ({name: statistics.median(t) for name, t in times.items()},
+            {name: statistics.median(r) for name, r in relative.items()})
+
+
+def _search_batch(pevplan, bundle, mode: str, seeds, params: dict) -> dict:
+    """One batch of fixed-seed searches in ``mode`` on a fresh evaluator,
+    with its days counted by batch size and its rankings (see above)."""
+    from pevplan import nsga
+
     net, devices, profiles = bundle
-    ev = _evaluator(pevplan, bundle, "none")
-    distinct = 0
-    t0 = perf_counter()
-    for seed in SEARCH_SEEDS:
-        params = pevplan.GaParams(seed=seed, **SEARCH_PARAMS)
-        distinct += pevplan.optimize_placement(
-            net, devices, profiles, ev.scenario, params, evaluator=ev).evaluations
-    wall_s = perf_counter() - t0
-    return {"wall_ms": wall_s * 1e3, "day_ms": ev.stats.day_s * 1e3,
-            "ga_ms": (wall_s - ev.stats.day_s) * 1e3, "days": ev.stats.days,
-            "batches": ev.stats.batches, "distinct_evals": distinct}
+    ev = _evaluator(pevplan, bundle, mode)
+    cls = pevplan.DayEvaluator
+    days, rank = cls._days, nsga._rank
+    sizes, ranks = [], [0]
 
-
-def _v2g_searches(pevplan, bundle) -> dict:
-    """The fixed-seed ``dgq+v2gq`` searches on one fresh evaluator."""
-    net, devices, profiles = bundle
-    ev = _evaluator(pevplan, bundle, "dgq+v2gq")
-    cls = type(ev)
-    days = cls._days
-    sizes: dict[int, int] = {}
-
-    def counted(self, placements):
-        sizes[len(placements)] = sizes.get(len(placements), 0) + 1
+    def counted_days(self, placements):
+        sizes.append(len(placements))
         return days(self, placements)
 
+    def counted_rank(*args):
+        ranks[0] += 1
+        return rank(*args)
+
     distinct = 0
-    t0 = perf_counter()
-    with _patched(cls, "_days", counted):
-        for seed in V2G_SEARCH_SEEDS:
-            params = pevplan.GaParams(seed=seed, **V2G_SEARCH_PARAMS)
+    with _patched(cls, "_days", counted_days), _patched(nsga, "_rank", counted_rank):
+        t0 = perf_counter()
+        for seed in seeds:
             distinct += pevplan.optimize_placement(
-                net, devices, profiles, ev.scenario, params, evaluator=ev).evaluations
-    wall_s = perf_counter() - t0
-    return {"wall_ms": wall_s * 1e3, "day_ms": ev.stats.day_s * 1e3,
-            "days": ev.stats.days, "distinct_evals": distinct,
-            "batch_sizes": {str(k): sizes[k] for k in sorted(sizes)}}
+                net, devices, profiles, ev.scenario, pevplan.GaParams(seed=seed, **params),
+                evaluator=ev).evaluations
+        wall_s = perf_counter() - t0
+    st = ev.stats
+    return {"wall_ms": wall_s * 1e3, "day_ms": st.day_s * 1e3,
+            "ga_ms": (wall_s - st.day_s) * 1e3, "days": st.days, "batches": st.batches,
+            "batch_sizes": {str(k): sizes.count(k) for k in sorted(set(sizes))},
+            "distinct_evals": distinct, "rank_calls": ranks[0] / len(seeds)}
 
 
-def _solve_us(pevplan, net, reference) -> tuple[dict, dict]:
-    """Cold solves at ``SOLVE_SCALES``: ``solve_us`` and ``solve_rel``
-    (see above), the passes of the three kinds alternating."""
+def _solver_layer(pevplan, reference, net, injections: list, repeats: int) -> tuple[dict, dict]:
+    """Cold Newton, sweep and checked solves of ``net`` at each of
+    ``injections``, a pass being ``repeats`` runs over them: their
+    iterations and µs per solve, and their ``_rel`` (see above)."""
     import numpy as np
-
-    p, q = net.load_vectors()
-    injections = [pevplan.InjectionSet.from_loads(p * s, q * s) for s in SOLVE_SCALES]
 
     def checked(net, inj):
         sol, ref = pevplan.solve(net, inj), pevplan.solve_sweep(net, inj)
         return float(np.max(np.abs(sol.v_complex - ref.v_complex)))
 
     solvers = {"newton": pevplan.solve, "sweep": pevplan.solve_sweep, "checked": checked}
-    out = {}
-    for name in ("newton", "sweep"):
-        # the first pass also builds the network's solver arrays
-        out[f"{name}_iterations"] = [solvers[name](net, inj).iterations
-                                     for inj in injections]
-    samples = {name: [] for name in solvers}
-    relative = {name: [] for name in solvers}
-    for _ in range(SOLVE_PASSES):
-        for name, solver in solvers.items():
-            t0 = process_time()
-            for _ in range(SOLVE_REPEATS):
+    # the first solves also build the network's solver arrays
+    out = {f"{name}_iterations": [solvers[name](net, inj).iterations for inj in injections]
+           for name in ("newton", "sweep")}
+
+    def run(solver):
+        def one_pass():
+            for _ in range(repeats):
                 for inj in injections:
                     solver(net, inj)
-            samples[name].append(
-                (process_time() - t0) / (SOLVE_REPEATS * len(injections)) * 1e6)
-            relative[name].append(samples[name][-1] / reference())
-    for name in solvers:
-        out[f"{name}_us"] = statistics.median(samples[name])
-    return out, {name: statistics.median(relative[name]) for name in solvers}
+        return one_pass, repeats * len(injections)
+
+    times, relative = _passes(reference, {name: run(s) for name, s in solvers.items()}, 1e6)
+    out.update((f"{name}_us", t) for name, t in times.items())
+    return out, relative
 
 
 def _sized_feeder(pevplan, n: int):
@@ -348,28 +354,6 @@ def _sized_feeder(pevplan, n: int):
     return net, pevplan.InjectionSet.from_loads(p * lo, q * lo), v_min(lo)
 
 
-def _solve_at_size(pevplan) -> dict:
-    """The ``size`` figures (see above), the solvers' passes alternating."""
-    out = {}
-    for n in SIZE_BUSES:
-        net, inj, v_min = _sized_feeder(pevplan, n)
-        solvers = {"newton": pevplan.solve, "sweep": pevplan.solve_sweep}
-        fig = {"v_min": v_min}
-        for name, solver in solvers.items():
-            # the first solve also builds the network's solver arrays
-            fig[f"{name}_iterations"] = solver(net, inj).iterations
-        samples = {name: [] for name in solvers}
-        for _ in range(SIZE_PASSES):
-            for name, solver in solvers.items():
-                t0 = process_time()
-                for _ in range(SIZE_REPEATS):
-                    solver(net, inj)
-                samples[name].append((process_time() - t0) / SIZE_REPEATS * 1e3)
-        fig.update((f"{name}_ms", statistics.median(samples[name])) for name in solvers)
-        out[str(n)] = fig
-    return out
-
-
 def _import_s(src: Path) -> float:
     """Median seconds to ``import pevplan`` from ``src`` in a fresh process."""
     code = ("import time; t0 = time.perf_counter(); import pevplan; "
@@ -387,59 +371,53 @@ def measure(src: Path) -> dict:
     from pevplan import nsga
 
     case, profiles = pevplan.load_builtin("bus33.grid", "profiles33.csv")
-    bundle = (case.network, pevplan.bind_devices(case, profiles), profiles)
+    net = case.network
+    bundle = (net, pevplan.bind_devices(case, profiles), profiles)
     reference = _reference_kernel()
     reference()  # warm-up
-    solve_us, solve_rel = _solve_us(pevplan, case.network, reference)
-    out: dict = {"import_s": _import_s(src), "solve_us": solve_us, "solve_rel": solve_rel,
-                 "size": _solve_at_size(pevplan),
-                 "day_ms": {}, "day_rel": {}, "work": {}, "stats": {}, "rank_ms": {}}
-    for mode, placements in PLACEMENTS.items():
-        ev = _evaluator(pevplan, bundle, mode)
-        ev.evaluate(placements[0])  # warm-up: lazy arrays, imports
-        samples, relative = [], []
-        for _ in range(REPEATS[mode]):
+    p, q = net.load_vectors()
+    injections = [pevplan.InjectionSet.from_loads(p * s, q * s) for s in SOLVE_SCALES]
+    out: dict = {"import_s": _import_s(src)}
+    out["solve_us"], out["solve_rel"] = _solver_layer(
+        pevplan, reference, net, injections, SOLVE_REPEATS)
+    out["size"], out["size_rel"] = {}, {}
+    for n in SIZE_BUSES:
+        feeder, inj, v_min = _sized_feeder(pevplan, n)
+        fig, out["size_rel"][str(n)] = _solver_layer(
+            pevplan, reference, feeder, [inj], SIZE_REPEATS)
+        out["size"][str(n)] = {"v_min": v_min, **fig}
+    # the work's days also warm the day layer up: lazy arrays, imports
+    out["work"] = {mode: _count_work(pevplan, bundle, mode, placements)
+                   for mode, placements in PLACEMENTS.items()}
+
+    def days(mode, placements):
+        def one_pass():
             ev = _evaluator(pevplan, bundle, mode)
-            t0 = process_time()
             for pair in placements:
                 ev.evaluate(pair)
-            samples.append((process_time() - t0) / len(placements) * 1e3)
-            relative.append(samples[-1] / reference())
-        out["day_ms"][mode] = statistics.median(samples)
-        out["day_rel"][mode] = statistics.median(relative)
-        stats = ev.stats
-        out["stats"][mode] = {
-            "days": stats.days,
-            "block_iterations_per_column": stats.block_iterations
-            / max(stats.block_columns, 1),
-            "newton_columns": stats.newton_columns,
-            "divergent_hours": stats.divergent_hours,
-            "hours_dispatched_per_day": stats.hours_dispatched / stats.days,
-            "reverted_hours": stats.reverted_hours,
-        }
-        out["work"][mode] = _count_work(pevplan, bundle, mode, placements)
-    for size in POPULATIONS:
-        pops = _populations(size)
-        for pop in pops:
+        return one_pass, len(placements)
+
+    out["day_ms"], out["day_rel"] = _passes(
+        reference, {mode: days(mode, pl) for mode, pl in PLACEMENTS.items()}, 1e3)
+
+    def rankings(pops):
+        for pop in pops:  # warm-up
             nsga._rank(*pop)
-        t0 = perf_counter()
-        for k in range(RANK_REPEATS):
-            nsga._rank(*pops[k % len(pops)])
-        out["rank_ms"][str(size)] = (perf_counter() - t0) / RANK_REPEATS * 1e3
-    # the warm-up batch also counts the rankings
-    rank, rank_calls = nsga._rank, [0]
 
-    def counted_rank(*args):
-        rank_calls[0] += 1
-        return rank(*args)
+        def one_pass():
+            for k in range(RANK_REPEATS):
+                nsga._rank(*pops[k % len(pops)])
+        return one_pass, RANK_REPEATS
 
-    with _patched(nsga, "_rank", counted_rank):
-        _search_batch(pevplan, bundle)
-    batches = sorted((_search_batch(pevplan, bundle) for _ in range(SEARCH_REPEATS)),
+    out["rank_ms"], out["rank_rel"] = _passes(
+        reference, {str(size): rankings(_populations(size)) for size in POPULATIONS}, 1e3)
+    search = (pevplan, bundle, "none", SEARCH_SEEDS, SEARCH_PARAMS)
+    _search_batch(*search)  # warm-up
+    batches = sorted((_search_batch(*search) for _ in range(SEARCH_REPEATS)),
                      key=lambda b: b["wall_ms"])
     out["search"] = batches[len(batches) // 2]
-    out["search"]["rank_calls"] = rank_calls[0] / len(SEARCH_SEEDS)
-    out["search_v2g"] = _v2g_searches(pevplan, bundle)
+    out["search_v2g"] = _search_batch(pevplan, bundle, "dgq+v2gq",
+                                      V2G_SEARCH_SEEDS, V2G_SEARCH_PARAMS)
     return out
 
 
@@ -464,12 +442,18 @@ def _over_rounds(values: list):
     return {"rounds": values}
 
 
+def _ratio(current, baseline):
+    """``current`` over ``baseline``, leaf by leaf through nested dicts."""
+    if isinstance(current, dict):
+        return {k: _ratio(current[k], baseline[k]) for k in current}
+    return current / baseline
+
+
 def _change(current: list[dict], baseline: list[dict]) -> dict:
     """The ``change`` block: each ``RELATIVE`` figure of ``current`` over
     the ``baseline``'s from the same round, summarised over the rounds."""
-    return _over_rounds([
-        {block: {k: cur[block][k] / base[block][k] for k in cur[block]} for block in RELATIVE}
-        for cur, base in zip(current, baseline)])
+    return _over_rounds([_ratio({block: cur[block] for block in RELATIVE}, base)
+                         for cur, base in zip(current, baseline)])
 
 
 def main() -> int:
@@ -493,17 +477,17 @@ def main() -> int:
         "inputs": {"case": "bus33.grid", "load_profile": LOAD_PROFILE,
                    "placements": {m: [",".join(map(str, p)) for p in ps]
                                   for m, ps in PLACEMENTS.items()},
-                   "day_repeats": REPEATS, "populations": list(POPULATIONS),
-                   "feasible_share": FEASIBLE_SHARE, "rank_repeats": RANK_REPEATS,
+                   "populations": list(POPULATIONS), "feasible_share": FEASIBLE_SHARE,
                    "search": {"mode": "none", "seeds": list(SEARCH_SEEDS),
                               **SEARCH_PARAMS, "repeats": SEARCH_REPEATS},
                    "search_v2g": {"mode": "dgq+v2gq", "seeds": list(V2G_SEARCH_SEEDS),
                                   **V2G_SEARCH_PARAMS, "repeats": 1},
-                   "import_repeats": IMPORT_REPEATS, "reference_runs": REFERENCE_RUNS,
-                   "solve": {"scales": list(SOLVE_SCALES), "passes": SOLVE_PASSES,
-                             "repeats": SOLVE_REPEATS},
+                   "import_repeats": IMPORT_REPEATS,
+                   "solve": {"scales": list(SOLVE_SCALES), "repeats": SOLVE_REPEATS},
                    "size": {"buses": list(SIZE_BUSES), "v_min": SIZE_V_MIN,
-                            "passes": SIZE_PASSES, "repeats": SIZE_REPEATS},
+                            "repeats": SIZE_REPEATS},
+                   "passes": PASSES, "rank_repeats": RANK_REPEATS,
+                   "reference_runs": REFERENCE_RUNS,
                    "rounds": ROUNDS},
     }
     trees = {"current": ROOT / "src"}

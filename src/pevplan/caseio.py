@@ -277,12 +277,20 @@ def _read_grid_text(text: str, source: str) -> Case:
 # structured-object ("json") format — everything already per-unit
 
 
+def _json_int(value, field: str) -> int:
+    """A JSON integer field's value; a bool or any other type is refused, as
+    the grid reader's :func:`_parse_int` refuses a non-integer token."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise CaseParseError(f"malformed case object: {field} must be an integer, got {value!r}")
+    return value
+
+
 def case_from_dict(data: dict) -> Case:
     try:
         sysd = data["system"]
         buses = [
             Bus(
-                id=b["id"],
+                id=_json_int(b["id"], "bus id"),
                 kind=b["kind"],
                 normal_load_p=b["p_load"],
                 normal_load_q=b["q_load"],
@@ -293,8 +301,8 @@ def case_from_dict(data: dict) -> Case:
         ]
         branches = [
             Branch(
-                from_bus=br["from"],
-                to_bus=br["to"],
+                from_bus=_json_int(br["from"], "branch from"),
+                to_bus=_json_int(br["to"], "branch to"),
                 resistance=br["r"],
                 reactance=br["x"],
                 current_cap=br.get("i_cap", math.inf),
@@ -303,13 +311,13 @@ def case_from_dict(data: dict) -> Case:
         ]
         devices = tuple(
             DeviceSpec(
-                bus=d["bus"],
+                bus=_json_int(d["bus"], "device bus"),
                 type=d["type"],
                 s_rated_kva=d["s_rated_kva"],
                 x_coupling_pu=d.get("x_coupling_pu", DEFAULT_X_COUPLING),
                 vc_max_pu=d.get("vc_max_pu", DEFAULT_VC_MAX),
                 profile_id=d["profile_id"],
-                n_pev=d.get("n_pev", DEFAULT_N_PEV),
+                n_pev=_json_int(d.get("n_pev", DEFAULT_N_PEV), "device n_pev"),
                 cost_per_pev=d.get("cost_per_pev", DEFAULT_COST_PER_PEV),
             )
             for d in data.get("devices", [])

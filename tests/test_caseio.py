@@ -278,6 +278,24 @@ def test_case_from_dict_checks_system_types():
             case_from_dict(data)
 
 
+@pytest.mark.parametrize("section, row, key, field", [
+    ("buses", 1, "id", "bus id"),
+    ("branches", 0, "from", "branch from"),
+    ("branches", 1, "to", "branch to"),
+    ("devices", 0, "bus", "device bus"),
+    ("devices", 1, "n_pev", "device n_pev"),
+])
+@pytest.mark.parametrize("value", ["2", 2.0, 1.5, True, None])
+def test_case_from_dict_requires_integer_ids(section, row, key, field, value):
+    # the grid reader parses these fields as integers; a JSON case must give
+    # JSON integers, not text, floats or booleans, or its ids name no bus
+    data = copy.deepcopy(CROSS_JSON)
+    data[section][row][key] = value
+    with pytest.raises(CaseParseError,
+                       match=f"malformed case object: {field} must be an integer, got"):
+        case_from_dict(data)
+
+
 def test_format_inference_and_override(tmp_path):
     # the suffix alone picks the reader: .json is JSON, anything else grid
     text = json.dumps(CROSS_JSON)

@@ -108,6 +108,24 @@ def test_malformed_json_system_is_a_parse_error(capsys, tmp_path, system):
     assert "malformed case object" in err
 
 
+def test_json_case_with_text_ids_is_a_parse_error(capsys, tmp_path):
+    # ids given as JSON strings name no bus of the network: the case is
+    # refused as it is read, before a command can look a lot's bus up
+    data = {
+        "system": {},
+        "buses": [{"id": "1", "kind": "slack", "p_load": 0.0, "q_load": 0.0},
+                  {"id": "2", "kind": "load", "p_load": 0.01, "q_load": 0.006}],
+        "branches": [{"from": "1", "to": "2", "r": 0.0058, "x": 0.0029, "i_cap": 0.88}],
+        "devices": [{"bus": "2", "type": "pevlot", "s_rated_kva": 600.0,
+                     "profile_id": "lot-commuter", "n_pev": 60}],
+    }
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(data))
+    code, out, err = run(capsys, "simulate", "--mode", "dgq", "--case", str(case))
+    assert code == 4
+    assert "bus id must be an integer, got '1'" in err and out == ""
+
+
 @pytest.mark.parametrize("command", [["validate"], ["simulate", "--mode", "dgq"]])
 @pytest.mark.parametrize("devices, message", [
     ([(7, "pv")], "nonexistent bus 7"),
