@@ -285,6 +285,14 @@ def _json_int(value, field: str) -> int:
     return value
 
 
+def _json_number(value, field: str) -> int | float:
+    """A JSON number field's value; a bool or any other type is refused, as
+    the grid reader's :func:`_parse_float` refuses a non-number token."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise CaseParseError(f"malformed case object: {field} must be a number, got {value!r}")
+    return value
+
+
 def case_from_dict(data: dict) -> Case:
     try:
         sysd = data["system"]
@@ -292,10 +300,10 @@ def case_from_dict(data: dict) -> Case:
             Bus(
                 id=_json_int(b["id"], "bus id"),
                 kind=b["kind"],
-                normal_load_p=b["p_load"],
-                normal_load_q=b["q_load"],
-                v_min=b.get("v_min", DEFAULT_V_MIN),
-                v_max=b.get("v_max", DEFAULT_V_MAX),
+                normal_load_p=_json_number(b["p_load"], "bus p_load"),
+                normal_load_q=_json_number(b["q_load"], "bus q_load"),
+                v_min=_json_number(b.get("v_min", DEFAULT_V_MIN), "bus v_min"),
+                v_max=_json_number(b.get("v_max", DEFAULT_V_MAX), "bus v_max"),
             )
             for b in data["buses"]
         ]
@@ -303,9 +311,9 @@ def case_from_dict(data: dict) -> Case:
             Branch(
                 from_bus=_json_int(br["from"], "branch from"),
                 to_bus=_json_int(br["to"], "branch to"),
-                resistance=br["r"],
-                reactance=br["x"],
-                current_cap=br.get("i_cap", math.inf),
+                resistance=_json_number(br["r"], "branch r"),
+                reactance=_json_number(br["x"], "branch x"),
+                current_cap=_json_number(br.get("i_cap", math.inf), "branch i_cap"),
             )
             for br in data["branches"]
         ]
@@ -313,22 +321,20 @@ def case_from_dict(data: dict) -> Case:
             DeviceSpec(
                 bus=_json_int(d["bus"], "device bus"),
                 type=d["type"],
-                s_rated_kva=d["s_rated_kva"],
-                x_coupling_pu=d.get("x_coupling_pu", DEFAULT_X_COUPLING),
-                vc_max_pu=d.get("vc_max_pu", DEFAULT_VC_MAX),
+                s_rated_kva=_json_number(d["s_rated_kva"], "device s_rated_kva"),
+                x_coupling_pu=_json_number(d.get("x_coupling_pu", DEFAULT_X_COUPLING),
+                                           "device x_coupling_pu"),
+                vc_max_pu=_json_number(d.get("vc_max_pu", DEFAULT_VC_MAX), "device vc_max_pu"),
                 profile_id=d["profile_id"],
                 n_pev=_json_int(d.get("n_pev", DEFAULT_N_PEV), "device n_pev"),
-                cost_per_pev=d.get("cost_per_pev", DEFAULT_COST_PER_PEV),
+                cost_per_pev=_json_number(d.get("cost_per_pev", DEFAULT_COST_PER_PEV),
+                                          "device cost_per_pev"),
             )
             for d in data.get("devices", [])
         )
-        bases = {key: sysd.get(key, getattr(Network, key)) for key in ("base_mva", "base_kv")}
+        bases = {key: _json_number(sysd.get(key, getattr(Network, key)), f"system {key}")
+                 for key in ("base_mva", "base_kv")}
         radial = sysd.get("radial", True)
-        for key, value in bases.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise CaseParseError(
-                    f"malformed case object: system {key} must be a number, got {value!r}"
-                )
         if not isinstance(radial, bool):
             raise CaseParseError(
                 f"malformed case object: system radial must be true or false, got {radial!r}"

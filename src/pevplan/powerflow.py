@@ -18,8 +18,10 @@ The slack bus holds a fixed phasor; every other bus is constant-PQ (converter
 devices included — their charging/generation enters through the injection
 vector).  A previously solved voltage profile can seed either iteration,
 which cuts repeated solves during dispatch search to a few iterations; a
-cold Newton solve starts from the fixed point's first step instead of the
-flat profile.
+cold Newton solve starts from the fixed point run from the linear estimate
+until its step residual is at most ``√(tol·_FIXED_POINT_MARGIN)``, one
+quadratic Newton step short of ``tol``.  The kernel and that start share
+one step, :func:`_step`.
 Each network keeps the arrays its solvers derive from it (the admittance
 matrix and its non-slack blocks, the Z factor, the sweep's tree and its
 DLF matrix, the limit arrays), each built by the first solve that reads
@@ -284,10 +286,14 @@ def solve(
 
     The slack holds 1.0 pu.  ``v0`` warm-starts the iteration with a complex
     voltage vector (its slack entry is overwritten).  Without it the solve
-    starts cold, from the linear estimate ``V[pq] = 1 + Z·conj(S[pq])``
-    (the fixed point's first step from a flat profile, on the network's
-    cached ``Z = inv(Y[pq, pq])``), which saves bus33 a Jacobian and an LU
-    against a flat start.
+    starts cold (:func:`_cold_start`): from the linear estimate
+    ``V[pq] = 1 + Z·conj(S[pq])`` on the network's cached
+    ``Z = inv(Y[pq, pq])``, the fixed point steps ``V' = w + Z·conj(S/V)``
+    until its step residual ``max |(V' − V)·S/V|`` is at most
+    ``√(tol·_FIXED_POINT_MARGIN)`` (1e-5 at the default ``tol``).  Each
+    step costs one product with ``Z``; from there one Newton iteration, a
+    Jacobian and an LU, meets ``tol`` on bus33 at every load from 0.3 to
+    1.0 of nominal, where a flat start takes three.
     """
     v = _start(net, inj, tol, v0)
     arrays = _solver_arrays(net)
@@ -295,9 +301,7 @@ def solve(
     s_spec = (inj.p + 1j * inj.q)[pq]
     npq = len(pq)
     if v0 is None:
-        # the fixed point's first step from flat; 1, not w, which is 1 but
-        # for rounding, so zero injections keep the exact flat profile
-        v[pq] = 1.0 + arrays.fixed_point[2] @ np.conj(s_spec)
+        v[pq] = _cold_start(arrays.fixed_point, s_spec, tol)
     # the state lives in the non-slack vectors; v holds them and the slack's 1.0
     v_pq = v[pq]
     vm = np.abs(v_pq)
@@ -336,6 +340,33 @@ def solve(
               else f"no convergence after {DEFAULT_MAX_ITER} iterations")
     raise NonConvergence(f"{reason} (mismatch {mis:.3e})",
                          _finish(net, v, it, mis, converged=False, diverged=diverged))
+
+
+def _cold_start(factor: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+                s_pq: np.ndarray, tol: float) -> np.ndarray:
+    """Cold Newton's non-slack start from the injections ``s_pq``, as
+    :func:`solve` describes it: the linear estimate, then the kernel's
+    :func:`_step` on a one-row block, a step kept only if its residual is
+    finite and below the last one's.  The estimate adds 1, not ``w`` (1 but
+    for rounding), and its residual is the one from flat,
+    ``max |(V − 1)·S|``, so zero injections take no step and keep the exact
+    flat profile.
+    """
+    _, _, z, w = factor
+    s = s_pq[None]
+    vp = (1.0 + z @ np.conj(s_pq))[None]
+    res = _max_abs((vp - 1.0) * s)
+    stop = math.sqrt(tol * _FIXED_POINT_MARGIN)
+    # an overflowing step shows up as a non-finite residual, and is not kept
+    with np.errstate(all="ignore"):
+        for _ in range(DEFAULT_MAX_ITER):
+            if res[0] <= stop:
+                break
+            v_next, r = _step(z, w, s, vp)
+            if not r[0] < res[0]:
+                break
+            vp, res = v_next, r
+    return vp[0]
 
 
 def _jacobian(plan: tuple[np.ndarray, ...], v: np.ndarray, vm: np.ndarray,
@@ -421,10 +452,7 @@ def _fixed_point_block(
         cols, s, vp, prev = moved, s_rows[moved], vp_all[moved], mismatch[moved]
         live = np.ones(len(cols), dtype=bool)
         for it in range(1, DEFAULT_MAX_ITER + 1):
-            ratio = s / vp
-            v_next = _products(z, np.conj(ratio))
-            v_next += w
-            res = _max_abs((v_next - vp) * ratio)
+            v_next, res = _step(z, w, s, vp)
             # under tol a column stops once its residual stalls, and otherwise
             # only on the target; after the last iteration none goes on
             last = it == DEFAULT_MAX_ITER
@@ -448,6 +476,17 @@ def _fixed_point_block(
         mismatch[moved] = _max_abs(
             vp_all[moved] * np.conj(_products(y_pq, v.T[moved])) - s_rows[moved])
     return iterations, mismatch, accepted & (mismatch <= tol)
+
+
+def _step(z: np.ndarray, w: np.ndarray, s: np.ndarray,
+          vp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One fixed-point step ``V' = w + Z·conj(S/V)`` on each row of ``vp``
+    (non-slack voltages, injections ``s`` a row): ``(V', residual)``, the
+    residual ``max |(V' − V)·S/V|`` of each row, its mismatch at ``V'``."""
+    ratio = s / vp
+    v_next = _products(z, np.conj(ratio))
+    v_next += w
+    return v_next, _max_abs((v_next - vp) * ratio)
 
 
 def _products(a: np.ndarray, rows: np.ndarray) -> np.ndarray:

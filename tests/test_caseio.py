@@ -296,6 +296,40 @@ def test_case_from_dict_requires_integer_ids(section, row, key, field, value):
         case_from_dict(data)
 
 
+@pytest.mark.parametrize("section, row, key, field", [
+    ("buses", 1, "p_load", "bus p_load"),
+    ("buses", 2, "q_load", "bus q_load"),
+    ("buses", 1, "v_min", "bus v_min"),
+    ("buses", 2, "v_max", "bus v_max"),
+    ("branches", 0, "r", "branch r"),
+    ("branches", 1, "x", "branch x"),
+    ("branches", 0, "i_cap", "branch i_cap"),
+    ("devices", 1, "s_rated_kva", "device s_rated_kva"),
+    ("devices", 1, "x_coupling_pu", "device x_coupling_pu"),
+    ("devices", 0, "vc_max_pu", "device vc_max_pu"),
+    ("devices", 1, "cost_per_pev", "device cost_per_pev"),
+])
+@pytest.mark.parametrize("value", ["0.05", True, None])
+def test_case_from_dict_requires_numbers(section, row, key, field, value):
+    # the grid reader parses these fields as numbers; a JSON case must give
+    # JSON numbers, not text or booleans (true would load as 1.0), and the
+    # refusal names the field
+    data = copy.deepcopy(CROSS_JSON)
+    data[section][row][key] = value
+    with pytest.raises(CaseParseError,
+                       match=f"malformed case object: {field} must be a number, got"):
+        case_from_dict(data)
+
+
+def test_case_from_dict_takes_integer_numbers():
+    data = copy.deepcopy(CROSS_JSON)
+    data["devices"][1]["s_rated_kva"] = 600
+    data["branches"][0]["i_cap"] = 1
+    case = case_from_dict(data)
+    assert case.devices[1].s_rated_kva == 600.0
+    assert case.network.branches[0].current_cap == 1.0
+
+
 def test_format_inference_and_override(tmp_path):
     # the suffix alone picks the reader: .json is JSON, anything else grid
     text = json.dumps(CROSS_JSON)

@@ -127,6 +127,37 @@ def test_json_case_with_text_ids_is_a_parse_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command", [["validate"], ["simulate", "--mode", "dgq"]])
+@pytest.mark.parametrize("section, key, value", [
+    ("devices", "s_rated_kva", "600"),
+    ("devices", "x_coupling_pu", "0.05"),
+    ("devices", "vc_max_pu", None),
+    ("devices", "cost_per_pev", True),
+    ("buses", "v_min", True),
+    ("buses", "p_load", "0.01"),
+    ("branches", "x", True),
+    ("branches", "r", "0.0058"),
+])
+def test_json_case_with_non_number_fields_is_a_parse_error(capsys, tmp_path, command,
+                                                           section, key, value):
+    # before the reader checked them, the device fields passed validate and
+    # crashed simulate with a TypeError, and true loaded as 1.0
+    data = {
+        "system": {},
+        "buses": [{"id": 1, "kind": "slack", "p_load": 0.0, "q_load": 0.0},
+                  {"id": 2, "kind": "load", "p_load": 0.01, "q_load": 0.006}],
+        "branches": [{"from": 1, "to": 2, "r": 0.0058, "x": 0.0029, "i_cap": 0.88}],
+        "devices": [{"bus": 2, "type": "pevlot", "s_rated_kva": 600.0,
+                     "profile_id": "lot-commuter", "n_pev": 60}],
+    }
+    data[section][-1][key] = value
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(data))
+    code, out, err = run(capsys, *command, "--case", str(case))
+    assert code == 4
+    assert f"{key} must be a number, got {value!r}" in err and out == ""
+
+
+@pytest.mark.parametrize("command", [["validate"], ["simulate", "--mode", "dgq"]])
 @pytest.mark.parametrize("devices, message", [
     ([(7, "pv")], "nonexistent bus 7"),
     ([(2, "pv"), (2, "pv")], "two pv devices at bus 2"),
@@ -520,10 +551,19 @@ def test_mode_choices_are_the_spellings_canonical_mode_accepts(capsys, command):
     assert "invalid choice" in capsys.readouterr().err
 
 
+def _source_env() -> dict[str, str]:
+    """The environment with the imported pevplan's source first on
+    ``PYTHONPATH``, so a subprocess runs the code under test however pytest
+    was started."""
+    src = str(Path(pevplan.__file__).parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, inherited] if inherited else [src])}
+
+
 def test_help_documents_exit_codes():
     proc = subprocess.run(
         [sys.executable, "-m", "pevplan.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=_source_env(),
     )
     assert proc.returncode == 0
     assert "exit codes:" in proc.stdout
@@ -598,12 +638,9 @@ def test_no_scipy_module_is_loaded():
         "loaded['validate'] = scipy_modules()\n"
         "print(json.dumps(loaded))\n"
     )
-    src = str(Path(pevplan.__file__).parents[1])
-    inherited = os.environ.get("PYTHONPATH")
-    pythonpath = os.pathsep.join([src, inherited] if inherited else [src])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=SCRIPT_TIMEOUT_S,
-                          env={**os.environ, "PYTHONPATH": pythonpath})
+                          env=_source_env())
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert loaded == {"import": [], "exit": 0, "validate": []}
@@ -635,11 +672,4 @@ def test_console_script_entry_point():
         target = tomllib.load(fh)["project"]["scripts"]["pevplan"]
     module, func = target.split(":")
     code = f"import sys; from {module} import {func}; sys.exit({func}())"
-    # Run the code under test, however pytest was started.
-    src = str(Path(pevplan.__file__).parents[1])
-    inherited = os.environ.get("PYTHONPATH")
-    pythonpath = os.pathsep.join([src, inherited] if inherited else [src])
-    _run_version(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": pythonpath},
-    )
+    _run_version([sys.executable, "-c", code], env=_source_env())

@@ -285,5 +285,5 @@ def test_sweep_iterations_and_gap_on_bus33_at_the_bench_scales(bus33):
         newton.append(sol.iterations)
         sweep.append(ref.iterations)
         assert np.max(np.abs(sol.v_complex - ref.v_complex)) < 1e-8
-    assert newton == [2, 2, 2, 2]
+    assert newton == [1, 1, 1, 1]
     assert sweep == [6, 8, 9, 9]
