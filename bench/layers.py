@@ -40,7 +40,10 @@ tree:
   sweep's lowest voltage at ``SIZE_V_MIN`` (``v_min``);
 - ``day_ms`` and ``day_rel``: ms per day evaluation in modes ``none`` and
   ``dgq+v2gq``, a pass evaluating the mode's placements on a fresh
-  evaluator, so nothing is cached;
+  evaluator, so nothing is cached; and ``step_us``, the day's CPU µs per
+  lockstep step (``day_ms`` over the ``work`` block's ``dispatch_steps``;
+  None in a mode that dispatches nothing), which shows a step getting
+  cheaper while the steps stay as many;
 - ``rank_ms`` and ``rank_rel``: ms to rank a 40- and an 80-member
   population for tournament selection (``nsga._rank``: front ranks and
   crowding distances) from its objective, feasibility and penalty arrays,
@@ -61,7 +64,9 @@ tree:
   columns, their iterations and the lockstep steps that solved them
   (``mean_width`` is columns per step), Newton solves (base and dispatch
   columns sent to Newton), Brent searches and their function calls
-  (``nfev``), and the divergent, dispatched and reverted hours, so a faster
+  (``nfev``), the trials Newton failed too (``penalty_trials``, None for a
+  tree without that counter), and the divergent, dispatched and reverted
+  hours, so a faster
   figure can be told apart from less work; and ``width_histogram``, blocks
   per width over all the mode's placements, counted by wrapping
   ``dispatch._fixed_point_block`` while ``objective._dispatch_day`` runs,
@@ -182,6 +187,9 @@ def _count_work(pevplan, bundle, mode, placements):
         "divergent_hours": st.divergent_hours / days,
         "hours_dispatched": st.hours_dispatched / days,
         "reverted_hours": st.reverted_hours / days,
+        # trees before the counter have none to read
+        "penalty_trials": (st.penalty_trials / days if hasattr(st, "penalty_trials")
+                           else None),
         "dispatch_steps": st.dispatch_steps / days,
         "mean_width": st.dispatch_columns / st.dispatch_steps if st.dispatch_steps else None,
         "width_histogram": {str(w): widths[w] for w in sorted(widths)},
@@ -399,6 +407,8 @@ def measure(src: Path) -> dict:
 
     out["day_ms"], out["day_rel"] = _passes(
         reference, {mode: days(mode, pl) for mode, pl in PLACEMENTS.items()}, 1e3)
+    out["step_us"] = {mode: ms * 1e3 / steps if (steps := out["work"][mode]["dispatch_steps"])
+                      else None for mode, ms in out["day_ms"].items()}
 
     def rankings(pops):
         for pop in pops:  # warm-up

@@ -27,8 +27,9 @@ alone from a flat start: every solve is a one-column block, and every
 search runs through :func:`minimize_scalar`.  A day's runner
 (:func:`_dispatch_day`) runs the hours of a batch of days in lockstep
 from their base-block columns, one block a step, scoring the step's
-trial states together; no hour's solves or scores depend on the others,
-so an hour ends bit for bit as :func:`dispatch_q` ends it.  Either way
+trial states together from the block's leading rows; no hour's solves or
+scores depend on the others, so an hour ends bit for bit as
+:func:`dispatch_q` ends it.  Either way
 every score is Newton-converged and all scores have one accuracy.  A
 trial starts from a first-order step off the current
 voltages and keeps the voltage vector it solved, so an accepted move
@@ -164,8 +165,8 @@ def _scores(scenario: Scenario, branches: tuple[np.ndarray, ...],
     does alone.
     """
     a, b, _ = scenario.weights
-    loss = (np.abs(_branch_currents(v, branches)) ** 2 * branches[3]).sum(axis=-1)
-    return a * np.abs(scenario.v_ref - np.abs(v)).sum(axis=-1) + b * loss
+    loss = np.add.reduce(np.abs(_branch_currents(v, branches)) ** 2 * branches[3], axis=-1)
+    return a * np.add.reduce(np.abs(scenario.v_ref - np.abs(v)), axis=-1) + b * loss
 
 
 @dataclass(frozen=True)
@@ -220,8 +221,8 @@ def _solve_block(net: Network, s_pq: np.ndarray, v: np.ndarray, tol: float) -> _
     factor = _solver_arrays(net).fixed_point
     starts = v.copy()
     iterations, mismatch, converged = _fixed_point_block(factor, s_pq, v, tol)
-    kernel_iterations = int(iterations.sum())
-    newton = np.flatnonzero(~converged)
+    kernel_iterations = int(np.add.reduce(iterations))
+    newton = (~converged).nonzero()[0]
     failed: dict[int, PowerFlowError] = {}
     for j in newton.tolist():
         try:
@@ -365,15 +366,16 @@ class _Trials:
         self.v = np.empty((lanes, n_bus), dtype=complex)
         self.dv_dq = np.zeros((lanes, n_bus), dtype=complex)
         self.q_now = np.zeros(lanes)
+        self._offsets = np.arange(lanes) * (n_bus - 1)  # of each point's row, flattened
 
     def columns(self, lanes: Sequence[int], x: Sequence[float]) -> tuple[np.ndarray, ...]:
         """The solve requests ``(s_pq, start)`` of points ``x`` of
         ``lanes``' searches, one row a point."""
         lanes, x = np.asarray(lanes, dtype=np.intp), np.asarray(x, dtype=float)
-        s_pq = self.s_rest[lanes]
-        s_pq[np.arange(len(x)), self.dev_row[lanes]] -= 1j * x
-        start = self.dv_dq[lanes] * (x - self.q_now[lanes])[:, None]
-        start += self.v[lanes]
+        s_pq = self.s_rest.take(lanes, axis=0)
+        s_pq.ravel()[self._offsets[:len(x)] + self.dev_row.take(lanes)] -= 1j * x
+        start = self.dv_dq.take(lanes, axis=0) * (x - self.q_now.take(lanes))[:, None]
+        start += self.v.take(lanes, axis=0)
         return s_pq, start
 
 
@@ -400,10 +402,11 @@ class _Hour:
         arrays = _solver_arrays(net)
         self.factor = arrays.fixed_point
         self.branches = arrays.branches
-        self.pq_row = arrays.pq_row
-        # a device at the slack has no row: its Q enters no solve
-        self.dev_rows = [(dev, self.pq_row[pos]) for dev in devices
-                         if (pos := net.index_of(dev.bus)) in self.pq_row]
+        # each device's bus position and row, None at the slack: its Q enters no solve
+        self.place = {dev.label: (pos, arrays.pq_row.get(pos))
+                      for dev in devices for pos in (net.index_of(dev.bus),)}
+        self.dev_rows = [(dev.label, row) for dev in devices
+                         if (row := self.place[dev.label][1]) is not None]
 
     def column(self, settings: Mapping[str, float],
                out: np.ndarray | None = None) -> np.ndarray:
@@ -412,8 +415,8 @@ class _Hour:
         ``s_base``, in the order of the devices."""
         s_pq = np.empty_like(self.s_base) if out is None else out
         s_pq[:] = self.s_base
-        for dev, row in self.dev_rows:
-            s_pq[row] -= 1j * settings[dev.label]
+        for label, row in self.dev_rows:
+            s_pq[row] -= 1j * settings[label]
         return s_pq
 
     def solve(self, s_pq: np.ndarray, start: np.ndarray) -> _State | None:
@@ -430,13 +433,12 @@ class _Hour:
                cap: QCapability) -> _Search:
         """The search of ``dev`` over ``cap`` from the state at voltages
         ``v``, its columns written into the hour's row of :attr:`trials`."""
-        pos = self.net.index_of(dev.bus)
-        row = self.pq_row[pos]
+        pos, row = self.place[dev.label]
         pq, _, z, _ = self.factor
         trials, lane, q_now = self.trials, self.lane, settings[dev.label]
         self.column({**settings, dev.label: 0.0}, out=trials.s_rest[lane])
         trials.dev_row[lane], trials.q_now[lane], trials.v[lane] = row, q_now, v
-        trials.dv_dq[lane, pq] = z[:, row] * (1j / np.conj(v[pos]))
+        trials.dv_dq[lane][pq] = z[:, row] * (1j / v[pos].conjugate())
         return _Search(cap.q_min, cap.q_max,
                        max(_SEARCH_MIN_XATOL, _SEARCH_REL_XATOL * cap.width))
 
@@ -551,7 +553,7 @@ def _descent(hr: _Hour,
     for stage in stages:
         if not stage:
             continue
-        dirty = {dev.label for dev in stage} - clean
+        dirty = (labels := {dev.label for dev in stage}) - clean
         for _ in range(MAX_SWEEPS):
             score_at_sweep_start = score
             for dev in stage:
@@ -559,9 +561,8 @@ def _descent(hr: _Hour,
                     continue
                 dirty.discard(dev.label)
                 clean.add(dev.label)
-                p_now = dev.p_at(hour)
-                v_bus = float(np.abs(state[0][net.index_of(dev.bus)]))
-                cap = q_capability(dev, p_now, v_bus)
+                pos, row = hr.place[dev.label]
+                cap = q_capability(dev, dev.p_at(hour), float(np.abs(state[0][pos])))
                 if not cap.feasible:
                     if dev.label not in infeasible:
                         infeasible.append(dev.label)
@@ -573,7 +574,7 @@ def _descent(hr: _Hour,
                     stale |= pinned != q[dev.label]
                     q[dev.label] = pinned
                     continue
-                if net.index_of(dev.bus) not in hr.pq_row:
+                if row is None:
                     continue  # Q at the slack bus enters no solve
 
                 res, trial_state = yield hr.search(q, dev, state[0], cap)
@@ -582,7 +583,7 @@ def _descent(hr: _Hour,
                 if res.fun < _TRIAL_PENALTY and res.fun < score - min_gain:
                     q[dev.label] = float(res.x)
                     state, score, stale = trial_state, float(res.fun), False
-                    dirty.update(d.label for d in stage if d.label != dev.label)
+                    dirty.update(labels - {dev.label})
                     clean.intersection_update({dev.label})
             if not dirty or score_at_sweep_start - score < SWEEP_IMPROVEMENT_TOL:
                 break
@@ -610,7 +611,7 @@ def _zero_fits(hr: _Hour, participants: Sequence[Device], hour: int,
                v: np.ndarray) -> bool:
     """Whether Q = 0 lies in every participant's interval at voltages ``v``."""
     return all(
-        q_capability(dev, dev.p_at(hour), float(np.abs(v[hr.net.index_of(dev.bus)])))
+        q_capability(dev, dev.p_at(hour), float(np.abs(v[hr.place[dev.label][0]])))
         .contains(0.0, tol=CAPABILITY_RECHECK_TOL)
         for dev in participants
     )
@@ -633,7 +634,7 @@ def _recheck_capability(
     adjusted = stale
     for solves in range(_RECHECK_SOLVES + 1):
         for dev in participants:
-            v_bus = float(np.abs(state[0][hr.net.index_of(dev.bus)]))
+            v_bus = float(np.abs(state[0][hr.place[dev.label][0]]))
             cap = q_capability(dev, dev.p_at(hour), v_bus)
             if not cap.feasible:
                 if q[dev.label] != 0.0:
@@ -662,15 +663,16 @@ class _Lane:
 
     While a search runs, ``brent`` is its :func:`_brent`, ``x`` the point
     being solved and ``solved`` the states of the points solved so far;
-    otherwise ``request`` is the pending solve request.
+    otherwise ``request`` is the pending solve request.  It counts its
+    ``searches``.
     """
 
-    def __init__(self, hr: _Hour, base_state: _State, stats: Counter) -> None:
+    def __init__(self, hr: _Hour, base_state: _State) -> None:
         self.hr = hr
         self.steps = _descent(hr, base_state)
-        self.stats = stats
         self.result: DispatchResult | None = None
         self.brent: Generator[float, float, Minimum] | None = None
+        self.searches = 0
 
     def send(self, reply: _Reply = None) -> bool:
         """Hand the descent its reply; False once the hour is over (with its result)."""
@@ -680,7 +682,7 @@ class _Lane:
             self.result = done.value
             return False
         if isinstance(request, _Search):
-            self.stats["searches"] += 1
+            self.searches += 1
             self.solved = {}
             self.brent = _brent(request.a, request.b, request.xatol, _SEARCH_MAXITER)
             self.x = next(self.brent)
@@ -712,47 +714,48 @@ def _dispatch_day(net: Network, scenario: Scenario,
     ``(v[i], iterations[i], mismatch[i])`` of ``base = (v, iterations,
     mismatch)``; the entries may come from the days of several placements.
     Each step gathers the pending solve of every hour still running into
-    one :func:`_solve_block`: its search's trial point, all of them as one
-    :meth:`_Trials.columns`, then its recheck.  The block's columns do not
-    see each other, so an hour runs as :func:`dispatch_q` runs it.  A
-    column Newton fails too is answered with None, and the step's trial
-    states are scored together, each from its own row.  Counts the
+    one :func:`_solve_block`: its search's trial point, all of them first
+    as one :meth:`_Trials.columns`, then its recheck.  The block's columns
+    do not see each other, so an hour runs as :func:`dispatch_q` runs it.
+    A column Newton fails too is answered with None, and the step's trial
+    states are scored together, from the block's leading rows.  Adds the
     searches, the trials, the rechecks, the steps, their columns, the
-    kernel's iterations on them and the Newton fallbacks in ``stats``.
+    kernel's iterations on them, the Newton fallbacks and the penalty
+    trials to ``stats`` once.
     """
     tol = scenario.pf_tol
     trials = _Trials(len(hours), net.n_bus)
     v_base, iterations, mismatch = base
     lanes = [_Lane(_Hour(net, devices, hour, scenario, s_pq[:, i], trials, i),
-                   (v_base[i], int(iterations[i]), float(mismatch[i])), stats)
+                   (v_base[i], int(iterations[i]), float(mismatch[i])))
              for i, (devices, hour) in enumerate(hours)]
     branches = _solver_arrays(net).branches
+    log, penalties = [], 0  # a step's trials, rechecks, kernel iterations, Newton columns
     running = [lane for lane in lanes if lane.send()]
     while running:
         searching = [lane for lane in running if lane.brent is not None]
-        waiting = [lane for lane in running if lane.brent is None]
-        k, running = len(searching), searching + waiting
+        k = len(searching)
+        waiting = [lane for lane in running if lane.brent is None] if k < len(running) else []
         # one row a column, so that each solved state is a contiguous row
         s, v = trials.columns([lane.hr.lane for lane in searching], [lane.x for lane in searching])
         if waiting:
             s_more, v_more = zip(*(lane.request for lane in waiting))
             s, v = np.concatenate((s, s_more)), np.concatenate((v, v_more))
         block = _solve_block(net, s.T, v.T, tol)
-        stats.update(dispatch_steps=1, dispatch_columns=len(running), trials=k,
-                     recheck_solves=len(waiting), dispatch_iterations=block.kernel_iterations,
-                     newton_fallbacks=len(block.newton))
-        failed = block.failed
-        solved = [j for j in range(k) if j not in failed]
-        scores = dict(zip(solved, _scores(scenario, branches, v[solved]).tolist()))
-        still = []
-        for j, (lane, it, mis) in enumerate(zip(running, block.iterations.tolist(),
-                                                block.mismatch.tolist())):
-            state = None if j in failed else (v[j], it, mis)
-            if j < k:
-                going = lane.scored(state, scores.get(j, _TRIAL_PENALTY))
-            else:
-                going = lane.send(state)
-            if going:
-                still.append(lane)
-        running = still
+        log.append((k, len(waiting), block.kernel_iterations, len(block.newton)))
+        states = list(zip(v, block.iterations.tolist(), block.mismatch.tolist()))
+        for j in block.failed:  # answered with None; finite stand-ins to score
+            states[j], v[j] = None, 1.0
+        scores = _scores(scenario, branches, v[:k]).tolist()
+        for j in (j for j in block.failed if j < k):
+            scores[j] = _TRIAL_PENALTY
+            penalties += 1
+        running = [lane for lane, state, score in zip(searching, states, scores)
+                   if lane.scored(state, score)]
+        running += [lane for lane, state in zip(waiting, states[k:]) if lane.send(state)]
+    trials, rechecks, iterations, fallbacks = np.array(log, int).reshape(-1, 4).sum(0).tolist()
+    stats.update(searches=sum(lane.searches for lane in lanes), trials=trials,
+                 recheck_solves=rechecks, dispatch_steps=len(log),
+                 dispatch_columns=trials + rechecks, dispatch_iterations=iterations,
+                 newton_fallbacks=fallbacks, penalty_trials=penalties)
     return [lane.result for lane in lanes]

@@ -105,7 +105,8 @@ class DayStats:
     / dispatch_steps`` is the mean block width, and ``dispatch_iterations``
     counts the kernel's iterations on those columns; ``newton_fallbacks``
     counts the dispatch columns the kernel failed, each sent alone to
-    Newton.  ``day_s`` is the wall time spent computing days.
+    Newton, and ``penalty_trials`` the trials it failed too (scored
+    ``_TRIAL_PENALTY``).  ``day_s`` is the wall time spent computing days.
     """
 
     days: int = 0
@@ -123,6 +124,7 @@ class DayStats:
     dispatch_columns: int = 0
     dispatch_iterations: int = 0
     newton_fallbacks: int = 0
+    penalty_trials: int = 0
     day_s: float = 0.0
 
 

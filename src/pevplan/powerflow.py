@@ -10,9 +10,10 @@ matrix equals this ``Z``, so meshed feeders work too), written once, in
 block form (:func:`_fixed_point_block`): it solves a start matrix of
 columns, the base flows and the lockstep dispatch of a batch of days or
 one column for one hour's dispatch.  It takes its products one column at
-a time, so a column's result does not depend on the block it runs in.  It
-needs no Jacobian, which makes it the cheaper choice for the many
-near-identical solves of dispatch; Newton is its fallback.
+a time, so a column's result does not depend on the block it runs in, and
+drops each column from its iteration as it stops.  It needs no Jacobian,
+which makes it the cheaper choice for the many near-identical solves of
+dispatch; Newton is its fallback.
 
 The slack bus holds a fixed phasor; every other bus is constant-PQ (converter
 devices included — their charging/generation enters through the injection
@@ -20,8 +21,8 @@ vector).  A previously solved voltage profile can seed either iteration,
 which cuts repeated solves during dispatch search to a few iterations; a
 cold Newton solve starts from the fixed point run from the linear estimate
 until its step residual is at most ``√(tol·_FIXED_POINT_MARGIN)``, one
-quadratic Newton step short of ``tol``.  The kernel and that start share
-one step, :func:`_step`.
+quadratic Newton step short of ``tol``, or until a step fails to halve it.
+The kernel and that start share one step, :func:`_step`.
 Each network keeps the arrays its solvers derive from it (the admittance
 matrix and its non-slack blocks, the Z factor, the sweep's tree and its
 DLF matrix, the limit arrays), each built by the first solve that reads
@@ -290,10 +291,10 @@ def solve(
     ``V[pq] = 1 + Z·conj(S[pq])`` on the network's cached
     ``Z = inv(Y[pq, pq])``, the fixed point steps ``V' = w + Z·conj(S/V)``
     until its step residual ``max |(V' − V)·S/V|`` is at most
-    ``√(tol·_FIXED_POINT_MARGIN)`` (1e-5 at the default ``tol``).  Each
-    step costs one product with ``Z``; from there one Newton iteration, a
-    Jacobian and an LU, meets ``tol`` on bus33 at every load from 0.3 to
-    1.0 of nominal, where a flat start takes three.
+    ``√(tol·_FIXED_POINT_MARGIN)`` (1e-5 at the default ``tol``) or fails
+    to halve.  Each step costs one product with ``Z``; from there one
+    Newton iteration, a Jacobian and an LU, meets ``tol`` on bus33 at every
+    load from 0.3 to 1.0 of nominal, where a flat start takes three.
     """
     v = _start(net, inj, tol, v0)
     arrays = _solver_arrays(net)
@@ -347,25 +348,26 @@ def _cold_start(factor: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     """Cold Newton's non-slack start from the injections ``s_pq``, as
     :func:`solve` describes it: the linear estimate, then the kernel's
     :func:`_step` on a one-row block, a step kept only if its residual is
-    finite and below the last one's.  The estimate adds 1, not ``w`` (1 but
-    for rounding), and its residual is the one from flat,
-    ``max |(V − 1)·S|``, so zero injections take no step and keep the exact
-    flat profile.
+    finite and below the last one's, and none after one that fails to
+    halve it (near the nose point, 0.95 a step at 3.62 times bus33's load).
+    The estimate adds 1, not ``w`` (1 but for rounding), and its residual
+    is the one from flat, ``max |(V − 1)·S|``, so zero injections take no
+    step and keep the exact flat profile.
     """
     _, _, z, w = factor
     s = s_pq[None]
     vp = (1.0 + z @ np.conj(s_pq))[None]
     res = _max_abs((vp - 1.0) * s)
-    stop = math.sqrt(tol * _FIXED_POINT_MARGIN)
+    stop, halved = math.sqrt(tol * _FIXED_POINT_MARGIN), True
     # an overflowing step shows up as a non-finite residual, and is not kept
     with np.errstate(all="ignore"):
         for _ in range(DEFAULT_MAX_ITER):
-            if res[0] <= stop:
+            if res[0] <= stop or not halved:
                 break
             v_next, r = _step(z, w, s, vp)
             if not r[0] < res[0]:
                 break
-            vp, res = v_next, r
+            vp, res, halved = v_next, r, r[0] <= 0.5 * res[0]
     return vp[0]
 
 
@@ -428,54 +430,53 @@ def _fixed_point_block(
     - a column that stopped under ``tol`` converges only if its true
       ``Y·V`` mismatch, taken once more, meets ``tol``: Newton's test.
 
-    The iterating columns are held as rows.  A column that stops is
-    written back to ``v`` once and masked out; the held rows are gathered
-    again only once half or fewer of them are live.  Every product is
-    taken column by column (:func:`_products`), so a column ends bit for
-    bit as it does alone, whatever the block's width and the other rows
-    hold.  Returns ``(iterations, mismatch, converged)``, one entry per
-    column, the mismatch the true one; a column that did not converge is
-    left where it stopped.
+    One path serves every width.  Only the iterating columns are held, as
+    rows; an iteration whose residuals all fall and stay above the target
+    stops none, which two comparisons show.  Otherwise every held row is
+    written back, with the residual it stopped on (a column met a stop
+    rule exactly where that meets ``tol``), and the rows that go on are
+    gathered.  Every product is taken row by row (:func:`_products`), so
+    a column ends bit for bit as it does alone, whatever the block's width
+    and the other rows hold.  Returns ``(iterations, mismatch,
+    converged)``, one entry per column, the mismatch the true one; a column
+    that did not converge is left where it stopped.
     """
     pq, y_pq, z, w = factor
     target = tol * _FIXED_POINT_MARGIN
     s_rows = s_pq.T
-    iterations = np.zeros(len(s_rows), dtype=int)
     # a zero or overflowing voltage shows up as a non-finite residual
     with np.errstate(all="ignore"):
-        vp_all = np.ascontiguousarray(v[pq].T)
+        vp_all = v.T.take(pq, axis=1)
         mismatch = _max_abs(vp_all * np.conj(_products(y_pq, v.T)) - s_rows)
-        moved = np.flatnonzero(~(mismatch <= target))
-        if not moved.size:
+        iterations = np.zeros(len(mismatch), dtype=int)
+        cols = (~(mismatch <= target)).nonzero()[0]
+        if not cols.size:
             return iterations, mismatch, mismatch <= tol
-        accepted = np.ones(len(mismatch), dtype=bool)
-        cols, s, vp, prev = moved, s_rows[moved], vp_all[moved], mismatch[moved]
-        live = np.ones(len(cols), dtype=bool)
+        s, vp = s_rows.take(cols, axis=0), vp_all.take(cols, axis=0)
+        # clamped, which changes no stop: no residual above it goes on
+        prev = np.minimum(mismatch.take(cols), _DIVERGENCE_MISMATCH)
+        stopped_at = mismatch  # each column's residual, so far its start's
         for it in range(1, DEFAULT_MAX_ITER + 1):
             v_next, res = _step(z, w, s, vp)
-            # under tol a column stops once its residual stalls, and otherwise
-            # only on the target; after the last iteration none goes on
-            last = it == DEFAULT_MAX_ITER
-            limit = tol if last else np.where(res >= prev, tol, target)
-            stop = res <= limit
-            going = np.zeros_like(stop) if last else ~stop & (res <= _DIVERGENCE_MISMATCH)
-            vp, prev = v_next, res
-            ended = live > going  # the live columns that stop here
-            if not ended.any():
+            going = (res < prev) & (res > target)
+            if it < DEFAULT_MAX_ITER and going.all():
+                vp, prev = v_next, res
                 continue
-            done = cols[ended]
-            vp_all[done] = v_next[ended]
-            iterations[done] = it
-            accepted[done] = stop[ended]
-            live &= going
-            if not (held := np.count_nonzero(live)):
+            # a row that goes on is written again when it stops
+            vp_all[cols], iterations[cols], stopped_at[cols] = v_next, it, res
+            if it == DEFAULT_MAX_ITER:
                 break
-            if 2 * held <= len(cols):
-                cols, s, vp, prev, live = cols[live], s[live], vp[live], prev[live], live[live]
+            # above tol a stalled residual goes on too, unless it diverges
+            going |= (res > tol) & (res <= _DIVERGENCE_MISMATCH)
+            held = going.nonzero()[0]
+            if not held.size:
+                break
+            cols, s, vp = cols.take(held), s.take(held, axis=0), v_next.take(held, axis=0)
+            prev = res.take(held)
         v[pq] = vp_all.T
-        mismatch[moved] = _max_abs(
-            vp_all[moved] * np.conj(_products(y_pq, v.T[moved])) - s_rows[moved])
-    return iterations, mismatch, accepted & (mismatch <= tol)
+        mismatch = _max_abs(
+            vp_all * np.conj(_products(y_pq, np.ascontiguousarray(v.T))) - s_rows)
+    return iterations, mismatch, (stopped_at <= tol) & (mismatch <= tol)
 
 
 def _step(z: np.ndarray, w: np.ndarray, s: np.ndarray,
@@ -501,7 +502,7 @@ def _products(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _max_abs(ds: np.ndarray) -> np.ndarray:
     """Max |real|, |imag| of each C-contiguous row: its max |ΔP|, |ΔQ|."""
-    return np.abs(ds.view(float)).max(axis=1, initial=0.0)
+    return np.maximum.reduce(np.abs(ds.view(float)), axis=1, initial=0.0)
 
 
 @dataclass(frozen=True)

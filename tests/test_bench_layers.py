@@ -38,6 +38,7 @@ WORK_COUNTERS = {
     "divergent_hours": "divergent_hours",
     "hours_dispatched": "hours_dispatched",
     "reverted_hours": "reverted_hours",
+    "penalty_trials": "penalty_trials",
 }
 
 
@@ -173,7 +174,8 @@ def test_measure_reports_every_layer_with_its_relative_figures(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))
     out = json.loads(json.dumps(layers.measure(layers.ROOT / "src")))
     assert set(out) == {"import_s", "solve_us", "solve_rel", "size", "size_rel", "day_ms",
-                        "day_rel", "work", "rank_ms", "rank_rel", "search", "search_v2g"}
+                        "day_rel", "step_us", "work", "rank_ms", "rank_rel", "search",
+                        "search_v2g"}
     assert set(layers.RELATIVE) <= set(out)
 
     def kinds(raw):
@@ -184,7 +186,11 @@ def test_measure_reports_every_layer_with_its_relative_figures(monkeypatch):
     assert set(out["size_rel"]["12"]) == kinds(out["size"]["12"]) == set(out["solve_rel"])
     assert out["size"]["12"]["v_min"] == layers._sized_feeder(pevplan, 12)[2]
     assert set(out["day_rel"]) == set(out["day_ms"]) == set(out["work"]) == set(
-        layers.PLACEMENTS)
+        out["step_us"]) == set(layers.PLACEMENTS)
+    # a day's µs per lockstep step; mode none takes no step
+    assert out["step_us"]["none"] is None
+    v2g = out["work"]["dgq+v2gq"]
+    assert out["step_us"]["dgq+v2gq"] == out["day_ms"]["dgq+v2gq"] * 1e3 / v2g["dispatch_steps"]
     assert set(out["rank_rel"]) == set(out["rank_ms"]) == {"40", "80"}
     assert set(out["search"]) == set(out["search_v2g"])
 

@@ -403,6 +403,39 @@ def test_trial_absorbs_any_solver_failure(bus33, devices33, monkeypatch):
     assert all(q == 0.0 for q in res.q_settings.values())
 
 
+def test_penalty_trials_count_the_trials_newton_fails_too(bus33, devices33, profiles33,
+                                                          monkeypatch):
+    # in the lockstep the kernel fails every column and Newton raises
+    # SingularJacobian: every trial is answered with None, scores the
+    # penalty and is counted, and the day still completes; an honest day
+    # counts none
+    net, key = bus33.network, (7, 29)
+    sc = Scenario(mode="dgq+v2gq", load_profile_id="load-weekday")
+    honest = DayEvaluator(net, devices33, profiles33, sc)
+    honest.evaluate(key)
+    assert honest.stats.penalty_trials == 0 < honest.stats.trials
+    kernel, day = dispatch._fixed_point_block, objective._dispatch_day
+
+    def singular(*args, **kwargs):
+        raise SingularJacobian(1, 1e18)
+
+    def failing_day(*args):
+        with monkeypatch.context() as m:
+            m.setattr(dispatch, "_fixed_point_block", failing(kernel))
+            m.setattr(dispatch, "solve", singular)
+            return day(*args)
+
+    monkeypatch.setattr(objective, "_dispatch_day", failing_day)
+    ev = DayEvaluator(net, devices33, profiles33, sc)
+    hours = ev.hours(key)
+    st = ev.stats
+    assert st.penalty_trials == st.trials > 0
+    assert st.newton_fallbacks == st.dispatch_columns
+    # no move is accepted, so every hour ends at its base score
+    np.testing.assert_array_equal(hours.score, hours.base_score)
+    assert not hours.q.any()
+
+
 def test_hour_solves_each_point_once(bus33, devices33, monkeypatch):
     # the base, every trial point and every recheck run the kernel once, as
     # a block of one column; an accepted move takes its trial's state, and

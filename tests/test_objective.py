@@ -493,6 +493,54 @@ def test_day_searches_of_the_traced_benchmark_placements(bus33, devices33, profi
     for key in ((7, 30), (17, 19), (25, 26), (24, 28)):
         ev.evaluate(key)
     assert (ev.stats.searches, ev.stats.trials) == (1974, 13292)
+    # the day's other work, recorded at 027b56f: a faster step must do
+    # the same work in the same steps
+    st = ev.stats
+    assert (st.block_iterations, st.dispatch_steps, st.dispatch_columns,
+            st.dispatch_iterations, st.newton_fallbacks, st.penalty_trials) == (
+        599, 1146, 13292, 54281, 0, 0)
+
+
+# float.hex of v_dev, loss and scalar, feasible, and float.hex of the
+# violation penalty, recorded at 027b56f.  A change that moves these
+# numbers on purpose records them again and says so.
+GOLDEN_DAYS = {
+    "none": {
+        (7, 29): ("0x1.12a95d1dc5c6cp+4", "0x1.c27f8e5c00be0p-4", "0x1.838bbc736621ep+3",
+                  False, "0x1.116216dda443ep-2"),
+        (3, 17): ("0x1.13b5aa3aab002p+4", "0x1.b8b83d652a3e1p-4", "0x1.84cbbdec47d56p+3",
+                  False, "0x1.945ad5e9aff8cp-2"),
+        (12, 25): ("0x1.0f1db7facea22p+4", "0x1.baa95af1c8800p-4", "0x1.7f48fea58eb76p+3",
+                   False, "0x1.f9046147a6880p-3"),
+    },
+    "dgq": {
+        (7, 29): ("0x1.dcc34f391f506p+2", "0x1.8144660a3f83ep-4", "0x1.91dc17b17d499p+2",
+                  True, "0x0.0p+0"),
+        (3, 17): ("0x1.d592ddd80ea0ep+2", "0x1.77bc94ae2414ep-4", "0x1.8d8803bd1b3bcp+2",
+                  True, "0x0.0p+0"),
+        (12, 25): ("0x1.cab6482733734p+2", "0x1.7ace9b0b2675fp-4", "0x1.8704e45589baep+2",
+                   True, "0x0.0p+0"),
+    },
+    "dgq+v2gq": {
+        (7, 29): ("0x1.a1adf10173a22p+1", "0x1.2bce08f176878p-3", "0x1.e2e1a70f2e1eep+1",
+                  True, "0x0.0p+0"),
+        (3, 17): ("0x1.2c2f6448fca40p+2", "0x1.1f92e1d0ab86cp-3", "0x1.2835b1ad3e854p+2",
+                  True, "0x0.0p+0"),
+        (12, 25): ("0x1.fa816e69b608dp+1", "0x1.1220dda7ffc5fp-3", "0x1.0c0221d109cf4p+2",
+                   True, "0x0.0p+0"),
+    },
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_DAYS))
+def test_golden_days_are_bit_identical(bus33, devices33, profiles33, mode):
+    ev = DayEvaluator(bus33.network, devices33, profiles33,
+                      Scenario(mode=mode, load_profile_id="load-weekday"))
+    for key, want in GOLDEN_DAYS[mode].items():
+        bd = ev.evaluate(key).breakdown
+        got = (bd.v_dev.hex(), bd.loss.hex(), bd.scalar.hex(), bd.feasible,
+               bd.violation_penalty.hex())
+        assert got == want, (mode, key)
 
 
 @pytest.mark.parametrize("mode", ["none", "dgq+v2gq"])

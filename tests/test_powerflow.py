@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 from collections import Counter
@@ -262,12 +263,18 @@ def linear_estimate(net, inj) -> np.ndarray:
 
 
 def cold_start(net, inj, tol=DEFAULT_TOL) -> np.ndarray:
-    """Cold Newton's start: fixed-point steps ``V' = w + Z·conj(S/V)`` from
-    the :func:`linear_estimate`, each kept while its residual
-    ``max |(V' − V)·S/V|`` is finite and below the last one's (the
-    estimate's own is ``max |(V − 1)·S|``), until it is at most
-    ``√(tol·_FIXED_POINT_MARGIN)``.  The products are the kernel's
-    ``_products``, so the start is the solver's bit for bit."""
+    """Cold Newton's start (:func:`cold_start_steps`)."""
+    return cold_start_steps(net, inj, tol)[0]
+
+
+def cold_start_steps(net, inj, tol=DEFAULT_TOL) -> tuple[np.ndarray, int]:
+    """Cold Newton's start and the steps it kept: fixed-point steps
+    ``V' = w + Z·conj(S/V)`` from the :func:`linear_estimate`, each kept
+    while its residual ``max |(V' − V)·S/V|`` is finite and below the last
+    one's (the estimate's own is ``max |(V − 1)·S|``), until it is at most
+    ``√(tol·_FIXED_POINT_MARGIN)`` or a kept step's is above half the last
+    one's.  The products are the kernel's ``_products``, so the start is
+    the solver's bit for bit."""
     v = linear_estimate(net, inj)
     pq, _, z, w = _solver_arrays(net).fixed_point
     s = (inj.p + 1j * inj.q)[pq]
@@ -277,19 +284,19 @@ def cold_start(net, inj, tol=DEFAULT_TOL) -> np.ndarray:
         ds = dv * ratio
         return float(max(np.abs(ds.real).max(), np.abs(ds.imag).max()))
 
-    res = residual(vp - 1.0, s)
+    res, steps = residual(vp - 1.0, s), 0
     with np.errstate(all="ignore"):
-        for _ in range(DEFAULT_MAX_ITER):
-            if res <= math.sqrt(tol * _FIXED_POINT_MARGIN):
-                break
+        while steps < DEFAULT_MAX_ITER and not res <= math.sqrt(tol * _FIXED_POINT_MARGIN):
             ratio = s / vp
             v_next = w + powerflow._products(z, np.conj(ratio)[None])[0]
             r = residual(v_next - vp, ratio)
             if not r < res:
                 break
-            vp, res = v_next, r
+            vp, res, halved, steps = v_next, r, r <= res / 2, steps + 1
+            if not halved:
+                break
     v[pq] = vp
-    return v
+    return v, steps
 
 
 def full_newton(net, inj, tol=DEFAULT_TOL, v0=None):
@@ -450,9 +457,9 @@ def test_newton_is_bit_identical_to_the_full_construction_on_a_meshed_network(sc
 
 
 def test_cold_newton_starts_from_the_fixed_points_steps_on_bus33(bus33):
-    # at 3.62 the steps run out above the stop; at 3.7 and 50, past the
-    # nose point, a residual rises and the step before it is the start,
-    # from which Newton fails as it does from flat
+    # at 3.62 a step fails to halve its residual above the stop; at 3.7
+    # and 50, past the nose point, a residual rises and the step before it
+    # is the start, from which Newton fails as it does from flat
     net = bus33.network
     arrays = _solver_arrays(net)
     pq = arrays.blocks[0]
@@ -492,6 +499,51 @@ def test_cold_newton_takes_one_step_at_the_bench_scales(bus33):
         estimate_errors.append(np.max(np.abs(estimate - ref)))
     assert max(errors) <= max(estimate_errors)
     assert max(errors) <= DEFAULT_TOL
+
+
+def test_cold_newton_stops_stepping_near_the_nose_point(bus33, monkeypatch):
+    # at 3.62 times the load each step shrinks the residual by about 0.95,
+    # so the start used to run all DEFAULT_MAX_ITER steps; it now stops at
+    # the first step that does not halve it.  Near the nose point a
+    # mismatch of tol moves the voltages by about 1e-7, so the solve is
+    # held to a flat start's own error against a tol-1e-13 solve
+    net = bus33.network
+    p, q = net.load_vectors()
+    inj = InjectionSet.from_loads(p * 3.62, q * 3.62)
+    step, steps = powerflow._step, []
+
+    def counted(*args):
+        steps.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(powerflow, "_step", counted)
+    cold = solve(net, inj)
+    monkeypatch.undo()
+    assert len(steps) == cold_start_steps(net, inj)[1] < DEFAULT_MAX_ITER
+    flat = solve(net, inj, v0=np.ones(net.n_bus))
+    ref = solve(net, inj, tol=1e-13, v0=np.ones(net.n_bus)).v_complex
+    assert cold.converged and cold.max_mismatch <= DEFAULT_TOL
+    assert np.max(np.abs(cold.v_complex - ref)) <= np.max(np.abs(flat.v_complex - ref))
+
+
+# sha256 of each cold solve's voltages and its mismatch, recorded at
+# 027b56f, before the start stopped on a step that fails to halve its
+# residual: at the bench scales none does, so no solve may move
+COLD_SOLVES = {
+    0.3: ("3b3d0239fc0383af", "0x1.3948410000000p-33"),
+    0.55: ("71c5775ce1fd1fe1", "0x1.5312600000000p-37"),
+    0.8: ("fab7f8548671749c", "0x1.10c4518000000p-32"),
+    1.0: ("7eb04e3ff88d8e47", "0x1.8035100000000p-37"),
+}
+
+
+@pytest.mark.parametrize("scale", sorted(COLD_SOLVES))
+def test_cold_newton_at_the_bench_scales_is_pinned(bus33, scale):
+    net = bus33.network
+    p, q = net.load_vectors()
+    sol = solve(net, InjectionSet.from_loads(p * scale, q * scale))
+    digest = hashlib.sha256(sol.v_complex.tobytes()).hexdigest()[:16]
+    assert (sol.iterations, digest, sol.max_mismatch.hex()) == (1, *COLD_SOLVES[scale])
 
 
 @settings(max_examples=60, deadline=None)
