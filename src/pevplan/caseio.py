@@ -418,27 +418,12 @@ def bind_devices(
         s_pu = spec.s_rated_kva / scales.power_kw
         hourly = profile.scaled(s_pu)
         if spec.type == "pv":
-            devices.append(
-                PvUnit(
-                    bus=spec.bus,
-                    s_rated=s_pu,
-                    p_profile=hourly,
-                    x_coupling=spec.x_coupling_pu,
-                    vc_max=spec.vc_max_pu,
-                )
-            )
+            kind, own = PvUnit, {"p_profile": hourly}
         else:
-            devices.append(
-                PevLot(
-                    bus=spec.bus,
-                    s_rated=s_pu,
-                    charge_profile=hourly,
-                    x_coupling=spec.x_coupling_pu,
-                    vc_max=spec.vc_max_pu,
-                    n_pev=spec.n_pev,
-                    cost_per_pev=spec.cost_per_pev,
-                )
-            )
+            kind, own = PevLot, {"charge_profile": hourly, "n_pev": spec.n_pev,
+                                 "cost_per_pev": spec.cost_per_pev}
+        devices.append(kind(bus=spec.bus, s_rated=s_pu, x_coupling=spec.x_coupling_pu,
+                            vc_max=spec.vc_max_pu, **own))
     return devices
 
 

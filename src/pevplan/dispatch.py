@@ -9,7 +9,8 @@ this module's own bounded Brent (:func:`_brent`): a transcription of
 Brent's ``fmin`` that takes the steps scipy's
 ``minimize_scalar(method="bounded")`` takes, so pevplan runs on numpy alone.
 It is a generator that yields each point and receives its score, and
-:func:`minimize_scalar` drives it with a function.
+:func:`minimize_scalar` drives it with a function through :func:`_drive`,
+the one loop that answers a generator's requests until it returns.
 
 An hour's kernel injections are assembled once, with every setpoint at 0
 (:func:`_base_injections`, for any hours and device lists), and a
@@ -18,13 +19,15 @@ search's trial columns are gathered from its hour's row of
 :class:`_Trials`, and every state is scored by :func:`_scores`.  An
 hour's descent (:func:`_descent`) is written once, as a generator that
 starts from the hour's solved base state and yields what it needs solved:
-searches and capability rechecks.  Every solve runs the Z-bus fixed-point
+searches and capability rechecks; every capability interval it reads is
+:meth:`_Hour.capability`.  Every solve runs the Z-bus fixed-point
 kernel and falls back to Newton (:func:`solve`), held to the kernel's
 target, on a column the kernel fails (:func:`_solve_block`); a column
 Newton fails too is answered with None, and the descent still returns a
 result.  Two runners answer a descent.  :func:`dispatch_q` runs one hour
-alone from a flat start: every solve is a one-column block, and every
-search runs through :func:`minimize_scalar`.  A day's runner
+alone from a flat start, answering each request in turn through
+:func:`_drive`: every solve is a one-column block, and every search runs
+through :func:`minimize_scalar`.  A day's runner
 (:func:`_dispatch_day`) runs the hours of a batch of days in lockstep
 from their base-block columns, one block a step, scoring the step's
 trial states together from the block's leading rows; no hour's solves or
@@ -331,16 +334,22 @@ def _brent(a: float, b: float, xatol: float,
     return Minimum(xf, fx, num)
 
 
+def _drive(steps: Generator[Any, Any, Any], answer: Callable[[Any], Any]) -> Any:
+    """Run ``steps`` to its return value, replying ``answer(request)`` to
+    each request it yields."""
+    reply = None
+    while True:
+        try:
+            request = steps.send(reply)
+        except StopIteration as done:
+            return done.value
+        reply = answer(request)
+
+
 def minimize_scalar(func: Callable[[float], float], a: float, b: float,
                     xatol: float, maxiter: int) -> Minimum:
     """Minimise ``func`` on ``[a, b]``: :func:`_brent`, calling ``func`` at each point."""
-    search = _brent(a, b, xatol, maxiter)
-    x = next(search)
-    while True:
-        try:
-            x = search.send(func(x))
-        except StopIteration as done:
-            return done.value
+    return _drive(_brent(a, b, xatol, maxiter), func)
 
 
 class _Search(NamedTuple):
@@ -429,6 +438,10 @@ class _Hour:
             return None
         return v, int(solved.iterations[0]), float(solved.mismatch[0])
 
+    def capability(self, dev: Device, v: np.ndarray) -> QCapability:
+        """``dev``'s reactive interval this hour at its bus voltage in ``v``."""
+        return q_capability(dev, dev.p_at(self.hour), float(np.abs(v[self.place[dev.label][0]])))
+
     def search(self, settings: Mapping[str, float], dev: Device, v: np.ndarray,
                cap: QCapability) -> _Search:
         """The search of ``dev`` over ``cap`` from the state at voltages
@@ -468,19 +481,6 @@ _Request = _Solve | _Search
 _Reply = Any  # the _State | None of a _Solve, (Minimum, _State | None) of a _Search
 
 
-def _serial(hr: _Hour, steps: Generator[_Request, _Reply, Any]) -> Any:
-    """Run ``steps`` of hour ``hr`` one request at a time and return its
-    result: each solve through :meth:`_Hour.solve` and each search through
-    :meth:`_Hour.searched`."""
-    reply = None
-    while True:
-        try:
-            request = steps.send(reply)
-        except StopIteration as done:
-            return done.value
-        reply = hr.searched(request) if isinstance(request, _Search) else hr.solve(*request)
-
-
 def dispatch_q(
     net: Network,
     devices: Sequence[Device],
@@ -492,7 +492,9 @@ def dispatch_q(
 
     The hour's base state is solved from a flat start as a one-column
     :func:`_solve_block`, as a day's base block solves it, and its
-    :func:`_descent` runs from there one request at a time.  Raises only if
+    :func:`_descent` runs from there one request at a time (:func:`_drive`):
+    each solve through :meth:`_Hour.solve` and each search through
+    :meth:`_Hour.searched`.  Raises only if
     the base solve fails, with the :class:`PowerFlowError` the Newton
     fallback raised (a :class:`NonConvergence` or a
     :class:`~pevplan.powerflow.SingularJacobian`), or ``ValueError`` for
@@ -506,7 +508,8 @@ def dispatch_q(
         raise solved.failed[0]
     hr = _Hour(net, devices, hour, scenario, s_base)
     base = v[:, 0], int(solved.iterations[0]), float(solved.mismatch[0])
-    return _serial(hr, _descent(hr, base))
+    return _drive(_descent(hr, base), lambda request: hr.searched(request)
+                  if isinstance(request, _Search) else hr.solve(*request))
 
 
 def _descent(hr: _Hour,
@@ -519,7 +522,7 @@ def _descent(hr: _Hour,
     which reverts the hour to its base state; a :class:`_Search` receives
     ``(minimum, state at its x)``.
     """
-    net, devices, hour, scenario = hr.net, hr.devices, hr.hour, hr.scenario
+    net, devices, scenario = hr.net, hr.devices, hr.scenario
     q: dict[str, float] = {dev.label: 0.0 for dev in devices}
     base_score = float(_scores(scenario, hr.branches, base_state[0]))
 
@@ -561,8 +564,7 @@ def _descent(hr: _Hour,
                     continue
                 dirty.discard(dev.label)
                 clean.add(dev.label)
-                pos, row = hr.place[dev.label]
-                cap = q_capability(dev, dev.p_at(hour), float(np.abs(state[0][pos])))
+                cap = hr.capability(dev, state[0])
                 if not cap.feasible:
                     if dev.label not in infeasible:
                         infeasible.append(dev.label)
@@ -574,7 +576,7 @@ def _descent(hr: _Hour,
                     stale |= pinned != q[dev.label]
                     q[dev.label] = pinned
                     continue
-                if row is None:
+                if hr.place[dev.label][1] is None:
                     continue  # Q at the slack bus enters no solve
 
                 res, trial_state = yield hr.search(q, dev, state[0], cap)
@@ -588,14 +590,14 @@ def _descent(hr: _Hour,
             if not dirty or score_at_sweep_start - score < SWEEP_IMPROVEMENT_TOL:
                 break
 
-    rechecked = yield from _recheck_capability(hr, participants, hour, q, state, score,
+    rechecked = yield from _recheck_capability(hr, participants, q, state, score,
                                                infeasible, stale)
     # revert if the setpoints did not settle in their intervals, or if the
     # clamped state scores worse than the undispatched one while Q = 0 lies
     # in every interval at the base voltages; where it does not, the base
     # breaks an interval, and the settled state is kept at its worse score
     reverted = rechecked is None or (
-        rechecked[1] > base_score and _zero_fits(hr, participants, hour, base_state[0]))
+        rechecked[1] > base_score and _zero_fits(hr, participants, base_state[0]))
     if reverted:
         for dev in participants:
             q[dev.label] = 0.0
@@ -604,21 +606,17 @@ def _descent(hr: _Hour,
         state, score = rechecked
     base = _finish(net, *base_state, converged=True)
     final = base if state is base_state else _finish(net, *state, converged=True)
-    return DispatchResult(hour, q, final, base, score, base_score, tuple(infeasible), reverted)
+    return DispatchResult(hr.hour, q, final, base, score, base_score, tuple(infeasible), reverted)
 
 
-def _zero_fits(hr: _Hour, participants: Sequence[Device], hour: int,
-               v: np.ndarray) -> bool:
+def _zero_fits(hr: _Hour, participants: Sequence[Device], v: np.ndarray) -> bool:
     """Whether Q = 0 lies in every participant's interval at voltages ``v``."""
-    return all(
-        q_capability(dev, dev.p_at(hour), float(np.abs(v[hr.place[dev.label][0]])))
-        .contains(0.0, tol=CAPABILITY_RECHECK_TOL)
-        for dev in participants
-    )
+    return all(hr.capability(dev, v).contains(0.0, tol=CAPABILITY_RECHECK_TOL)
+               for dev in participants)
 
 
 def _recheck_capability(
-    hr: _Hour, participants: Sequence[Device], hour: int, q: dict[str, float],
+    hr: _Hour, participants: Sequence[Device], q: dict[str, float],
     state: _State, score: float, infeasible: list[str], stale: bool,
 ) -> Generator[_Request, _Reply, tuple[_State, float] | None]:
     """Clamp setpoints into the capability interval at the final voltages.
@@ -634,8 +632,7 @@ def _recheck_capability(
     adjusted = stale
     for solves in range(_RECHECK_SOLVES + 1):
         for dev in participants:
-            v_bus = float(np.abs(state[0][hr.place[dev.label][0]]))
-            cap = q_capability(dev, dev.p_at(hour), v_bus)
+            cap = hr.capability(dev, state[0])
             if not cap.feasible:
                 if q[dev.label] != 0.0:
                     q[dev.label] = 0.0

@@ -423,18 +423,17 @@ def _fixed_point_block(
       ``tol / 100`` is returned unchanged after 0 iterations, so a trial
       that lands on the current setpoint scores the current state;
     - otherwise the column steps until its residual meets the target, or,
-      under ``tol``, until the residual no longer falls or the last of
-      ``DEFAULT_MAX_ITER`` iterations; it stops unconverged on a residual
-      that is not finite or exceeds ``_DIVERGENCE_MISMATCH`` (divergence),
-      or after ``DEFAULT_MAX_ITER`` iterations above ``tol``;
-    - a column that stopped under ``tol`` converges only if its true
-      ``Y·V`` mismatch, taken once more, meets ``tol``: Newton's test.
+      under ``tol``, until the residual no longer falls; it also stops on a
+      residual that is not finite or exceeds ``_DIVERGENCE_MISMATCH``
+      (divergence), and after ``DEFAULT_MAX_ITER`` iterations;
+    - a column converges if its true ``Y·V`` mismatch at the voltages it
+      stopped on meets ``tol``: Newton's test, the one verdict.  The
+      residual it stopped on equals that mismatch up to rounding.
 
     One path serves every width.  Only the iterating columns are held, as
     rows; an iteration whose residuals all fall and stay above the target
     stops none, which two comparisons show.  Otherwise every held row is
-    written back, with the residual it stopped on (a column met a stop
-    rule exactly where that meets ``tol``), and the rows that go on are
+    written back, with its iteration count, and the rows that go on are
     gathered.  Every product is taken row by row (:func:`_products`), so
     a column ends bit for bit as it does alone, whatever the block's width
     and the other rows hold.  Returns ``(iterations, mismatch,
@@ -455,7 +454,6 @@ def _fixed_point_block(
         s, vp = s_rows.take(cols, axis=0), vp_all.take(cols, axis=0)
         # clamped, which changes no stop: no residual above it goes on
         prev = np.minimum(mismatch.take(cols), _DIVERGENCE_MISMATCH)
-        stopped_at = mismatch  # each column's residual, so far its start's
         for it in range(1, DEFAULT_MAX_ITER + 1):
             v_next, res = _step(z, w, s, vp)
             going = (res < prev) & (res > target)
@@ -463,7 +461,7 @@ def _fixed_point_block(
                 vp, prev = v_next, res
                 continue
             # a row that goes on is written again when it stops
-            vp_all[cols], iterations[cols], stopped_at[cols] = v_next, it, res
+            vp_all[cols], iterations[cols] = v_next, it
             if it == DEFAULT_MAX_ITER:
                 break
             # above tol a stalled residual goes on too, unless it diverges
@@ -476,7 +474,7 @@ def _fixed_point_block(
         v[pq] = vp_all.T
         mismatch = _max_abs(
             vp_all * np.conj(_products(y_pq, np.ascontiguousarray(v.T))) - s_rows)
-    return iterations, mismatch, (stopped_at <= tol) & (mismatch <= tol)
+    return iterations, mismatch, mismatch <= tol
 
 
 def _step(z: np.ndarray, w: np.ndarray, s: np.ndarray,

@@ -657,9 +657,9 @@ def test_recheck_clamps_a_setpoint_the_search_left_outside(monkeypatch):
     searched = []
     recheck = dispatch._recheck_capability
 
-    def spied(hr, participants, hour, q, state, *rest):
+    def spied(hr, participants, q, state, *rest):
         searched.append((dict(q), np.abs(state[0])))
-        return recheck(hr, participants, hour, q, state, *rest)
+        return recheck(hr, participants, q, state, *rest)
 
     monkeypatch.setattr(dispatch, "_recheck_capability", spied)
     res = dispatch_q(net, [pv, lot], 0, Scenario(mode="dgq+v2gq", v_ref=0.95))
@@ -687,9 +687,9 @@ def test_a_device_parked_after_a_solve_is_solved_again(monkeypatch):
     rechecked = []
     recheck = dispatch._recheck_capability
 
-    def spied(hr, participants, hour, q, state, score, infeasible, stale):
+    def spied(hr, participants, q, state, score, infeasible, stale):
         rechecked.append((dict(q), stale))
-        return recheck(hr, participants, hour, q, state, score, infeasible, stale)
+        return recheck(hr, participants, q, state, score, infeasible, stale)
 
     monkeypatch.setattr(dispatch, "_recheck_capability", spied)
     res = dispatch_q(net, [pv, lot], 0, Scenario(mode="dgq+v2gq"))
@@ -731,8 +731,9 @@ def test_recheck_returns_setpoints_inside_the_final_intervals(data):
         inside = st.sampled_from([cap.q_min, cap.q_max]) | st.floats(cap.q_min, cap.q_max)
         q[dev.label] = data.draw(inside, label=dev.label) if cap.feasible else 0.0
     state = hr.solve(hr.column(q), base_v)
-    rechecked = dispatch._serial(hr, dispatch._recheck_capability(
-        hr, devices, 0, q, state, score_of(hr, state[0]), infeasible, False))
+    rechecked = dispatch._drive(dispatch._recheck_capability(
+        hr, devices, q, state, score_of(hr, state[0]), infeasible, False),
+        lambda request: hr.solve(*request))
     if rechecked is None:
         return
     state, score = rechecked

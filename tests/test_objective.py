@@ -297,8 +297,9 @@ def fail_the_recheck_at(hour_to_fail, monkeypatch):
     newton = dispatch._newton
     requests, failed, pending = [], [], []
 
-    def stale_at_hour(hr, participants, hour, q, state, score, infeasible, stale):
-        steps = recheck(hr, participants, hour, q, state, score, infeasible,
+    def stale_at_hour(hr, participants, q, state, score, infeasible, stale):
+        hour = hr.hour
+        steps = recheck(hr, participants, q, state, score, infeasible,
                         stale or hour == hour_to_fail)
         reply = None
         while True:

@@ -705,9 +705,11 @@ def _failed_at(exc: PowerFlowError) -> int:
 def block_matches_columns(factor, s_pq, v0, tol) -> Counter:
     """Run the block kernel from ``v0`` and check every column against the
     1-D kernel from the same start: the same verdict, the same iteration
-    count, and voltages within 1e-12.  Counts how the columns ended."""
+    count, and voltages within 1e-12.  The verdict is Newton's test of the
+    returned mismatch, nothing else.  Counts how the columns ended."""
     v = v0.copy()
     iterations, mismatch, converged = _fixed_point_block(factor, s_pq, v, tol)
+    np.testing.assert_array_equal(converged, mismatch <= tol)
     ends: Counter = Counter()
     for col in range(s_pq.shape[1]):
         try:
@@ -866,6 +868,7 @@ def test_a_failing_column_leaves_its_neighbours_unchanged(feeder4):
         iterations, mismatch, converged = _fixed_point_block(factor, mixed, v_mixed,
                                                              DEFAULT_TOL)
         assert list(converged) == [True, False, True, True]
+        np.testing.assert_array_equal(converged, mismatch <= DEFAULT_TOL)
         keep = [0, 2, 3]
         np.testing.assert_array_equal(iterations[keep], alone[0])
         np.testing.assert_array_equal(converged[keep], alone[2])
@@ -912,9 +915,11 @@ def assert_block_is_the_oracle(factor, s_pq, v0, tol) -> None:
     """Every column of the block kernel from ``v0`` equals the one-column
     oracle's solve bit for bit: voltages, iterations, mismatch and verdict
     (a failed column: its iterations, and where the oracle leaves its
-    voltages, at the stop, those too)."""
+    voltages, at the stop, those too).  The verdict is Newton's test of the
+    returned mismatch, nothing else."""
     v = v0.copy()
     iterations, mismatch, converged = _fixed_point_block(factor, s_pq, v, tol)
+    np.testing.assert_array_equal(converged, mismatch <= tol)
     for col in range(s_pq.shape[1]):
         alone = v0[:, col].copy()
         try:
