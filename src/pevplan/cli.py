@@ -2,9 +2,10 @@
 
 Subcommands: ``solve`` (single power flow), ``twobus`` (closed-form transfer
 check), ``simulate`` (24-hour scenario run), ``optimize`` (parking-lot
-placement search), ``validate`` (case-file linting).  All angles entered
-on the command line are degrees; all file contents are per-unit or
-engineering units as documented in the case-format description.
+placement search), ``validate`` (loads and binds the inputs as ``simulate``
+and ``optimize`` do, then checks the network).  All angles entered on the
+command line are degrees; all file contents are per-unit or engineering
+units as documented in the case-format description.
 
 Each exit code is stated once, in ``_EXITS``, with its meaning, which the
 ``--help`` epilog lists, and the error classes ``main`` maps to it.
@@ -23,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .caseio import (
+    Case,
     CaseParseError,
     _content_lines,
     _key_value,
@@ -31,7 +33,7 @@ from .caseio import (
     load_case,
     load_profiles,
 )
-from .devices import p_injection
+from .devices import Device, HourlyProfile, p_injection
 from .dispatch import _MODE_ALIASES, MODES, Scenario
 from .network import Network, ValidationError, build_ybus
 from .nsga import GaParams, InfeasibleConfigError, optimize_placement
@@ -141,6 +143,16 @@ def _resolve_case_paths(args: argparse.Namespace) -> tuple[Path, Path]:
     return case, profiles
 
 
+def _load_inputs(args: argparse.Namespace
+                 ) -> tuple[Path, Case, dict[str, HourlyProfile], list[Device]]:
+    """The case file's path, the case, the profiles and the case's devices
+    bound to them: what ``simulate``, ``optimize`` and ``validate`` read."""
+    case_path, profile_path = _resolve_case_paths(args)
+    case = load_case(case_path)
+    profiles = load_profiles(profile_path)
+    return case_path, case, profiles, bind_devices(case, profiles)
+
+
 def _scenario(args: argparse.Namespace, default_mode: str = "none") -> Scenario:
     return Scenario(
         mode=args.mode or default_mode,
@@ -226,13 +238,10 @@ def cmd_twobus(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    case_path, profile_path = _resolve_case_paths(args)
-    case = load_case(case_path)
-    profiles = load_profiles(profile_path)
+    _, case, profiles, devices = _load_inputs(args)
     scenario = _scenario(args)
     if args.mode is None:
         raise ValidationError("simulate requires --mode")
-    devices = bind_devices(case, profiles)
     evaluator = DayEvaluator(case.network, devices, profiles, scenario)
     day = evaluator.hours()
     live = np.flatnonzero(day.live).tolist()
@@ -263,11 +272,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    case_path, profile_path = _resolve_case_paths(args)
-    case = load_case(case_path)
-    profiles = load_profiles(profile_path)
+    _, case, profiles, devices = _load_inputs(args)
     scenario = _scenario(args, default_mode="dgq+v2gq")
-    devices = bind_devices(case, profiles)
     params = GaParams(
         population=args.pop if args.pop is not None else GaParams.population,
         generations=args.gens if args.gens is not None else GaParams.generations,
@@ -298,17 +304,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    case_path, profile_path = _resolve_case_paths(args)
-    case = load_case(case_path)
+    case_path, case, _, _ = _load_inputs(args)
     net = case.network
     y = build_ybus(net)
-    profiles = load_profiles(profile_path) if (args.profiles or not args.case) else {}
-    missing = [
-        d.profile_id for d in case.devices
-        if profiles and d.profile_id not in profiles
-    ]
-    if missing:
-        raise ValidationError(f"device profiles not found: {sorted(set(missing))}")
     row_residual = float(np.max(np.abs(y.sum(axis=1))))
     print(
         f"{case_path.name}: {net.n_bus} buses, {len(net.branches)} branches, "
@@ -383,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="random seed (default 0)")
     p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser("validate", help="parse and sanity-check case/profile files")
+    p = sub.add_parser("validate", help="load and bind the inputs as simulate does; check the network")
     _add_common(p)
     p.set_defaults(func=cmd_validate)
 

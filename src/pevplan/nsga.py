@@ -25,6 +25,7 @@ only the part-kept front is crowded again.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -118,7 +119,7 @@ class PlacementGenome:
     lot_buses: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        buses = tuple(sorted(int(b) for b in self.lot_buses))
+        buses = tuple(sorted(map(operator.index, self.lot_buses)))
         if len(set(buses)) != len(buses):
             raise ValueError(f"duplicate lot buses in genome: {buses}")
         object.__setattr__(self, "lot_buses", buses)
@@ -146,7 +147,7 @@ class GaParams:
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError("mutation_rate must lie in [0, 1]")
         if self.candidates is not None:
-            object.__setattr__(self, "candidates", tuple(int(c) for c in self.candidates))
+            object.__setattr__(self, "candidates", tuple(map(operator.index, self.candidates)))
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,6 @@ class ArchiveEntry:
     cost: float
     scalar: float
     feasible: bool
-    crowding: float
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,6 @@ class OptimizeResult:
     best_breakdown: ObjectiveBreakdown
     history: tuple[float, ...]  # best_breakdown's scalar after each generation (0 = initial)
     evaluations: int  # distinct placements evaluated
-    params: GaParams
 
 
 def _resolve_candidates(net: Network, params: GaParams, n_lots: int) -> tuple[int, ...]:
@@ -379,25 +378,24 @@ def optimize_placement(
     at = np.array([index[lots] for lots in placements])
     return OptimizeResult(
         archive=_build_archive(placements, [found[row] for row in at],
-                               *_rank(obj[at], feasible[at], penalty[at])),
+                               _rank(obj[at], feasible[at], penalty[at])[0]),
         best_genome=PlacementGenome(best_lots),
         best_breakdown=best_breakdown,
         history=tuple(history),
         evaluations=len(found),
-        params=params,
     )
 
 
 def _build_archive(placements: Sequence[tuple[int, ...]],
                    breakdowns: Sequence[ObjectiveBreakdown],
-                   ranks: np.ndarray, crowd: np.ndarray) -> ParetoArchive:
+                   ranks: np.ndarray) -> ParetoArchive:
     """Nondominated set over every placement this search scored, given with
-    their breakdowns and their :func:`_rank` ranking."""
+    their breakdowns and their :func:`_rank` ranks."""
     entries = []
     for i in np.flatnonzero(ranks == 0).tolist():
         bd = breakdowns[i]
         entries.append(ArchiveEntry(
             genome=PlacementGenome(placements[i]), v_dev=bd.v_dev, loss=bd.loss,
-            cost=bd.cost, scalar=bd.scalar, feasible=bd.feasible, crowding=float(crowd[i])))
+            cost=bd.cost, scalar=bd.scalar, feasible=bd.feasible))
     entries.sort(key=lambda e: (e.scalar, e.genome.lot_buses))
     return ParetoArchive(tuple(entries))

@@ -22,6 +22,7 @@ holds, through :meth:`DayEvaluator.hours`.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from time import perf_counter
@@ -166,7 +167,7 @@ class DayHours:
 def place_lots(devices: Sequence[Device], lot_buses: Sequence[int],
                net: Network) -> list[Device]:
     """Relocate the PEV lots onto ``lot_buses`` (ascending), PVs untouched."""
-    buses = sorted(int(b) for b in lot_buses)
+    buses = sorted(map(operator.index, lot_buses))
     if len(set(buses)) != len(buses):
         raise ValueError(f"duplicate lot buses {buses}")
     lots = [d for d in devices if isinstance(d, PevLot)]
@@ -247,7 +248,7 @@ class DayEvaluator:
     def _key(self, lot_buses: Sequence[int] | None) -> tuple[int, ...]:
         if lot_buses is None:
             lot_buses = [d.bus for d in self.devices if isinstance(d, PevLot)]
-        return tuple(sorted(int(b) for b in lot_buses))
+        return tuple(sorted(map(operator.index, lot_buses)))
 
     def evaluate(self, lot_buses: Sequence[int] | None = None) -> DayResult:
         """The day of one placement (the devices' own by default): a batch of one."""

@@ -7,8 +7,8 @@ every ranking is built from the members' breakdowns (:func:`_columns`), and
 crowding always sorts (:func:`crowding_distance`).  It shares the package's
 operators, which draw the random stream, and its nondominated sort.
 ``pevplan.nsga.optimize_placement`` must return what this function returns
-for the same inputs: the same archive (crowding included), best genome and
-breakdown, history and evaluations.
+for the same inputs: the same archive, best genome and breakdown, history and
+evaluations.
 """
 
 from __future__ import annotations
@@ -135,19 +135,18 @@ def optimize_placement(net, devices, scenario, params: GaParams,
         best_breakdown=best_breakdown,
         history=tuple(history),
         evaluations=len(seen),
-        params=params,
     )
 
 
 def _build_archive(seen: dict[tuple[int, ...], ObjectiveBreakdown]) -> ParetoArchive:
     items = sorted(seen.items())
-    ranks, crowd = _rank(*_columns([bd for _, bd in items]))
+    ranks, _ = _rank(*_columns([bd for _, bd in items]))
     entries = []
     for i in np.flatnonzero(ranks == 0).tolist():
         key, bd = items[i]
         entries.append(ArchiveEntry(
             genome=PlacementGenome(key), v_dev=bd.v_dev, loss=bd.loss, cost=bd.cost,
-            scalar=bd.scalar, feasible=bd.feasible, crowding=float(crowd[i]),
+            scalar=bd.scalar, feasible=bd.feasible,
         ))
     entries.sort(key=lambda e: (e.scalar, e.genome.lot_buses))
     return ParetoArchive(tuple(entries))

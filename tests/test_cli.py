@@ -181,6 +181,42 @@ def test_json_case_device_errors_are_validation_errors(capsys, tmp_path, command
     assert message in err and out == ""
 
 
+@pytest.mark.parametrize("command", [["validate"], ["simulate", "--mode", "dgq"]])
+@pytest.mark.parametrize("edit, code, message", [
+    (lambda rows: [r for r in rows if not r.startswith("pv-south,")], 4,
+     "device at bus 7: profile 'pv-south' not found"),
+    (lambda rows: rows[:1], 4, "device at bus 7: profile 'pv-south' not found"),
+    (lambda rows: [",".join(["pv-south"] + ["60.0"] * 24) if r.startswith("pv-south,")
+                   else r for r in rows], 5,
+     "device at bus 7: p_profile outside [0, s_rated] at hours "
+     f"{list(range(24))}"),
+], ids=["row-missing", "header-only", "pv-over-rating"])
+def test_validate_refuses_the_profiles_simulate_refuses(capsys, tmp_path, command,
+                                                        edit, code, message):
+    rows = builtin_path("profiles33.csv").read_text().splitlines()
+    profiles = tmp_path / "profiles.csv"
+    profiles.write_text("\n".join(edit(rows)) + "\n")
+    assert run(capsys, *command, "--profiles", str(profiles)) == (
+        code, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", [["validate"], ["simulate", "--mode", "dgq"]])
+def test_a_json_case_is_bound_to_the_bundled_profiles(capsys, tmp_path, command):
+    # without --profiles a case's devices are bound to the bundled file
+    data = {
+        "system": {},
+        "buses": [{"id": 1, "kind": "slack", "p_load": 0.0, "q_load": 0.0},
+                  {"id": 2, "kind": "load", "p_load": 0.01, "q_load": 0.006}],
+        "branches": [{"from": 1, "to": 2, "r": 0.0058, "x": 0.0029, "i_cap": 0.88}],
+        "devices": [{"bus": 2, "type": "pv", "s_rated_kva": 100.0,
+                     "profile_id": "pv-north"}],
+    }
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(data))
+    assert run(capsys, *command, "--case", str(case)) == (
+        4, "", "error: device at bus 2: profile 'pv-north' not found\n")
+
+
 def test_validate_parse_failure(capsys, tmp_path):
     bad = tmp_path / "bad.grid"
     bad.write_text(BAD_GRID)

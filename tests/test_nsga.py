@@ -31,7 +31,7 @@ from pevplan.nsga import (
     _survivors,
     _tournament,
 )
-from pevplan.objective import DayEvaluator, ObjectiveBreakdown
+from pevplan.objective import DayEvaluator, ObjectiveBreakdown, place_lots
 
 import ga_oracle
 from conftest import radial_feeders, small_feeder
@@ -283,6 +283,19 @@ def test_ga_params_validation():
         GaParams(mutation_rate=1.5)
     # stored verbatim; deduplication happens when the search resolves them
     assert GaParams(candidates=[9, 3]).candidates == (9, 3)
+
+
+@pytest.mark.parametrize("build", [
+    lambda net, devices, profiles: DayEvaluator(
+        net, devices, profiles, Scenario(mode="none")).evaluate((7.9, 29)),
+    lambda net, devices, profiles: place_lots(devices, (7.9, 29), net),
+    lambda net, devices, profiles: PlacementGenome((7.9, 29)),
+    lambda net, devices, profiles: GaParams(candidates=(7.5, 29)),
+], ids=["evaluate", "place_lots", "genome", "candidates"])
+def test_a_non_integer_bus_id_is_refused(bus33, devices33, profiles33, build):
+    # a bus id is an integer: truncating 7.9 would name bus 7
+    with pytest.raises(TypeError):
+        build(bus33.network, devices33, profiles33)
 
 
 # -- array operators ---------------------------------------------------------
@@ -685,7 +698,7 @@ def test_search_equals_the_two_ranking_oracle(bus33, devices33, profiles33,
                           n_lots=2)
         want = ga_oracle.optimize_placement(net, devices33, sc, params, theirs)
         got = optimize_placement(net, devices33, profiles33, sc, params, evaluator=ours)
-        assert got == want  # the archive's entries compare their crowding too
+        assert got == want  # archive, best genome and breakdown, history, evaluations
 
 
 def test_a_search_ranks_once_a_generation(monkeypatch):
