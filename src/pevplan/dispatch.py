@@ -36,8 +36,8 @@ scores depend on the others, so an hour ends bit for bit as
 every score is Newton-converged and all scores have one accuracy.  A
 trial starts from a first-order step off the current
 voltages and keeps the voltage vector it solved, so an accepted move
-takes the state and the score the search saw, with no second solve; full
-solutions are built only for the hour's base and final states.  Moves are
+takes the state and the score the search saw, with no second solve; a
+full solution is built only for the hour's final state.  Moves are
 accepted only when they improve the hour's dispatch score by more than
 the solves' own error, so no accept hangs on rounding and the two runners
 accept the same moves.  A dispatched hour never scores worse than its
@@ -179,7 +179,6 @@ class DispatchResult:
     hour: int
     q_settings: dict[str, float]  # every device label, zeros when idle
     solution: PowerFlowSolution
-    base_solution: PowerFlowSolution
     score: float
     base_score: float
     infeasible_devices: tuple[str, ...] = ()
@@ -395,8 +394,8 @@ class _Hour:
     with every setpoint at 0, ``s_base`` (of :func:`_base_injections`), is
     taken from the caller, and each setpoint map is written into a copy of
     it.  A search is written into row ``lane`` of ``trials``: a lockstep's
-    :class:`_Trials`, or the hour's own.  Solves yield states; full
-    solutions are built from states only for the hour's result.
+    :class:`_Trials`, or the hour's own.  Solves yield states; a full
+    solution is built from a state only for the hour's result.
     """
 
     def __init__(self, net: Network, devices: Sequence[Device], hour: int,
@@ -522,7 +521,7 @@ def _descent(hr: _Hour,
     which reverts the hour to its base state; a :class:`_Search` receives
     ``(minimum, state at its x)``.
     """
-    net, devices, scenario = hr.net, hr.devices, hr.scenario
+    devices, scenario = hr.devices, hr.scenario
     q: dict[str, float] = {dev.label: 0.0 for dev in devices}
     base_score = float(_scores(scenario, hr.branches, base_state[0]))
 
@@ -604,9 +603,8 @@ def _descent(hr: _Hour,
         state, score = base_state, base_score
     else:
         state, score = rechecked
-    base = _finish(net, *base_state, converged=True)
-    final = base if state is base_state else _finish(net, *state, converged=True)
-    return DispatchResult(hr.hour, q, final, base, score, base_score, tuple(infeasible), reverted)
+    return DispatchResult(hr.hour, q, _finish(hr.net, *state, converged=True), score,
+                          base_score, tuple(infeasible), reverted)
 
 
 def _zero_fits(hr: _Hour, participants: Sequence[Device], v: np.ndarray) -> bool:

@@ -145,8 +145,6 @@ class Network:
             )
 
     def _check_connected(self) -> None:
-        if not self.buses:
-            raise ValidationError("network has no buses")
         adjacency: dict[int, list[int]] = {b.id: [] for b in self.buses}
         for br in self.branches:
             adjacency[br.from_bus].append(br.to_bus)

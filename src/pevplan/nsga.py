@@ -140,6 +140,10 @@ class GaParams:
     candidates: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        # counts and the seed are integers: a float would fail deep in the search
+        for name in ("population", "generations", "seed", "n_lots"):
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, operator.index(value))
         if self.population < 4 or self.population % 2:
             raise ValueError("population must be even and at least 4")
         if self.generations < 0:

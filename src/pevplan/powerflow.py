@@ -27,14 +27,15 @@ Each network keeps the arrays its solvers derive from it (the admittance
 matrix and its non-slack blocks, the Z factor, the sweep's tree and its
 DLF matrix, the limit arrays), each built by the first solve that reads
 it.  Every branch current the package reports or scores is formed by
-:func:`_branch_currents`, save the sweep's own, and every solution of
-either solver is built by :func:`_solution`.  The CSV report tables live in :mod:`pevplan.cli`.
+:func:`_branch_currents`, save the sweep's own.  A solution holds the
+state a solve ended at and derives its flows and loss only when read.
+The CSV report tables live in :mod:`pevplan.cli`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -109,20 +110,29 @@ class InjectionSet:
 
 @dataclass(frozen=True)
 class PowerFlowSolution:
-    """Converged (or flagged) state of one power-flow solve."""
+    """Converged (or flagged) state of one power-flow solve; its flows and
+    loss are computed on first read."""
 
     v_complex: np.ndarray  # the bus voltages the solve ended at
     branch_current: np.ndarray  # complex, oriented from_bus -> to_bus
-    branch_flow_from: np.ndarray  # complex power entering at the from end
-    total_losses: float
     iterations: int
     max_mismatch: float
     converged: bool
     diverged: bool = False
+    # the network's (from, to, admittance, resistance) branch arrays
+    _branches: tuple[np.ndarray, ...] = field(kw_only=True, repr=False, compare=False)
 
     @cached_property
     def v_mag(self) -> np.ndarray:
         return np.abs(self.v_complex)
+
+    @cached_property
+    def branch_flow_from(self) -> np.ndarray:  # complex power entering at the from end
+        return self.v_complex[self._branches[0]] * np.conj(self.branch_current)
+
+    @cached_property
+    def total_losses(self) -> float:  # total series I²R loss
+        return float((np.abs(self.branch_current) ** 2 * self._branches[3]).sum())
 
     @property
     def v_ang(self) -> np.ndarray:
@@ -234,28 +244,12 @@ def _branch_currents(v: np.ndarray, branches: tuple[np.ndarray, ...]) -> np.ndar
     return (v.take(f_idx, axis=-1) - v.take(t_idx, axis=-1)) * y_series
 
 
-def _solution(net: Network, v: np.ndarray, currents: np.ndarray, iterations: int,
-              mismatch: float, converged: bool, diverged: bool = False) -> PowerFlowSolution:
-    """The solution at ``v`` with branch currents ``currents``, its
-    sending-end flows and its total series I²R loss."""
-    f_idx, _, _, r = _solver_arrays(net).branches
-    return PowerFlowSolution(
-        v_complex=v,
-        branch_current=currents,
-        branch_flow_from=v[f_idx] * np.conj(currents),
-        total_losses=float((np.abs(currents) ** 2 * r).sum()),
-        iterations=iterations,
-        max_mismatch=float(mismatch),
-        converged=converged,
-        diverged=diverged,
-    )
-
-
 def _finish(net: Network, v: np.ndarray, iterations: int, mismatch: float,
             converged: bool, diverged: bool = False) -> PowerFlowSolution:
     """The solution at ``v``, with the branch currents of its voltage drops."""
-    currents = _branch_currents(v, _solver_arrays(net).branches)
-    return _solution(net, v, currents, iterations, mismatch, converged, diverged)
+    branches = _solver_arrays(net).branches
+    return PowerFlowSolution(v, _branch_currents(v, branches), iterations, float(mismatch),
+                             converged, diverged, _branches=branches)
 
 
 def _start(net: Network, inj: InjectionSet, tol: float,
@@ -524,8 +518,6 @@ class LimitReport:
 
     voltage_violations: tuple[VoltageViolation, ...]
     thermal_violations: tuple[ThermalViolation, ...]
-    voltage_margin: float
-    thermal_margin: float
 
     @property
     def ok(self) -> bool:
@@ -564,9 +556,4 @@ def check_limits(net: Network, sol: PowerFlowSolution) -> LimitReport:
                          float(i[k]), float(cap[k]))
         for k in np.flatnonzero(amp)
     )
-    finite = np.isfinite(cap)
-    return LimitReport(
-        v_viol, t_viol,
-        float(np.minimum(v - lo, hi - v).min(initial=math.inf)),
-        float((cap - i)[finite].min(initial=math.inf)),
-    )
+    return LimitReport(v_viol, t_viol)

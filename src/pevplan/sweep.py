@@ -12,7 +12,7 @@ matrix, no inverse and no Jacobian — deliberately disjoint machinery so
 this solver can arbitrate the Newton-Raphson implementation on radial
 cases.  Only the solution container is shared: its flows and loss come
 from the sweep's own tree currents ``T·conj(−S/V)``, formed once at the
-end, through :func:`~pevplan.powerflow._solution`.
+end.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from collections import deque
 import numpy as np
 
 from .network import Network
-from .powerflow import (InjectionSet, NonConvergence, PowerFlowSolution, _solution,
-                        _solver_arrays, _SolverArrays, _start)
+from .powerflow import (InjectionSet, NonConvergence, PowerFlowSolution, _solver_arrays,
+                        _SolverArrays, _start)
 
 
 def _build_tree(
@@ -117,13 +117,14 @@ def solve_sweep(
 
 def _finish(net: Network, arrays: _SolverArrays, v: np.ndarray, draw: np.ndarray,
             s_spec: np.ndarray, iterations: int, converged: bool) -> PowerFlowSolution:
-    """The solution at ``v`` through :func:`~pevplan.powerflow._solution`,
-    from the sweep's own tree currents, the bus draws ``draw`` summed below
-    each branch, and with its KCL residual as the mismatch, so that neither
-    reads the voltage drops or an admittance matrix."""
+    """The solution at ``v`` with the sweep's own tree currents, the bus
+    draws ``draw`` summed below each branch, and with its KCL residual as
+    the mismatch, so that neither reads the voltage drops or an admittance
+    matrix."""
     _, sign, paths, incidence = arrays.tree
     # Convert tree-oriented currents to the branch rows' own orientation.
     currents = sign * (paths @ draw)
     resid = v * np.conj(incidence @ currents) - s_spec
     resid[net.slack_index] = 0.0
-    return _solution(net, v, currents, iterations, np.max(np.abs(resid)), converged)
+    return PowerFlowSolution(v, currents, iterations, float(np.max(np.abs(resid))),
+                             converged, _branches=arrays.branches)

@@ -174,6 +174,30 @@ def test_parse_rejects_wrong_column_count(tmp_path):
         load_case(write_case(tmp_path, bad))
 
 
+_DEVICE_ROWS = ("\n[DEVICE]\nbus,type,s_rated_kva,x_coupling_pu,vc_max_pu,profile_id\n"
+                "2,pv,500.0,0.05,1.1\n")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("2,load,100.0", "7.5,load,100.0", r"case.grid:8: expected integer, got '7.5'"),
+    ("base_kv = 12.66", "base_kv = 12.66\nradial = maybe",
+     r"case.grid:\[SYSTEM\] radial: expected boolean, got 'maybe'"),
+    ("base_kv = 12.66", "base_kv 12.66", r"case.grid:3: expected 'key = value'"),
+    ("2,load,100.0,60.0", "2,load,100.0", r"case.grid:8: expected 4 bus columns"),
+    ("400.0\n", "400.0\n" + _DEVICE_ROWS, r"case.grid:16: expected 6 device columns"),
+], ids=["non-integer id", "radial", "system line", "bus columns", "device columns"])
+def test_parse_rejects_a_malformed_line(tmp_path, old, new, message):
+    bad = MINIMAL_GRID.replace(old, new)
+    assert bad != MINIMAL_GRID
+    with pytest.raises(CaseParseError, match=message):
+        load_case(write_case(tmp_path, bad))
+
+
+def test_parse_reads_radial_no_as_false(tmp_path):
+    text = MINIMAL_GRID.replace("base_kv = 12.66", "base_kv = 12.66\nradial = no")
+    assert load_case(write_case(tmp_path, text)).network.radial is False
+
+
 def test_parse_rejects_unknown_system_key(tmp_path):
     bad = MINIMAL_GRID.replace("base_kv = 12.66", "frequency = 50")
     with pytest.raises(CaseParseError, match="unknown system key 'frequency'"):
@@ -357,6 +381,21 @@ def test_profile_header_is_checked(tmp_path):
     p.write_text("profile_id," + ",".join(f"hour{i}" for i in range(24)) + "\n")
     with pytest.raises(CaseParseError, match="bad profile header"):
         load_profiles(p)
+
+
+def test_empty_profile_file_rejected(tmp_path):
+    p = tmp_path / "p.csv"
+    p.write_text("")
+    with pytest.raises(CaseParseError, match="empty profile file"):
+        load_profiles(p)
+
+
+def test_blank_profile_rows_are_skipped(tmp_path):
+    header = "profile_id," + ",".join(f"h{i}" for i in range(24))
+    row = "flat," + ",".join("0.5" for _ in range(24))
+    p = tmp_path / "p.csv"
+    p.write_text("\n".join([header, "", row, "   ", ""]) + "\n")
+    assert list(load_profiles(p)) == ["flat"]
 
 
 def test_profile_duplicate_id_rejected(tmp_path):

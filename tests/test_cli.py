@@ -297,6 +297,14 @@ def test_solve_writes_artifacts(capsys, tmp_path):
     assert len(br.strip().splitlines()) == 33
 
 
+def test_a_failed_write_leaves_no_temporary_file(tmp_path):
+    # a lone surrogate cannot be encoded, so the write fails after the
+    # temporary file was made
+    with pytest.raises(UnicodeEncodeError):
+        cli._atomic_write(tmp_path / "out" / "solution.csv", "bus\ud800\n")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_solve_nonconvergent_case_exit_code(capsys, tmp_path):
     hopeless = tmp_path / "hopeless.grid"
     hopeless.write_text(
@@ -491,6 +499,12 @@ def test_bad_weights_flag(capsys):
     assert "three comma-separated" in err
 
 
+def test_weights_that_are_not_numbers_are_refused(capsys):
+    code, out, err = run(capsys, "simulate", "--mode", "none", "--weights", "a,b,c")
+    assert (code, out) == (5, "")
+    assert "bad weights 'a,b,c'" in err
+
+
 @pytest.mark.parametrize("command", ["simulate", "optimize"])
 @pytest.mark.parametrize("weight", ["nan", "inf"])
 def test_non_finite_weights_are_rejected(capsys, command, weight):
@@ -610,7 +624,7 @@ def test_help_documents_exit_codes():
 
 
 _STUCK = PowerFlowSolution(np.ones(2, dtype=complex), np.zeros(1, dtype=complex),
-                           np.zeros(1, dtype=complex), 0.0, 50, 1.0, False, diverged=True)
+                           50, 1.0, False, diverged=True, _branches=())
 
 
 @pytest.mark.parametrize("error, code, suffix", [

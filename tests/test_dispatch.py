@@ -178,9 +178,12 @@ def test_scores_arithmetic(feeder4):
 
 
 def test_mode_none_keeps_everything_at_zero(bus33, profiles33, devices33):
-    res = dispatch_q(bus33.network, devices33, PEAK_HOUR, Scenario(mode="none"))
+    sc = Scenario(mode="none")
+    res = dispatch_q(bus33.network, devices33, PEAK_HOUR, sc)
     assert all(v == 0.0 for v in res.q_settings.values())
-    assert res.solution is res.base_solution
+    # the solution is the base state: it scores the base score
+    branches = _solver_arrays(bus33.network).branches
+    assert float(dispatch._scores(sc, branches, res.solution.v_complex)) == res.base_score
     assert res.score == res.base_score
 
 
@@ -193,8 +196,9 @@ def test_dispatch_never_hurts(bus33, devices33):
 def test_dispatch_helps_at_peak(bus33, devices33):
     # the bundled feeder sags at the evening peak, so PV vars must help
     res = dispatch_q(bus33.network, devices33, PEAK_HOUR, Scenario(mode="dgq"))
+    base = dispatch_q(bus33.network, devices33, PEAK_HOUR, Scenario(mode="none"))
     assert res.score < res.base_score - 1e-4
-    assert res.solution.v_min > res.base_solution.v_min
+    assert res.solution.v_min > base.solution.v_min
 
 
 def test_staged_modes_are_ordered_per_hour(bus33, devices33):
@@ -310,8 +314,11 @@ def test_fixed_point_failure_falls_back_to_newton(bus33, devices33, monkeypatch)
     solves = sum(nfev) + 1 + sum(rechecks)
     assert nfev and len(rechecks) == 1
     assert calls == ["kernel", "newton"] * solves
-    np.testing.assert_array_equal(res.base_solution.v_complex, ref.v_complex)
-    assert res.base_solution.iterations == ref.iterations
+    # the hour's base state, run alone under the same failing kernel
+    base = dispatch_q(net, devices33, PEAK_HOUR, replace(sc, mode="none"))
+    assert base.base_score == res.base_score
+    np.testing.assert_array_equal(base.solution.v_complex, ref.v_complex)
+    assert base.solution.iterations == ref.iterations
     assert res.q_settings.keys() == honest.q_settings.keys()
     for label, q in honest.q_settings.items():
         assert res.q_settings[label] == pytest.approx(q, abs=1e-7)
@@ -439,7 +446,7 @@ def test_penalty_trials_count_the_trials_newton_fails_too(bus33, devices33, prof
 def test_hour_solves_each_point_once(bus33, devices33, monkeypatch):
     # the base, every trial point and every recheck run the kernel once, as
     # a block of one column; an accepted move takes its trial's state, and
-    # full solutions are built for the base and the final state only
+    # a full solution is built for the final state only
     kernel, finished, nfev, rechecks = [], [], [], []
     brent = dispatch.minimize_scalar
     recheck = dispatch._recheck_capability
@@ -472,7 +479,126 @@ def test_hour_solves_each_point_once(bus33, devices33, monkeypatch):
     res = dispatch_q(bus33.network, devices33, PEAK_HOUR, Scenario(mode="dgq+v2gq"))
     assert res.score < res.base_score and not res.reverted
     assert len(kernel) == sum(nfev) + 1 + sum(rechecks)
-    assert len(finished) == 2
+    assert len(finished) == 1
+
+
+def test_a_lockstep_day_builds_one_solution_an_hour_and_no_flows(bus33, devices33,
+                                                                 profiles33, monkeypatch):
+    # a dispatched hour builds the full solution of its final state alone,
+    # and a day reads neither its sending-end flows nor its loss, so neither
+    # is computed
+    finished, runs, lockstep, finish = [], [], objective._dispatch_day, dispatch._finish
+
+    def counted(*args, **kwargs):
+        finished.append(1)
+        return finish(*args, **kwargs)
+
+    def recorded(*args):
+        runs.append((args[2], lockstep(*args)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(dispatch, "_finish", counted)
+    monkeypatch.setattr(objective, "_dispatch_day", recorded)
+    sc = Scenario(mode="dgq+v2gq", load_profile_id="load-weekday")
+    DayEvaluator(bus33.network, devices33, profiles33, sc).evaluate()
+    ((hours, results),) = runs
+    assert len(finished) == len(results) == len(hours) > 0
+    for res in results:
+        assert not {"branch_flow_from", "total_losses"} & res.solution.__dict__.keys()
+
+
+def spy_zero_fits(monkeypatch) -> list[bool]:
+    """Record each verdict of ``dispatch._zero_fits``, the revert rule's
+    test that Q = 0 lies in every interval at the base voltages."""
+    verdicts, zero_fits = [], dispatch._zero_fits
+
+    def spied(*args):
+        verdicts.append(zero_fits(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(dispatch, "_zero_fits", spied)
+    return verdicts
+
+
+def test_an_hour_that_settles_worse_reverts_where_zero_fits(monkeypatch):
+    # bus 4's undispatched |V| is 0.998798, just below this PV's vc_max, so
+    # Q = 0 lies in its interval at the base voltages; the recheck settles
+    # on a state that scores worse, and the hour returns to its base
+    net, pv, sc = small_feeder(4), PvUnit(4, 0.05, flat_profile(0.0), vc_max=0.9989), \
+        Scenario(mode="dgq")
+    base = dispatch_q(net, [pv], 0, replace(sc, mode="none"))
+    verdicts = spy_zero_fits(monkeypatch)
+    res = dispatch_q(net, [pv], 0, sc)
+    assert verdicts == [True]  # asked only of a settled recheck that scored worse
+    assert res.reverted and res.q_settings == {pv.label: 0.0}
+    assert res.score == res.base_score == base.score
+    np.testing.assert_array_equal(res.solution.v_complex, base.solution.v_complex)
+    # the lockstep reverts every hour of the day the same way
+    verdicts.clear()
+    day = DayEvaluator(net, [pv], None, sc).hours(())
+    assert verdicts == [True] * HOURS and day.reverted.all() and not day.q.any()
+    np.testing.assert_array_equal(day.score, day.base_score)
+
+
+def test_a_worse_settled_state_stands_where_zero_breaks_an_interval(monkeypatch):
+    # vc_max below bus 4's undispatched |V| puts the PV's whole interval
+    # below Q = 0 at the base voltages.  The recheck is made to settle at
+    # the interval's far end, which scores worse than the base (no feeder
+    # tried settles worse there by itself): the hour keeps that state
+    net, pv, sc = small_feeder(4), PvUnit(4, 0.05, flat_profile(0.0), vc_max=0.9985), \
+        Scenario(mode="dgq")
+    base = dispatch_q(net, [pv], 0, replace(sc, mode="none")).solution
+    assert q_capability(pv, 0.0, float(base.v_mag[net.index_of(4)])).q_max < 0.0
+
+    def far_end(hr, participants, q, state, score, infeasible, stale):
+        for dev in participants:
+            q[dev.label] = hr.capability(dev, state[0]).q_min
+        solved = yield hr.column(q), state[0]
+        return solved, score_of(hr, solved[0])
+
+    verdicts = spy_zero_fits(monkeypatch)
+    monkeypatch.setattr(dispatch, "_recheck_capability", far_end)
+    res = dispatch_q(net, [pv], 0, sc)
+    assert verdicts == [False]
+    assert not res.reverted and res.score > res.base_score
+    assert res.q_settings[pv.label] == pytest.approx(-pv.s_rated, abs=1e-15)
+    assert res.score == score_of(hour_of(net, [pv], 0, sc), res.solution.v_complex)
+    ref = solve(net, hour_injections(net, [pv], 0, res.q_settings), tol=1e-10)
+    np.testing.assert_allclose(res.solution.v_complex, ref.v_complex, rtol=0.0, atol=1e-7)
+    # the lockstep keeps every hour of the day the same way
+    verdicts.clear()
+    day = DayEvaluator(net, [pv], None, sc).hours(())
+    assert verdicts == [False] * HOURS and not day.reverted.any()
+    assert (day.score > day.base_score).all()
+
+
+@pytest.mark.parametrize("stalled_at, accepted", [(0.5, True), (1.0, True), (2.0, False)])
+def test_a_newton_run_stalled_within_tol_is_accepted(feeder4, monkeypatch, stalled_at,
+                                                     accepted):
+    # the Newton fallback is held to tol / 100; a run that ends its
+    # iterations with the mismatch in (tol / 100, tol] is accepted, as the
+    # kernel accepts a stalled residual, and one above tol fails its column
+    pf_tol = Scenario().pf_tol
+    s_pq = dispatch._base_injections(feeder4, [[]], [0], [1.0])
+    inj = dispatch._injection_set(feeder4, s_pq[:, 0])
+    honest = solve(feeder4, inj, tol=pf_tol * _FIXED_POINT_MARGIN)
+
+    def stalled(net, inj, tol, v0):
+        raise NonConvergence("no convergence after 50 iterations",
+                             replace(honest, max_mismatch=stalled_at * pf_tol, converged=False))
+
+    monkeypatch.setattr(dispatch, "_fixed_point_block", failing(dispatch._fixed_point_block))
+    monkeypatch.setattr(dispatch, "solve", stalled)
+    v = np.ones((feeder4.n_bus, 1), dtype=complex)
+    solved = dispatch._solve_block(feeder4, s_pq, v, pf_tol)
+    assert solved.newton.tolist() == [0]
+    if accepted:
+        assert not solved.failed and solved.mismatch[0] == stalled_at * pf_tol
+        np.testing.assert_array_equal(v[:, 0], honest.v_complex)
+        sol = dispatch._newton(feeder4, inj, pf_tol, None)
+        assert sol.converged and sol.total_losses == honest.total_losses
+    else:
+        assert isinstance(solved.failed[0], NonConvergence)
 
 
 def test_wrong_factor_falls_back_to_newton(bus33, devices33, monkeypatch):
@@ -794,7 +920,8 @@ def test_settled_setpoints_stay_in_their_intervals(data):
             assert interval(dev, res.solution).contains(q, tol=CAPABILITY_RECHECK_TOL), dev.label
     if res.score > res.base_score:
         assert not res.reverted
-        assert not all(interval(dev, res.base_solution).contains(
+        base = dispatch_q(net, devices, 0, replace(sc, mode="none")).solution
+        assert not all(interval(dev, base).contains(
             0.0, tol=CAPABILITY_RECHECK_TOL) for dev in devices)
 
 
@@ -805,9 +932,10 @@ def test_tight_tolerance_needs_no_newton_fallback(bus33, devices33, monkeypatch)
         raise AssertionError("Newton fallback")
 
     monkeypatch.setattr(dispatch, "solve", refused)
-    res = dispatch_q(bus33.network, devices33, PEAK_HOUR,
-                     Scenario(mode="dgq+v2gq", pf_tol=1e-12))
-    for sol in (res.base_solution, res.solution):
+    sc = Scenario(mode="dgq+v2gq", pf_tol=1e-12)
+    res = dispatch_q(bus33.network, devices33, PEAK_HOUR, sc)
+    base = dispatch_q(bus33.network, devices33, PEAK_HOUR, replace(sc, mode="none"))
+    for sol in (base.solution, res.solution):
         assert sol.converged and sol.max_mismatch <= 1e-12
 
 
@@ -815,7 +943,7 @@ def test_load_scale_shifts_base_solution(bus33, devices33):
     net = bus33.network
     light = dispatch_q(net, devices33, PEAK_HOUR, Scenario(mode="none"), load_scale=0.4)
     heavy = dispatch_q(net, devices33, PEAK_HOUR, Scenario(mode="none"), load_scale=1.0)
-    assert light.base_solution.v_min > heavy.base_solution.v_min
+    assert light.solution.v_min > heavy.solution.v_min
 
 
 def test_score_noise_changes_no_accepted_setpoint(bus33, devices33, profiles33,
@@ -862,7 +990,7 @@ def test_lockstep_day_runs_each_hour_as_dispatch_q_does(bus33, devices33, profil
     # Newton fallback and search with the same Brent, and a column or a
     # score does not depend on its block, so from its base-block row each
     # hour runs the same searches to the same points and ends bit for bit
-    # as dispatch_q does from a flat start, base solution included
+    # as dispatch_q does from a flat start, base score included
     net = bus33.network
     shape = profiles33["load-weekday"].values
     sc = Scenario(mode="dgq+v2gq", load_profile_id="load-weekday")
@@ -926,7 +1054,7 @@ def test_generated_feeder_lockstep_hours_equal_dispatch_q(data):
     # 5–15 buses, a PV unit and 1–3 lots with hourly profiles, and an
     # hourly load shape: every hour the day's lockstep dispatched from its
     # base-block row ends bit for bit as dispatch_q ends it from a flat
-    # start, base solution included, and dispatch_q raises on no such hour
+    # start, base score included, and dispatch_q raises on no such hour
     net = data.draw(radial_feeders(5, 15), label="feeder")
     buses = [b.id for b in net.buses if b.kind != "slack"]
     n_lots = data.draw(st.integers(1, min(3, len(buses))), label="lots")

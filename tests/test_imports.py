@@ -4,20 +4,24 @@ every private name the package defines is read somewhere in it.
 No linter is required to run the suite, so these tests stand in for two
 linter rules.  An imported name that its module never reads fails (pyflakes'
 F401), unless the module lists it in ``__all__`` or its import line carries
-``# noqa: F401`` (a name kept for a caller that reads it from the module,
-such as the benchmark's tracer).  A private (single-underscore) module-level
-function, class or constant, or private method, that no module of the
-package reads fails too (a dead helper, as vulture reports one).
+``# noqa: F401``.  That mark keeps a name for the benchmark's tracer, which
+wraps it on its module, so a marked name that the tracer's ``WRAPPED`` does
+not list for that module fails too.  A private (single-underscore)
+module-level function, class or constant, or private method, that no module
+of the package reads fails as well (a dead helper, as vulture reports one).
 """
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "pevplan"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "pevplan"
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _names_read(tree: ast.AST) -> set[str]:
@@ -60,6 +64,23 @@ def unused_imports(source: str) -> list[str]:
             if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
                 unused.append(f"{alias.lineno}: {name}")
     return unused
+
+
+def unwrapped_noqa_imports(module: str, source: str, wrapped) -> list[str]:
+    """The module-level imported names of ``source`` whose line carries
+    ``# noqa: F401`` but that ``wrapped`` (the tracer's ``(owner,
+    attribute, span)`` rows) does not list as ``(module, name)``, each as
+    ``"line: name"``."""
+    traced = {(owner, attr) for owner, attr, _ in wrapped}
+    lines = source.splitlines()
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if "# noqa: F401" in lines[alias.lineno - 1] and (module, name) not in traced:
+                    found.append(f"{alias.lineno}: {name}")
+    return found
 
 
 def _is_private(name: str) -> bool:
@@ -113,6 +134,27 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text()) == [], path.name
+
+
+def test_the_check_finds_a_noqa_import_the_tracer_does_not_wrap():
+    source = ("from .dispatch import (\n"
+              "    dispatch_q,  # noqa: F401\n"
+              "    solve,  # noqa: F401\n"
+              "    Scenario,\n"
+              ")\n"
+              "import numpy as np  # noqa: F401\n")
+    wrapped = (("objective", "dispatch_q", "dispatch.hour"), ("dispatch", "solve", "x"))
+    assert unwrapped_noqa_imports("objective", source, wrapped) == ["3: solve", "6: np"]
+
+
+def test_every_noqa_import_is_one_the_tracer_wraps():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    unwrapped = {path.name: found for path in sorted(SRC.glob("*.py"))
+                 if (found := unwrapped_noqa_imports(path.stem, path.read_text(),
+                                                     tracing.WRAPPED))}
+    assert unwrapped == {}
 
 
 def test_the_check_finds_an_unread_private_name():

@@ -285,6 +285,16 @@ def test_ga_params_validation():
     assert GaParams(candidates=[9, 3]).candidates == (9, 3)
 
 
+def test_ga_params_refuse_non_integer_counts():
+    # a float count or seed would fail only later, inside numpy, range or comb
+    for field, value in (("population", 40.0), ("generations", 2.5), ("n_lots", 2.0),
+                         ("seed", 1.5)):
+        with pytest.raises(TypeError):
+            GaParams(**{field: value})
+    assert GaParams(population=np.int64(6), n_lots=np.int64(2)) == GaParams(population=6,
+                                                                             n_lots=2)
+
+
 @pytest.mark.parametrize("build", [
     lambda net, devices, profiles: DayEvaluator(
         net, devices, profiles, Scenario(mode="none")).evaluate((7.9, 29)),
@@ -611,6 +621,9 @@ def test_configuration_errors():
         optimize_placement(net, devices, None, sc, GaParams(candidates=(2, 77)))
     with pytest.raises(ValueError, match="slack"):
         optimize_placement(net, devices, None, sc, GaParams(candidates=(1, 2)))
+    pv_only = [PvUnit(3, 0.05, (0.0,) * HOURS)]
+    with pytest.raises(InfeasibleConfigError, match="no parking-lot template"):
+        optimize_placement(net, pv_only, None, sc, GaParams(n_lots=1))
 
 
 def test_zero_lots_is_no_lots_to_place():

@@ -186,10 +186,7 @@ def test_injection_validation(feeder4):
 
 def test_loss_helpers_refuse_unconverged(feeder4):
     sol = solve(feeder4, loads_of(feeder4))
-    stale = PowerFlowSolution(
-        sol.v_complex, sol.branch_current, sol.branch_flow_from,
-        sol.total_losses, sol.iterations, 1.0, converged=False,
-    )
+    stale = replace(sol, max_mismatch=1.0, converged=False)
     with pytest.raises(PowerFlowError, match="non-converged"):
         check_limits(feeder4, stale)
 
@@ -992,10 +989,9 @@ def test_full_load_violates_lower_band(solved33):
     ids = [v.bus for v in report.voltage_violations]
     assert 18 in ids
     assert all(v.v < v.bound for v in report.voltage_violations)
-    assert report.voltage_margin < 0
     # ampacity is generous on this feeder
     assert not report.thermal_violations
-    assert report.thermal_margin > 0
+    assert (np.abs(sol.branch_current) < [br.current_cap for br in net.branches]).all()
 
 
 def test_light_load_is_clean(solved33):
@@ -1004,7 +1000,8 @@ def test_light_load_is_clean(solved33):
     sol = solve(net, InjectionSet.from_loads(p * 0.3, q * 0.3))
     report = check_limits(net, sol)
     assert report.ok
-    assert report.voltage_margin > 0
+    lo, hi = net.voltage_bounds()
+    assert ((lo < sol.v_mag) & (sol.v_mag < hi)).all()
 
 
 def test_thermal_violation_detected():
@@ -1018,7 +1015,6 @@ def test_thermal_violation_detected():
     tv = report.thermal_violations[0]
     assert (tv.from_bus, tv.to_bus) == (1, 2)
     assert tv.i > tv.i_cap
-    assert report.thermal_margin < 0
 
 
 def test_check_limits_reads_each_networks_own_limits(solved33):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from pevplan import powerflow, sweep
 from pevplan.network import Branch, Bus, Network
-from pevplan.powerflow import InjectionSet, NonConvergence, PowerFlowSolution, solve
+from pevplan.powerflow import InjectionSet, NonConvergence, solve
 from pevplan.sweep import solve_sweep
 
 from conftest import radial_feeders, small_feeder
@@ -20,11 +21,12 @@ def loads_of(net) -> InjectionSet:
     return InjectionSet.from_loads(*net.load_vectors())
 
 
-def loop_sweep(net, inj, tol=1e-10, max_iter=200) -> PowerFlowSolution:
+def loop_sweep(net, inj, tol=1e-10, max_iter=200) -> SimpleNamespace:
     """The sweep written edge by edge: a breadth-first list of tree edges,
     a backward loop that adds each child's current into its parent and a
     forward loop that drops each child's voltage from its parent's.  The
-    matrix sweep's oracle; raises as :func:`solve_sweep` does."""
+    matrix sweep's oracle, with the fields of a solution, its sending-end
+    flows and loss summed in the edge loop too."""
     n, slack = net.n_bus, net.slack_index
     ends = [(net.index_of(br.from_bus), net.index_of(br.to_bus)) for br in net.branches]
     adj = {i: [] for i in range(n)}
@@ -74,8 +76,10 @@ def loop_sweep(net, inj, tol=1e-10, max_iter=200) -> PowerFlowSolution:
     resid = v * np.conj(i_net) - s_spec
     resid[slack] = 0.0
     f_idx = [f for f, _ in ends]
-    return PowerFlowSolution(v, currents, v[f_idx] * np.conj(currents), loss, it,
-                             float(np.max(np.abs(resid))), converged=delta <= tol)
+    return SimpleNamespace(v_complex=v, branch_current=currents,
+                           branch_flow_from=v[f_idx] * np.conj(currents), total_losses=loss,
+                           iterations=it, max_mismatch=float(np.max(np.abs(resid))),
+                           converged=delta <= tol)
 
 
 def assert_sweeps_agree(got, want, atol=1e-12):
